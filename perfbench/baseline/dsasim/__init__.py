@@ -1,0 +1,122 @@
+"""dsasim: discrete-event simulation of dynamic spectrum sharing.
+
+Cognitive-radio secondary links request sessions from heterogeneous service
+providers; channels are assigned either on the home provider's band only
+(fixed allocation) or via a utility-maximizing best-available-channel rule
+over all providers (dynamic sharing).  Admission can additionally require
+SINR feasibility for the co-channel group and bounded interference at
+primary receiving points.  Runs are deterministic given a seed and report
+throughput, propagation delay, RTT, interference, spectral efficiency and
+blocking probability.
+"""
+
+__version__ = "0.1.0"
+
+from .engine import (
+    OccupancyState,
+    Outcome,
+    QosConfig,
+    SessionRecord,
+    Simulation,
+    Strategy,
+    run_simulation,
+)
+from .errors import (
+    ConfigError,
+    DsasimError,
+    GeometryError,
+    InvalidTopologyError,
+    MetricError,
+    NoCandidateError,
+    SolverIndeterminateError,
+    StateError,
+    TraceError,
+    UnsupportedModulationError,
+)
+from .metrics import MetricsReport, erlang_b
+from .qos import (
+    PowerSolution,
+    SinrReport,
+    ber_from_sinr,
+    check_interference,
+    check_qos,
+    compute_sinr,
+    min_power_allocation,
+    sinr_target_from_ber,
+)
+from .sbac import (
+    CandidatePool,
+    SbacConfig,
+    SbacWeights,
+    UtilityBreakdown,
+    availability_prob,
+    channel_utility,
+    frequency_spread,
+    select_best_channel,
+    usage_cost,
+)
+from .topology import (
+    GainMatrices,
+    Modulation,
+    NetworkTopology,
+    PrimaryReceivingPoint,
+    SecondaryLink,
+    ServiceProvider,
+    SpectrumChannel,
+    gains_from_positions,
+    validate_topology,
+)
+from .traffic import ArrivalEvent, TrafficSpec, build_event_stream, draw_holding_time
+
+__all__ = [
+    "__version__",
+    "ArrivalEvent",
+    "CandidatePool",
+    "ConfigError",
+    "DsasimError",
+    "GainMatrices",
+    "GeometryError",
+    "InvalidTopologyError",
+    "MetricError",
+    "MetricsReport",
+    "Modulation",
+    "NetworkTopology",
+    "NoCandidateError",
+    "OccupancyState",
+    "Outcome",
+    "PowerSolution",
+    "PrimaryReceivingPoint",
+    "QosConfig",
+    "SbacConfig",
+    "SbacWeights",
+    "SecondaryLink",
+    "ServiceProvider",
+    "SessionRecord",
+    "Simulation",
+    "SinrReport",
+    "SolverIndeterminateError",
+    "SpectrumChannel",
+    "StateError",
+    "Strategy",
+    "TraceError",
+    "TrafficSpec",
+    "UnsupportedModulationError",
+    "UtilityBreakdown",
+    "availability_prob",
+    "ber_from_sinr",
+    "build_event_stream",
+    "channel_utility",
+    "check_interference",
+    "check_qos",
+    "compute_sinr",
+    "draw_holding_time",
+    "erlang_b",
+    "frequency_spread",
+    "gains_from_positions",
+    "min_power_allocation",
+    "run_simulation",
+    "select_best_channel",
+    "sinr_target_from_ber",
+    "usage_cost",
+    "validate_topology",
+]

@@ -1,0 +1,467 @@
+"""Deterministic discrete-event loop over arrivals and departures.
+
+Every arrival is offered the candidate pools its strategy allows (home
+provider only under fixed allocation, all providers under dynamic
+selection), the best-available-channel rule picks a free channel, and an
+optional physical-layer stage re-solves minimal powers for the co-channel
+group and re-checks primary-point interference before the call is admitted.
+Departures at a given instant are processed before arrivals at the same
+instant, the standard loss-system convention.
+
+One run is strictly single-threaded; independent runs can execute
+concurrently because topologies and traffic specs are immutable.
+"""
+from __future__ import annotations
+
+import dataclasses
+import heapq
+from dataclasses import dataclass
+from enum import Enum
+
+import numpy as np
+
+from . import metrics, qos, sbac
+from .errors import (
+    InvalidTopologyError,
+    NoCandidateError,
+    SolverIndeterminateError,
+    StateError,
+)
+from .metrics import MetricsReport
+from .sbac import CandidatePool, SbacConfig
+from .topology import NetworkTopology, validate_topology
+from .traffic import ArrivalEvent, TrafficSpec, build_event_stream
+
+
+class Strategy(Enum):
+    FIXED = "FIXED"
+    DYNAMIC_SBAC = "DYNAMIC_SBAC"
+
+
+class Outcome(Enum):
+    ADMITTED = "ADMITTED"
+    BLOCKED_NO_CHANNEL = "BLOCKED_NO_CHANNEL"
+    BLOCKED_QOS = "BLOCKED_QOS"
+    BLOCKED_INTERFERENCE = "BLOCKED_INTERFERENCE"
+
+
+@dataclass(frozen=True)
+class QosConfig:
+    """Admission-time physical-layer checking knobs.
+
+    With ``physical_checks`` off, channel availability alone decides
+    admission.  ``channel_reuse`` makes equal channel indexes on different
+    providers co-channel, so concurrent sessions there are power-coupled
+    and admission exercises the full SINR feasibility machinery.
+    """
+
+    physical_checks: bool = False
+    channel_reuse: bool = False
+    use_processing_gain: bool = True
+    solver_tolerance: float = qos.DEFAULT_TOLERANCE
+    solver_max_iterations: int = qos.DEFAULT_MAX_ITERATIONS
+    solver_patience: int = qos.DEFAULT_PATIENCE
+
+
+@dataclass
+class SessionRecord:
+    session_id: int
+    arrival_time: float
+    start_time: float
+    end_time: float
+    home_provider_id: int
+    provider_id: int | None
+    channel_id: int | None
+    link_id: int
+    rate: float
+    outcome: Outcome
+    tx_rx_distance: float
+    power: float = 0.0  # assigned transmit power, watts (0 when blocked)
+
+    @property
+    def admitted(self) -> bool:
+        return self.outcome is Outcome.ADMITTED
+
+    @property
+    def access_wait(self) -> float:
+        return self.start_time - self.arrival_time
+
+
+class OccupancyState:
+    """Channel busy flags, per-provider busy counts and the busy-time integral.
+
+    The integral accumulates busy channels times elapsed seconds, clamped to
+    the run horizon so spectral efficiency covers exactly ``[0, horizon]``.
+    """
+
+    def __init__(self, topology: NetworkTopology, horizon: float):
+        self.horizon = horizon
+        self.holder: dict[tuple[int, int], int] = {}  # (provider, channel) -> session
+        self.slot_of: dict[int, tuple[int, int]] = {}  # session -> (provider, channel)
+        self.busy_per_provider = [0] * len(topology.providers)
+        self.busy_integral = 0.0  # channel * seconds
+        self.clock = 0.0
+
+    def advance(self, time: float) -> None:
+        if time < self.clock:
+            raise StateError(f"occupancy clock moved backwards ({self.clock} -> {time})")
+        span = min(time, self.horizon) - min(self.clock, self.horizon)
+        if span > 0:
+            self.busy_integral += len(self.holder) * span
+        self.clock = time
+
+    def occupy(self, provider_id: int, channel_id: int, session_id: int) -> None:
+        key = (provider_id, channel_id)
+        if key in self.holder:
+            raise StateError(f"channel {key} already held by session {self.holder[key]}")
+        self.holder[key] = session_id
+        self.slot_of[session_id] = key
+        self.busy_per_provider[provider_id] += 1
+
+    def release(self, session_id: int) -> tuple[int, int]:
+        if session_id not in self.slot_of:
+            raise StateError(f"session {session_id} holds no channel (double release?)")
+        key = self.slot_of.pop(session_id)
+        del self.holder[key]
+        self.busy_per_provider[key[0]] -= 1
+        return key
+
+    def is_free(self, provider_id: int, channel_id: int) -> bool:
+        return (provider_id, channel_id) not in self.holder
+
+    def audit(self) -> None:
+        """Exhaustive consistency audit; raises StateError on any mismatch."""
+        if len(self.holder) != len(self.slot_of):
+            raise StateError("holder/slot maps out of sync")
+        counts = [0] * len(self.busy_per_provider)
+        for (provider_id, channel_id), session_id in self.holder.items():
+            if self.slot_of.get(session_id) != (provider_id, channel_id):
+                raise StateError(f"session {session_id} slot mismatch")
+            counts[provider_id] += 1
+        if counts != self.busy_per_provider:
+            raise StateError("per-provider busy counts disagree with busy flags")
+
+
+class Simulation:
+    """Single deterministic run; see :func:`run_simulation` for the one-call API."""
+
+    def __init__(
+        self,
+        topology: NetworkTopology,
+        traffic_spec: TrafficSpec,
+        strategy: Strategy,
+        sbac_config: SbacConfig | None = None,
+        qos_config: QosConfig | None = None,
+        audit: bool = False,
+        keep_interference_trace: bool = False,
+    ):
+        violations = validate_topology(topology)
+        if violations:
+            raise InvalidTopologyError(violations)
+        if len(traffic_spec.arrival_rates) != len(topology.providers):
+            raise InvalidTopologyError(
+                [
+                    f"traffic spec covers {len(traffic_spec.arrival_rates)} providers, "
+                    f"topology has {len(topology.providers)}"
+                ]
+            )
+
+        self.topology = topology
+        self.traffic_spec = traffic_spec
+        self.strategy = strategy
+        self.sbac = sbac_config or SbacConfig()
+        self.qos = qos_config or QosConfig()
+        self.audit = audit
+
+        self.state = OccupancyState(topology, traffic_spec.horizon)
+        self.records: list[SessionRecord] = []
+        # session -> (link_id, power) for every currently transmitting session
+        self.active: dict[int, tuple[int, float]] = {}
+        num_points = len(topology.primary_points)
+        self.primary_loads = np.zeros(num_points)
+        self.primary_integral = np.zeros(num_points)
+        self.interference_trace: list[tuple[float, float, np.ndarray]] | None = (
+            [] if keep_interference_trace else None
+        )
+        self._trace_clock = 0.0
+        self._next_link = 0
+
+    # -- event loop ---------------------------------------------------------
+
+    def run(self) -> tuple[list[SessionRecord], MetricsReport]:
+        events = build_event_stream(self.traffic_spec)
+        # entries: (time, kind, sequence, payload); kind 0 = departure, 1 = arrival,
+        # so departures at time t free capacity before arrivals at time t.
+        heap: list[tuple[float, int, int, object]] = [
+            (ev.time, 1, i, ev) for i, ev in enumerate(events)
+        ]
+        heapq.heapify(heap)
+        sequence = len(events)
+
+        while heap:
+            time, kind, _, payload = heapq.heappop(heap)
+            self._advance_clocks(time)
+            if kind == 0:
+                self._depart(int(payload))
+            else:
+                record = self._admit(payload)
+                self.records.append(record)
+                if record.admitted:
+                    heapq.heappush(heap, (record.end_time, 0, sequence, record.session_id))
+                    sequence += 1
+            if self.audit:
+                self.state.audit()
+
+        # close the busy/interference integrals out to the horizon (departures
+        # beyond it may already have advanced the clock further)
+        self._advance_clocks(max(self.traffic_spec.horizon, self.state.clock))
+        return self.records, self._report()
+
+    def _advance_clocks(self, time: float) -> None:
+        self.state.advance(time)
+        horizon = self.traffic_spec.horizon
+        start = min(self._trace_clock, horizon)
+        end = min(time, horizon)
+        if end > start:
+            self.primary_integral += self.primary_loads * (end - start)
+            if self.interference_trace is not None:
+                self.interference_trace.append((start, end, self.primary_loads.copy()))
+        self._trace_clock = max(self._trace_clock, time)
+
+    def _depart(self, session_id: int) -> None:
+        self.state.release(session_id)
+        link_id, power = self.active.pop(session_id)
+        if self.primary_loads.size:
+            self.primary_loads -= self.topology.gains.g_ps[:, link_id] * power
+
+    # -- admission ----------------------------------------------------------
+
+    def _candidate_pools(self, home_provider: int) -> list[CandidatePool]:
+        if self.strategy is Strategy.FIXED:
+            providers = [self.topology.providers[home_provider]]
+        else:
+            providers = list(self.topology.providers)
+        pools = []
+        for provider in providers:
+            free = tuple(
+                ch for ch in provider.channels if self.state.is_free(provider.id, ch.id)
+            )
+            pools.append(
+                CandidatePool(
+                    provider_id=provider.id,
+                    available_channels=free,
+                    total_channels=provider.num_channels,
+                    session_minutes=self.sbac.session_minutes,
+                    cost_rate=provider.cost_rate,
+                )
+            )
+        return pools
+
+    def _admit(self, event: ArrivalEvent) -> SessionRecord:
+        session_id = len(self.records)
+        link = self.topology.links[self._next_link % self.topology.num_links]
+        self._next_link += 1
+        record = SessionRecord(
+            session_id=session_id,
+            arrival_time=event.time,
+            start_time=event.time,
+            end_time=event.time,
+            home_provider_id=event.provider_id,
+            provider_id=None,
+            channel_id=None,
+            link_id=link.id,
+            rate=event.requested_rate,
+            outcome=Outcome.BLOCKED_NO_CHANNEL,
+            tx_rx_distance=link.distance,
+        )
+
+        pools = self._candidate_pools(event.provider_id)
+        try:
+            provider_id, channel_id, _ = sbac.select_best_channel(
+                pools,
+                self.sbac.weights,
+                spread_unit_hz=self.sbac.spread_unit_hz,
+                spread_floor=self.sbac.spread_floor,
+                cost_floor=self.sbac.cost_floor,
+            )
+        except NoCandidateError:
+            return record
+
+        if self.qos.physical_checks:
+            outcome, powers, group = self._physical_admission(channel_id, link, event)
+            if outcome is not Outcome.ADMITTED:
+                record.outcome = outcome
+                return record
+            self._apply_group_powers(group, powers[:-1])
+            record.power = float(powers[-1])
+        else:
+            record.power = link.power
+
+        record.outcome = Outcome.ADMITTED
+        record.provider_id = provider_id
+        record.channel_id = channel_id
+        record.end_time = event.time + event.holding_time
+        self.state.occupy(provider_id, channel_id, session_id)
+        self.active[session_id] = (link.id, record.power)
+        if self.primary_loads.size:
+            self.primary_loads += self.topology.gains.g_ps[:, link.id] * record.power
+        return record
+
+    def _co_channel_sessions(self, channel_id: int) -> list[int]:
+        if not self.qos.channel_reuse:
+            return []
+        return [
+            held_session
+            for (_, held_channel), held_session in self.state.holder.items()
+            if held_channel == channel_id
+        ]
+
+    def _physical_admission(self, channel_id, link, event):
+        """Solve minimal powers for the co-channel group plus the new session.
+
+        Existing group members must keep meeting their own QoS targets under
+        the added interference, and the whole system must stay within every
+        primary point's tolerance.  Returns (outcome, powers, group_ids)
+        where ``powers[:-1]`` are the group's updated powers and
+        ``powers[-1]`` is the new session's.
+        """
+        group = self._co_channel_sessions(channel_id)
+        member_links = []
+        member_rates = []
+        for member in group:
+            member_record = self.records[member]
+            member_links.append(self.topology.links[member_record.link_id])
+            member_rates.append(member_record.rate)
+        group_links = member_links + [link]
+        group_rates = member_rates + [event.requested_rate]
+
+        sub = _subtopology(self.topology, group_links, group_rates)
+        residual = self._residual_tolerances(group)
+        try:
+            solution = qos.min_power_allocation(
+                sub,
+                max_iterations=self.qos.solver_max_iterations,
+                tolerance=self.qos.solver_tolerance,
+                patience=self.qos.solver_patience,
+                use_processing_gain=self.qos.use_processing_gain,
+                primary_tolerance_override=residual,
+            )
+        except SolverIndeterminateError:
+            # no certificate of feasibility: conservatively refuse the call
+            return Outcome.BLOCKED_QOS, None, group
+        if not solution.converged or not solution.within_power_caps:
+            return Outcome.BLOCKED_QOS, None, group
+        if not solution.interference_ok:
+            return Outcome.BLOCKED_INTERFERENCE, None, group
+        return Outcome.ADMITTED, solution.powers, group
+
+    def _residual_tolerances(self, group: list[int]) -> np.ndarray:
+        """Primary tolerances minus interference from sessions outside the group."""
+        tolerances = np.array([p.tolerance for p in self.topology.primary_points])
+        outside = self.primary_loads.copy()
+        for member in group:
+            link_id, power = self.active[member]
+            outside -= self.topology.gains.g_ps[:, link_id] * power
+        return tolerances - outside
+
+    def _apply_group_powers(self, group: list[int], powers) -> None:
+        for member, new_power in zip(group, powers):
+            link_id, old_power = self.active[member]
+            self.active[member] = (link_id, float(new_power))
+            self.records[member].power = float(new_power)
+            if self.primary_loads.size:
+                delta = float(new_power) - old_power
+                self.primary_loads += self.topology.gains.g_ps[:, link_id] * delta
+
+    # -- reporting ----------------------------------------------------------
+
+    def _report(self) -> MetricsReport:
+        horizon = self.traffic_spec.horizon
+        admitted = [r for r in self.records if r.admitted]
+        speed = self.topology.propagation_speed
+
+        if admitted:
+            delays = [metrics.propagation_delay(r.tx_rx_distance, speed) for r in admitted]
+            rtts = [metrics.rtt(r.tx_rx_distance, speed, r.access_wait) for r in admitted]
+            mean_delay = sum(delays) / len(delays)
+            mean_rtt = sum(rtts) / len(rtts)
+        else:
+            mean_delay = 0.0
+            mean_rtt = 0.0
+
+        if self.primary_integral.size:
+            per_point = self.primary_integral / horizon
+            mean_interference = float(np.mean(per_point))
+        else:
+            per_point = np.zeros(0)
+            mean_interference = 0.0
+
+        outcomes = {outcome: 0 for outcome in Outcome}
+        for record in self.records:
+            outcomes[record.outcome] += 1
+        arrivals = len(self.records)
+        blocked = arrivals - outcomes[Outcome.ADMITTED]
+
+        return MetricsReport(
+            mean_propagation_delay=mean_delay,
+            mean_rtt=mean_rtt,
+            throughput=metrics.throughput(self.records, horizon),
+            mean_primary_interference=mean_interference,
+            spectral_efficiency=metrics.spectral_efficiency(
+                self.state.busy_integral, self.topology.total_channels, horizon
+            ),
+            blocking_probability=blocked / arrivals if arrivals else 0.0,
+            arrivals=arrivals,
+            admitted=outcomes[Outcome.ADMITTED],
+            blocked_no_channel=outcomes[Outcome.BLOCKED_NO_CHANNEL],
+            blocked_qos=outcomes[Outcome.BLOCKED_QOS],
+            blocked_interference=outcomes[Outcome.BLOCKED_INTERFERENCE],
+            metadata={
+                "strategy": self.strategy.value,
+                "seed": self.traffic_spec.seed,
+                "horizon": horizon,
+                "per_point_interference_w": per_point.tolist(),
+            },
+        )
+
+
+def _subtopology(topology: NetworkTopology, links, rates) -> NetworkTopology:
+    """Topology restricted to the given links, with session rates substituted."""
+    sub_links = tuple(
+        dataclasses.replace(link, id=i, rate=rate)
+        for i, (link, rate) in enumerate(zip(links, rates))
+    )
+    idx = [link.id for link in links]
+    gains = dataclasses.replace(
+        topology.gains,
+        g_ss=topology.gains.g_ss[np.ix_(idx, idx)],
+        g_ps=topology.gains.g_ps[:, idx],
+    )
+    return dataclasses.replace(topology, links=sub_links, gains=gains)
+
+
+def run_simulation(
+    topology: NetworkTopology,
+    traffic_spec: TrafficSpec,
+    strategy: Strategy,
+    sbac_config: SbacConfig | None = None,
+    qos_config: QosConfig | None = None,
+    audit: bool = False,
+    keep_interference_trace: bool = False,
+) -> tuple[list[SessionRecord], MetricsReport]:
+    """Run one deterministic simulation and compute its metric suite.
+
+    Identical arguments (including the traffic seed) produce an identical
+    record sequence and report.  Raises InvalidTopologyError before any
+    event is processed if the topology fails validation.
+    """
+    sim = Simulation(
+        topology,
+        traffic_spec,
+        strategy,
+        sbac_config=sbac_config,
+        qos_config=qos_config,
+        audit=audit,
+        keep_interference_trace=keep_interference_trace,
+    )
+    return sim.run()

@@ -1,0 +1,53 @@
+"""Exception types shared across the simulator."""
+
+
+class DsasimError(Exception):
+    """Base class for all dsasim errors."""
+
+
+class GeometryError(DsasimError):
+    """Raised when node positions are degenerate (e.g. coincident tx/rx)."""
+
+
+class NoCandidateError(DsasimError):
+    """Raised when channel selection is asked to choose from no free channels."""
+
+
+class UnsupportedModulationError(DsasimError):
+    """Raised when a BER/SINR mapping is requested for a modulation without one."""
+
+
+class SolverIndeterminateError(DsasimError):
+    """Power solver hit its iteration cap without a feasibility verdict.
+
+    Carries the last iterate so callers can inspect how far it got.
+    """
+
+    def __init__(self, message: str, last_iterate=None, iterations: int = 0):
+        super().__init__(message)
+        self.last_iterate = last_iterate
+        self.iterations = iterations
+
+
+class TraceError(DsasimError):
+    """Raised when a piecewise-constant trace has gaps or overlaps."""
+
+
+class MetricError(DsasimError):
+    """Raised when a metric is undefined for the given inputs (e.g. no records)."""
+
+
+class StateError(DsasimError):
+    """Internal simulator state inconsistency (double release etc.). Fail fast."""
+
+
+class ConfigError(DsasimError):
+    """Raised by scenario parsing when the document is malformed or invalid."""
+
+
+class InvalidTopologyError(DsasimError):
+    """Raised before event processing when the topology fails validation."""
+
+    def __init__(self, violations: list[str]):
+        super().__init__("invalid topology: " + "; ".join(violations))
+        self.violations = violations

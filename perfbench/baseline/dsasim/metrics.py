@@ -1,0 +1,133 @@
+"""Run metrics: delay, RTT, throughput, interference, spectral efficiency.
+
+All functions here are pure and operate on immutable run outputs.  The
+Erlang-B recursion lives here too; it is the analytic oracle for the
+fixed-allocation baseline, which behaves as an M/M/K/K loss system.
+"""
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from .errors import MetricError, TraceError
+
+_TILE_TOLERANCE = 1e-9
+
+
+@dataclass(frozen=True)
+class MetricsReport:
+    """Metric suite for one simulation run plus its sweep metadata."""
+
+    mean_propagation_delay: float  # s, over admitted sessions
+    mean_rtt: float  # s, over admitted sessions
+    throughput: float  # bits/s delivered over the horizon
+    mean_primary_interference: float  # watts, time and point averaged
+    spectral_efficiency: float  # busy-channel time fraction, in [0, 1]
+    blocking_probability: float  # in [0, 1]; 0.0 when there were no arrivals
+    arrivals: int = 0
+    admitted: int = 0
+    blocked_no_channel: int = 0
+    blocked_qos: int = 0
+    blocked_interference: int = 0
+    metadata: dict = field(default_factory=dict)
+
+
+def propagation_delay(distance: float, speed: float) -> float:
+    """Signal travel time: link length over propagation speed."""
+    if speed <= 0:
+        raise ValueError(f"speed must be > 0, got {speed}")
+    if distance < 0:
+        raise ValueError(f"distance must be >= 0, got {distance}")
+    return distance / speed
+
+
+def rtt(distance: float, speed: float, access_wait: float = 0.0) -> float:
+    """Request/response round trip excluding data transfer.
+
+    Modeled as twice the propagation delay plus the time the session waited
+    for admission (zero in a pure loss system).
+    """
+    if access_wait < 0:
+        raise ValueError(f"access_wait must be >= 0, got {access_wait}")
+    return 2.0 * propagation_delay(distance, speed) + access_wait
+
+
+def throughput(records, horizon: float) -> float:
+    """Delivered bits of admitted sessions within the horizon, per second."""
+    if horizon <= 0:
+        raise ValueError(f"horizon must be > 0, got {horizon}")
+    bits = 0.0
+    for record in records:
+        if not record.admitted:
+            continue
+        active = min(record.end_time, horizon) - record.start_time
+        if active > 0:
+            bits += record.rate * active
+    return bits / horizon
+
+
+def mean_primary_interference(trace, horizon: float) -> float:
+    """Time-weighted mean interference, averaged across primary points.
+
+    ``trace`` is a sequence of ``(t_start, t_end, loads)`` whose intervals
+    must tile ``[0, horizon]``; ``loads`` is the per-point aggregate
+    interference in watts during that interval.  With zero primary points
+    the mean is defined as 0.0.
+    """
+    if horizon <= 0:
+        raise ValueError(f"horizon must be > 0, got {horizon}")
+    expected_start = 0.0
+    total = None
+    for t_start, t_end, loads in trace:
+        if abs(t_start - expected_start) > _TILE_TOLERANCE:
+            raise TraceError(
+                f"interval starting at {t_start} leaves a gap or overlap "
+                f"(expected {expected_start})"
+            )
+        if t_end < t_start:
+            raise TraceError(f"interval ({t_start}, {t_end}) runs backwards")
+        loads = np.asarray(loads, dtype=float)
+        if total is None:
+            total = np.zeros_like(loads)
+        total += loads * (t_end - t_start)
+        expected_start = t_end
+    if abs(expected_start - horizon) > _TILE_TOLERANCE:
+        raise TraceError(f"trace ends at {expected_start}, expected {horizon}")
+    if total is None or total.size == 0:
+        return 0.0
+    return float(np.mean(total) / horizon)
+
+
+def spectral_efficiency(busy_channel_seconds: float, total_channels: int, horizon: float) -> float:
+    """Average busy channels over total channels owned by all providers."""
+    if horizon <= 0:
+        raise ValueError(f"horizon must be > 0, got {horizon}")
+    if total_channels <= 0:
+        raise ValueError(f"total_channels must be > 0, got {total_channels}")
+    return (busy_channel_seconds / horizon) / total_channels
+
+
+def blocking_probability(records) -> float:
+    """Fraction of session requests denied service."""
+    records = list(records)
+    if not records:
+        raise MetricError("blocking probability is undefined for zero records")
+    blocked = sum(1 for record in records if not record.admitted)
+    return blocked / len(records)
+
+
+def erlang_b(channels: int, offered_load: float) -> float:
+    """Blocking probability of an M/M/K/K loss system.
+
+    Numerically stable recursion ``B(k, a) = a B(k-1, a) / (k + a B(k-1, a))``
+    starting from ``B(0, a) = 1``.
+    """
+    if channels < 1:
+        raise ValueError(f"channels must be >= 1, got {channels}")
+    if offered_load < 0:
+        raise ValueError(f"offered_load must be >= 0, got {offered_load}")
+    b = 1.0
+    for k in range(1, channels + 1):
+        b = offered_load * b / (k + offered_load * b)
+    return b
