@@ -1,10 +1,10 @@
 """Minimal-power control for coupled secondary links.
 
 Walks through the physical-layer core: evaluate per-link SINR at given
-powers, then let the fixed-point solver find the component-wise minimal
-powers that meet every link's QoS target, and watch the feasibility
-boundary appear as the targets rise and the coupling spectral radius
-crosses one.
+powers, then solve the linear system (I - F) P = u once for the
+component-wise minimal powers that meet every link's QoS target, and watch
+the feasibility boundary appear as the targets rise and the coupling
+spectral radius crosses one.
 
 Run: python demos/01_sinr_power_control.py
 """
@@ -19,6 +19,7 @@ from dsasim import (
     compute_sinr,
     min_power_allocation,
 )
+from dsasim.qos import QOS_MARGIN
 
 
 def build_pair(sinr_target: float) -> NetworkTopology:
@@ -60,9 +61,9 @@ def main() -> None:
     solution = min_power_allocation(topology)
     print(f"  feasible  : {solution.feasible}")
     print(f"  powers    : {np.round(solution.powers, 6)} W")
-    print(f"  iterations: {solution.iterations}, residual {solution.residual:.2e}")
     check = compute_sinr(topology, solution.powers)
-    print(f"  achieved  : SINR = {np.round(check.sinr, 6)} (targets met with equality)")
+    print(f"  achieved  : SINR = {np.round(check.sinr, 6)}")
+    print(f"  rel. slack: {check.sinr / 8.0 - 1.0} (solved at targets x (1 + {QOS_MARGIN:g}))")
 
     print("\nRaising the shared target until power control becomes infeasible:")
     print(f"  {'target':>8} {'radius':>8} {'feasible':>9} {'P0 (W)':>12} {'P1 (W)':>12}")
@@ -78,8 +79,8 @@ def main() -> None:
             line += f"  {'-':>11} {'-':>12}"
         print(line)
     print("\nThe verdict flips exactly where the spectral radius crosses 1:")
-    print("feasible instances converge to the unique minimal power vector,")
-    print("infeasible ones are detected by iterates escaping the power caps.")
+    print("below it the solve returns the unique minimal power vector; above it")
+    print("the solution has a non-positive component, so no powers meet the targets.")
 
 
 if __name__ == "__main__":

@@ -28,7 +28,6 @@ from .errors import (
     InvalidTopologyError,
     MetricError,
     NoCandidateError,
-    SolverIndeterminateError,
     StateError,
     TraceError,
     UnsupportedModulationError,
@@ -94,7 +93,6 @@ __all__ = [
     "SessionRecord",
     "Simulation",
     "SinrReport",
-    "SolverIndeterminateError",
     "SpectrumChannel",
     "StateError",
     "Strategy",

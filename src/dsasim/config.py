@@ -210,6 +210,8 @@ def _parse_link(raw, index: int, path: str) -> SecondaryLink:
     target_ber = None
     if "target_ber" in raw:
         target_ber = _number(raw, "target_ber", path)
+        if not 0.0 < target_ber < 0.5:
+            raise ConfigError(f"{path}.target_ber must be in (0, 0.5), got {target_ber}")
     if "sinr_target" in raw:
         sinr_target = _number(raw, "sinr_target", path)
     elif target_ber is not None:
@@ -421,9 +423,6 @@ def _parse_strategy(raw) -> tuple[tuple[Strategy, ...], QosConfig, float | None]
             "channel_reuse",
             "use_processing_gain",
             "min_processing_gain",
-            "solver_tolerance",
-            "solver_max_iterations",
-            "solver_patience",
         },
         path,
     )
@@ -455,13 +454,6 @@ def _parse_strategy(raw) -> tuple[tuple[Strategy, ...], QosConfig, float | None]
         physical_checks=_bool("physical_checks", False),
         channel_reuse=_bool("channel_reuse", False),
         use_processing_gain=_bool("use_processing_gain", True),
-        solver_tolerance=_number(raw, "solver_tolerance", path, default=QosConfig.solver_tolerance),
-        solver_max_iterations=int(
-            _number(raw, "solver_max_iterations", path, default=QosConfig.solver_max_iterations)
-        ),
-        solver_patience=int(
-            _number(raw, "solver_patience", path, default=QosConfig.solver_patience)
-        ),
     )
     min_pg = _number(raw, "min_processing_gain", path, default=None)
     return tuple(kinds_list), qos_config, min_pg
@@ -619,9 +611,6 @@ def config_to_document(config: ScenarioConfig) -> dict:
             "physical_checks": config.qos.physical_checks,
             "channel_reuse": config.qos.channel_reuse,
             "use_processing_gain": config.qos.use_processing_gain,
-            "solver_tolerance": config.qos.solver_tolerance,
-            "solver_max_iterations": config.qos.solver_max_iterations,
-            "solver_patience": config.qos.solver_patience,
         },
     }
     if config.explicit_gains:

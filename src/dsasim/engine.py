@@ -5,6 +5,10 @@ provider only under fixed allocation, all providers under dynamic
 selection), the best-available-channel rule picks a free channel, and an
 optional physical-layer stage re-solves minimal powers for the co-channel
 group and re-checks primary-point interference before the call is admitted.
+A departure leaves the powers of the rest of its co-channel group as they
+are: they were solved for the larger group, so every target still holds,
+and they relax to the smaller group's minimal powers only at the next
+admission on that channel index.
 Departures at a given instant are processed before arrivals at the same
 instant, the standard loss-system convention.
 
@@ -21,15 +25,10 @@ from enum import Enum
 import numpy as np
 
 from . import metrics, qos, sbac
-from .errors import (
-    InvalidTopologyError,
-    NoCandidateError,
-    SolverIndeterminateError,
-    StateError,
-)
+from .errors import InvalidTopologyError, NoCandidateError, StateError
 from .metrics import MetricsReport
 from .sbac import CandidatePool, SbacConfig
-from .topology import NetworkTopology, validate_topology
+from .topology import GainMatrices, NetworkTopology, validate_topology
 from .traffic import ArrivalEvent, TrafficSpec, build_event_stream
 
 
@@ -58,9 +57,6 @@ class QosConfig:
     physical_checks: bool = False
     channel_reuse: bool = False
     use_processing_gain: bool = True
-    solver_tolerance: float = qos.DEFAULT_TOLERANCE
-    solver_max_iterations: int = qos.DEFAULT_MAX_ITERATIONS
-    solver_patience: int = qos.DEFAULT_PATIENCE
 
 
 @dataclass
@@ -185,10 +181,26 @@ class Simulation:
         )
         self._trace_clock = 0.0
         self._next_link = 0
+        self._ran = False
+
+        self._g_ss = topology.gains.g_ss
+        self._g_ps = topology.gains.g_ps
+        if self.qos.physical_checks:
+            # per-link physics as arrays indexed by link id, for the power solve
+            links = topology.links
+            self._noise = np.array([link.noise for link in links])
+            self._bandwidth = np.array([link.bandwidth for link in links])
+            self._sinr_target = np.array([link.sinr_target for link in links])
+            self._power_max = np.array([link.power_max for link in links])
+            self._tolerance = np.array([p.tolerance for p in topology.primary_points])
 
     # -- event loop ---------------------------------------------------------
 
     def run(self) -> tuple[list[SessionRecord], MetricsReport]:
+        """Process every event once; a Simulation runs at most one time."""
+        if self._ran:
+            raise StateError("Simulation.run() was already called; build a new Simulation")
+        self._ran = True
         events = build_event_stream(self.traffic_spec)
         # entries: (time, kind, sequence, payload); kind 0 = departure, 1 = arrival,
         # so departures at time t free capacity before arrivals at time t.
@@ -211,6 +223,8 @@ class Simulation:
                     sequence += 1
             if self.audit:
                 self.state.audit()
+                if self.qos.physical_checks:
+                    self._audit_qos()
 
         # close the busy/interference integrals out to the horizon (departures
         # beyond it may already have advanced the clock further)
@@ -229,10 +243,11 @@ class Simulation:
         self._trace_clock = max(self._trace_clock, time)
 
     def _depart(self, session_id: int) -> None:
+        # the rest of the co-channel group keeps its powers (module docstring)
         self.state.release(session_id)
         link_id, power = self.active.pop(session_id)
         if self.primary_loads.size:
-            self.primary_loads -= self.topology.gains.g_ps[:, link_id] * power
+            self.primary_loads -= self._g_ps[:, link_id] * power
 
     # -- admission ----------------------------------------------------------
 
@@ -304,7 +319,7 @@ class Simulation:
         self.state.occupy(provider_id, channel_id, session_id)
         self.active[session_id] = (link.id, record.power)
         if self.primary_loads.size:
-            self.primary_loads += self.topology.gains.g_ps[:, link.id] * record.power
+            self.primary_loads += self._g_ps[:, link.id] * record.power
         return record
 
     def _co_channel_sessions(self, channel_id: int) -> list[int]:
@@ -326,30 +341,22 @@ class Simulation:
         ``powers[-1]`` is the new session's.
         """
         group = self._co_channel_sessions(channel_id)
-        member_links = []
-        member_rates = []
-        for member in group:
-            member_record = self.records[member]
-            member_links.append(self.topology.links[member_record.link_id])
-            member_rates.append(member_record.rate)
-        group_links = member_links + [link]
-        group_rates = member_rates + [event.requested_rate]
-
-        sub = _subtopology(self.topology, group_links, group_rates)
-        residual = self._residual_tolerances(group)
-        try:
-            solution = qos.min_power_allocation(
-                sub,
-                max_iterations=self.qos.solver_max_iterations,
-                tolerance=self.qos.solver_tolerance,
-                patience=self.qos.solver_patience,
-                use_processing_gain=self.qos.use_processing_gain,
-                primary_tolerance_override=residual,
-            )
-        except SolverIndeterminateError:
-            # no certificate of feasibility: conservatively refuse the call
-            return Outcome.BLOCKED_QOS, None, group
-        if not solution.converged or not solution.within_power_caps:
+        ids = [self.active[member][0] for member in group] + [link.id]
+        if self.qos.use_processing_gain:
+            rates = [self.records[member].rate for member in group] + [event.requested_rate]
+            gain = self._bandwidth[ids] / rates
+        else:
+            gain = np.ones(len(ids))
+        solution = qos.solve_min_powers(
+            self._g_ss[np.ix_(ids, ids)],
+            self._noise[ids],
+            gain,
+            self._sinr_target[ids],
+            self._power_max[ids],
+            self._g_ps[:, ids],
+            self._residual_tolerances(group),
+        )
+        if not solution.within_power_caps:
             return Outcome.BLOCKED_QOS, None, group
         if not solution.interference_ok:
             return Outcome.BLOCKED_INTERFERENCE, None, group
@@ -357,12 +364,11 @@ class Simulation:
 
     def _residual_tolerances(self, group: list[int]) -> np.ndarray:
         """Primary tolerances minus interference from sessions outside the group."""
-        tolerances = np.array([p.tolerance for p in self.topology.primary_points])
         outside = self.primary_loads.copy()
         for member in group:
             link_id, power = self.active[member]
-            outside -= self.topology.gains.g_ps[:, link_id] * power
-        return tolerances - outside
+            outside -= self._g_ps[:, link_id] * power
+        return self._tolerance - outside
 
     def _apply_group_powers(self, group: list[int], powers) -> None:
         for member, new_power in zip(group, powers):
@@ -371,7 +377,35 @@ class Simulation:
             self.records[member].power = float(new_power)
             if self.primary_loads.size:
                 delta = float(new_power) - old_power
-                self.primary_loads += self.topology.gains.g_ps[:, link_id] * delta
+                self.primary_loads += self._g_ps[:, link_id] * delta
+
+    def _audit_qos(self) -> None:
+        """Recompute every co-channel group's SINR at its recorded powers with
+        the independent :func:`qos.compute_sinr`; raises StateError if any
+        session misses its target."""
+        groups: dict[object, list[int]] = {}
+        for (provider_id, channel_id), session in self.state.holder.items():
+            key = channel_id if self.qos.channel_reuse else (provider_id, channel_id)
+            groups.setdefault(key, []).append(session)
+        for members in groups.values():
+            ids = [self.active[member][0] for member in members]
+            links = tuple(
+                dataclasses.replace(
+                    self.topology.links[link_id], id=i, rate=self.records[member].rate
+                )
+                for i, (member, link_id) in enumerate(zip(members, ids))
+            )
+            group = dataclasses.replace(
+                self.topology,
+                links=links,
+                gains=GainMatrices(g_ss=self._g_ss[np.ix_(ids, ids)], g_ps=self._g_ps[:, ids]),
+            )
+            powers = np.array([self.active[member][1] for member in members])
+            report = qos.compute_sinr(group, powers, self.qos.use_processing_gain)
+            if not np.all(qos.check_qos(report, group)):
+                raise StateError(
+                    f"co-channel sessions {members} miss their SINR targets at their powers"
+                )
 
     # -- reporting ----------------------------------------------------------
 
@@ -423,21 +457,6 @@ class Simulation:
                 "per_point_interference_w": per_point.tolist(),
             },
         )
-
-
-def _subtopology(topology: NetworkTopology, links, rates) -> NetworkTopology:
-    """Topology restricted to the given links, with session rates substituted."""
-    sub_links = tuple(
-        dataclasses.replace(link, id=i, rate=rate)
-        for i, (link, rate) in enumerate(zip(links, rates))
-    )
-    idx = [link.id for link in links]
-    gains = dataclasses.replace(
-        topology.gains,
-        g_ss=topology.gains.g_ss[np.ix_(idx, idx)],
-        g_ps=topology.gains.g_ps[:, idx],
-    )
-    return dataclasses.replace(topology, links=sub_links, gains=gains)
 
 
 def run_simulation(

@@ -17,18 +17,6 @@ class UnsupportedModulationError(DsasimError):
     """Raised when a BER/SINR mapping is requested for a modulation without one."""
 
 
-class SolverIndeterminateError(DsasimError):
-    """Power solver hit its iteration cap without a feasibility verdict.
-
-    Carries the last iterate so callers can inspect how far it got.
-    """
-
-    def __init__(self, message: str, last_iterate=None, iterations: int = 0):
-        super().__init__(message)
-        self.last_iterate = last_iterate
-        self.iterations = iterations
-
-
 class TraceError(DsasimError):
     """Raised when a piecewise-constant trace has gaps or overlaps."""
 

@@ -234,8 +234,8 @@ def validate_topology(topology: NetworkTopology) -> list[str]:
             violations.append(f"link {link.id} has sinr_target <= 0")
         if link.bandwidth <= 0:
             violations.append(f"link {link.id} has bandwidth <= 0")
-        if link.target_ber is not None and not (0 < link.target_ber <= 0.5):
-            violations.append(f"link {link.id} has target_ber outside (0, 0.5]")
+        if link.target_ber is not None and not (0 < link.target_ber < 0.5):
+            violations.append(f"link {link.id} has target_ber outside (0, 0.5)")
 
     for point in topology.primary_points:
         if point.tolerance < 0:

@@ -85,6 +85,35 @@ def explicit_gain_topology(g_ss, links, g_ps=None, points=(), providers=None,
     )
 
 
+def fixed_point_system(topology: NetworkTopology) -> tuple[np.ndarray, np.ndarray]:
+    """F and u of the fixed point P = F P + u equivalent to mu = gamma (no margin)."""
+    links = topology.links
+    g_ss = topology.gains.g_ss
+    scale = np.array(
+        [link.sinr_target / (link.processing_gain * g_ss[i, i]) for i, link in enumerate(links)]
+    )
+    coupling = g_ss * scale[:, None]
+    np.fill_diagonal(coupling, 0.0)
+    return coupling, scale * np.array([link.noise for link in links])
+
+
+def jacobi_powers(topology: NetworkTopology, tolerance: float = 1e-9,
+                  max_iterations: int = 10_000) -> np.ndarray | None:
+    """Oracle: iterate P <- F P + u from zero; None when it does not settle."""
+    coupling, offset = fixed_point_system(topology)
+    powers = np.zeros(topology.num_links)
+    for _ in range(max_iterations):
+        with np.errstate(over="ignore", invalid="ignore"):  # diverging iterates
+            updated = coupling @ powers + offset
+            step = np.max(np.abs(updated - powers))
+        if step < tolerance:
+            return updated
+        if not np.isfinite(step):
+            return None
+        powers = updated
+    return None
+
+
 @pytest.fixture
 def simple_topology() -> NetworkTopology:
     return make_topology()

@@ -25,10 +25,16 @@ from dsasim import (
     select_best_channel,
 )
 from dsasim.metrics import propagation_delay, rtt, spectral_efficiency, throughput
-from dsasim.qos import _fixed_point_system, ber_from_sinr, sinr_target_from_ber
+from dsasim.qos import ber_from_sinr, sinr_target_from_ber
 from dsasim.topology import Modulation
 
-from conftest import explicit_gain_topology, make_link, make_topology
+from conftest import (
+    explicit_gain_topology,
+    fixed_point_system,
+    jacobi_powers,
+    make_link,
+    make_topology,
+)
 
 
 def report_pass(criterion: str, detail: str) -> None:
@@ -102,9 +108,10 @@ def test_c2_power_solver_equivalence():
         assert solution.feasible == (radius < 1.0), (radius, solution)
         if solution.feasible:
             feasible_count += 1
-            coupling, offset = _fixed_point_system(topology, use_processing_gain=True)
+            coupling, offset = fixed_point_system(topology)
             closed_form = np.linalg.solve(np.eye(2) - coupling, offset)
             assert np.all(np.abs(solution.powers - closed_form) < 1e-8)
+            assert np.all(np.abs(solution.powers - jacobi_powers(topology)) < 1e-8)
 
     grid = np.linspace(0.0, 1.0, 200)
     p0_grid, p1_grid = np.meshgrid(grid, grid, indexing="ij")
@@ -114,7 +121,7 @@ def test_c2_power_solver_equivalence():
         topology, radius = random_two_link_instance(rng, power_max=1.0)
         if radius >= 0.75:
             continue
-        coupling, offset = _fixed_point_system(topology, use_processing_gain=True)
+        coupling, offset = fixed_point_system(topology)
         closed_form = np.linalg.solve(np.eye(2) - coupling, offset)
         if not 0.05 < closed_form.max() < 0.8:
             continue
@@ -132,7 +139,7 @@ def test_c2_power_solver_equivalence():
     report_pass(
         "C2 (power-solver equivalence)",
         f"100 verdicts match spectral radius ({feasible_count} feasible, closed form "
-        f"within 1e-8); minimality vs 200x200 grid on {checked} instances",
+        f"and Jacobi iteration within 1e-8); minimality vs 200x200 grid on {checked} instances",
     )
 
 

@@ -112,6 +112,19 @@ def test_sinr_target_derived_from_ber():
     assert ber_from_sinr(Modulation.BPSK, parsed.sinr_target) == pytest.approx(1e-3, abs=1e-8)
 
 
+@pytest.mark.parametrize("target_ber", [0.0, 0.5, 0.7])
+@pytest.mark.parametrize("explicit_target", [False, True])
+def test_out_of_range_target_ber_names_its_key(target_ber, explicit_target):
+    document = doc()
+    link = document["topology"]["links"][0]
+    if not explicit_target:
+        del link["sinr_target"]
+    link["modulation"] = "BPSK"
+    link["target_ber"] = target_ber
+    with pytest.raises(ConfigError, match=r"topology\.links\[0\]\.target_ber"):
+        parse(document)
+
+
 def test_link_without_any_qos_target_is_rejected():
     document = doc()
     del document["topology"]["links"][0]["sinr_target"]
@@ -135,6 +148,12 @@ def test_unknown_key_is_named():
         parse(document)
     with pytest.raises(ConfigError, match="document.extra"):
         parse(doc(extra={}))
+
+
+@pytest.mark.parametrize("key", ["solver_tolerance", "solver_max_iterations", "solver_patience"])
+def test_removed_solver_knobs_are_unknown_keys(key):
+    with pytest.raises(ConfigError, match=f"unknown key strategy.{key}"):
+        parse(doc(**{f"strategy.{key}": 1e-9}))
 
 
 def test_missing_required_key_is_named():

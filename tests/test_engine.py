@@ -293,6 +293,37 @@ def test_engine_interference_matches_trace_oracle():
     assert report.mean_primary_interference > 0.0
 
 
+def test_run_is_one_shot(simple_topology):
+    from dsasim.engine import Simulation
+
+    sim = Simulation(simple_topology, spec_for([0.5], horizon=20.0), Strategy.FIXED)
+    sim.run()
+    with pytest.raises(StateError, match="already called"):
+        sim.run()
+
+
+def test_reuse_audit_passes_check_qos_at_recorded_powers():
+    # 8 providers x 10 channels, 32 links, 0.8 Erlang per channel: co-channel
+    # groups of several links; audit=True recomputes every group's SINR with
+    # compute_sinr after every event and raises StateError on a missed target
+    topology = make_topology(num_providers=8, channels=10, num_links=32, tolerance=4e-11)
+    spec = spec_for([0.8] * 8, holding=10.0, horizon=30.0, seed=3)
+    qos_config = QosConfig(physical_checks=True, channel_reuse=True)
+    records, report = run_simulation(
+        topology, spec, Strategy.DYNAMIC_SBAC, qos_config=qos_config, audit=True
+    )
+    admitted = [r for r in records if r.admitted]
+    assert report.admitted == len(admitted) > 0
+    assert all(r.power > 0 for r in admitted)
+    overlapping_pairs = sum(
+        1
+        for i, a in enumerate(admitted)
+        for b in admitted[i + 1:]
+        if a.channel_id == b.channel_id and b.arrival_time < a.end_time
+    )
+    assert overlapping_pairs > 0
+
+
 def test_throughput_never_exceeds_capacity_bound():
     topology = make_topology(num_providers=2, channels=3)
     bound = topology.total_channels * 1e5

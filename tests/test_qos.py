@@ -11,7 +11,6 @@ from scipy.special import erfc
 from dsasim import (
     Modulation,
     PrimaryReceivingPoint,
-    SolverIndeterminateError,
     UnsupportedModulationError,
     ber_from_sinr,
     check_interference,
@@ -20,9 +19,7 @@ from dsasim import (
     min_power_allocation,
     sinr_target_from_ber,
 )
-from dsasim.qos import _fixed_point_system
-
-from conftest import explicit_gain_topology, make_link
+from conftest import explicit_gain_topology, fixed_point_system, jacobi_powers, make_link
 
 
 def unit_pg_link(link_id, sinr_target, noise, power_max=1.0):
@@ -218,7 +215,7 @@ def test_symmetric_coupled_links_match_linear_solve():
     solution = min_power_allocation(topology)
     assert solution.feasible
     # oracle: solve (I - F) P = u for F = [[0, .5], [.5, 0]], u = (.1, .1)
-    coupling, offset = _fixed_point_system(topology, use_processing_gain=True)
+    coupling, offset = fixed_point_system(topology)
     oracle = np.linalg.solve(np.eye(2) - coupling, offset)
     assert solution.powers == pytest.approx(oracle, abs=1e-8)
     assert oracle == pytest.approx([0.2, 0.2], abs=1e-12)
@@ -230,6 +227,17 @@ def test_strong_coupling_is_infeasible():
     solution = min_power_allocation(topology)
     assert not solution.feasible
     assert not solution.within_power_caps
+    assert np.all(np.isinf(solution.powers))
+    assert jacobi_powers(topology) is None
+
+
+def test_unit_spectral_radius_is_infeasible():
+    # F = [[0, 1], [1, 0]]: I - F is singular, and the margin tips it past 1
+    topology = two_link_topology(g_ratio=1.0, sinr_target=1.0, noise=0.1)
+    solution = min_power_allocation(topology)
+    assert not solution.feasible
+    assert np.all(np.isinf(solution.powers))
+    assert jacobi_powers(topology) is None
 
 
 def test_cap_violation_is_infeasible_even_when_convergent():
@@ -247,7 +255,7 @@ def test_feasible_but_interference_blocked():
         g_ratio=0.5, sinr_target=1.0, noise=0.1, points=points, g_ps=g_ps
     )
     solution = min_power_allocation(topology)  # powers (0.2, 0.2), load 0.4 > 0.1
-    assert solution.converged and solution.within_power_caps
+    assert solution.within_power_caps
     assert not solution.interference_ok
     assert not solution.feasible
 
@@ -265,7 +273,7 @@ def test_solver_soundness_on_random_feasible_instances():
         assert solution.feasible
         report = compute_sinr(topology, solution.powers)
         targets = np.array([l.sinr_target for l in topology.links])
-        assert np.all(report.sinr >= targets * (1.0 - 1e-6))
+        assert np.all(report.sinr >= targets)
         _, ok = check_interference(topology, solution.powers)
         assert np.all(ok)
 
@@ -285,20 +293,16 @@ def test_solver_minimality_against_power_grid():
 
 def test_iterates_non_decreasing_from_zero():
     topology = two_link_topology(g_ratio=0.45, sinr_target=1.5, noise=0.05)
-    coupling, offset = _fixed_point_system(topology, use_processing_gain=True)
+    coupling, offset = fixed_point_system(topology)
     powers = np.zeros(2)
     for _ in range(60):
         updated = coupling @ powers + offset
         assert np.all(updated >= powers)
         powers = updated
-
-
-def test_indeterminate_error_carries_last_iterate():
-    topology = two_link_topology(g_ratio=0.5, sinr_target=1.0, noise=0.1)
-    with pytest.raises(SolverIndeterminateError) as exc_info:
-        min_power_allocation(topology, max_iterations=3)
-    assert exc_info.value.last_iterate is not None
-    assert exc_info.value.iterations == 3
+    # the iterates rise to the direct solve's powers from below
+    solution = min_power_allocation(topology)
+    assert np.all(powers <= solution.powers)
+    assert solution.powers == pytest.approx(jacobi_powers(topology), abs=1e-8)
 
 
 # -- BER <-> SINR ---------------------------------------------------------------

@@ -93,6 +93,14 @@ def test_validate_names_link_with_bad_rate_range():
     assert "rate" in violations[0]
 
 
+@pytest.mark.parametrize("target_ber", [0.0, 0.5, 0.7])
+def test_validate_flags_target_ber_outside_open_interval(target_ber):
+    topology = make_topology()
+    bad = dataclasses.replace(topology.links[0], target_ber=target_ber)
+    topology = dataclasses.replace(topology, links=(bad,) + topology.links[1:])
+    assert validate_topology(topology) == ["link 0 has target_ber outside (0, 0.5)"]
+
+
 def test_validate_flags_zero_gain_diagonal():
     topology = make_topology()
     g_ss = topology.gains.g_ss.copy()
