@@ -403,13 +403,18 @@ def _parse_sbac(raw, traffic: TrafficSpec) -> SbacConfig:
         weights = SbacWeights(**betas)
     except ValueError as exc:
         raise ConfigError(f"sbac weights invalid: {exc}") from None
-    return SbacConfig(
-        weights=weights,
-        session_minutes=session_minutes,
-        spread_unit_hz=_number(raw, "spread_unit_hz", path, default=DEFAULT_SPREAD_UNIT_HZ),
-        spread_floor=_number(raw, "spread_floor", path, default=SPREAD_FLOOR),
-        cost_floor=_number(raw, "cost_floor", path, default=COST_FLOOR),
-    )
+    scales = {
+        "session_minutes": session_minutes,
+        "spread_unit_hz": _number(raw, "spread_unit_hz", path, default=DEFAULT_SPREAD_UNIT_HZ),
+        "spread_floor": _number(raw, "spread_floor", path, default=SPREAD_FLOOR),
+        "cost_floor": _number(raw, "cost_floor", path, default=COST_FLOOR),
+    }
+    for key, value in scales.items():
+        # the utility divides by these or takes their log; at <= 0 every
+        # run fails with ZeroDivisionError or ranks pools on a flipped term
+        if not value > 0:
+            raise ConfigError(f"{path}.{key} must be > 0, got {value}")
+    return SbacConfig(weights=weights, **scales)
 
 
 def _parse_strategy(raw) -> tuple[tuple[Strategy, ...], QosConfig, float | None]:

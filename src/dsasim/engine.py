@@ -5,6 +5,9 @@ provider only under fixed allocation, all providers under dynamic
 selection), the best-available-channel rule picks a free channel, and an
 optional physical-layer stage re-solves minimal powers for the co-channel
 group and re-checks primary-point interference before the call is admitted.
+The admitted :class:`SessionRecord` is the only per-session state: the
+occupancy map holds it under its channel, the departure event carries it,
+and the co-channel group's links and powers are read from the held records.
 A departure leaves the powers of the rest of its co-channel group as they
 are: they were solved for the larger group, so every target still holds,
 and they relax to the smaller group's minimal powers only at the next
@@ -61,9 +64,15 @@ class QosConfig:
 
 @dataclass
 class SessionRecord:
+    """One session request and what became of it.
+
+    The system is a pure loss system: an admitted session is served from its
+    arrival until ``end_time``, so there is no start time apart from
+    ``arrival_time`` and no access wait.
+    """
+
     session_id: int
     arrival_time: float
-    start_time: float
     end_time: float
     home_provider_id: int
     provider_id: int | None
@@ -78,64 +87,58 @@ class SessionRecord:
     def admitted(self) -> bool:
         return self.outcome is Outcome.ADMITTED
 
-    @property
-    def access_wait(self) -> float:
-        return self.start_time - self.arrival_time
-
 
 class OccupancyState:
-    """Channel busy flags, per-provider busy counts and the busy-time integral.
+    """Held channels, the run clock and the busy-time integral.
 
-    The integral accumulates busy channels times elapsed seconds, clamped to
-    the run horizon so spectral efficiency covers exactly ``[0, horizon]``.
+    ``holder`` maps each held ``(provider, channel)`` slot to the record of
+    the session holding it, in admission order.  The integral accumulates
+    busy channels times elapsed seconds, clamped to the run horizon so
+    spectral efficiency covers exactly ``[0, horizon]``.
     """
 
-    def __init__(self, topology: NetworkTopology, horizon: float):
+    def __init__(self, horizon: float):
         self.horizon = horizon
-        self.holder: dict[tuple[int, int], int] = {}  # (provider, channel) -> session
-        self.slot_of: dict[int, tuple[int, int]] = {}  # session -> (provider, channel)
-        self.busy_per_provider = [0] * len(topology.providers)
+        self.holder: dict[tuple[int, int], SessionRecord] = {}
         self.busy_integral = 0.0  # channel * seconds
         self.clock = 0.0
 
-    def advance(self, time: float) -> None:
+    def advance(self, time: float) -> tuple[float, float]:
+        """Move the clock to ``time``; returns the elapsed interval clamped to
+        the horizon (empty once the clock is past it)."""
         if time < self.clock:
             raise StateError(f"occupancy clock moved backwards ({self.clock} -> {time})")
-        span = min(time, self.horizon) - min(self.clock, self.horizon)
-        if span > 0:
-            self.busy_integral += len(self.holder) * span
+        start, end = min(self.clock, self.horizon), min(time, self.horizon)
+        if end > start:
+            self.busy_integral += len(self.holder) * (end - start)
         self.clock = time
+        return start, end
 
-    def occupy(self, provider_id: int, channel_id: int, session_id: int) -> None:
-        key = (provider_id, channel_id)
+    def occupy(self, record: SessionRecord) -> None:
+        key = (record.provider_id, record.channel_id)
         if key in self.holder:
-            raise StateError(f"channel {key} already held by session {self.holder[key]}")
-        self.holder[key] = session_id
-        self.slot_of[session_id] = key
-        self.busy_per_provider[provider_id] += 1
+            raise StateError(
+                f"channel {key} already held by session {self.holder[key].session_id}"
+            )
+        self.holder[key] = record
 
-    def release(self, session_id: int) -> tuple[int, int]:
-        if session_id not in self.slot_of:
-            raise StateError(f"session {session_id} holds no channel (double release?)")
-        key = self.slot_of.pop(session_id)
+    def release(self, record: SessionRecord) -> None:
+        key = (record.provider_id, record.channel_id)
+        if self.holder.get(key) is not record:
+            raise StateError(f"session {record.session_id} holds no channel (double release?)")
         del self.holder[key]
-        self.busy_per_provider[key[0]] -= 1
-        return key
 
     def is_free(self, provider_id: int, channel_id: int) -> bool:
         return (provider_id, channel_id) not in self.holder
 
     def audit(self) -> None:
         """Exhaustive consistency audit; raises StateError on any mismatch."""
-        if len(self.holder) != len(self.slot_of):
-            raise StateError("holder/slot maps out of sync")
-        counts = [0] * len(self.busy_per_provider)
-        for (provider_id, channel_id), session_id in self.holder.items():
-            if self.slot_of.get(session_id) != (provider_id, channel_id):
-                raise StateError(f"session {session_id} slot mismatch")
-            counts[provider_id] += 1
-        if counts != self.busy_per_provider:
-            raise StateError("per-provider busy counts disagree with busy flags")
+        for key, record in self.holder.items():
+            if (record.provider_id, record.channel_id) != key:
+                raise StateError(
+                    f"session {record.session_id} is held on {key} but records "
+                    f"{(record.provider_id, record.channel_id)}"
+                )
 
 
 class Simulation:
@@ -169,30 +172,32 @@ class Simulation:
         self.qos = qos_config or QosConfig()
         self.audit = audit
 
-        self.state = OccupancyState(topology, traffic_spec.horizon)
+        self.state = OccupancyState(traffic_spec.horizon)
         self.records: list[SessionRecord] = []
-        # session -> (link_id, power) for every currently transmitting session
-        self.active: dict[int, tuple[int, float]] = {}
         num_points = len(topology.primary_points)
         self.primary_loads = np.zeros(num_points)
         self.primary_integral = np.zeros(num_points)
         self.interference_trace: list[tuple[float, float, np.ndarray]] | None = (
             [] if keep_interference_trace else None
         )
-        self._trace_clock = 0.0
         self._next_link = 0
         self._ran = False
 
         self._g_ss = topology.gains.g_ss
         self._g_ps = topology.gains.g_ps
+        self._tolerance = np.array([p.tolerance for p in topology.primary_points])
         if self.qos.physical_checks:
-            # per-link physics as arrays indexed by link id, for the power solve
+            # per-link physics as arrays indexed by link id, for the power solve;
+            # every session requests the same rate, so the processing gain is fixed
             links = topology.links
             self._noise = np.array([link.noise for link in links])
-            self._bandwidth = np.array([link.bandwidth for link in links])
             self._sinr_target = np.array([link.sinr_target for link in links])
             self._power_max = np.array([link.power_max for link in links])
-            self._tolerance = np.array([p.tolerance for p in topology.primary_points])
+            if self.qos.use_processing_gain:
+                bandwidth = np.array([link.bandwidth for link in links])
+                self._gain = bandwidth / traffic_spec.requested_rate
+            else:
+                self._gain = np.ones(len(links))
 
     # -- event loop ---------------------------------------------------------
 
@@ -214,15 +219,17 @@ class Simulation:
             time, kind, _, payload = heapq.heappop(heap)
             self._advance_clocks(time)
             if kind == 0:
-                self._depart(int(payload))
+                self._depart(payload)
             else:
                 record = self._admit(payload)
                 self.records.append(record)
                 if record.admitted:
-                    heapq.heappush(heap, (record.end_time, 0, sequence, record.session_id))
+                    # the unique sequence number keeps tuple comparison off the record
+                    heapq.heappush(heap, (record.end_time, 0, sequence, record))
                     sequence += 1
             if self.audit:
                 self.state.audit()
+                self._audit_primary_loads()
                 if self.qos.physical_checks:
                     self._audit_qos()
 
@@ -232,22 +239,17 @@ class Simulation:
         return self.records, self._report()
 
     def _advance_clocks(self, time: float) -> None:
-        self.state.advance(time)
-        horizon = self.traffic_spec.horizon
-        start = min(self._trace_clock, horizon)
-        end = min(time, horizon)
+        start, end = self.state.advance(time)
         if end > start:
             self.primary_integral += self.primary_loads * (end - start)
             if self.interference_trace is not None:
                 self.interference_trace.append((start, end, self.primary_loads.copy()))
-        self._trace_clock = max(self._trace_clock, time)
 
-    def _depart(self, session_id: int) -> None:
+    def _depart(self, record: SessionRecord) -> None:
         # the rest of the co-channel group keeps its powers (module docstring)
-        self.state.release(session_id)
-        link_id, power = self.active.pop(session_id)
+        self.state.release(record)
         if self.primary_loads.size:
-            self.primary_loads -= self._g_ps[:, link_id] * power
+            self.primary_loads -= self._g_ps[:, record.link_id] * record.power
 
     # -- admission ----------------------------------------------------------
 
@@ -279,7 +281,6 @@ class Simulation:
         record = SessionRecord(
             session_id=session_id,
             arrival_time=event.time,
-            start_time=event.time,
             end_time=event.time,
             home_provider_id=event.provider_id,
             provider_id=None,
@@ -303,108 +304,100 @@ class Simulation:
             return record
 
         if self.qos.physical_checks:
-            outcome, powers, group = self._physical_admission(channel_id, link, event)
+            outcome = self._physical_admission(channel_id, record)
             if outcome is not Outcome.ADMITTED:
                 record.outcome = outcome
                 return record
-            self._apply_group_powers(group, powers[:-1])
-            record.power = float(powers[-1])
         else:
             record.power = link.power
+            if self.primary_loads.size:
+                self.primary_loads += self._g_ps[:, link.id] * record.power
 
         record.outcome = Outcome.ADMITTED
         record.provider_id = provider_id
         record.channel_id = channel_id
         record.end_time = event.time + event.holding_time
-        self.state.occupy(provider_id, channel_id, session_id)
-        self.active[session_id] = (link.id, record.power)
-        if self.primary_loads.size:
-            self.primary_loads += self._g_ps[:, link.id] * record.power
+        self.state.occupy(record)
         return record
 
-    def _co_channel_sessions(self, channel_id: int) -> list[int]:
+    def _co_channel_sessions(self, channel_id: int) -> list[SessionRecord]:
         if not self.qos.channel_reuse:
             return []
         return [
-            held_session
-            for (_, held_channel), held_session in self.state.holder.items()
+            held
+            for (_, held_channel), held in self.state.holder.items()
             if held_channel == channel_id
         ]
 
-    def _physical_admission(self, channel_id, link, event):
+    def _physical_admission(self, channel_id: int, record: SessionRecord) -> Outcome:
         """Solve minimal powers for the co-channel group plus the new session.
 
         Existing group members must keep meeting their own QoS targets under
         the added interference, and the whole system must stay within every
-        primary point's tolerance.  Returns (outcome, powers, group_ids)
-        where ``powers[:-1]`` are the group's updated powers and
-        ``powers[-1]`` is the new session's.
+        primary point's tolerance.  On admission the group's records and
+        ``record`` get the solved powers and ``primary_loads`` follows them.
         """
         group = self._co_channel_sessions(channel_id)
-        ids = [self.active[member][0] for member in group] + [link.id]
-        if self.qos.use_processing_gain:
-            rates = [self.records[member].rate for member in group] + [event.requested_rate]
-            gain = self._bandwidth[ids] / rates
-        else:
-            gain = np.ones(len(ids))
+        ids = [member.link_id for member in group] + [record.link_id]
+        g_ps = self._g_ps[:, ids]
+        group_load = g_ps[:, :-1] @ [member.power for member in group]
         solution = qos.solve_min_powers(
             self._g_ss[np.ix_(ids, ids)],
             self._noise[ids],
-            gain,
+            self._gain[ids],
             self._sinr_target[ids],
             self._power_max[ids],
-            self._g_ps[:, ids],
-            self._residual_tolerances(group),
+            g_ps,
+            self._tolerance - (self.primary_loads - group_load),
         )
         if not solution.within_power_caps:
-            return Outcome.BLOCKED_QOS, None, group
+            return Outcome.BLOCKED_QOS
         if not solution.interference_ok:
-            return Outcome.BLOCKED_INTERFERENCE, None, group
-        return Outcome.ADMITTED, solution.powers, group
+            return Outcome.BLOCKED_INTERFERENCE
+        for member, power in zip(group + [record], solution.powers.tolist()):
+            member.power = power
+        self.primary_loads += g_ps @ solution.powers - group_load
+        return Outcome.ADMITTED
 
-    def _residual_tolerances(self, group: list[int]) -> np.ndarray:
-        """Primary tolerances minus interference from sessions outside the group."""
-        outside = self.primary_loads.copy()
-        for member in group:
-            link_id, power = self.active[member]
-            outside -= self._g_ps[:, link_id] * power
-        return self._tolerance - outside
-
-    def _apply_group_powers(self, group: list[int], powers) -> None:
-        for member, new_power in zip(group, powers):
-            link_id, old_power = self.active[member]
-            self.active[member] = (link_id, float(new_power))
-            self.records[member].power = float(new_power)
-            if self.primary_loads.size:
-                delta = float(new_power) - old_power
-                self.primary_loads += self._g_ps[:, link_id] * delta
+    def _audit_primary_loads(self) -> None:
+        """Recompute the primary loads from the held records' powers; raises
+        StateError when the running sums drifted by more than 1e-9 of a
+        point's tolerance (or of its load, where that is larger)."""
+        held = list(self.state.holder.values())
+        expected = self._g_ps[:, [r.link_id for r in held]] @ np.array([r.power for r in held])
+        if np.any(
+            np.abs(self.primary_loads - expected) > 1e-9 * np.maximum(self._tolerance, expected)
+        ):
+            raise StateError(
+                f"primary loads {self.primary_loads.tolist()} drifted from the held "
+                f"sessions' {expected.tolist()}"
+            )
 
     def _audit_qos(self) -> None:
         """Recompute every co-channel group's SINR at its recorded powers with
         the independent :func:`qos.compute_sinr`; raises StateError if any
         session misses its target."""
-        groups: dict[object, list[int]] = {}
-        for (provider_id, channel_id), session in self.state.holder.items():
+        groups: dict[object, list[SessionRecord]] = {}
+        for (provider_id, channel_id), record in self.state.holder.items():
             key = channel_id if self.qos.channel_reuse else (provider_id, channel_id)
-            groups.setdefault(key, []).append(session)
+            groups.setdefault(key, []).append(record)
         for members in groups.values():
-            ids = [self.active[member][0] for member in members]
+            ids = [member.link_id for member in members]
             links = tuple(
-                dataclasses.replace(
-                    self.topology.links[link_id], id=i, rate=self.records[member].rate
-                )
-                for i, (member, link_id) in enumerate(zip(members, ids))
+                dataclasses.replace(self.topology.links[member.link_id], id=i, rate=member.rate)
+                for i, member in enumerate(members)
             )
             group = dataclasses.replace(
                 self.topology,
                 links=links,
                 gains=GainMatrices(g_ss=self._g_ss[np.ix_(ids, ids)], g_ps=self._g_ps[:, ids]),
             )
-            powers = np.array([self.active[member][1] for member in members])
+            powers = np.array([member.power for member in members])
             report = qos.compute_sinr(group, powers, self.qos.use_processing_gain)
             if not np.all(qos.check_qos(report, group)):
                 raise StateError(
-                    f"co-channel sessions {members} miss their SINR targets at their powers"
+                    f"co-channel sessions {[m.session_id for m in members]} miss their "
+                    "SINR targets at their powers"
                 )
 
     # -- reporting ----------------------------------------------------------
@@ -416,7 +409,7 @@ class Simulation:
 
         if admitted:
             delays = [metrics.propagation_delay(r.tx_rx_distance, speed) for r in admitted]
-            rtts = [metrics.rtt(r.tx_rx_distance, speed, r.access_wait) for r in admitted]
+            rtts = [metrics.rtt(r.tx_rx_distance, speed) for r in admitted]
             mean_delay = sum(delays) / len(delays)
             mean_rtt = sum(rtts) / len(rtts)
         else:

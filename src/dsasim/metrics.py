@@ -42,15 +42,13 @@ def propagation_delay(distance: float, speed: float) -> float:
     return distance / speed
 
 
-def rtt(distance: float, speed: float, access_wait: float = 0.0) -> float:
+def rtt(distance: float, speed: float) -> float:
     """Request/response round trip excluding data transfer.
 
-    Modeled as twice the propagation delay plus the time the session waited
-    for admission (zero in a pure loss system).
+    Modeled as twice the propagation delay: in a pure loss system an admitted
+    session is served at arrival, so no admission wait adds to it.
     """
-    if access_wait < 0:
-        raise ValueError(f"access_wait must be >= 0, got {access_wait}")
-    return 2.0 * propagation_delay(distance, speed) + access_wait
+    return 2.0 * propagation_delay(distance, speed)
 
 
 def throughput(records, horizon: float) -> float:
@@ -61,7 +59,7 @@ def throughput(records, horizon: float) -> float:
     for record in records:
         if not record.admitted:
             continue
-        active = min(record.end_time, horizon) - record.start_time
+        active = min(record.end_time, horizon) - record.arrival_time
         if active > 0:
             bits += record.rate * active
     return bits / horizon

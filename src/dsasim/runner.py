@@ -46,7 +46,6 @@ RESULT_COLUMNS = (
 SESSION_COLUMNS = (
     "session_id",
     "arrival_time",
-    "start_time",
     "end_time",
     "home_provider_id",
     "provider_id",
@@ -206,7 +205,6 @@ def write_session_log(path: Path, records: list[SessionRecord]) -> None:
                 [
                     record.session_id,
                     repr(record.arrival_time),
-                    repr(record.start_time),
                     repr(record.end_time),
                     record.home_provider_id,
                     "" if record.provider_id is None else record.provider_id,

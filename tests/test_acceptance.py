@@ -366,12 +366,12 @@ def test_c7_metric_definitions_stand_in_for_figure_curves():
     # the delay/throughput/RTT/interference curves have no published data;
     # the metrics themselves are pinned by their exact unit definitions
     assert propagation_delay(1500.0, 2e8) == pytest.approx(7.5e-6)
-    assert rtt(3e8, 3e8, 0.0) == pytest.approx(2.0)
+    assert rtt(3e8, 3e8) == pytest.approx(2.0)
     assert spectral_efficiency(50.0, 4, 100.0) == pytest.approx(0.125)
 
     class _Rec:
-        def __init__(self, rate, start, end):
-            self.rate, self.start_time, self.end_time = rate, start, end
+        def __init__(self, rate, arrival, end):
+            self.rate, self.arrival_time, self.end_time = rate, arrival, end
             self.admitted = True
 
     assert throughput([_Rec(2e5, 0.0, 50.0), _Rec(2e5, 50.0, 100.0)], 100.0) == pytest.approx(2e5)

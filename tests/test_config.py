@@ -156,6 +156,13 @@ def test_removed_solver_knobs_are_unknown_keys(key):
         parse(doc(**{f"strategy.{key}": 1e-9}))
 
 
+@pytest.mark.parametrize("key", ["spread_unit_hz", "spread_floor", "cost_floor", "session_minutes"])
+@pytest.mark.parametrize("value", [0.0, -1.0])
+def test_non_positive_sbac_scale_names_its_key(key, value):
+    with pytest.raises(ConfigError, match=rf"sbac\.{key} must be > 0"):
+        parse(doc(**{f"sbac.{key}": value}))
+
+
 def test_missing_required_key_is_named():
     with pytest.raises(ConfigError, match="traffic.horizon"):
         parse(doc(**{"traffic.horizon": ...}))

@@ -14,6 +14,7 @@ from dsasim import (
     QosConfig,
     SbacConfig,
     SbacWeights,
+    SessionRecord,
     StateError,
     Strategy,
     TrafficSpec,
@@ -179,49 +180,74 @@ def test_dynamic_strategy_offloads_to_other_providers():
 # -- occupancy state -----------------------------------------------------------------
 
 
-def test_occupancy_release_restores_prior_state(simple_topology):
-    state = OccupancyState(simple_topology, horizon=100.0)
+def held_record(session_id, provider_id=0, channel_id=0):
+    return SessionRecord(
+        session_id=session_id, arrival_time=0.0, end_time=1.0, home_provider_id=provider_id,
+        provider_id=provider_id, channel_id=channel_id, link_id=0, rate=1e5,
+        outcome=Outcome.ADMITTED, tx_rx_distance=250.0,
+    )
+
+
+def test_occupancy_release_restores_prior_state():
+    state = OccupancyState(horizon=100.0)
+    record = held_record(7, channel_id=3)
     state.advance(10.0)
-    state.occupy(0, 3, session_id=7)
+    state.occupy(record)
     assert not state.is_free(0, 3)
-    assert state.busy_per_provider[0] == 1
+    assert state.holder == {(0, 3): record}
     state.advance(25.0)
-    assert state.release(7) == (0, 3)
+    state.release(record)
     assert state.is_free(0, 3)
-    assert state.busy_per_provider[0] == 0
     assert state.holder == {}
 
 
-def test_occupancy_integral_counts_exact_busy_time(simple_topology):
-    state = OccupancyState(simple_topology, horizon=100.0)
-    state.occupy(0, 0, session_id=1)
-    state.advance(30.0)
-    state.release(1)
+def test_occupancy_integral_counts_exact_busy_time():
+    state = OccupancyState(horizon=100.0)
+    record = held_record(1)
+    state.occupy(record)
+    assert state.advance(30.0) == (0.0, 30.0)
+    state.release(record)
     state.advance(100.0)
     assert state.busy_integral == pytest.approx(30.0)
 
 
-def test_occupancy_integral_clamps_to_horizon(simple_topology):
-    state = OccupancyState(simple_topology, horizon=50.0)
-    state.occupy(0, 0, session_id=1)
-    state.advance(80.0)  # departure past the horizon
-    state.release(1)
+def test_occupancy_integral_clamps_to_horizon():
+    state = OccupancyState(horizon=50.0)
+    record = held_record(1)
+    state.occupy(record)
+    assert state.advance(80.0) == (0.0, 50.0)  # departure past the horizon
+    state.release(record)
     assert state.busy_integral == pytest.approx(50.0)
+    assert state.advance(90.0) == (50.0, 50.0)
 
 
-def test_double_release_is_a_state_error(simple_topology):
-    state = OccupancyState(simple_topology, horizon=10.0)
-    state.occupy(0, 0, session_id=1)
-    state.release(1)
+def test_double_release_is_a_state_error():
+    state = OccupancyState(horizon=10.0)
+    record = held_record(1)
+    state.occupy(record)
+    state.release(record)
     with pytest.raises(StateError):
-        state.release(1)
+        state.release(record)
 
 
-def test_double_occupancy_is_a_state_error(simple_topology):
-    state = OccupancyState(simple_topology, horizon=10.0)
-    state.occupy(0, 0, session_id=1)
+def test_double_occupancy_is_a_state_error():
+    state = OccupancyState(horizon=10.0)
+    state.occupy(held_record(1))
     with pytest.raises(StateError):
-        state.occupy(0, 0, session_id=2)
+        state.occupy(held_record(2))
+    # nor may a session release the slot another session holds
+    with pytest.raises(StateError):
+        state.release(held_record(2))
+
+
+def test_audit_flags_a_record_held_under_another_slot():
+    state = OccupancyState(horizon=10.0)
+    record = held_record(1, channel_id=2)
+    state.occupy(record)
+    state.audit()
+    record.channel_id = 3
+    with pytest.raises(StateError, match="session 1"):
+        state.audit()
 
 
 # -- run invariants --------------------------------------------------------------------
@@ -324,6 +350,25 @@ def test_reuse_audit_passes_check_qos_at_recorded_powers():
     assert overlapping_pairs > 0
 
 
+def test_audit_flags_drifted_primary_loads():
+    from dsasim.engine import Simulation
+
+    tolerance = 4e-11
+    topology = make_topology(num_providers=2, channels=3, num_links=6, tolerance=tolerance)
+    spec = spec_for([0.8, 0.8], holding=10.0, horizon=30.0, seed=3)
+    qos_config = QosConfig(physical_checks=True, channel_reuse=True)
+
+    class Drifting(Simulation):
+        def _depart(self, record):
+            super()._depart(record)
+            self.primary_loads += 1e-6 * tolerance
+
+    Simulation(topology, spec, Strategy.DYNAMIC_SBAC, qos_config=qos_config, audit=True).run()
+    drifting = Drifting(topology, spec, Strategy.DYNAMIC_SBAC, qos_config=qos_config, audit=True)
+    with pytest.raises(StateError, match="primary loads"):
+        drifting.run()
+
+
 def test_throughput_never_exceeds_capacity_bound():
     topology = make_topology(num_providers=2, channels=3)
     bound = topology.total_channels * 1e5
@@ -345,3 +390,75 @@ def test_sbac_config_affects_selection():
     admitted = [r for r in records if r.admitted]
     assert admitted
     assert all(r.provider_id == 0 for r in admitted)
+
+
+# -- golden runs ----------------------------------------------------------------------
+
+# Report fields of three short runs, recorded before the engine kept its live
+# sessions as records alone. Any later edit to the event loop or its
+# bookkeeping must reproduce them exactly; the physical run's interference
+# comes from running sums of floats and may move in its last digits.
+GOLDEN_RUNS = {
+    "fixed": dict(
+        mean_propagation_delay=8.333333333333294e-07,
+        mean_rtt=1.6666666666666588e-06,
+        throughput=256169.36329904952,
+        mean_primary_interference=1.1599896526433425e-10,
+        spectral_efficiency=0.5123387265981003,
+        blocking_probability=0.11072056239015818,
+        arrivals=569, admitted=506, blocked_no_channel=63, blocked_qos=0,
+        blocked_interference=0,
+    ),
+    "sbac": dict(
+        mean_propagation_delay=8.333333333333339e-07,
+        mean_rtt=1.6666666666666677e-06,
+        throughput=739253.8336346573,
+        mean_primary_interference=3.39975439387248e-10,
+        spectral_efficiency=0.6160448613622144,
+        blocking_probability=0.02894736842105263,
+        arrivals=380, admitted=369, blocked_no_channel=11, blocked_qos=0,
+        blocked_interference=0,
+    ),
+    "physical_reuse": dict(
+        mean_propagation_delay=8.333333333333321e-07,
+        mean_rtt=1.6666666666666641e-06,
+        throughput=1535304.5634330786,
+        mean_primary_interference=7.771839380941133e-12,
+        spectral_efficiency=0.7676522817165397,
+        blocking_probability=0.425414364640884,
+        arrivals=181, admitted=104, blocked_no_channel=38, blocked_qos=1,
+        blocked_interference=38,
+    ),
+}
+
+
+def golden_case(name):
+    if name == "fixed":
+        return (make_topology(num_providers=1, channels=5),
+                spec_for([3.0], holding=1.0, horizon=200.0, seed=11), Strategy.FIXED, None)
+    if name == "sbac":
+        return (make_topology(num_providers=3, channels=4),
+                spec_for([2.0, 0.5, 1.0], holding=2.0, horizon=100.0, seed=12),
+                Strategy.DYNAMIC_SBAC, None)
+    # four bands reuse five channel indexes and the primary budget is tight,
+    # so all three block causes occur
+    return (make_topology(num_providers=4, channels=5, num_links=16, tolerance=1e-11),
+            spec_for([0.8] * 4, holding=10.0, horizon=60.0, seed=13), Strategy.DYNAMIC_SBAC,
+            QosConfig(physical_checks=True, channel_reuse=True))
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+def test_golden_run_reports(name):
+    topology, spec, strategy, qos_config = golden_case(name)
+    _, report = run_simulation(topology, spec, strategy, qos_config=qos_config, audit=True)
+    fields = dataclasses.asdict(report)
+    metadata = fields.pop("metadata")
+    expected = dict(GOLDEN_RUNS[name])
+    interference = expected["mean_primary_interference"]
+    if qos_config is not None:
+        expected.pop("mean_primary_interference")
+        assert fields.pop("mean_primary_interference") == pytest.approx(interference, rel=1e-12)
+        assert metadata["per_point_interference_w"] == pytest.approx([interference], rel=1e-12)
+    else:
+        assert metadata["per_point_interference_w"] == [interference]
+    assert fields == expected

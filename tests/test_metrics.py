@@ -21,7 +21,7 @@ from dsasim.metrics import (
 @dataclass
 class FakeRecord:
     rate: float
-    start_time: float
+    arrival_time: float
     end_time: float
     admitted: bool = True
 
@@ -48,40 +48,36 @@ def test_propagation_delay_rejects_bad_inputs():
 
 
 @pytest.mark.parametrize(
-    "distance,speed,wait,expected",
-    [
-        (3e8, 3e8, 0.0, 2.0),
-        (0.0, 3e8, 0.5, 0.5),
-        (300.0, 3e8, 1e-3, 1.002e-3),  # 2 * 1e-6 propagation + 1e-3 wait
-    ],
+    "distance,speed,expected",
+    [(3e8, 3e8, 2.0), (0.0, 3e8, 0.0), (300.0, 3e8, 2e-6)],
 )
-def test_rtt(distance, speed, wait, expected):
-    assert rtt(distance, speed, wait) == pytest.approx(expected, rel=1e-12)
+def test_rtt(distance, speed, expected):
+    assert rtt(distance, speed) == pytest.approx(expected, rel=1e-12)
 
 
 # -- throughput -------------------------------------------------------------------
 
 
 def test_throughput_single_full_span_session():
-    records = [FakeRecord(rate=1e5, start_time=0.0, end_time=100.0)]
+    records = [FakeRecord(rate=1e5, arrival_time=0.0, end_time=100.0)]
     assert throughput(records, horizon=100.0) == pytest.approx(1e5)
 
 
 def test_throughput_no_admissions():
-    records = [FakeRecord(rate=1e5, start_time=0.0, end_time=0.0, admitted=False)]
+    records = [FakeRecord(rate=1e5, arrival_time=0.0, end_time=0.0, admitted=False)]
     assert throughput(records, horizon=100.0) == 0.0
 
 
 def test_throughput_two_half_horizon_sessions():
     records = [
-        FakeRecord(rate=2e5, start_time=0.0, end_time=50.0),
-        FakeRecord(rate=2e5, start_time=50.0, end_time=100.0),
+        FakeRecord(rate=2e5, arrival_time=0.0, end_time=50.0),
+        FakeRecord(rate=2e5, arrival_time=50.0, end_time=100.0),
     ]
     assert throughput(records, horizon=100.0) == pytest.approx(2e5)
 
 
 def test_throughput_clamps_sessions_running_past_horizon():
-    records = [FakeRecord(rate=1e5, start_time=90.0, end_time=150.0)]
+    records = [FakeRecord(rate=1e5, arrival_time=90.0, end_time=150.0)]
     # only 10 of the 60 active seconds fall inside the horizon
     assert throughput(records, horizon=100.0) == pytest.approx(1e5 * 10.0 / 100.0)
 
@@ -89,7 +85,7 @@ def test_throughput_clamps_sessions_running_past_horizon():
 def test_throughput_is_permutation_invariant():
     rng = random.Random(2)
     records = [
-        FakeRecord(rate=rng.uniform(1e4, 1e6), start_time=rng.uniform(0, 50),
+        FakeRecord(rate=rng.uniform(1e4, 1e6), arrival_time=rng.uniform(0, 50),
                    end_time=rng.uniform(50, 100), admitted=rng.random() < 0.8)
         for _ in range(30)
     ]
