@@ -8,6 +8,9 @@ group and re-checks primary-point interference before the call is admitted.
 The admitted :class:`SessionRecord` is the only per-session state: the
 occupancy map holds it under its channel, the departure event carries it,
 and the co-channel group's links and powers are read from the held records.
+Each provider's :class:`~dsasim.sbac.LivePool`, built once per run, follows
+the occupancy map as channels are taken and given back, so an arrival's
+candidate pools cost nothing to build and O(1) each to score.
 A departure leaves the powers of the rest of its co-channel group as they
 are: they were solved for the larger group, so every target still holds,
 and they relax to the smaller group's minimal powers only at the next
@@ -20,7 +23,6 @@ concurrently because topologies and traffic specs are immutable.
 """
 from __future__ import annotations
 
-import dataclasses
 import heapq
 from dataclasses import dataclass
 from enum import Enum
@@ -30,8 +32,8 @@ import numpy as np
 from . import metrics, qos, sbac
 from .errors import InvalidTopologyError, NoCandidateError, StateError
 from .metrics import MetricsReport
-from .sbac import CandidatePool, SbacConfig
-from .topology import GainMatrices, NetworkTopology, validate_topology
+from .sbac import LivePool, SbacConfig
+from .topology import NetworkTopology, validate_topology
 from .traffic import ArrivalEvent, TrafficSpec, build_event_stream
 
 
@@ -62,7 +64,7 @@ class QosConfig:
     use_processing_gain: bool = True
 
 
-@dataclass
+@dataclass(slots=True)
 class SessionRecord:
     """One session request and what became of it.
 
@@ -128,9 +130,6 @@ class OccupancyState:
             raise StateError(f"session {record.session_id} holds no channel (double release?)")
         del self.holder[key]
 
-    def is_free(self, provider_id: int, channel_id: int) -> bool:
-        return (provider_id, channel_id) not in self.holder
-
     def audit(self) -> None:
         """Exhaustive consistency audit; raises StateError on any mismatch."""
         for key, record in self.holder.items():
@@ -173,6 +172,7 @@ class Simulation:
         self.audit = audit
 
         self.state = OccupancyState(traffic_spec.horizon)
+        self._pools = [LivePool(p, self.sbac.session_minutes) for p in topology.providers]
         self.records: list[SessionRecord] = []
         num_points = len(topology.primary_points)
         self.primary_loads = np.zeros(num_points)
@@ -229,6 +229,7 @@ class Simulation:
                     sequence += 1
             if self.audit:
                 self.state.audit()
+                self._audit_pools()
                 self._audit_primary_loads()
                 if self.qos.physical_checks:
                     self._audit_qos()
@@ -248,31 +249,16 @@ class Simulation:
     def _depart(self, record: SessionRecord) -> None:
         # the rest of the co-channel group keeps its powers (module docstring)
         self.state.release(record)
+        self._pools[record.provider_id].give(record.channel_id)
         if self.primary_loads.size:
             self.primary_loads -= self._g_ps[:, record.link_id] * record.power
 
     # -- admission ----------------------------------------------------------
 
-    def _candidate_pools(self, home_provider: int) -> list[CandidatePool]:
+    def _candidate_pools(self, home_provider: int) -> list[LivePool]:
         if self.strategy is Strategy.FIXED:
-            providers = [self.topology.providers[home_provider]]
-        else:
-            providers = list(self.topology.providers)
-        pools = []
-        for provider in providers:
-            free = tuple(
-                ch for ch in provider.channels if self.state.is_free(provider.id, ch.id)
-            )
-            pools.append(
-                CandidatePool(
-                    provider_id=provider.id,
-                    available_channels=free,
-                    total_channels=provider.num_channels,
-                    session_minutes=self.sbac.session_minutes,
-                    cost_rate=provider.cost_rate,
-                )
-            )
-        return pools
+            return [self._pools[home_provider]]
+        return self._pools
 
     def _admit(self, event: ArrivalEvent) -> SessionRecord:
         session_id = len(self.records)
@@ -318,6 +304,7 @@ class Simulation:
         record.channel_id = channel_id
         record.end_time = event.time + event.holding_time
         self.state.occupy(record)
+        self._pools[provider_id].take(channel_id)
         return record
 
     def _co_channel_sessions(self, channel_id: int) -> list[SessionRecord]:
@@ -359,6 +346,15 @@ class Simulation:
         self.primary_loads += g_ps @ solution.powers - group_load
         return Outcome.ADMITTED
 
+    def _audit_pools(self) -> None:
+        """Rebuild every live pool from the occupancy map; raises StateError
+        when one differs (see :meth:`LivePool.audit`)."""
+        held: list[list[int]] = [[] for _ in self._pools]
+        for provider_id, channel_id in self.state.holder:
+            held[provider_id].append(channel_id)
+        for pool, channel_ids in zip(self._pools, held):
+            pool.audit(channel_ids)
+
     def _audit_primary_loads(self) -> None:
         """Recompute the primary loads from the held records' powers; raises
         StateError when the running sums drifted by more than 1e-9 of a
@@ -374,31 +370,29 @@ class Simulation:
             )
 
     def _audit_qos(self) -> None:
-        """Recompute every co-channel group's SINR at its recorded powers with
-        the independent :func:`qos.compute_sinr`; raises StateError if any
-        session misses its target."""
-        groups: dict[object, list[SessionRecord]] = {}
-        for (provider_id, channel_id), record in self.state.holder.items():
-            key = channel_id if self.qos.channel_reuse else (provider_id, channel_id)
-            groups.setdefault(key, []).append(record)
-        for members in groups.values():
-            ids = [member.link_id for member in members]
-            links = tuple(
-                dataclasses.replace(self.topology.links[member.link_id], id=i, rate=member.rate)
-                for i, member in enumerate(members)
+        """Recompute every held session's SINR at the recorded powers with the
+        independent :func:`qos.link_sinr`, on the held links' gains with the
+        gains between different co-channel groups zeroed; raises StateError
+        if any session misses its target."""
+        held = list(self.state.holder.items())
+        ids = [record.link_id for _, record in held]
+        if self.qos.channel_reuse:
+            channels = np.array([channel_id for (_, channel_id), _ in held])
+            co_channel = channels[:, None] == channels[None, :]
+        else:
+            co_channel = np.eye(len(held), dtype=bool)
+        sinr = qos.link_sinr(
+            self._g_ss[np.ix_(ids, ids)] * co_channel,
+            self._noise[ids],
+            self._gain[ids],
+            np.array([record.power for _, record in held]),
+        )
+        missed = ~qos.qos_met(sinr, self._sinr_target[ids])
+        if np.any(missed):
+            raise StateError(
+                f"sessions {[held[i][1].session_id for i in np.flatnonzero(missed)]} miss "
+                "their SINR targets at their co-channel group's powers"
             )
-            group = dataclasses.replace(
-                self.topology,
-                links=links,
-                gains=GainMatrices(g_ss=self._g_ss[np.ix_(ids, ids)], g_ps=self._g_ps[:, ids]),
-            )
-            powers = np.array([member.power for member in members])
-            report = qos.compute_sinr(group, powers, self.qos.use_processing_gain)
-            if not np.all(qos.check_qos(report, group)):
-                raise StateError(
-                    f"co-channel sessions {[m.session_id for m in members]} miss their "
-                    "SINR targets at their powers"
-                )
 
     # -- reporting ----------------------------------------------------------
 

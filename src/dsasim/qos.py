@@ -64,6 +64,24 @@ class PowerSolution:
     interference_ok: bool = True
 
 
+def link_sinr(
+    g_ss: np.ndarray, noise: np.ndarray, processing_gain: np.ndarray, powers: np.ndarray
+) -> np.ndarray:
+    """Per-link SINR (the ``mu_i`` above) of one group given as per-link arrays."""
+    # off-diagonal interference: sum_j!=i g_ss[i][j] * P_j
+    interference = g_ss @ powers - np.diag(g_ss) * powers
+    denominator = interference + noise
+    if np.any(denominator == 0.0):
+        bad = int(np.argmin(denominator))
+        raise ZeroDivisionError(f"zero noise-plus-interference at link {bad}")
+    return processing_gain * np.diag(g_ss) * powers / denominator
+
+
+def qos_met(sinr: np.ndarray, sinr_target: np.ndarray) -> np.ndarray:
+    """Per-link boolean: mu_i >= gamma_i, exact comparison (boundary passes)."""
+    return sinr >= sinr_target
+
+
 def compute_sinr(
     topology: NetworkTopology,
     powers: np.ndarray,
@@ -74,28 +92,17 @@ def compute_sinr(
     n = topology.num_links
     if powers.shape != (n,):
         raise ValueError(f"powers shape {powers.shape} does not match {n} links")
-
-    g_ss = topology.gains.g_ss
     noise = np.array([link.noise for link in topology.links])
     if use_processing_gain:
         pg = np.array([link.processing_gain for link in topology.links])
     else:
         pg = np.ones(n)
-
-    # off-diagonal interference: sum_j!=i g_ss[i][j] * P_j
-    interference = g_ss @ powers - np.diag(g_ss) * powers
-    denominator = interference + noise
-    if np.any(denominator == 0.0):
-        bad = int(np.argmin(denominator))
-        raise ZeroDivisionError(f"zero noise-plus-interference at link {bad}")
-    sinr = pg * np.diag(g_ss) * powers / denominator
-    return SinrReport(sinr=sinr, processing_gain=pg)
+    return SinrReport(sinr=link_sinr(topology.gains.g_ss, noise, pg, powers), processing_gain=pg)
 
 
 def check_qos(report: SinrReport, topology: NetworkTopology) -> np.ndarray:
-    """Per-link boolean: mu_i >= gamma_i, exact comparison (boundary passes)."""
-    targets = np.array([link.sinr_target for link in topology.links])
-    return report.sinr >= targets
+    """Per-link boolean :func:`qos_met` against the topology's link targets."""
+    return qos_met(report.sinr, np.array([link.sinr_target for link in topology.links]))
 
 
 def check_interference(

@@ -37,7 +37,7 @@ class TrafficSpec:
             raise ValueError("horizon must be > 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ArrivalEvent:
     time: float
     provider_id: int  # home base station of the requesting user

@@ -14,13 +14,16 @@ from dsasim import (
     QosConfig,
     SbacConfig,
     SbacWeights,
+    ServiceProvider,
     SessionRecord,
+    SpectrumChannel,
     StateError,
     Strategy,
     TrafficSpec,
     run_simulation,
 )
-from dsasim.engine import OccupancyState
+from dsasim.engine import OccupancyState, Simulation
+from dsasim.sbac import LivePool
 from dsasim.metrics import mean_primary_interference
 
 from conftest import explicit_gain_topology, make_link, make_provider, make_topology
@@ -193,11 +196,9 @@ def test_occupancy_release_restores_prior_state():
     record = held_record(7, channel_id=3)
     state.advance(10.0)
     state.occupy(record)
-    assert not state.is_free(0, 3)
     assert state.holder == {(0, 3): record}
     state.advance(25.0)
     state.release(record)
-    assert state.is_free(0, 3)
     assert state.holder == {}
 
 
@@ -306,8 +307,6 @@ def test_blocking_pressure_is_monotone_in_rate():
 
 
 def test_engine_interference_matches_trace_oracle():
-    from dsasim.engine import Simulation
-
     topology = make_topology(num_providers=1, channels=4)
     spec = spec_for([0.8], holding=2.0, horizon=100.0, seed=6)
     sim = Simulation(
@@ -320,8 +319,6 @@ def test_engine_interference_matches_trace_oracle():
 
 
 def test_run_is_one_shot(simple_topology):
-    from dsasim.engine import Simulation
-
     sim = Simulation(simple_topology, spec_for([0.5], horizon=20.0), Strategy.FIXED)
     sim.run()
     with pytest.raises(StateError, match="already called"):
@@ -351,8 +348,6 @@ def test_reuse_audit_passes_check_qos_at_recorded_powers():
 
 
 def test_audit_flags_drifted_primary_loads():
-    from dsasim.engine import Simulation
-
     tolerance = 4e-11
     topology = make_topology(num_providers=2, channels=3, num_links=6, tolerance=tolerance)
     spec = spec_for([0.8, 0.8], holding=10.0, horizon=30.0, seed=3)
@@ -367,6 +362,54 @@ def test_audit_flags_drifted_primary_loads():
     drifting = Drifting(topology, spec, Strategy.DYNAMIC_SBAC, qos_config=qos_config, audit=True)
     with pytest.raises(StateError, match="primary loads"):
         drifting.run()
+
+
+def test_audit_flags_a_power_below_its_solution():
+    # a 1e-10 relative cut is far below the 1e-9 primary-load audit tolerance
+    # but far above QOS_MARGIN, so only the SINR audit can see it
+    topology = make_topology(num_providers=2, channels=3, num_links=6, tolerance=4e-11)
+    spec = spec_for([0.8, 0.8], holding=10.0, horizon=30.0, seed=3)
+    qos_config = QosConfig(physical_checks=True, channel_reuse=True)
+
+    class Nudging(Simulation):
+        def _physical_admission(self, channel_id, record):
+            outcome = super()._physical_admission(channel_id, record)
+            record.power *= 1.0 - 1e-10
+            return outcome
+
+    Simulation(topology, spec, Strategy.DYNAMIC_SBAC, qos_config=qos_config, audit=True).run()
+    nudging = Nudging(topology, spec, Strategy.DYNAMIC_SBAC, qos_config=qos_config, audit=True)
+    with pytest.raises(StateError, match="SINR targets"):
+        nudging.run()
+
+
+def test_audit_flags_a_flipped_pool_bit_in_a_run():
+    topology = make_topology(num_providers=2, channels=3)
+    spec = spec_for([1.5, 0.5], holding=2.0, horizon=50.0, seed=1)
+
+    class Flipping(Simulation):
+        def _depart(self, record):
+            super()._depart(record)
+            self._pools[record.provider_id].frequency_mask ^= 1
+
+    Simulation(topology, spec, Strategy.DYNAMIC_SBAC, audit=True).run()
+    with pytest.raises(StateError, match="masks"):
+        Flipping(topology, spec, Strategy.DYNAMIC_SBAC, audit=True).run()
+
+
+@pytest.mark.parametrize("strategy", [Strategy.FIXED, Strategy.DYNAMIC_SBAC])
+def test_selection_never_lists_free_channels(strategy, monkeypatch):
+    # building each pool's free-channel tuple per arrival costs O(channels);
+    # the run must be scored from the live pools' summaries alone
+    topology = shuffled_topology()
+    spec = spec_for([2.0, 0.5, 1.5], holding=5.0, horizon=60.0, seed=14)
+    expected = run_simulation(topology, spec, strategy)
+
+    def forbidden(pool):
+        raise AssertionError("available_channels was read")
+
+    monkeypatch.setattr(LivePool, "available_channels", property(forbidden))
+    assert run_simulation(topology, spec, strategy, audit=True) == expected
 
 
 def test_throughput_never_exceeds_capacity_bound():
@@ -394,10 +437,11 @@ def test_sbac_config_affects_selection():
 
 # -- golden runs ----------------------------------------------------------------------
 
-# Report fields of three short runs, recorded before the engine kept its live
-# sessions as records alone. Any later edit to the event loop or its
-# bookkeeping must reproduce them exactly; the physical run's interference
-# comes from running sums of floats and may move in its last digits.
+# Report fields of short runs: the first three recorded before the engine kept
+# its live sessions as records alone, "shuffled_reuse" before it kept live
+# channel pools. Any later edit to the event loop or its bookkeeping must
+# reproduce them exactly; the physical runs' interference comes from running
+# sums of floats and may move in its last digits.
 GOLDEN_RUNS = {
     "fixed": dict(
         mean_propagation_delay=8.333333333333294e-07,
@@ -429,7 +473,46 @@ GOLDEN_RUNS = {
         arrivals=181, admitted=104, blocked_no_channel=38, blocked_qos=1,
         blocked_interference=38,
     ),
+    "shuffled_reuse": dict(
+        mean_propagation_delay=8.333333333333331e-07,
+        mean_rtt=1.6666666666666662e-06,
+        throughput=1408829.9179279588,
+        mean_primary_interference=7.314473621880384e-12,
+        spectral_efficiency=0.7826832877377552,
+        blocking_probability=0.2545454545454545,
+        arrivals=220, admitted=164, blocked_no_channel=16, blocked_qos=2,
+        blocked_interference=38,
+    ),
 }
+
+# (channel id, MHz offset) in list order: list order, id order and frequency
+# order all differ, the ids skip values and channels 7 and 5 share a frequency
+SHUFFLED_CHANNELS = ((7, 3.0), (2, 0.0), (11, 1.0), (5, 3.0), (0, 2.0), (9, 4.5))
+
+
+def shuffled_provider(provider_id, base_mhz, spacing_mhz, cost_rate):
+    rotated = SHUFFLED_CHANNELS[provider_id:] + SHUFFLED_CHANNELS[:provider_id]
+    return ServiceProvider(
+        id=provider_id,
+        channels=tuple(
+            SpectrumChannel(
+                id=channel_id,
+                center_frequency=(base_mhz + offset * spacing_mhz) * 1e6,
+                bandwidth=1e6,
+            )
+            for channel_id, offset in rotated
+        ),
+        cost_rate=cost_rate,
+    )
+
+
+def shuffled_topology(num_links=12, tolerance=1e-11):
+    base = make_topology(num_providers=3, channels=6, num_links=num_links, tolerance=tolerance)
+    providers = tuple(
+        shuffled_provider(i, 400.0 + 50.0 * i, spacing, cost)
+        for i, (spacing, cost) in enumerate([(1.0, 0.05), (2.5, 0.04), (0.5, 0.08)])
+    )
+    return dataclasses.replace(base, providers=providers)
 
 
 def golden_case(name):
@@ -440,6 +523,11 @@ def golden_case(name):
         return (make_topology(num_providers=3, channels=4),
                 spec_for([2.0, 0.5, 1.0], holding=2.0, horizon=100.0, seed=12),
                 Strategy.DYNAMIC_SBAC, None)
+    if name == "shuffled_reuse":
+        # reuse makes equal channel ids co-channel, so which free channel is
+        # picked in a shuffled band shows in the powers and the block causes
+        return (shuffled_topology(), spec_for([2.0, 0.5, 1.5], holding=5.0, horizon=60.0, seed=14),
+                Strategy.DYNAMIC_SBAC, QosConfig(physical_checks=True, channel_reuse=True))
     # four bands reuse five channel indexes and the primary budget is tight,
     # so all three block causes occur
     return (make_topology(num_providers=4, channels=5, num_links=16, tolerance=1e-11),

@@ -4,20 +4,23 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dsasim import (
     CandidatePool,
     NoCandidateError,
     SbacWeights,
+    ServiceProvider,
     SpectrumChannel,
+    StateError,
     availability_prob,
     channel_utility,
     frequency_spread,
     select_best_channel,
     usage_cost,
 )
+from dsasim.sbac import LivePool
 
 
 def channels_at(*mhz: float) -> tuple[SpectrumChannel, ...]:
@@ -234,3 +237,130 @@ def test_utility_monotone_in_each_ingredient():
         channel_utility(pool([400.0], cost_rate=0.5), w_cost).utility
         > channel_utility(pool([400.0], cost_rate=2.0), w_cost).utility
     )
+
+
+# -- live pools -------------------------------------------------------------------
+
+SUMMARIES = ("free_count", "min_free_frequency", "max_free_frequency", "lowest_free_id")
+
+
+def summaries(pool):
+    return tuple(getattr(pool, name) for name in SUMMARIES)
+
+
+def explicit_provider(provider_id, channels, cost_rate=0.05):
+    """A provider whose channels are listed as given: (id, MHz) pairs."""
+    return ServiceProvider(
+        id=provider_id,
+        channels=tuple(
+            SpectrumChannel(id=channel_id, center_frequency=mhz * 1e6, bandwidth=1e6)
+            for channel_id, mhz in channels
+        ),
+        cost_rate=cost_rate,
+    )
+
+
+@st.composite
+def explicit_bands(draw):
+    """1-4 providers with explicit channel lists: ids drawn sparse and listed in
+    a random order, frequencies from a small set so some repeat, so list, id
+    and frequency order generally all differ."""
+    bands = []
+    for _ in range(draw(st.integers(1, 4))):
+        ids = draw(st.lists(st.integers(0, 60), min_size=1, max_size=10, unique=True))
+        mhz = draw(
+            st.lists(st.sampled_from([400.0, 400.5, 403.0, 410.0, 431.25]),
+                     min_size=len(ids), max_size=len(ids))
+        )
+        bands.append(draw(st.permutations(list(zip(ids, mhz)))))
+    return bands
+
+
+def test_live_pool_starts_full_and_summarises_every_order():
+    # list, id and frequency orders differ; 7 and 5 share a frequency
+    provider = explicit_provider(0, [(7, 403.0), (2, 400.0), (11, 401.0), (5, 403.0), (0, 402.0)])
+    pool = LivePool(provider, session_minutes=1.0)
+    assert summaries(pool) == (5, 400e6, 403e6, 0)
+    for channel_id in (0, 2, 7):
+        pool.take(channel_id)
+    assert summaries(pool) == (2, 401e6, 403e6, 5)
+    assert pool.available_channels == (provider.channels[2], provider.channels[3])
+    pool.give(2)
+    assert summaries(pool) == (3, 400e6, 403e6, 2)
+
+
+def test_live_pool_rejects_double_take_double_give_and_unknown_channels():
+    pool = LivePool(explicit_provider(0, [(4, 400.0), (9, 401.0)]), session_minutes=1.0)
+    pool.take(9)
+    with pytest.raises(StateError, match="already held"):
+        pool.take(9)
+    with pytest.raises(StateError, match="already free"):
+        pool.give(4)
+    with pytest.raises(StateError, match="no channel 5"):
+        pool.take(5)
+    assert summaries(pool) == (1, 400e6, 400e6, 4)
+
+
+@pytest.mark.parametrize("mask", ["id_mask", "frequency_mask"])
+def test_audit_flags_a_flipped_pool_bit(mask):
+    pool = LivePool(explicit_provider(0, [(7, 403.0), (2, 400.0), (11, 401.0)]), 1.0)
+    pool.take(11)
+    pool.audit([11])
+    setattr(pool, mask, getattr(pool, mask) ^ 0b100)
+    with pytest.raises(StateError, match="masks"):
+        pool.audit([11])
+
+
+@given(bands=explicit_bands(), ops=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 9))),
+       weights=random_weights())
+@example(
+    bands=[[(7, 403.0), (2, 400.0), (11, 401.0), (5, 403.0), (0, 402.0), (9, 404.5)],
+           [(3, 410.0), (1, 400.5), (8, 400.5)]],
+    ops=[(0, 4), (0, 1), (1, 1), (0, 0), (1, 2), (0, 4), (0, 3), (1, 0)],
+    weights=SbacWeights(),
+)
+@settings(max_examples=200, deadline=None)
+def test_live_pools_score_like_tuple_built_pools(bands, ops, weights):
+    # each op toggles one channel (take it if free, give it back if held);
+    # after every op the live pools must summarise and select exactly like
+    # CandidatePools built from the free channels' tuples
+    providers = [
+        explicit_provider(i, band, cost_rate=0.01 * (i + 1)) for i, band in enumerate(bands)
+    ]
+    live = [LivePool(provider, session_minutes=2.0) for provider in providers]
+    held = [set() for _ in providers]
+
+    def check():
+        built = [
+            CandidatePool(
+                provider_id=provider.id,
+                available_channels=tuple(
+                    ch for ch in provider.channels if ch.id not in held[provider.id]
+                ),
+                total_channels=provider.num_channels,
+                session_minutes=2.0,
+                cost_rate=provider.cost_rate,
+            )
+            for provider in providers
+        ]
+        for pool, reference in zip(live, built):
+            assert summaries(pool) == summaries(reference)
+            assert pool.available_channels == reference.available_channels
+            pool.audit(held[pool.provider_id])
+        if any(reference.free_count for reference in built):
+            assert select_best_channel(live, weights) == select_best_channel(built, weights)
+        else:
+            with pytest.raises(NoCandidateError):
+                select_best_channel(live, weights)
+
+    check()
+    for provider_index, position in ops:
+        provider_index %= len(providers)
+        channel = providers[provider_index].channels[position % len(bands[provider_index])]
+        if channel.id in held[provider_index]:
+            live[provider_index].give(channel.id)
+            held[provider_index].remove(channel.id)
+        else:
+            live[provider_index].take(channel.id)
+            held[provider_index].add(channel.id)
+        check()
