@@ -8,10 +8,13 @@ channels.
 
 Run: python demos/02_channel_selection.py
 """
-from dsasim import CandidatePool, SbacWeights, SpectrumChannel, channel_utility, select_best_channel
+from dsasim import CandidatePool, SbacConfig, SbacWeights, SpectrumChannel, select_best_channel
+from dsasim.sbac import SPREAD_UNIT_HZ
+
+SESSION_MINUTES = 2.0  # expected session length that the cost term prices
 
 
-def pool(provider_id, free_mhz, total, cost_rate, minutes=2.0) -> CandidatePool:
+def pool(provider_id, free_mhz, total, cost_rate) -> CandidatePool:
     return CandidatePool(
         provider_id=provider_id,
         available_channels=tuple(
@@ -19,7 +22,6 @@ def pool(provider_id, free_mhz, total, cost_rate, minutes=2.0) -> CandidatePool:
             for i, f in enumerate(free_mhz)
         ),
         total_channels=total,
-        session_minutes=minutes,
         cost_rate=cost_rate,
     )
 
@@ -35,12 +37,13 @@ def main() -> None:
     ]
 
     print("Per-pool ingredients:")
-    neutral = SbacWeights(1.0, 1.0, 1.0)
     for p in pools:
-        b = channel_utility(p, neutral)
+        availability = p.free_count / p.total_channels
+        spread_mhz = (p.max_free_frequency - p.min_free_frequency) / SPREAD_UNIT_HZ
+        cost = SESSION_MINUTES * 60.0 * p.cost_rate
         print(
-            f"  provider {p.provider_id}: availability={b.availability:.2f} "
-            f"spread={b.spread:6.1f} MHz  session cost={b.cost:6.1f}"
+            f"  provider {p.provider_id}: availability={availability:.2f} "
+            f"spread={spread_mhz:6.1f} MHz  session cost={cost:6.1f}"
         )
 
     scenarios = [
@@ -51,7 +54,8 @@ def main() -> None:
     ]
     print("\nSelection under different weightings:")
     for label, weights in scenarios:
-        provider_id, channel_id, utility = select_best_channel(pools, weights)
+        config = SbacConfig(weights=weights, session_minutes=SESSION_MINUTES)
+        provider_id, channel_id, utility = select_best_channel(pools, config)
         print(
             f"  {label:20s} -> provider {provider_id}, channel {channel_id} "
             f"(utility {utility:8.3f})"
@@ -61,7 +65,8 @@ def main() -> None:
     base = SbacWeights(0.5, 0.3, 0.2)
     for factor in (0.01, 1.0, 250.0):
         scaled = SbacWeights(base.beta1 * factor, base.beta2 * factor, base.beta3 * factor)
-        provider_id, channel_id, utility = select_best_channel(pools, scaled)
+        config = SbacConfig(weights=scaled, session_minutes=SESSION_MINUTES)
+        provider_id, channel_id, utility = select_best_channel(pools, config)
         print(f"  x{factor:<7} -> provider {provider_id}, channel {channel_id} "
               f"(utility {utility:10.3f})")
 

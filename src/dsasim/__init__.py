@@ -43,17 +43,7 @@ from .qos import (
     min_power_allocation,
     sinr_target_from_ber,
 )
-from .sbac import (
-    CandidatePool,
-    SbacConfig,
-    SbacWeights,
-    UtilityBreakdown,
-    availability_prob,
-    channel_utility,
-    frequency_spread,
-    select_best_channel,
-    usage_cost,
-)
+from .sbac import CandidatePool, SbacConfig, SbacWeights, select_best_channel, utility
 from .topology import (
     GainMatrices,
     Modulation,
@@ -99,22 +89,18 @@ __all__ = [
     "TraceError",
     "TrafficSpec",
     "UnsupportedModulationError",
-    "UtilityBreakdown",
-    "availability_prob",
     "ber_from_sinr",
     "build_event_stream",
-    "channel_utility",
     "check_interference",
     "check_qos",
     "compute_sinr",
     "draw_holding_time",
     "erlang_b",
-    "frequency_spread",
     "gains_from_positions",
     "min_power_allocation",
     "run_simulation",
     "select_best_channel",
     "sinr_target_from_ber",
-    "usage_cost",
+    "utility",
     "validate_topology",
 ]

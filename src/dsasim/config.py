@@ -2,7 +2,7 @@
 
 The document has five sections: ``topology`` (providers, links, primary
 points, gain model), ``traffic`` (arrival rates, holding time, horizon,
-seed), ``sbac`` (selection weights and clamps), ``strategy`` (allocation
+seed), ``sbac`` (selection weights and session length), ``strategy`` (allocation
 kind(s) and physical-layer flags) and an optional ``sweep``.  Parsing is
 strict: unknown or missing keys fail with the offending key path, dB-valued
 fields are converted to linear watts, and every applied default is logged.
@@ -21,7 +21,7 @@ import yaml
 from .engine import QosConfig, Strategy
 from .errors import ConfigError
 from .qos import sinr_target_from_ber
-from .sbac import COST_FLOOR, DEFAULT_SPREAD_UNIT_HZ, SPREAD_FLOOR, SbacConfig, SbacWeights
+from .sbac import SbacConfig, SbacWeights
 from .topology import (
     GainMatrices,
     Modulation,
@@ -383,11 +383,7 @@ def _parse_traffic(raw, topology: NetworkTopology) -> TrafficSpec:
 def _parse_sbac(raw, traffic: TrafficSpec) -> SbacConfig:
     path = "sbac"
     raw = _mapping(raw, path)
-    _check_keys(
-        raw,
-        {"beta1", "beta2", "beta3", "session_minutes", "spread_unit_hz", "spread_floor", "cost_floor"},
-        path,
-    )
+    _check_keys(raw, {"beta1", "beta2", "beta3", "session_minutes"}, path)
     betas = {}
     for key, default in (("beta1", 0.5), ("beta2", 0.3), ("beta3", 0.2)):
         value = _number(raw, key, path, default=None)
@@ -403,18 +399,11 @@ def _parse_sbac(raw, traffic: TrafficSpec) -> SbacConfig:
         weights = SbacWeights(**betas)
     except ValueError as exc:
         raise ConfigError(f"sbac weights invalid: {exc}") from None
-    scales = {
-        "session_minutes": session_minutes,
-        "spread_unit_hz": _number(raw, "spread_unit_hz", path, default=DEFAULT_SPREAD_UNIT_HZ),
-        "spread_floor": _number(raw, "spread_floor", path, default=SPREAD_FLOOR),
-        "cost_floor": _number(raw, "cost_floor", path, default=COST_FLOOR),
-    }
-    for key, value in scales.items():
-        # the utility divides by these or takes their log; at <= 0 every
-        # run fails with ZeroDivisionError or ranks pools on a flipped term
-        if not value > 0:
-            raise ConfigError(f"{path}.{key} must be > 0, got {value}")
-    return SbacConfig(weights=weights, **scales)
+    # the session cost is proportional to it; at <= 0 every provider's cost
+    # falls to the floor and the cost term stops ranking them
+    if not session_minutes > 0:
+        raise ConfigError(f"{path}.session_minutes must be > 0, got {session_minutes}")
+    return SbacConfig(weights=weights, session_minutes=session_minutes)
 
 
 def _parse_strategy(raw) -> tuple[tuple[Strategy, ...], QosConfig, float | None]:
@@ -607,9 +596,6 @@ def config_to_document(config: ScenarioConfig) -> dict:
             "beta2": config.sbac.weights.beta2,
             "beta3": config.sbac.weights.beta3,
             "session_minutes": config.sbac.session_minutes,
-            "spread_unit_hz": config.sbac.spread_unit_hz,
-            "spread_floor": config.sbac.spread_floor,
-            "cost_floor": config.sbac.cost_floor,
         },
         "strategy": {
             "kind": [s.value for s in config.strategies],

@@ -70,7 +70,8 @@ class SessionRecord:
 
     The system is a pure loss system: an admitted session is served from its
     arrival until ``end_time``, so there is no start time apart from
-    ``arrival_time`` and no access wait.
+    ``arrival_time`` and no access wait.  Its data rate is the run's
+    ``TrafficSpec.requested_rate`` and its distance that of link ``link_id``.
     """
 
     session_id: int
@@ -80,9 +81,7 @@ class SessionRecord:
     provider_id: int | None
     channel_id: int | None
     link_id: int
-    rate: float
     outcome: Outcome
-    tx_rx_distance: float
     power: float = 0.0  # assigned transmit power, watts (0 when blocked)
 
     @property
@@ -151,7 +150,6 @@ class Simulation:
         sbac_config: SbacConfig | None = None,
         qos_config: QosConfig | None = None,
         audit: bool = False,
-        keep_interference_trace: bool = False,
     ):
         violations = validate_topology(topology)
         if violations:
@@ -172,14 +170,11 @@ class Simulation:
         self.audit = audit
 
         self.state = OccupancyState(traffic_spec.horizon)
-        self._pools = [LivePool(p, self.sbac.session_minutes) for p in topology.providers]
+        self._pools = [LivePool(p) for p in topology.providers]
         self.records: list[SessionRecord] = []
         num_points = len(topology.primary_points)
         self.primary_loads = np.zeros(num_points)
         self.primary_integral = np.zeros(num_points)
-        self.interference_trace: list[tuple[float, float, np.ndarray]] | None = (
-            [] if keep_interference_trace else None
-        )
         self._next_link = 0
         self._ran = False
 
@@ -243,8 +238,6 @@ class Simulation:
         start, end = self.state.advance(time)
         if end > start:
             self.primary_integral += self.primary_loads * (end - start)
-            if self.interference_trace is not None:
-                self.interference_trace.append((start, end, self.primary_loads.copy()))
 
     def _depart(self, record: SessionRecord) -> None:
         # the rest of the co-channel group keeps its powers (module docstring)
@@ -272,20 +265,12 @@ class Simulation:
             provider_id=None,
             channel_id=None,
             link_id=link.id,
-            rate=event.requested_rate,
             outcome=Outcome.BLOCKED_NO_CHANNEL,
-            tx_rx_distance=link.distance,
         )
 
         pools = self._candidate_pools(event.provider_id)
         try:
-            provider_id, channel_id, _ = sbac.select_best_channel(
-                pools,
-                self.sbac.weights,
-                spread_unit_hz=self.sbac.spread_unit_hz,
-                spread_floor=self.sbac.spread_floor,
-                cost_floor=self.sbac.cost_floor,
-            )
+            provider_id, channel_id, _ = sbac.select_best_channel(pools, self.sbac)
         except NoCandidateError:
             return record
 
@@ -402,8 +387,9 @@ class Simulation:
         speed = self.topology.propagation_speed
 
         if admitted:
-            delays = [metrics.propagation_delay(r.tx_rx_distance, speed) for r in admitted]
-            rtts = [metrics.rtt(r.tx_rx_distance, speed) for r in admitted]
+            distances = [link.distance for link in self.topology.links]
+            delays = [metrics.propagation_delay(distances[r.link_id], speed) for r in admitted]
+            rtts = [metrics.rtt(distances[r.link_id], speed) for r in admitted]
             mean_delay = sum(delays) / len(delays)
             mean_rtt = sum(rtts) / len(rtts)
         else:
@@ -426,7 +412,9 @@ class Simulation:
         return MetricsReport(
             mean_propagation_delay=mean_delay,
             mean_rtt=mean_rtt,
-            throughput=metrics.throughput(self.records, horizon),
+            throughput=metrics.throughput(
+                self.records, self.traffic_spec.requested_rate, horizon
+            ),
             mean_primary_interference=mean_interference,
             spectral_efficiency=metrics.spectral_efficiency(
                 self.state.busy_integral, self.topology.total_channels, horizon
@@ -453,7 +441,6 @@ def run_simulation(
     sbac_config: SbacConfig | None = None,
     qos_config: QosConfig | None = None,
     audit: bool = False,
-    keep_interference_trace: bool = False,
 ) -> tuple[list[SessionRecord], MetricsReport]:
     """Run one deterministic simulation and compute its metric suite.
 
@@ -468,6 +455,5 @@ def run_simulation(
         sbac_config=sbac_config,
         qos_config=qos_config,
         audit=audit,
-        keep_interference_trace=keep_interference_trace,
     )
     return sim.run()

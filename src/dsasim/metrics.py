@@ -51,8 +51,9 @@ def rtt(distance: float, speed: float) -> float:
     return 2.0 * propagation_delay(distance, speed)
 
 
-def throughput(records, horizon: float) -> float:
-    """Delivered bits of admitted sessions within the horizon, per second."""
+def throughput(records, rate: float, horizon: float) -> float:
+    """Delivered bits of admitted sessions within the horizon, per second,
+    every session carrying ``rate`` bits/s."""
     if horizon <= 0:
         raise ValueError(f"horizon must be > 0, got {horizon}")
     bits = 0.0
@@ -61,7 +62,7 @@ def throughput(records, horizon: float) -> float:
             continue
         active = min(record.end_time, horizon) - record.arrival_time
         if active > 0:
-            bits += record.rate * active
+            bits += rate * active
     return bits / horizon
 
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc
+from scipy.special import erfc, erfcinv
 
 from .errors import UnsupportedModulationError
 from .topology import Modulation, NetworkTopology
@@ -201,12 +201,11 @@ def ber_from_sinr(modulation: Modulation, sinr: float) -> float:
     return float(0.5 * erfc(arg / np.sqrt(2.0)))
 
 
-def sinr_target_from_ber(
-    modulation: Modulation, target_ber: float, residual: float = 1e-9
-) -> float:
-    """Invert the BER curve: the SINR at which the BER meets the target.
+def sinr_target_from_ber(modulation: Modulation, target_ber: float) -> float:
+    """Invert the BER curve: the SINR at which the BER equals the target.
 
-    Bisection on the monotone curve until ``|BER(sinr) - target| < residual``.
+    In closed form, from Q(x) = erfc(x / sqrt(2)) / 2: BPSK needs
+    ``erfcinv(2 * ber) ** 2`` and QPSK twice that.
     """
     if modulation is Modulation.NONE:
         raise UnsupportedModulationError(
@@ -214,21 +213,5 @@ def sinr_target_from_ber(
         )
     if not (0.0 < target_ber < 0.5):
         raise ValueError(f"target_ber must be in (0, 0.5), got {target_ber}")
-
-    lo = 0.0
-    hi = 1.0
-    while ber_from_sinr(modulation, hi) > target_ber:
-        hi *= 2.0
-        if hi > 1e12:
-            raise ValueError(f"target_ber {target_ber} unreachable")
-
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        ber = ber_from_sinr(modulation, mid)
-        if abs(ber - target_ber) < residual:
-            return mid
-        if ber > target_ber:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    gamma = float(erfcinv(2.0 * target_ber)) ** 2
+    return gamma if modulation is Modulation.BPSK else 2.0 * gamma  # QPSK

@@ -25,24 +25,6 @@ logger = logging.getLogger(__name__)
 
 WORKERS_ENV_VAR = "DSASIM_WORKERS"
 
-RESULT_COLUMNS = (
-    "sweep_param",
-    "sweep_value",
-    "seed",
-    "strategy",
-    "blocking_probability",
-    "throughput_bps",
-    "spectral_efficiency",
-    "mean_interference_w",
-    "mean_prop_delay_s",
-    "mean_rtt_s",
-    "arrivals",
-    "admitted",
-    "blocked_no_channel",
-    "blocked_qos",
-    "blocked_interference",
-)
-
 SESSION_COLUMNS = (
     "session_id",
     "arrival_time",
@@ -51,9 +33,7 @@ SESSION_COLUMNS = (
     "provider_id",
     "channel_id",
     "link_id",
-    "rate",
     "outcome",
-    "tx_rx_distance",
     "power",
 )
 
@@ -87,6 +67,10 @@ class ResultRow:
             else:
                 values.append(str(value))
         return values
+
+
+# the results.csv header: the ResultRow fields in declaration order
+RESULT_COLUMNS = tuple(f.name for f in dataclasses.fields(ResultRow))
 
 
 @dataclass(frozen=True)
@@ -210,9 +194,7 @@ def write_session_log(path: Path, records: list[SessionRecord]) -> None:
                     "" if record.provider_id is None else record.provider_id,
                     "" if record.channel_id is None else record.channel_id,
                     record.link_id,
-                    repr(record.rate),
                     record.outcome.value,
-                    repr(record.tx_rx_distance),
                     repr(record.power),
                 ]
             )

@@ -1,19 +1,20 @@
 """Best-available-channel selection over candidate provider pools.
 
 Each provider with at least one free channel forms a candidate pool.  A pool
-is scored by a weighted utility of three terms: the fraction of its channels
-currently free, the log-reciprocal of the frequency spread of the free
-channels, and the reciprocal of the expected session cost:
+is scored by :func:`utility`, a weighted sum of three terms: the fraction of
+its channels currently free, the log-reciprocal of the frequency spread of
+the free channels in MHz (``SPREAD_UNIT_HZ``), and the reciprocal of the
+expected session cost ``session_minutes * 60 * cost_rate``:
 
-    utility = 10 * beta1 * availability
-            + beta2 * ln(1 / spread)
-            + beta3 * (1 / cost)
+    utility = 10 * beta1 * free / total
+            + beta2 * ln(1 / max(spread, SPREAD_FLOOR))
+            + beta3 / max(cost, COST_FLOOR)
 
 The pool with the highest utility wins (ties break toward the lowest
 provider id) and the lowest-indexed free channel inside it is assigned.
-Zero spread and zero cost are clamped to small positive floors before the
-log/reciprocal so the formula stays total without reordering non-degenerate
-candidates.
+The floors ``SPREAD_FLOOR`` (one free channel has zero spread) and
+``COST_FLOOR`` (a provider that charges nothing has zero cost) keep the
+formula total without reordering non-degenerate candidates.
 
 Scoring reads four summaries of a pool and nothing else: its free-channel
 count, its min and max free center frequency and its lowest free channel id.
@@ -30,9 +31,9 @@ from dataclasses import dataclass, field
 from .errors import NoCandidateError, StateError
 from .topology import ServiceProvider, SpectrumChannel
 
-SPREAD_FLOOR = 1e-6  # in spread units (MHz by default)
+SPREAD_UNIT_HZ = 1e6  # the spread term is scored in MHz
+SPREAD_FLOOR = 1e-6  # MHz
 COST_FLOOR = 1e-6  # currency units
-DEFAULT_SPREAD_UNIT_HZ = 1e6
 
 
 @dataclass(frozen=True)
@@ -55,8 +56,11 @@ class CandidatePool:
     provider_id: int
     available_channels: tuple[SpectrumChannel, ...]
     total_channels: int
-    session_minutes: float  # expected session duration used for the cost term
     cost_rate: float  # currency per minute
+
+    def __post_init__(self):
+        if self.total_channels <= 0:
+            raise ValueError("pool has no channels")
 
     # the four summaries scoring reads; the frequencies and id are None when
     # no channel is free
@@ -90,16 +94,15 @@ class LivePool:
     """
 
     __slots__ = (
-        "provider", "provider_id", "total_channels", "session_minutes", "cost_rate",
+        "provider", "provider_id", "total_channels", "cost_rate",
         "_ids", "_frequency_rank", "_frequencies", "id_mask", "frequency_mask",
         "free_count", "min_free_frequency", "max_free_frequency", "lowest_free_id",
     )
 
-    def __init__(self, provider: ServiceProvider, session_minutes: float):
+    def __init__(self, provider: ServiceProvider):
         self.provider = provider
         self.provider_id = provider.id
         self.total_channels = provider.num_channels
-        self.session_minutes = session_minutes
         self.cost_rate = provider.cost_rate
         by_id = sorted(provider.channels, key=lambda ch: ch.id)
         # a stable sort, so equal frequencies stay in id order
@@ -170,79 +173,37 @@ class LivePool:
                 f"{self.frequency_mask:b} differ from {id_mask:b}, {frequency_mask:b} "
                 "rebuilt from the held channels"
             )
-        snapshot = CandidatePool(
-            self.provider_id, free, self.total_channels, self.session_minutes, self.cost_rate
-        )
+        snapshot = CandidatePool(self.provider_id, free, self.total_channels, self.cost_rate)
         for name in ("free_count", "min_free_frequency", "max_free_frequency", "lowest_free_id"):
             if getattr(self, name) != getattr(snapshot, name):
                 raise StateError(f"provider {self.provider_id} pool {name} is stale")
 
 
 @dataclass(frozen=True)
-class UtilityBreakdown:
-    availability: float  # fraction of the pool's channels that are free
-    spread: float  # max - min free-channel frequency, in spread units
-    cost: float  # session_minutes * 60 * cost_rate
-    utility: float
-
-
-@dataclass(frozen=True)
 class SbacConfig:
-    """Selection weights plus the scenario-level knobs of the utility."""
+    """Selection weights plus the expected session length the cost term prices."""
 
     weights: SbacWeights = field(default_factory=SbacWeights)
     session_minutes: float = 1.0
-    spread_unit_hz: float = DEFAULT_SPREAD_UNIT_HZ
-    spread_floor: float = SPREAD_FLOOR
-    cost_floor: float = COST_FLOOR
 
 
-def availability_prob(pool: CandidatePool | LivePool) -> float:
-    """Fraction of the pool's channels that are currently free."""
-    if pool.total_channels <= 0:
-        raise ValueError("pool has no channels")
-    return pool.free_count / pool.total_channels
-
-
-def frequency_spread(
-    pool: CandidatePool | LivePool, unit_hz: float = DEFAULT_SPREAD_UNIT_HZ
-) -> float:
-    """Max minus min center frequency among the free channels, in `unit_hz`."""
+def utility(pool: CandidatePool | LivePool, config: SbacConfig) -> float:
+    """Score one candidate pool; raises NoCandidateError on an empty pool."""
     if not pool.free_count:
         raise NoCandidateError(f"pool {pool.provider_id} has no free channel")
-    return (pool.max_free_frequency - pool.min_free_frequency) / unit_hz
-
-
-def usage_cost(pool: CandidatePool | LivePool) -> float:
-    """Session cost: duration in minutes times 60 times the per-minute rate."""
-    return pool.session_minutes * 60.0 * pool.cost_rate
-
-
-def channel_utility(
-    pool: CandidatePool | LivePool,
-    weights: SbacWeights,
-    spread_unit_hz: float = DEFAULT_SPREAD_UNIT_HZ,
-    spread_floor: float = SPREAD_FLOOR,
-    cost_floor: float = COST_FLOOR,
-) -> UtilityBreakdown:
-    """Score one candidate pool; raises NoCandidateError on an empty pool."""
-    prob = availability_prob(pool)
-    spread = frequency_spread(pool, unit_hz=spread_unit_hz)
-    cost = usage_cost(pool)
-    utility = (
-        10.0 * weights.beta1 * prob
-        + weights.beta2 * math.log(1.0 / max(spread, spread_floor))
-        + weights.beta3 / max(cost, cost_floor)
+    weights = config.weights
+    spread = (pool.max_free_frequency - pool.min_free_frequency) / SPREAD_UNIT_HZ
+    cost = config.session_minutes * 60.0 * pool.cost_rate
+    return (
+        10.0 * weights.beta1 * (pool.free_count / pool.total_channels)
+        + weights.beta2 * math.log(1.0 / max(spread, SPREAD_FLOOR))
+        + weights.beta3 / max(cost, COST_FLOOR)
     )
-    return UtilityBreakdown(availability=prob, spread=spread, cost=cost, utility=utility)
 
 
 def select_best_channel(
     pools: list[CandidatePool | LivePool] | tuple[CandidatePool | LivePool, ...],
-    weights: SbacWeights,
-    spread_unit_hz: float = DEFAULT_SPREAD_UNIT_HZ,
-    spread_floor: float = SPREAD_FLOOR,
-    cost_floor: float = COST_FLOOR,
+    config: SbacConfig,
 ) -> tuple[int, int, float]:
     """Pick the highest-utility pool and its lowest-indexed free channel.
 
@@ -254,15 +215,9 @@ def select_best_channel(
     for pool in sorted(pools, key=lambda p: p.provider_id):
         if not pool.free_count:
             continue
-        breakdown = channel_utility(
-            pool,
-            weights,
-            spread_unit_hz=spread_unit_hz,
-            spread_floor=spread_floor,
-            cost_floor=cost_floor,
-        )
-        if best is None or breakdown.utility > best[2]:
-            best = (pool.provider_id, pool.lowest_free_id, breakdown.utility)
+        score = utility(pool, config)
+        if best is None or score > best[2]:
+            best = (pool.provider_id, pool.lowest_free_id, score)
     if best is None:
         raise NoCandidateError("no candidate pool has a free channel")
     return best

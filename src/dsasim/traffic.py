@@ -41,7 +41,6 @@ class TrafficSpec:
 class ArrivalEvent:
     time: float
     provider_id: int  # home base station of the requesting user
-    requested_rate: float  # bits/s
     holding_time: float  # seconds
 
 
@@ -92,12 +91,7 @@ def build_event_stream(spec: TrafficSpec) -> list[ArrivalEvent]:
                 break
             holding = draw_holding_time(rng, spec.mean_holding_time)
             events.append(
-                ArrivalEvent(
-                    time=t,
-                    provider_id=provider_id,
-                    requested_rate=spec.requested_rate,
-                    holding_time=holding,
-                )
+                ArrivalEvent(time=t, provider_id=provider_id, holding_time=holding)
             )
     events.sort(key=lambda ev: (ev.time, ev.provider_id))
     return events

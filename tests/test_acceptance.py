@@ -14,6 +14,7 @@ import pytest
 
 from dsasim import (
     CandidatePool,
+    SbacConfig,
     SbacWeights,
     SpectrumChannel,
     Strategy,
@@ -260,10 +261,10 @@ def test_c6a_sbac_argmax_invariance_500_cases():
                         for i in range(free)
                     ),
                     total_channels=total,
-                    session_minutes=float(rng.uniform(0.1, 30.0)),
                     cost_rate=float(rng.uniform(0.0, 5.0)),
                 )
             )
+        minutes = float(rng.uniform(0.1, 30.0))
         if not any(p.available_channels for p in pools):
             continue
         weights = SbacWeights(*rng.uniform(0.01, 10.0, size=3))
@@ -271,7 +272,8 @@ def test_c6a_sbac_argmax_invariance_500_cases():
         scaled = SbacWeights(
             weights.beta1 * factor, weights.beta2 * factor, weights.beta3 * factor
         )
-        if select_best_channel(pools, weights)[:2] != select_best_channel(pools, scaled)[:2]:
+        base_choice = select_best_channel(pools, SbacConfig(weights, minutes))
+        if base_choice[:2] != select_best_channel(pools, SbacConfig(scaled, minutes))[:2]:
             flips += 1
     assert flips == 0
     report_pass("C6a (SBAC argmax invariance)", "500 randomized weight scalings, 0 flips")
@@ -370,11 +372,11 @@ def test_c7_metric_definitions_stand_in_for_figure_curves():
     assert spectral_efficiency(50.0, 4, 100.0) == pytest.approx(0.125)
 
     class _Rec:
-        def __init__(self, rate, arrival, end):
-            self.rate, self.arrival_time, self.end_time = rate, arrival, end
+        def __init__(self, arrival, end):
+            self.arrival_time, self.end_time = arrival, end
             self.admitted = True
 
-    assert throughput([_Rec(2e5, 0.0, 50.0), _Rec(2e5, 50.0, 100.0)], 100.0) == pytest.approx(2e5)
+    assert throughput([_Rec(0.0, 50.0), _Rec(50.0, 100.0)], 2e5, 100.0) == pytest.approx(2e5)
     report_pass(
         "C7 (figure shapes not reproduced)",
         "delay/throughput/RTT/interference covered by exact-definition checks only",

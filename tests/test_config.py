@@ -156,10 +156,18 @@ def test_removed_solver_knobs_are_unknown_keys(key):
         parse(doc(**{f"strategy.{key}": 1e-9}))
 
 
+@pytest.mark.parametrize("key", ["spread_unit_hz", "spread_floor", "cost_floor"])
+def test_removed_sbac_scale_knobs_are_unknown_keys(key):
+    with pytest.raises(ConfigError, match=f"unknown key sbac.{key}"):
+        parse(doc(**{f"sbac.{key}": 1.0}))
+
+
 @pytest.mark.parametrize("key", ["spread_unit_hz", "spread_floor", "cost_floor", "session_minutes"])
 @pytest.mark.parametrize("value", [0.0, -1.0])
 def test_non_positive_sbac_scale_names_its_key(key, value):
-    with pytest.raises(ConfigError, match=rf"sbac\.{key} must be > 0"):
+    # session_minutes is range-checked; the removed scale knobs are unknown keys
+    message = rf"sbac\.{key} must be > 0" if key == "session_minutes" else rf"unknown key sbac\.{key}"
+    with pytest.raises(ConfigError, match=message):
         parse(doc(**{f"sbac.{key}": value}))
 
 

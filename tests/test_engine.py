@@ -186,8 +186,7 @@ def test_dynamic_strategy_offloads_to_other_providers():
 def held_record(session_id, provider_id=0, channel_id=0):
     return SessionRecord(
         session_id=session_id, arrival_time=0.0, end_time=1.0, home_provider_id=provider_id,
-        provider_id=provider_id, channel_id=channel_id, link_id=0, rate=1e5,
-        outcome=Outcome.ADMITTED, tx_rx_distance=250.0,
+        provider_id=provider_id, channel_id=channel_id, link_id=0, outcome=Outcome.ADMITTED,
     )
 
 
@@ -307,13 +306,26 @@ def test_blocking_pressure_is_monotone_in_rate():
 
 
 def test_engine_interference_matches_trace_oracle():
+    # FIXED without physical checks: every admitted session transmits at its
+    # link's power from arrival to departure, so the records alone give the
+    # piecewise-constant primary loads between consecutive arrivals/departures
     topology = make_topology(num_providers=1, channels=4)
     spec = spec_for([0.8], holding=2.0, horizon=100.0, seed=6)
-    sim = Simulation(
-        topology, spec, Strategy.FIXED, keep_interference_trace=True
+    records, report = run_simulation(topology, spec, Strategy.FIXED)
+    admitted = [r for r in records if r.admitted]
+    cuts = sorted(
+        {0.0, spec.horizon}
+        | {min(t, spec.horizon) for r in admitted for t in (r.arrival_time, r.end_time)}
     )
-    _, report = sim.run()
-    oracle = mean_primary_interference(sim.interference_trace, spec.horizon)
+    g_ps = topology.gains.g_ps
+    trace = []
+    for start, end in zip(cuts, cuts[1:]):
+        loads = np.zeros(g_ps.shape[0])
+        for r in admitted:
+            if r.arrival_time <= start and r.end_time >= end:
+                loads += g_ps[:, r.link_id] * r.power
+        trace.append((start, end, loads))
+    oracle = mean_primary_interference(trace, spec.horizon)
     assert report.mean_primary_interference == pytest.approx(oracle, rel=1e-9)
     assert report.mean_primary_interference > 0.0
 

@@ -20,7 +20,6 @@ from dsasim.metrics import (
 
 @dataclass
 class FakeRecord:
-    rate: float
     arrival_time: float
     end_time: float
     admitted: bool = True
@@ -59,40 +58,40 @@ def test_rtt(distance, speed, expected):
 
 
 def test_throughput_single_full_span_session():
-    records = [FakeRecord(rate=1e5, arrival_time=0.0, end_time=100.0)]
-    assert throughput(records, horizon=100.0) == pytest.approx(1e5)
+    records = [FakeRecord(arrival_time=0.0, end_time=100.0)]
+    assert throughput(records, rate=1e5, horizon=100.0) == pytest.approx(1e5)
 
 
 def test_throughput_no_admissions():
-    records = [FakeRecord(rate=1e5, arrival_time=0.0, end_time=0.0, admitted=False)]
-    assert throughput(records, horizon=100.0) == 0.0
+    records = [FakeRecord(arrival_time=0.0, end_time=0.0, admitted=False)]
+    assert throughput(records, rate=1e5, horizon=100.0) == 0.0
 
 
 def test_throughput_two_half_horizon_sessions():
     records = [
-        FakeRecord(rate=2e5, arrival_time=0.0, end_time=50.0),
-        FakeRecord(rate=2e5, arrival_time=50.0, end_time=100.0),
+        FakeRecord(arrival_time=0.0, end_time=50.0),
+        FakeRecord(arrival_time=50.0, end_time=100.0),
     ]
-    assert throughput(records, horizon=100.0) == pytest.approx(2e5)
+    assert throughput(records, rate=2e5, horizon=100.0) == pytest.approx(2e5)
 
 
 def test_throughput_clamps_sessions_running_past_horizon():
-    records = [FakeRecord(rate=1e5, arrival_time=90.0, end_time=150.0)]
+    records = [FakeRecord(arrival_time=90.0, end_time=150.0)]
     # only 10 of the 60 active seconds fall inside the horizon
-    assert throughput(records, horizon=100.0) == pytest.approx(1e5 * 10.0 / 100.0)
+    assert throughput(records, rate=1e5, horizon=100.0) == pytest.approx(1e5 * 10.0 / 100.0)
 
 
 def test_throughput_is_permutation_invariant():
     rng = random.Random(2)
     records = [
-        FakeRecord(rate=rng.uniform(1e4, 1e6), arrival_time=rng.uniform(0, 50),
-                   end_time=rng.uniform(50, 100), admitted=rng.random() < 0.8)
+        FakeRecord(arrival_time=rng.uniform(0, 50), end_time=rng.uniform(50, 100),
+                   admitted=rng.random() < 0.8)
         for _ in range(30)
     ]
-    base = throughput(records, 100.0)
+    base = throughput(records, 1e5, 100.0)
     shuffled = records[:]
     rng.shuffle(shuffled)
-    assert throughput(shuffled, 100.0) == pytest.approx(base, rel=1e-12)
+    assert throughput(shuffled, 1e5, 100.0) == pytest.approx(base, rel=1e-12)
 
 
 # -- interference ------------------------------------------------------------------
@@ -153,8 +152,8 @@ def test_spectral_efficiency_one_of_four_half_time():
 
 
 def _records(admitted: int, blocked: int):
-    return [FakeRecord(1.0, 0.0, 1.0, admitted=True) for _ in range(admitted)] + [
-        FakeRecord(1.0, 0.0, 0.0, admitted=False) for _ in range(blocked)
+    return [FakeRecord(0.0, 1.0, admitted=True) for _ in range(admitted)] + [
+        FakeRecord(0.0, 0.0, admitted=False) for _ in range(blocked)
     ]
 
 

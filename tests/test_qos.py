@@ -349,6 +349,19 @@ def test_round_trip_identity_across_target_range():
             assert ber_from_sinr(modulation, gamma) == pytest.approx(float(target), abs=1e-8)
 
 
+def test_round_trip_is_relative_down_to_tiny_targets():
+    for target in np.logspace(-15, np.log10(0.4), 200):
+        for modulation in (Modulation.BPSK, Modulation.QPSK):
+            gamma = sinr_target_from_ber(modulation, float(target))
+            assert ber_from_sinr(modulation, gamma) == pytest.approx(float(target), rel=1e-9)
+
+
+@pytest.mark.parametrize("modulation", [Modulation.BPSK, Modulation.QPSK])
+def test_one_in_a_trillion_ber_target_is_met(modulation):
+    gamma = sinr_target_from_ber(modulation, 1e-12)
+    assert ber_from_sinr(modulation, gamma) == pytest.approx(1e-12, rel=1e-9)
+
+
 def test_modulation_none_is_unsupported():
     with pytest.raises(UnsupportedModulationError):
         sinr_target_from_ber(Modulation.NONE, 1e-3)

@@ -10,17 +10,15 @@ from hypothesis import strategies as st
 from dsasim import (
     CandidatePool,
     NoCandidateError,
+    SbacConfig,
     SbacWeights,
     ServiceProvider,
     SpectrumChannel,
     StateError,
-    availability_prob,
-    channel_utility,
-    frequency_spread,
     select_best_channel,
-    usage_cost,
+    utility,
 )
-from dsasim.sbac import LivePool
+from dsasim.sbac import SPREAD_FLOOR, LivePool
 
 
 def channels_at(*mhz: float) -> tuple[SpectrumChannel, ...]:
@@ -30,14 +28,23 @@ def channels_at(*mhz: float) -> tuple[SpectrumChannel, ...]:
     )
 
 
-def pool(free_mhz, total=10, provider_id=0, minutes=1.0, cost_rate=1.0) -> CandidatePool:
+def pool(free_mhz, total=10, provider_id=0, cost_rate=1.0) -> CandidatePool:
     return CandidatePool(
         provider_id=provider_id,
         available_channels=channels_at(*free_mhz),
         total_channels=total,
-        session_minutes=minutes,
         cost_rate=cost_rate,
     )
+
+
+def config(beta1, beta2, beta3, minutes=1.0) -> SbacConfig:
+    return SbacConfig(SbacWeights(beta1, beta2, beta3), session_minutes=minutes)
+
+
+# one weight at a time, the utility is one ingredient: 10 x the free fraction,
+# ln(1 / spread in MHz) or 1 / (session minutes x 60 x cost rate)
+AVAILABILITY = config(1.0, 0.0, 0.0)
+SPREAD = config(0.0, 1.0, 0.0)
 
 
 # -- the three utility ingredients ---------------------------------------------
@@ -49,24 +56,28 @@ def pool(free_mhz, total=10, provider_id=0, minutes=1.0, cost_rate=1.0) -> Candi
 )
 def test_availability(free, total, expected):
     p = pool(range(400, 400 + free), total=total)
-    assert availability_prob(p) == expected
+    if free:
+        assert utility(p, AVAILABILITY) == 10.0 * expected
+    else:  # an empty pool is no candidate
+        with pytest.raises(NoCandidateError):
+            utility(p, AVAILABILITY)
 
 
 def test_spread_single_channel_is_zero():
-    assert frequency_spread(pool([400.0])) == 0.0
+    assert utility(pool([400.0]), SPREAD) == math.log(1.0 / SPREAD_FLOOR)
 
 
 def test_spread_two_channels():
-    assert frequency_spread(pool([400.0, 420.0])) == pytest.approx(20.0)
+    assert utility(pool([400.0, 420.0]), SPREAD) == pytest.approx(math.log(1.0 / 20.0))
 
 
 def test_spread_uses_extremes_only():
-    assert frequency_spread(pool([400.0, 410.0, 420.0])) == pytest.approx(20.0)
+    assert utility(pool([400.0, 410.0, 420.0]), SPREAD) == pytest.approx(math.log(1.0 / 20.0))
 
 
 def test_spread_of_empty_pool_raises():
     with pytest.raises(NoCandidateError):
-        frequency_spread(pool([]))
+        utility(pool([]), SPREAD)
 
 
 @pytest.mark.parametrize(
@@ -74,7 +85,8 @@ def test_spread_of_empty_pool_raises():
     [(1.0, 1.0, 60.0), (2.0, 0.05, 6.0), (0.5, 2.0, 60.0)],
 )
 def test_usage_cost(minutes, rate, expected):
-    assert usage_cost(pool([400.0], minutes=minutes, cost_rate=rate)) == pytest.approx(expected)
+    p = pool([400.0], cost_rate=rate)
+    assert utility(p, config(0.0, 0.0, 1.0, minutes)) == pytest.approx(1.0 / expected)
 
 
 # -- combined utility ------------------------------------------------------------
@@ -82,30 +94,25 @@ def test_usage_cost(minutes, rate, expected):
 
 def test_utility_availability_term_only():
     p = pool([400.0, 410.0, 420.0, 430.0, 440.0], total=10)  # prob 0.5
-    breakdown = channel_utility(p, SbacWeights(1.0, 0.0, 0.0))
-    assert breakdown.utility == pytest.approx(5.0)
-    assert breakdown.availability == 0.5
+    assert utility(p, AVAILABILITY) == pytest.approx(5.0)
 
 
 def test_utility_spread_term_only():
     p = pool([400.0, 420.0])  # spread 20 MHz
-    breakdown = channel_utility(p, SbacWeights(0.0, 1.0, 0.0))
-    assert breakdown.utility == pytest.approx(math.log(1.0 / 20.0))
-    assert breakdown.utility == pytest.approx(-2.9957, abs=1e-4)
+    assert utility(p, SPREAD) == pytest.approx(math.log(1.0 / 20.0))
+    assert utility(p, SPREAD) == pytest.approx(-2.9957, abs=1e-4)
 
 
 def test_utility_cost_term_only():
-    p = pool([400.0], minutes=2.0, cost_rate=0.05)  # cost 6.0
-    breakdown = channel_utility(p, SbacWeights(0.0, 0.0, 1.0))
-    assert breakdown.utility == pytest.approx(1.0 / 6.0)
-    assert breakdown.cost == pytest.approx(6.0)
+    p = pool([400.0], cost_rate=0.05)  # cost 6.0 over 2 minutes
+    assert utility(p, config(0.0, 0.0, 1.0, minutes=2.0)) == pytest.approx(1.0 / 6.0)
 
 
 def test_zero_spread_and_zero_cost_are_clamped():
-    p = pool([400.0], minutes=1.0, cost_rate=0.0)
-    breakdown = channel_utility(p, SbacWeights(0.0, 1.0, 1.0))
-    assert math.isfinite(breakdown.utility)
-    assert breakdown.utility == pytest.approx(math.log(1.0 / 1e-6) + 1.0 / 1e-6)
+    p = pool([400.0], cost_rate=0.0)
+    score = utility(p, config(0.0, 1.0, 1.0))
+    assert math.isfinite(score)
+    assert score == pytest.approx(math.log(1.0 / 1e-6) + 1.0 / 1e-6)
 
 
 # -- selection --------------------------------------------------------------------
@@ -113,7 +120,7 @@ def test_zero_spread_and_zero_cost_are_clamped():
 
 def test_identical_pools_tie_break_to_provider_zero():
     pools = [pool([400.0, 410.0], provider_id=1), pool([400.0, 410.0], provider_id=0)]
-    provider_id, channel_id, _ = select_best_channel(pools, SbacWeights())
+    provider_id, channel_id, _ = select_best_channel(pools, SbacConfig())
     assert provider_id == 0
     assert channel_id == 0
 
@@ -121,32 +128,32 @@ def test_identical_pools_tie_break_to_provider_zero():
 def test_higher_availability_wins():
     full = pool([400.0 + i for i in range(10)], total=10, provider_id=0)
     sparse = pool([400.0], total=10, provider_id=1)
-    provider_id, _, _ = select_best_channel([sparse, full], SbacWeights(1.0, 0.01, 0.01))
+    provider_id, _, _ = select_best_channel([sparse, full], config(1.0, 0.01, 0.01))
     assert provider_id == 0
 
 
 def test_singleton_pool_returns_its_channel():
     only = pool([432.0], total=4, provider_id=3)
-    provider_id, channel_id, utility = select_best_channel([only], SbacWeights(0.2, 0.5, 0.3))
+    provider_id, channel_id, score = select_best_channel([only], config(0.2, 0.5, 0.3))
     assert (provider_id, channel_id) == (3, 0)
-    assert utility == channel_utility(only, SbacWeights(0.2, 0.5, 0.3)).utility
+    assert score == utility(only, config(0.2, 0.5, 0.3))
 
 
 def test_all_pools_occupied_raises():
     with pytest.raises(NoCandidateError):
-        select_best_channel([pool([]), pool([], provider_id=1)], SbacWeights())
+        select_best_channel([pool([]), pool([], provider_id=1)], SbacConfig())
 
 
 def test_occupied_pools_are_skipped():
     pools = [pool([], provider_id=0), pool([415.0], provider_id=1)]
-    provider_id, _, _ = select_best_channel(pools, SbacWeights())
+    provider_id, _, _ = select_best_channel(pools, SbacConfig())
     assert provider_id == 1
 
 
 def test_selection_is_pure_and_deterministic():
     pools = [pool([400.0, 405.0], provider_id=0), pool([500.0], total=3, provider_id=1)]
-    first = select_best_channel(pools, SbacWeights())
-    assert all(select_best_channel(pools, SbacWeights()) == first for _ in range(5))
+    first = select_best_channel(pools, SbacConfig())
+    assert all(select_best_channel(pools, SbacConfig()) == first for _ in range(5))
 
 
 # -- invariants -------------------------------------------------------------------
@@ -154,6 +161,7 @@ def test_selection_is_pure_and_deterministic():
 
 @st.composite
 def random_pools(draw):
+    """1-5 pools and the session length in minutes that prices them."""
     count = draw(st.integers(1, 5))
     pools = []
     for provider_id in range(count):
@@ -161,18 +169,16 @@ def random_pools(draw):
         total = draw(st.integers(max(free, 1), 12))
         base = draw(st.floats(100.0, 900.0))
         step = draw(st.floats(0.1, 25.0))
-        minutes = draw(st.floats(0.1, 30.0))
         rate = draw(st.floats(0.0, 5.0))
         pools.append(
             pool(
                 [base + i * step for i in range(free)],
                 total=total,
                 provider_id=provider_id,
-                minutes=minutes,
                 cost_rate=rate,
             )
         )
-    return pools
+    return pools, draw(st.floats(0.1, 30.0))
 
 
 @st.composite
@@ -184,59 +190,57 @@ def random_weights(draw):
     )
 
 
-@given(pools=random_pools(), weights=random_weights(), factor=st.floats(1e-3, 1e3))
+@given(drawn=random_pools(), weights=random_weights(), factor=st.floats(1e-3, 1e3))
 @settings(max_examples=200, deadline=None)
-def test_argmax_invariant_under_weight_scaling(pools, weights, factor):
+def test_argmax_invariant_under_weight_scaling(drawn, weights, factor):
+    pools, minutes = drawn
     if not any(p.available_channels for p in pools):
         return
-    scaled = SbacWeights(weights.beta1 * factor, weights.beta2 * factor, weights.beta3 * factor)
-    base_choice = select_best_channel(pools, weights)
+    base = SbacConfig(weights, minutes)
+    scaled = SbacConfig(
+        SbacWeights(weights.beta1 * factor, weights.beta2 * factor, weights.beta3 * factor),
+        minutes,
+    )
+    base_choice = select_best_channel(pools, base)
     scaled_choice = select_best_channel(pools, scaled)
     if base_choice[:2] != scaled_choice[:2]:
         # only a genuine float-rounding tie may flip the argmax
         by_id = {p.provider_id: p for p in pools}
-        u_base = channel_utility(by_id[base_choice[0]], scaled).utility
-        u_scaled = channel_utility(by_id[scaled_choice[0]], scaled).utility
+        u_base = utility(by_id[base_choice[0]], scaled)
+        u_scaled = utility(by_id[scaled_choice[0]], scaled)
         assert u_base == pytest.approx(u_scaled, rel=1e-9)
 
 
-@given(pools=random_pools())
+@given(drawn=random_pools())
 @settings(max_examples=100, deadline=None)
-def test_availability_only_weights_pick_max_availability(pools):
+def test_availability_only_weights_pick_max_availability(drawn):
+    pools, minutes = drawn
     if not any(p.available_channels for p in pools):
         return
-    provider_id, _, _ = select_best_channel(pools, SbacWeights(1.0, 0.0, 0.0))
+    provider_id, _, _ = select_best_channel(pools, config(1.0, 0.0, 0.0, minutes))
     chosen = next(p for p in pools if p.provider_id == provider_id)
-    best = max(availability_prob(p) for p in pools if p.available_channels)
-    assert availability_prob(chosen) == pytest.approx(best)
+    best = max(p.free_count / p.total_channels for p in pools if p.available_channels)
+    assert chosen.free_count / chosen.total_channels == pytest.approx(best)
 
 
-@given(pools=random_pools(), weights=random_weights())
+@given(drawn=random_pools(), weights=random_weights())
 @settings(max_examples=100, deadline=None)
-def test_selected_channel_is_in_selected_pool(pools, weights):
+def test_selected_channel_is_in_selected_pool(drawn, weights):
+    pools, minutes = drawn
     if not any(p.available_channels for p in pools):
         return
-    provider_id, channel_id, _ = select_best_channel(pools, weights)
+    provider_id, channel_id, _ = select_best_channel(pools, SbacConfig(weights, minutes))
     chosen = next(p for p in pools if p.provider_id == provider_id)
     assert channel_id in [ch.id for ch in chosen.available_channels]
 
 
 def test_utility_monotone_in_each_ingredient():
-    w_prob = SbacWeights(1.0, 0.0, 0.0)
-    assert (
-        channel_utility(pool([400.0, 410.0], total=4), w_prob).utility
-        > channel_utility(pool([400.0], total=4), w_prob).utility
+    assert utility(pool([400.0, 410.0], total=4), AVAILABILITY) > utility(
+        pool([400.0], total=4), AVAILABILITY
     )
-    w_spread = SbacWeights(0.0, 1.0, 0.0)
-    assert (
-        channel_utility(pool([400.0, 405.0]), w_spread).utility
-        > channel_utility(pool([400.0, 420.0]), w_spread).utility
-    )
-    w_cost = SbacWeights(0.0, 0.0, 1.0)
-    assert (
-        channel_utility(pool([400.0], cost_rate=0.5), w_cost).utility
-        > channel_utility(pool([400.0], cost_rate=2.0), w_cost).utility
-    )
+    assert utility(pool([400.0, 405.0]), SPREAD) > utility(pool([400.0, 420.0]), SPREAD)
+    cost = config(0.0, 0.0, 1.0)
+    assert utility(pool([400.0], cost_rate=0.5), cost) > utility(pool([400.0], cost_rate=2.0), cost)
 
 
 # -- live pools -------------------------------------------------------------------
@@ -279,7 +283,7 @@ def explicit_bands(draw):
 def test_live_pool_starts_full_and_summarises_every_order():
     # list, id and frequency orders differ; 7 and 5 share a frequency
     provider = explicit_provider(0, [(7, 403.0), (2, 400.0), (11, 401.0), (5, 403.0), (0, 402.0)])
-    pool = LivePool(provider, session_minutes=1.0)
+    pool = LivePool(provider)
     assert summaries(pool) == (5, 400e6, 403e6, 0)
     for channel_id in (0, 2, 7):
         pool.take(channel_id)
@@ -290,7 +294,7 @@ def test_live_pool_starts_full_and_summarises_every_order():
 
 
 def test_live_pool_rejects_double_take_double_give_and_unknown_channels():
-    pool = LivePool(explicit_provider(0, [(4, 400.0), (9, 401.0)]), session_minutes=1.0)
+    pool = LivePool(explicit_provider(0, [(4, 400.0), (9, 401.0)]))
     pool.take(9)
     with pytest.raises(StateError, match="already held"):
         pool.take(9)
@@ -303,7 +307,7 @@ def test_live_pool_rejects_double_take_double_give_and_unknown_channels():
 
 @pytest.mark.parametrize("mask", ["id_mask", "frequency_mask"])
 def test_audit_flags_a_flipped_pool_bit(mask):
-    pool = LivePool(explicit_provider(0, [(7, 403.0), (2, 400.0), (11, 401.0)]), 1.0)
+    pool = LivePool(explicit_provider(0, [(7, 403.0), (2, 400.0), (11, 401.0)]))
     pool.take(11)
     pool.audit([11])
     setattr(pool, mask, getattr(pool, mask) ^ 0b100)
@@ -327,7 +331,8 @@ def test_live_pools_score_like_tuple_built_pools(bands, ops, weights):
     providers = [
         explicit_provider(i, band, cost_rate=0.01 * (i + 1)) for i, band in enumerate(bands)
     ]
-    live = [LivePool(provider, session_minutes=2.0) for provider in providers]
+    live = [LivePool(provider) for provider in providers]
+    sbac_config = SbacConfig(weights, session_minutes=2.0)
     held = [set() for _ in providers]
 
     def check():
@@ -338,7 +343,6 @@ def test_live_pools_score_like_tuple_built_pools(bands, ops, weights):
                     ch for ch in provider.channels if ch.id not in held[provider.id]
                 ),
                 total_channels=provider.num_channels,
-                session_minutes=2.0,
                 cost_rate=provider.cost_rate,
             )
             for provider in providers
@@ -348,10 +352,10 @@ def test_live_pools_score_like_tuple_built_pools(bands, ops, weights):
             assert pool.available_channels == reference.available_channels
             pool.audit(held[pool.provider_id])
         if any(reference.free_count for reference in built):
-            assert select_best_channel(live, weights) == select_best_channel(built, weights)
+            assert select_best_channel(live, sbac_config) == select_best_channel(built, sbac_config)
         else:
             with pytest.raises(NoCandidateError):
-                select_best_channel(live, weights)
+                select_best_channel(live, sbac_config)
 
     check()
     for provider_index, position in ops:

@@ -1,6 +1,7 @@
 """Poisson workload generation: statistics, determinism, independence."""
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -80,13 +81,14 @@ def test_adding_a_provider_does_not_perturb_others():
 
 
 def test_events_carry_common_requested_rate_and_holding():
+    # the common rate lives on the spec alone and changes no draw
     spec = TrafficSpec(
         arrival_rates=(1.0,), mean_holding_time=2.0, horizon=100.0, seed=4,
         requested_rate=2.5e5,
     )
     events = build_event_stream(spec)
     assert events
-    assert all(e.requested_rate == 2.5e5 for e in events)
+    assert events == build_event_stream(dataclasses.replace(spec, requested_rate=1e5))
     assert all(e.holding_time > 0 for e in events)
 
 
