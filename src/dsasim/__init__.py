@@ -13,7 +13,6 @@ blocking probability.
 __version__ = "0.1.0"
 
 from .engine import (
-    OccupancyState,
     Outcome,
     QosConfig,
     SessionRecord,
@@ -26,7 +25,6 @@ from .errors import (
     DsasimError,
     GeometryError,
     InvalidTopologyError,
-    MetricError,
     NoCandidateError,
     StateError,
     TraceError,
@@ -55,7 +53,7 @@ from .topology import (
     gains_from_positions,
     validate_topology,
 )
-from .traffic import ArrivalEvent, TrafficSpec, build_event_stream, draw_holding_time
+from .traffic import ArrivalEvent, TrafficSpec, build_event_stream
 
 __all__ = [
     "__version__",
@@ -66,12 +64,10 @@ __all__ = [
     "GainMatrices",
     "GeometryError",
     "InvalidTopologyError",
-    "MetricError",
     "MetricsReport",
     "Modulation",
     "NetworkTopology",
     "NoCandidateError",
-    "OccupancyState",
     "Outcome",
     "PowerSolution",
     "PrimaryReceivingPoint",
@@ -94,7 +90,6 @@ __all__ = [
     "check_interference",
     "check_qos",
     "compute_sinr",
-    "draw_holding_time",
     "erlang_b",
     "gains_from_positions",
     "min_power_allocation",

@@ -58,7 +58,6 @@ class ScenarioConfig:
     path_loss_exponent: float
     reference_distance: float
     explicit_gains: bool
-    min_processing_gain: float | None = None
 
 
 def db_to_linear(value_db: float) -> float:
@@ -406,20 +405,10 @@ def _parse_sbac(raw, traffic: TrafficSpec) -> SbacConfig:
     return SbacConfig(weights=weights, session_minutes=session_minutes)
 
 
-def _parse_strategy(raw) -> tuple[tuple[Strategy, ...], QosConfig, float | None]:
+def _parse_strategy(raw) -> tuple[tuple[Strategy, ...], QosConfig]:
     path = "strategy"
     raw = _mapping(raw, path)
-    _check_keys(
-        raw,
-        {
-            "kind",
-            "physical_checks",
-            "channel_reuse",
-            "use_processing_gain",
-            "min_processing_gain",
-        },
-        path,
-    )
+    _check_keys(raw, {"kind", "physical_checks", "channel_reuse"}, path)
     kind_raw = _get(raw, "kind", path, default=None)
     if kind_raw is None:
         kinds_list = [Strategy.DYNAMIC_SBAC]
@@ -447,10 +436,8 @@ def _parse_strategy(raw) -> tuple[tuple[Strategy, ...], QosConfig, float | None]
     qos_config = QosConfig(
         physical_checks=_bool("physical_checks", False),
         channel_reuse=_bool("channel_reuse", False),
-        use_processing_gain=_bool("use_processing_gain", True),
     )
-    min_pg = _number(raw, "min_processing_gain", path, default=None)
-    return tuple(kinds_list), qos_config, min_pg
+    return tuple(kinds_list), qos_config
 
 
 def _parse_sweep(raw) -> SweepSpec | None:
@@ -496,7 +483,7 @@ def parse_config(text: str) -> ScenarioConfig:
 
     traffic = _parse_traffic(_get(document, "traffic", "document"), topology)
     sbac_config = _parse_sbac(document.get("sbac"), traffic)
-    strategies, qos_config, min_pg = _parse_strategy(document.get("strategy"))
+    strategies, qos_config = _parse_strategy(document.get("strategy"))
     sweep = _parse_sweep(document.get("sweep"))
 
     for link in topology.links:
@@ -504,12 +491,6 @@ def parse_config(text: str) -> ScenarioConfig:
             raise ConfigError(
                 f"traffic.requested_rate {traffic.requested_rate} outside link "
                 f"{link.id} allowed range [{link.rate_min}, {link.rate_max}]"
-            )
-        if min_pg is not None and link.bandwidth / traffic.requested_rate < min_pg:
-            raise ConfigError(
-                f"link {link.id} processing gain "
-                f"{link.bandwidth / traffic.requested_rate:.3f} below "
-                f"strategy.min_processing_gain {min_pg}"
             )
     if sweep is not None and sweep.parameter == "users" and explicit_gains:
         raise ConfigError(
@@ -527,7 +508,6 @@ def parse_config(text: str) -> ScenarioConfig:
         path_loss_exponent=exponent,
         reference_distance=reference,
         explicit_gains=explicit_gains,
-        min_processing_gain=min_pg,
     )
 
 
@@ -601,7 +581,6 @@ def config_to_document(config: ScenarioConfig) -> dict:
             "kind": [s.value for s in config.strategies],
             "physical_checks": config.qos.physical_checks,
             "channel_reuse": config.qos.channel_reuse,
-            "use_processing_gain": config.qos.use_processing_gain,
         },
     }
     if config.explicit_gains:
@@ -609,8 +588,6 @@ def config_to_document(config: ScenarioConfig) -> dict:
             "g_ss": topology.gains.g_ss.tolist(),
             "g_ps": topology.gains.g_ps.tolist(),
         }
-    if config.min_processing_gain is not None:
-        document["strategy"]["min_processing_gain"] = config.min_processing_gain
     if config.sweep is not None:
         document["sweep"] = {
             "parameter": config.sweep.parameter,

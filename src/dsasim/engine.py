@@ -6,17 +6,20 @@ selection), the best-available-channel rule picks a free channel, and an
 optional physical-layer stage re-solves minimal powers for the co-channel
 group and re-checks primary-point interference before the call is admitted.
 The admitted :class:`SessionRecord` is the only per-session state: the
-occupancy map holds it under its channel, the departure event carries it,
-and the co-channel group's links and powers are read from the held records.
+:class:`Simulation` holds it in the list of its channel index, in admission
+order, and the departure event carries it.  Under channel reuse that list
+is the co-channel group whose links and powers the power solve reads.
 Each provider's :class:`~dsasim.sbac.LivePool`, built once per run, follows
-the occupancy map as channels are taken and given back, so an arrival's
+the held sessions as channels are taken and given back, so an arrival's
 candidate pools cost nothing to build and O(1) each to score.
 A departure leaves the powers of the rest of its co-channel group as they
 are: they were solved for the larger group, so every target still holds,
 and they relax to the smaller group's minimal powers only at the next
 admission on that channel index.
 Departures at a given instant are processed before arrivals at the same
-instant, the standard loss-system convention.
+instant, the standard loss-system convention.  The run has one clock; the
+busy-channel and primary-interference integrals advance with it, clamped
+to the horizon so the metrics cover exactly ``[0, horizon]``.
 
 One run is strictly single-threaded; independent runs can execute
 concurrently because topologies and traffic specs are immutable.
@@ -24,6 +27,7 @@ concurrently because topologies and traffic specs are immutable.
 from __future__ import annotations
 
 import heapq
+from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 
@@ -61,7 +65,6 @@ class QosConfig:
 
     physical_checks: bool = False
     channel_reuse: bool = False
-    use_processing_gain: bool = True
 
 
 @dataclass(slots=True)
@@ -89,58 +92,14 @@ class SessionRecord:
         return self.outcome is Outcome.ADMITTED
 
 
-class OccupancyState:
-    """Held channels, the run clock and the busy-time integral.
-
-    ``holder`` maps each held ``(provider, channel)`` slot to the record of
-    the session holding it, in admission order.  The integral accumulates
-    busy channels times elapsed seconds, clamped to the run horizon so
-    spectral efficiency covers exactly ``[0, horizon]``.
-    """
-
-    def __init__(self, horizon: float):
-        self.horizon = horizon
-        self.holder: dict[tuple[int, int], SessionRecord] = {}
-        self.busy_integral = 0.0  # channel * seconds
-        self.clock = 0.0
-
-    def advance(self, time: float) -> tuple[float, float]:
-        """Move the clock to ``time``; returns the elapsed interval clamped to
-        the horizon (empty once the clock is past it)."""
-        if time < self.clock:
-            raise StateError(f"occupancy clock moved backwards ({self.clock} -> {time})")
-        start, end = min(self.clock, self.horizon), min(time, self.horizon)
-        if end > start:
-            self.busy_integral += len(self.holder) * (end - start)
-        self.clock = time
-        return start, end
-
-    def occupy(self, record: SessionRecord) -> None:
-        key = (record.provider_id, record.channel_id)
-        if key in self.holder:
-            raise StateError(
-                f"channel {key} already held by session {self.holder[key].session_id}"
-            )
-        self.holder[key] = record
-
-    def release(self, record: SessionRecord) -> None:
-        key = (record.provider_id, record.channel_id)
-        if self.holder.get(key) is not record:
-            raise StateError(f"session {record.session_id} holds no channel (double release?)")
-        del self.holder[key]
-
-    def audit(self) -> None:
-        """Exhaustive consistency audit; raises StateError on any mismatch."""
-        for key, record in self.holder.items():
-            if (record.provider_id, record.channel_id) != key:
-                raise StateError(
-                    f"session {record.session_id} is held on {key} but records "
-                    f"{(record.provider_id, record.channel_id)}"
-                )
-
-
 class Simulation:
-    """Single deterministic run; see :func:`run_simulation` for the one-call API."""
+    """Single deterministic run; see :func:`run_simulation` for the one-call API.
+
+    ``groups`` maps each channel index to the records of the sessions held
+    on it, in admission order, and ``busy`` counts them all.  ``clock`` is
+    the run's one clock; ``busy_integral`` (channel * seconds) and
+    ``primary_integral`` (watt * seconds per primary point) advance with it.
+    """
 
     def __init__(
         self,
@@ -169,13 +128,15 @@ class Simulation:
         self.qos = qos_config or QosConfig()
         self.audit = audit
 
-        self.state = OccupancyState(traffic_spec.horizon)
         self._pools = [LivePool(p) for p in topology.providers]
         self.records: list[SessionRecord] = []
+        self.groups: defaultdict[int, list[SessionRecord]] = defaultdict(list)
+        self.busy = 0
+        self.clock = 0.0
+        self.busy_integral = 0.0
         num_points = len(topology.primary_points)
         self.primary_loads = np.zeros(num_points)
         self.primary_integral = np.zeros(num_points)
-        self._next_link = 0
         self._ran = False
 
         self._g_ss = topology.gains.g_ss
@@ -188,11 +149,8 @@ class Simulation:
             self._noise = np.array([link.noise for link in links])
             self._sinr_target = np.array([link.sinr_target for link in links])
             self._power_max = np.array([link.power_max for link in links])
-            if self.qos.use_processing_gain:
-                bandwidth = np.array([link.bandwidth for link in links])
-                self._gain = bandwidth / traffic_spec.requested_rate
-            else:
-                self._gain = np.ones(len(links))
+            bandwidth = np.array([link.bandwidth for link in links])
+            self._gain = bandwidth / traffic_spec.requested_rate
 
     # -- event loop ---------------------------------------------------------
 
@@ -202,13 +160,15 @@ class Simulation:
             raise StateError("Simulation.run() was already called; build a new Simulation")
         self._ran = True
         events = build_event_stream(self.traffic_spec)
-        # entries: (time, kind, sequence, payload); kind 0 = departure, 1 = arrival,
-        # so departures at time t free capacity before arrivals at time t.
+        # entries: (time, kind, key, payload); kind 0 = departure, 1 = arrival,
+        # so departures at time t free capacity before arrivals at time t.  The
+        # key is unique within a kind (the arrival's index, the departing
+        # session's id, which rises in admission order), so tuple comparison
+        # never reaches the payload.
         heap: list[tuple[float, int, int, object]] = [
             (ev.time, 1, i, ev) for i, ev in enumerate(events)
         ]
         heapq.heapify(heap)
-        sequence = len(events)
 
         while heap:
             time, kind, _, payload = heapq.heappop(heap)
@@ -219,11 +179,8 @@ class Simulation:
                 record = self._admit(payload)
                 self.records.append(record)
                 if record.admitted:
-                    # the unique sequence number keeps tuple comparison off the record
-                    heapq.heappush(heap, (record.end_time, 0, sequence, record))
-                    sequence += 1
+                    heapq.heappush(heap, (record.end_time, 0, record.session_id, record))
             if self.audit:
-                self.state.audit()
                 self._audit_pools()
                 self._audit_primary_loads()
                 if self.qos.physical_checks:
@@ -231,17 +188,31 @@ class Simulation:
 
         # close the busy/interference integrals out to the horizon (departures
         # beyond it may already have advanced the clock further)
-        self._advance_clocks(max(self.traffic_spec.horizon, self.state.clock))
+        self._advance_clocks(max(self.traffic_spec.horizon, self.clock))
         return self.records, self._report()
 
     def _advance_clocks(self, time: float) -> None:
-        start, end = self.state.advance(time)
+        """Move the clock to ``time``, adding the busy channels and primary
+        loads times the elapsed interval clamped to the horizon."""
+        if time < self.clock:
+            raise StateError(f"clock moved backwards ({self.clock} -> {time})")
+        horizon = self.traffic_spec.horizon
+        start, end = min(self.clock, horizon), min(time, horizon)
         if end > start:
+            self.busy_integral += self.busy * (end - start)
             self.primary_integral += self.primary_loads * (end - start)
+        self.clock = time
 
     def _depart(self, record: SessionRecord) -> None:
         # the rest of the co-channel group keeps its powers (module docstring)
-        self.state.release(record)
+        group = self.groups[record.channel_id]
+        for index, held in enumerate(group):
+            if held is record:
+                del group[index]
+                break
+        else:
+            raise StateError(f"session {record.session_id} holds no channel (double release?)")
+        self.busy -= 1
         self._pools[record.provider_id].give(record.channel_id)
         if self.primary_loads.size:
             self.primary_loads -= self._g_ps[:, record.link_id] * record.power
@@ -255,8 +226,7 @@ class Simulation:
 
     def _admit(self, event: ArrivalEvent) -> SessionRecord:
         session_id = len(self.records)
-        link = self.topology.links[self._next_link % self.topology.num_links]
-        self._next_link += 1
+        link = self.topology.links[session_id % self.topology.num_links]
         record = SessionRecord(
             session_id=session_id,
             arrival_time=event.time,
@@ -288,18 +258,10 @@ class Simulation:
         record.provider_id = provider_id
         record.channel_id = channel_id
         record.end_time = event.time + event.holding_time
-        self.state.occupy(record)
         self._pools[provider_id].take(channel_id)
+        self.groups[channel_id].append(record)
+        self.busy += 1
         return record
-
-    def _co_channel_sessions(self, channel_id: int) -> list[SessionRecord]:
-        if not self.qos.channel_reuse:
-            return []
-        return [
-            held
-            for (_, held_channel), held in self.state.holder.items()
-            if held_channel == channel_id
-        ]
 
     def _physical_admission(self, channel_id: int, record: SessionRecord) -> Outcome:
         """Solve minimal powers for the co-channel group plus the new session.
@@ -309,7 +271,7 @@ class Simulation:
         primary point's tolerance.  On admission the group's records and
         ``record`` get the solved powers and ``primary_loads`` follows them.
         """
-        group = self._co_channel_sessions(channel_id)
+        group = self.groups[channel_id] if self.qos.channel_reuse else []
         ids = [member.link_id for member in group] + [record.link_id]
         g_ps = self._g_ps[:, ids]
         group_load = g_ps[:, :-1] @ [member.power for member in group]
@@ -332,11 +294,22 @@ class Simulation:
         return Outcome.ADMITTED
 
     def _audit_pools(self) -> None:
-        """Rebuild every live pool from the occupancy map; raises StateError
-        when one differs (see :meth:`LivePool.audit`)."""
+        """Check that every held record names its group's channel index and
+        that ``busy`` counts the held records, then rebuild every live pool
+        from them; raises StateError on any mismatch (see
+        :meth:`LivePool.audit`)."""
         held: list[list[int]] = [[] for _ in self._pools]
-        for provider_id, channel_id in self.state.holder:
-            held[provider_id].append(channel_id)
+        for channel_id, group in self.groups.items():
+            for record in group:
+                if record.channel_id != channel_id:
+                    raise StateError(
+                        f"session {record.session_id} is held on channel {channel_id} "
+                        f"but records channel {record.channel_id}"
+                    )
+                held[record.provider_id].append(channel_id)
+        count = sum(len(channel_ids) for channel_ids in held)
+        if count != self.busy:
+            raise StateError(f"busy count {self.busy} differs from the {count} held sessions")
         for pool, channel_ids in zip(self._pools, held):
             pool.audit(channel_ids)
 
@@ -344,7 +317,7 @@ class Simulation:
         """Recompute the primary loads from the held records' powers; raises
         StateError when the running sums drifted by more than 1e-9 of a
         point's tolerance (or of its load, where that is larger)."""
-        held = list(self.state.holder.values())
+        held = [record for group in self.groups.values() for record in group]
         expected = self._g_ps[:, [r.link_id for r in held]] @ np.array([r.power for r in held])
         if np.any(
             np.abs(self.primary_loads - expected) > 1e-9 * np.maximum(self._tolerance, expected)
@@ -359,10 +332,11 @@ class Simulation:
         independent :func:`qos.link_sinr`, on the held links' gains with the
         gains between different co-channel groups zeroed; raises StateError
         if any session misses its target."""
-        held = list(self.state.holder.items())
+        held = [(channel_id, record) for channel_id, group in self.groups.items()
+                for record in group]
         ids = [record.link_id for _, record in held]
         if self.qos.channel_reuse:
-            channels = np.array([channel_id for (_, channel_id), _ in held])
+            channels = np.array([channel_id for channel_id, _ in held])
             co_channel = channels[:, None] == channels[None, :]
         else:
             co_channel = np.eye(len(held), dtype=bool)
@@ -417,7 +391,7 @@ class Simulation:
             ),
             mean_primary_interference=mean_interference,
             spectral_efficiency=metrics.spectral_efficiency(
-                self.state.busy_integral, self.topology.total_channels, horizon
+                self.busy_integral, self.topology.total_channels, horizon
             ),
             blocking_probability=blocked / arrivals if arrivals else 0.0,
             arrivals=arrivals,

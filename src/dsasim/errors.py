@@ -21,10 +21,6 @@ class TraceError(DsasimError):
     """Raised when a piecewise-constant trace has gaps or overlaps."""
 
 
-class MetricError(DsasimError):
-    """Raised when a metric is undefined for the given inputs (e.g. no records)."""
-
-
 class StateError(DsasimError):
     """Internal simulator state inconsistency (double release etc.). Fail fast."""
 

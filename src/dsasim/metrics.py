@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import MetricError, TraceError
+from .errors import TraceError
 
 _TILE_TOLERANCE = 1e-9
 
@@ -105,15 +105,6 @@ def spectral_efficiency(busy_channel_seconds: float, total_channels: int, horizo
     if total_channels <= 0:
         raise ValueError(f"total_channels must be > 0, got {total_channels}")
     return (busy_channel_seconds / horizon) / total_channels
-
-
-def blocking_probability(records) -> float:
-    """Fraction of session requests denied service."""
-    records = list(records)
-    if not records:
-        raise MetricError("blocking probability is undefined for zero records")
-    blocked = sum(1 for record in records if not record.admitted)
-    return blocked / len(records)
 
 
 def erlang_b(channels: int, offered_load: float) -> float:

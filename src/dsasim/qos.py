@@ -4,9 +4,10 @@ The per-link quality measure is the effective bit-energy-to-noise ratio
 
     mu_i = (W_i / R_i) * g_ss[i][i] * P_i / (sum_{j != i} g_ss[i][j] * P_j + N_i)
 
-where ``W_i / R_i`` is the processing gain (replaced by 1 for access schemes
-without spreading).  A link's QoS holds when ``mu_i >= gamma_i``; each primary
-receiving point ``j`` additionally requires ``sum_i g_ps[j][i] * P_i <= T_j``.
+where ``W_i / R_i`` is the processing gain (exactly 1 for an access scheme
+without spreading, whose link bandwidth equals the requested rate).  A
+link's QoS holds when ``mu_i >= gamma_i``; each primary receiving point
+``j`` additionally requires ``sum_i g_ps[j][i] * P_i <= T_j``.
 
 With ``F[i][j] = gamma_i * g_ss[i][j] / ((W_i / R_i) * g_ss[i][i])`` for
 ``j != i`` (zero on the diagonal) and ``u_i = gamma_i * N_i / ((W_i / R_i) *
@@ -82,21 +83,14 @@ def qos_met(sinr: np.ndarray, sinr_target: np.ndarray) -> np.ndarray:
     return sinr >= sinr_target
 
 
-def compute_sinr(
-    topology: NetworkTopology,
-    powers: np.ndarray,
-    use_processing_gain: bool = True,
-) -> SinrReport:
+def compute_sinr(topology: NetworkTopology, powers: np.ndarray) -> SinrReport:
     """Per-link SINR (the ``mu_i`` above) at the given transmit powers."""
     powers = np.asarray(powers, dtype=float)
     n = topology.num_links
     if powers.shape != (n,):
         raise ValueError(f"powers shape {powers.shape} does not match {n} links")
     noise = np.array([link.noise for link in topology.links])
-    if use_processing_gain:
-        pg = np.array([link.processing_gain for link in topology.links])
-    else:
-        pg = np.ones(n)
+    pg = np.array([link.processing_gain for link in topology.links])
     return SinrReport(sinr=link_sinr(topology.gains.g_ss, noise, pg, powers), processing_gain=pg)
 
 
@@ -160,20 +154,14 @@ def solve_min_powers(
     )
 
 
-def min_power_allocation(
-    topology: NetworkTopology, use_processing_gain: bool = True
-) -> PowerSolution:
+def min_power_allocation(topology: NetworkTopology) -> PowerSolution:
     """Component-wise minimal powers meeting every link's QoS target, with the
     topology's links as one co-channel group (see :func:`solve_min_powers`)."""
     links = topology.links
-    if use_processing_gain:
-        gain = np.array([link.processing_gain for link in links])
-    else:
-        gain = np.ones(topology.num_links)
     return solve_min_powers(
         topology.gains.g_ss,
         np.array([link.noise for link in links]),
-        gain,
+        np.array([link.processing_gain for link in links]),
         np.array([link.sinr_target for link in links]),
         np.array([link.power_max for link in links]),
         topology.gains.g_ps,

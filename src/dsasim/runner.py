@@ -15,6 +15,7 @@ import logging
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from enum import Enum
 from pathlib import Path
 
 from . import __version__
@@ -25,17 +26,19 @@ logger = logging.getLogger(__name__)
 
 WORKERS_ENV_VAR = "DSASIM_WORKERS"
 
-SESSION_COLUMNS = (
-    "session_id",
-    "arrival_time",
-    "end_time",
-    "home_provider_id",
-    "provider_id",
-    "channel_id",
-    "link_id",
-    "outcome",
-    "power",
-)
+# the session log header: the SessionRecord fields in declaration order
+SESSION_COLUMNS = tuple(f.name for f in dataclasses.fields(SessionRecord))
+
+
+def _csv_cell(value) -> str:
+    """One results.csv or session-log cell: floats in full precision."""
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return repr(value)
+    if isinstance(value, Enum):
+        return value.value
+    return str(value)
 
 
 @dataclass(frozen=True)
@@ -55,18 +58,6 @@ class ResultRow:
     blocked_no_channel: int
     blocked_qos: int
     blocked_interference: int
-
-    def as_csv_values(self) -> list[str]:
-        values = []
-        for column in RESULT_COLUMNS:
-            value = getattr(self, column)
-            if value is None:
-                values.append("")
-            elif isinstance(value, float):
-                values.append(repr(value))
-            else:
-                values.append(str(value))
-        return values
 
 
 # the results.csv header: the ResultRow fields in declaration order
@@ -172,32 +163,21 @@ def _run_label(spec: RunSpec) -> str:
     return f"{spec.sweep_param}_{value}_seed{spec.seed}_{spec.strategy.value}"
 
 
-def write_results_csv(path: Path, rows: list[ResultRow]) -> None:
+def _write_table(path: Path, columns: tuple[str, ...], items) -> None:
+    """One CSV row per item: its ``columns`` attributes through :func:`_csv_cell`."""
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
-        writer.writerow(RESULT_COLUMNS)
-        for row in rows:
-            writer.writerow(row.as_csv_values())
+        writer.writerow(columns)
+        for item in items:
+            writer.writerow([_csv_cell(getattr(item, column)) for column in columns])
+
+
+def write_results_csv(path: Path, rows: list[ResultRow]) -> None:
+    _write_table(path, RESULT_COLUMNS, rows)
 
 
 def write_session_log(path: Path, records: list[SessionRecord]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(SESSION_COLUMNS)
-        for record in records:
-            writer.writerow(
-                [
-                    record.session_id,
-                    repr(record.arrival_time),
-                    repr(record.end_time),
-                    record.home_provider_id,
-                    "" if record.provider_id is None else record.provider_id,
-                    "" if record.channel_id is None else record.channel_id,
-                    record.link_id,
-                    record.outcome.value,
-                    repr(record.power),
-                ]
-            )
+    _write_table(path, SESSION_COLUMNS, records)
 
 
 def run_scenario(

@@ -64,11 +64,6 @@ def draw_exponential(rng: np.random.Generator, mean: float) -> float:
     return -mean * float(np.log(u))
 
 
-def draw_holding_time(rng: np.random.Generator, mean: float) -> float:
-    """Session holding time: exponential with the given mean, > 0."""
-    return draw_exponential(rng, mean)
-
-
 def build_event_stream(spec: TrafficSpec) -> list[ArrivalEvent]:
     """Generate the merged, time-ordered arrival stream for all providers.
 
@@ -89,7 +84,7 @@ def build_event_stream(spec: TrafficSpec) -> list[ArrivalEvent]:
             t += draw_exponential(rng, mean_gap)
             if t >= spec.horizon:
                 break
-            holding = draw_holding_time(rng, spec.mean_holding_time)
+            holding = draw_exponential(rng, spec.mean_holding_time)
             events.append(
                 ArrivalEvent(time=t, provider_id=provider_id, holding_time=holding)
             )

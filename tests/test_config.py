@@ -150,7 +150,13 @@ def test_unknown_key_is_named():
         parse(doc(extra={}))
 
 
-@pytest.mark.parametrize("key", ["solver_tolerance", "solver_max_iterations", "solver_patience"])
+@pytest.mark.parametrize(
+    "key",
+    [
+        "solver_tolerance", "solver_max_iterations", "solver_patience",
+        "use_processing_gain", "min_processing_gain",
+    ],
+)
 def test_removed_solver_knobs_are_unknown_keys(key):
     with pytest.raises(ConfigError, match=f"unknown key strategy.{key}"):
         parse(doc(**{f"strategy.{key}": 1e-9}))

@@ -1,4 +1,4 @@
-"""Event loop, admission outcomes, occupancy accounting, run invariants."""
+"""Event loop, admission outcomes, held sessions and the clock, run invariants."""
 from __future__ import annotations
 
 import dataclasses
@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dsasim import (
     InvalidTopologyError,
@@ -15,14 +17,14 @@ from dsasim import (
     SbacConfig,
     SbacWeights,
     ServiceProvider,
-    SessionRecord,
     SpectrumChannel,
     StateError,
     Strategy,
     TrafficSpec,
     run_simulation,
 )
-from dsasim.engine import OccupancyState, Simulation
+from dsasim import sbac
+from dsasim.engine import Simulation
 from dsasim.sbac import LivePool
 from dsasim.metrics import mean_primary_interference
 
@@ -180,74 +182,95 @@ def test_dynamic_strategy_offloads_to_other_providers():
     assert 1 in providers_used  # overflow traffic lands on the idle provider
 
 
-# -- occupancy state -----------------------------------------------------------------
-
-
-def held_record(session_id, provider_id=0, channel_id=0):
-    return SessionRecord(
-        session_id=session_id, arrival_time=0.0, end_time=1.0, home_provider_id=provider_id,
-        provider_id=provider_id, channel_id=channel_id, link_id=0, outcome=Outcome.ADMITTED,
-    )
+# -- held sessions and the run clock -------------------------------------------------
 
 
 def test_occupancy_release_restores_prior_state():
-    state = OccupancyState(horizon=100.0)
-    record = held_record(7, channel_id=3)
-    state.advance(10.0)
-    state.occupy(record)
-    assert state.holder == {(0, 3): record}
-    state.advance(25.0)
-    state.release(record)
-    assert state.holder == {}
+    # the heap drains every departure, also those past the horizon, so a run
+    # ends with nothing held and every pool whole again
+    topology = make_topology(num_providers=2, channels=3)
+    spec = spec_for([1.5, 0.5], holding=2.0, horizon=50.0, seed=1)
+    sim = Simulation(topology, spec, Strategy.DYNAMIC_SBAC, audit=True)
+    _, report = sim.run()
+    assert report.blocked_no_channel > 0  # the channels did fill up
+    assert sim.busy == 0
+    assert sim.groups and all(group == [] for group in sim.groups.values())
+    assert all(pool.free_count == pool.total_channels for pool in sim._pools)
 
 
 def test_occupancy_integral_counts_exact_busy_time():
-    state = OccupancyState(horizon=100.0)
-    record = held_record(1)
-    state.occupy(record)
-    assert state.advance(30.0) == (0.0, 30.0)
-    state.release(record)
-    state.advance(100.0)
-    assert state.busy_integral == pytest.approx(30.0)
+    topology = make_topology(num_providers=2, channels=3)
+    spec = spec_for([1.5, 0.5], holding=2.0, horizon=50.0, seed=1)
+    sim = Simulation(topology, spec, Strategy.DYNAMIC_SBAC)
+    records, report = sim.run()
+    held = sum(min(r.end_time, spec.horizon) - r.arrival_time for r in records if r.admitted)
+    assert sim.busy_integral == pytest.approx(held, rel=1e-12)
+    assert report.spectral_efficiency == sim.busy_integral / spec.horizon / 6
 
 
 def test_occupancy_integral_clamps_to_horizon():
-    state = OccupancyState(horizon=50.0)
-    record = held_record(1)
-    state.occupy(record)
-    assert state.advance(80.0) == (0.0, 50.0)  # departure past the horizon
-    state.release(record)
-    assert state.busy_integral == pytest.approx(50.0)
-    assert state.advance(90.0) == (50.0, 50.0)
+    # one channel held from the first arrival far past the 2 s horizon
+    topology = make_topology(num_providers=1, channels=1)
+    spec = spec_for([5.0], holding=1e7, horizon=2.0, seed=3)
+    sim = Simulation(topology, spec, Strategy.FIXED, audit=True)
+    records, report = sim.run()
+    assert records[0].admitted and records[0].end_time > 1e5
+    assert sim.clock == records[0].end_time  # its departure moved the clock last
+    assert sim.busy_integral == pytest.approx(spec.horizon - records[0].arrival_time, rel=1e-12)
+    assert report.spectral_efficiency <= 1.0
+
+
+def run_with_engine(engine_class, audit=False):
+    topology = make_topology(num_providers=2, channels=3)
+    spec = spec_for([1.5, 0.5], holding=2.0, horizon=50.0, seed=1)
+    return engine_class(topology, spec, Strategy.DYNAMIC_SBAC, audit=audit).run()
 
 
 def test_double_release_is_a_state_error():
-    state = OccupancyState(horizon=10.0)
-    record = held_record(1)
-    state.occupy(record)
-    state.release(record)
-    with pytest.raises(StateError):
-        state.release(record)
+    class DepartingTwice(Simulation):
+        def _depart(self, record):
+            super()._depart(record)
+            super()._depart(record)
+
+    with pytest.raises(StateError, match="holds no channel"):
+        run_with_engine(DepartingTwice)
 
 
-def test_double_occupancy_is_a_state_error():
-    state = OccupancyState(horizon=10.0)
-    state.occupy(held_record(1))
-    with pytest.raises(StateError):
-        state.occupy(held_record(2))
-    # nor may a session release the slot another session holds
-    with pytest.raises(StateError):
-        state.release(held_record(2))
+def test_double_occupancy_is_a_state_error(monkeypatch):
+    # a record equal to a held one but not it is not held: identity decides
+    class DepartingACopy(Simulation):
+        def _depart(self, record):
+            super()._depart(dataclasses.replace(record))
+
+    with pytest.raises(StateError, match="holds no channel"):
+        run_with_engine(DepartingACopy)
+    # nor may a second session be admitted onto a held channel
+    monkeypatch.setattr(sbac, "select_best_channel", lambda pools, config: (0, 0, 1.0))
+    with pytest.raises(StateError, match=r"channel \(0, 0\) is already held"):
+        run_with_engine(Simulation)
 
 
 def test_audit_flags_a_record_held_under_another_slot():
-    state = OccupancyState(horizon=10.0)
-    record = held_record(1, channel_id=2)
-    state.occupy(record)
-    state.audit()
-    record.channel_id = 3
-    with pytest.raises(StateError, match="session 1"):
-        state.audit()
+    class Relabelling(Simulation):
+        def _admit(self, event):
+            record = super()._admit(event)
+            if record.admitted and record.session_id == 4:
+                record.channel_id += 100
+            return record
+
+    with pytest.raises(StateError, match="session 4 is held on channel"):
+        run_with_engine(Relabelling, audit=True)
+
+
+def test_audit_flags_a_miscounted_busy_channel():
+    class Miscounting(Simulation):
+        def _depart(self, record):
+            super()._depart(record)
+            self.busy += 1
+
+    run_with_engine(Simulation, audit=True)
+    with pytest.raises(StateError, match="busy count"):
+        run_with_engine(Miscounting, audit=True)
 
 
 # -- run invariants --------------------------------------------------------------------
@@ -269,6 +292,40 @@ def test_conservation_of_arrivals(strategy, seed):
     )
     assert 0.0 <= report.spectral_efficiency <= 1.0
     assert 0.0 <= report.blocking_probability <= 1.0
+
+
+@given(
+    providers=st.integers(1, 3),
+    channels=st.integers(1, 4),
+    links=st.integers(1, 6),
+    strategy=st.sampled_from(Strategy),
+    physical=st.booleans(),
+    reuse=st.booleans(),
+    tolerance=st.sampled_from([1e-3, 4e-11, 1e-11]),
+    load=st.floats(0.2, 2.0),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=100, deadline=None)
+def test_audited_runs_conserve_arrivals_and_repeat(
+    providers, channels, links, strategy, physical, reuse, tolerance, load, seed
+):
+    # audit=True rebuilds the pools, the busy count, the primary loads and
+    # every group's SINR from the held records after each event
+    topology = make_topology(
+        num_providers=providers, channels=channels, num_links=links, tolerance=tolerance
+    )
+    spec = spec_for([load * (1 + p) for p in range(providers)], holding=3.0, horizon=20.0,
+                    seed=seed)
+    qos_config = QosConfig(physical_checks=physical, channel_reuse=reuse)
+    sim = Simulation(topology, spec, strategy, qos_config=qos_config, audit=True)
+    records, report = sim.run()
+    assert report.arrivals == len(records) == (
+        report.admitted + report.blocked_no_channel + report.blocked_qos
+        + report.blocked_interference
+    )
+    assert sim.busy == 0 and not any(sim.groups.values())
+    assert 0.0 <= report.spectral_efficiency <= 1.0
+    assert run_simulation(topology, spec, strategy, qos_config=qos_config) == (records, report)
 
 
 def test_identical_inputs_give_identical_outputs(simple_topology):

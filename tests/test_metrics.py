@@ -7,9 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from dsasim import MetricError, TraceError, erlang_b
+from dsasim import TraceError, erlang_b
 from dsasim.metrics import (
-    blocking_probability,
     mean_primary_interference,
     propagation_delay,
     rtt,
@@ -146,32 +145,6 @@ def test_spectral_efficiency_idle():
 
 def test_spectral_efficiency_one_of_four_half_time():
     assert spectral_efficiency(50.0, total_channels=4, horizon=100.0) == pytest.approx(0.125)
-
-
-# -- blocking probability --------------------------------------------------------------
-
-
-def _records(admitted: int, blocked: int):
-    return [FakeRecord(0.0, 1.0, admitted=True) for _ in range(admitted)] + [
-        FakeRecord(0.0, 0.0, admitted=False) for _ in range(blocked)
-    ]
-
-
-def test_blocking_all_admitted():
-    assert blocking_probability(_records(5, 0)) == 0.0
-
-
-def test_blocking_all_blocked():
-    assert blocking_probability(_records(0, 4)) == 1.0
-
-
-def test_blocking_three_of_twelve():
-    assert blocking_probability(_records(9, 3)) == 0.25
-
-
-def test_blocking_undefined_for_empty_records():
-    with pytest.raises(MetricError):
-        blocking_probability([])
 
 
 # -- Erlang-B ----------------------------------------------------------------------------

@@ -75,10 +75,11 @@ def test_two_symmetric_links():
     assert report.sinr == pytest.approx([1.0, 1.0], rel=1e-15)
 
 
-def test_processing_gain_flag_replaces_ratio_by_one():
-    link = make_link(0, bandwidth=1e6, rate=1e5, noise=0.1)
+def test_unspread_link_has_processing_gain_one():
+    # no spreading: the link's bandwidth equals the requested rate
+    link = make_link(0, bandwidth=1e5, rate=1e5, noise=0.1)
     topology = explicit_gain_topology([[1.0]], [link])
-    report = compute_sinr(topology, np.array([1.0]), use_processing_gain=False)
+    report = compute_sinr(topology, np.array([1.0]))
     assert report.sinr[0] == pytest.approx(10.0, rel=1e-15)
     assert report.processing_gain[0] == 1.0
 

@@ -98,6 +98,53 @@ def test_verbose_writes_session_logs(tmp_path):
     assert {"session_id", "outcome", "provider_id"} <= set(rows[0].keys())
 
 
+# The session log of a physical-checks reuse run, recorded before the log was
+# written from the SessionRecord fields: every outcome, empty cells for the
+# blocked calls' provider and channel, powers re-solved as groups grew, and
+# session 5 outliving the 40 s horizon.
+GOLDEN_SESSION_LOG = [
+    "session_id,arrival_time,end_time,home_provider_id,provider_id,channel_id,link_id,outcome,power",
+    "0,1.2863810713394705,9.865737787138935,1,0,0,0,ADMITTED,0.0007812500000007813",
+    "1,7.576470441596222,15.424853148658652,0,0,1,1,ADMITTED,0.0007812500000007813",
+    "2,16.040994842832042,24.11071037410538,0,0,0,2,ADMITTED,0.0007812500000007813",
+    "3,20.81596524176829,30.611163277971293,0,0,1,0,ADMITTED,0.0008607859876617553",
+    "4,22.522483716434657,22.522483716434657,1,,,1,BLOCKED_QOS,0.0",
+    "5,26.049289314847787,52.99241331405163,1,0,0,2,ADMITTED,0.0007937211469078623",
+    "6,26.62510499091929,31.67343620090055,0,1,0,0,ADMITTED,0.0008607859876617553",
+    "7,28.48562054548625,28.48562054548625,0,,,1,BLOCKED_QOS,0.0",
+    "8,29.502425781725147,45.52959263526739,0,1,1,2,ADMITTED,0.0007937211469078623",
+    "9,30.584981362078132,30.584981362078132,1,,,0,BLOCKED_NO_CHANNEL,0.0",
+    "10,32.14547757512708,32.14547757512708,1,,,1,BLOCKED_QOS,0.0",
+    "11,33.780605702934544,33.780605702934544,1,,,2,BLOCKED_INTERFERENCE,0.0",
+    "12,35.330419820793,48.23570989424904,1,0,1,0,ADMITTED,0.0008607859876617553",
+    "13,35.628379135367744,35.628379135367744,1,,,1,BLOCKED_QOS,0.0",
+]
+
+
+def test_verbose_session_log_is_golden(tmp_path):
+    document = scenario(
+        traffic=dict(BASE_DOCUMENT["traffic"], arrival_rate=0.2, horizon=40.0),
+        strategy={"kind": "DYNAMIC_SBAC", "physical_checks": True, "channel_reuse": True},
+    )
+    topology = document["topology"]
+    provider = topology["providers"][0]
+    topology["providers"] = [
+        dict(provider, channels=2),
+        dict(provider, channels=2, base_frequency=4.5e8),
+    ]
+    topology["links"] = [
+        dict(
+            topology["links"][0], power=0.001, power_max=0.0018,
+            tx=[300.0 * i, 0.0], rx=[300.0 * i + 200.0, 150.0],
+        )
+        for i in range(3)
+    ]
+    topology["primary_points"] = [{"position": [1000.0, 1000.0], "tolerance": 2.0e-12}]
+    assert run_scenario(parse(document), tmp_path / "out", verbose=True) == 0
+    log = tmp_path / "out" / "sessions" / "none_single_seed42_DYNAMIC_SBAC.csv"
+    assert log.read_bytes() == "".join(line + "\r\n" for line in GOLDEN_SESSION_LOG).encode()
+
+
 def test_users_sweep_scales_population_and_load(tmp_path):
     document = scenario(sweep={"parameter": "users", "values": [1, 4]})
     config = parse(document)

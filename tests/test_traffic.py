@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from dsasim import TrafficSpec, build_event_stream, draw_holding_time
+from dsasim import TrafficSpec, build_event_stream
 from dsasim.traffic import draw_exponential, provider_rng
 
 
@@ -37,13 +37,13 @@ def test_different_seed_gives_different_stream():
 
 def test_holding_time_sample_mean():
     rng = provider_rng(999, 0)
-    draws = np.array([draw_holding_time(rng, 100.0) for _ in range(100_000)])
+    draws = np.array([draw_exponential(rng, 100.0) for _ in range(100_000)])
     assert draws.mean() == pytest.approx(100.0, rel=0.01)
 
 
 def test_holding_times_strictly_positive():
     rng = provider_rng(3, 0)
-    assert all(draw_holding_time(rng, 0.5) > 0.0 for _ in range(10_000))
+    assert all(draw_exponential(rng, 0.5) > 0.0 for _ in range(10_000))
 
 
 def test_draws_scale_linearly_with_mean():
