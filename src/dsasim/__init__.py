@@ -33,13 +33,12 @@ from .errors import (
 from .metrics import MetricsReport, erlang_b
 from .qos import (
     PowerSolution,
-    SinrReport,
     ber_from_sinr,
-    check_interference,
-    check_qos,
-    compute_sinr,
-    min_power_allocation,
+    link_arrays,
+    link_sinr,
+    qos_met,
     sinr_target_from_ber,
+    solve_min_powers,
 )
 from .sbac import CandidatePool, SbacConfig, SbacWeights, select_best_channel, utility
 from .topology import (
@@ -78,7 +77,6 @@ __all__ = [
     "ServiceProvider",
     "SessionRecord",
     "Simulation",
-    "SinrReport",
     "SpectrumChannel",
     "StateError",
     "Strategy",
@@ -87,15 +85,15 @@ __all__ = [
     "UnsupportedModulationError",
     "ber_from_sinr",
     "build_event_stream",
-    "check_interference",
-    "check_qos",
-    "compute_sinr",
     "erlang_b",
     "gains_from_positions",
-    "min_power_allocation",
+    "link_arrays",
+    "link_sinr",
+    "qos_met",
     "run_simulation",
     "select_best_channel",
     "sinr_target_from_ber",
+    "solve_min_powers",
     "utility",
     "validate_topology",
 ]

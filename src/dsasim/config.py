@@ -4,8 +4,9 @@ The document has five sections: ``topology`` (providers, links, primary
 points, gain model), ``traffic`` (arrival rates, holding time, horizon,
 seed), ``sbac`` (selection weights and session length), ``strategy`` (allocation
 kind(s) and physical-layer flags) and an optional ``sweep``.  Parsing is
-strict: unknown or missing keys fail with the offending key path, dB-valued
-fields are converted to linear watts, and every applied default is logged.
+strict: unknown or missing keys fail with the offending key path, numbers must be
+finite, dB-valued fields are converted to linear watts, and every applied
+default is logged.
 A parsed config serializes back to an equivalent document, so any run can
 be reproduced from its normalized config alone.
 """
@@ -13,13 +14,14 @@ from __future__ import annotations
 
 import dataclasses
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import yaml
 
 from .engine import QosConfig, Strategy
-from .errors import ConfigError
+from .errors import ConfigError, GeometryError
 from .qos import sinr_target_from_ber
 from .sbac import SbacConfig, SbacWeights
 from .topology import (
@@ -85,35 +87,56 @@ def _check_keys(mapping: dict, allowed: set[str], path: str) -> None:
 
 
 def _get(mapping: dict, key: str, path: str, default=_MISSING):
+    """The value at ``path.key``; a missing key takes ``default``, which is
+    logged, or fails when there is none."""
     if key in mapping:
         return mapping[key]
     if default is _MISSING:
         raise ConfigError(f"missing required key {path}.{key}")
+    logger.info("defaulted %s.%s=%s", path, key, default)
     return default
 
 
 def _to_float(value, where: str) -> float:
     # YAML 1.1 resolves "3.0e8" (no sign) as a string; accept such spellings
-    if isinstance(value, str):
-        try:
-            return float(value)
-        except ValueError:
-            raise ConfigError(f"{where} must be a number, got {value!r}") from None
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
         raise ConfigError(f"{where} must be a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except (ValueError, OverflowError):
+        raise ConfigError(f"{where} must be a number, got {value!r}") from None
+    if not math.isfinite(number):
+        raise ConfigError(f"{where} must be finite, got {value!r}")
+    return number
 
 
 def _number(mapping: dict, key: str, path: str, default=_MISSING):
     if key not in mapping:
-        if default is _MISSING:
-            raise ConfigError(f"missing required key {path}.{key}")
-        return default
+        return _get(mapping, key, path, default)
     return _to_float(mapping[key], f"{path}.{key}")
 
 
-def _defaulted(key_path: str, value) -> None:
-    logger.info("defaulted %s=%s", key_path, value)
+def _watts(mapping: dict, key: str, path: str) -> float:
+    """``key`` in linear watts, or ``key_db`` converted from dB, but not both."""
+    db_key = f"{key}_db"
+    if db_key not in mapping:
+        return _number(mapping, key, path)
+    if key in mapping:
+        raise ConfigError(f"{path}.{key} and {path}.{db_key} are mutually exclusive")
+    try:
+        return db_to_linear(_number(mapping, db_key, path))
+    except OverflowError:
+        raise ConfigError(f"{path}.{db_key} is too large to convert from dB") from None
+
+
+def _matrix(value, path: str) -> np.ndarray:
+    try:
+        matrix = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{path} must be a matrix of finite numbers") from None
+    if not np.all(np.isfinite(matrix)):
+        raise ConfigError(f"{path} must be a matrix of finite numbers")
+    return matrix
 
 
 def _position(value, path: str) -> tuple[float, float]:
@@ -145,6 +168,8 @@ def _parse_provider(raw, index: int, path: str) -> ServiceProvider:
             SpectrumChannel(id=i, center_frequency=base + i * spacing, bandwidth=bandwidth)
             for i in range(channels_raw)
         )
+        if not math.isfinite(channels[-1].center_frequency):
+            raise ConfigError(f"{path}.channel_spacing puts channels at an infinite frequency")
     elif isinstance(channels_raw, list):
         for key in ("base_frequency", "channel_spacing", "channel_bandwidth"):
             if key in raw:
@@ -191,13 +216,7 @@ def _parse_link(raw, index: int, path: str) -> SecondaryLink:
         },
         path,
     )
-    if "noise" in raw and "noise_db" in raw:
-        raise ConfigError(f"{path}.noise and {path}.noise_db are mutually exclusive")
-    if "noise_db" in raw:
-        noise = db_to_linear(_number(raw, "noise_db", path))
-    else:
-        noise = _number(raw, "noise", path)
-
+    noise = _watts(raw, "noise", path)
     modulation_name = _get(raw, "modulation", path, default="NONE")
     try:
         modulation = Modulation(str(modulation_name).upper())
@@ -244,16 +263,10 @@ def _parse_link(raw, index: int, path: str) -> SecondaryLink:
 def _parse_primary_point(raw, index: int, path: str) -> PrimaryReceivingPoint:
     raw = _mapping(raw, path)
     _check_keys(raw, {"position", "tolerance", "tolerance_db"}, path)
-    if "tolerance" in raw and "tolerance_db" in raw:
-        raise ConfigError(f"{path}.tolerance and {path}.tolerance_db are mutually exclusive")
-    if "tolerance_db" in raw:
-        tolerance = db_to_linear(_number(raw, "tolerance_db", path))
-    else:
-        tolerance = _number(raw, "tolerance", path)
     return PrimaryReceivingPoint(
         id=index,
         position=_position(_get(raw, "position", path), f"{path}.position"),
-        tolerance=tolerance,
+        tolerance=_watts(raw, "tolerance", path),
     )
 
 
@@ -274,18 +287,9 @@ def _parse_topology(raw) -> tuple[NetworkTopology, float, float, bool]:
         path,
     )
 
-    speed = _number(raw, "propagation_speed", path, default=None)
-    if speed is None:
-        speed = 3.0e8
-        _defaulted("topology.propagation_speed", speed)
-    exponent = _number(raw, "path_loss_exponent", path, default=None)
-    if exponent is None:
-        exponent = 3.0
-        _defaulted("topology.path_loss_exponent", exponent)
-    reference = _number(raw, "reference_distance", path, default=None)
-    if reference is None:
-        reference = 1.0
-        _defaulted("topology.reference_distance", reference)
+    speed = _number(raw, "propagation_speed", path, default=3.0e8)
+    exponent = _number(raw, "path_loss_exponent", path, default=3.0)
+    reference = _number(raw, "reference_distance", path, default=1.0)
 
     providers_raw = _get(raw, "providers", path)
     if not isinstance(providers_raw, list) or not providers_raw:
@@ -311,20 +315,25 @@ def _parse_topology(raw) -> tuple[NetworkTopology, float, float, bool]:
     if explicit_gains:
         gains_raw = _mapping(raw["gains"], "topology.gains")
         _check_keys(gains_raw, {"g_ss", "g_ps"}, "topology.gains")
-        g_ss = np.asarray(_get(gains_raw, "g_ss", "topology.gains"), dtype=float)
+        g_ss = _matrix(_get(gains_raw, "g_ss", "topology.gains"), "topology.gains.g_ss")
         if points and "g_ps" not in gains_raw:
             raise ConfigError(
                 "topology.gains.g_ps is required when primary_points are present"
             )
         if "g_ps" in gains_raw:
-            g_ps = np.asarray(gains_raw["g_ps"], dtype=float)
+            g_ps = _matrix(gains_raw["g_ps"], "topology.gains.g_ps")
         else:
             g_ps = np.zeros((0, len(links)))
         gains = GainMatrices(g_ss=g_ss, g_ps=g_ps)
     else:
-        gains = gains_from_positions(
-            links, points, path_loss_exponent=exponent, reference_distance=reference
-        )
+        try:
+            gains = gains_from_positions(
+                links, points, path_loss_exponent=exponent, reference_distance=reference
+            )
+        except ValueError as exc:  # its message starts with the offending key's name
+            raise ConfigError(f"topology.{exc}") from None
+        except GeometryError as exc:
+            raise ConfigError(f"topology.links: {exc}") from None
 
     topology = NetworkTopology(
         providers=providers,
@@ -352,20 +361,15 @@ def _parse_traffic(raw, topology: NetworkTopology) -> TrafficSpec:
                 f"traffic.arrival_rate lists {len(rate_raw)} rates for "
                 f"{num_providers} providers"
             )
-        rates = tuple(_to_float(r, f"{path}.arrival_rate") for r in rate_raw)
+        rates = tuple(_to_float(r, f"{path}.arrival_rate[{i}]") for i, r in enumerate(rate_raw))
     else:
         rates = (_to_float(rate_raw, f"{path}.arrival_rate"),) * num_providers
     if any(r < 0 for r in rates):
         raise ConfigError("traffic.arrival_rate entries must be >= 0")
 
     seed = _get(raw, "seed", path)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ConfigError(f"traffic.seed must be an integer, got {seed!r}")
-
-    requested = _number(raw, "requested_rate", path, default=None)
-    if requested is None:
-        requested = topology.links[0].rate
-        _defaulted("traffic.requested_rate", requested)
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        raise ConfigError(f"traffic.seed must be an integer >= 0, got {seed!r}")
 
     try:
         return TrafficSpec(
@@ -373,7 +377,7 @@ def _parse_traffic(raw, topology: NetworkTopology) -> TrafficSpec:
             mean_holding_time=_number(raw, "mean_holding_time", path),
             horizon=_number(raw, "horizon", path),
             seed=seed,
-            requested_rate=requested,
+            requested_rate=_number(raw, "requested_rate", path, default=topology.links[0].rate),
         )
     except ValueError as exc:
         raise ConfigError(f"traffic section invalid: {exc}") from None
@@ -383,17 +387,13 @@ def _parse_sbac(raw, traffic: TrafficSpec) -> SbacConfig:
     path = "sbac"
     raw = _mapping(raw, path)
     _check_keys(raw, {"beta1", "beta2", "beta3", "session_minutes"}, path)
-    betas = {}
-    for key, default in (("beta1", 0.5), ("beta2", 0.3), ("beta3", 0.2)):
-        value = _number(raw, key, path, default=None)
-        if value is None:
-            value = default
-            _defaulted(f"sbac.{key}", value)
-        betas[key] = value
-    session_minutes = _number(raw, "session_minutes", path, default=None)
-    if session_minutes is None:
-        session_minutes = traffic.mean_holding_time / 60.0
-        _defaulted("sbac.session_minutes", session_minutes)
+    betas = {
+        key: _number(raw, key, path, default=default)
+        for key, default in (("beta1", 0.5), ("beta2", 0.3), ("beta3", 0.2))
+    }
+    session_minutes = _number(
+        raw, "session_minutes", path, default=traffic.mean_holding_time / 60.0
+    )
     try:
         weights = SbacWeights(**betas)
     except ValueError as exc:
@@ -409,23 +409,21 @@ def _parse_strategy(raw) -> tuple[tuple[Strategy, ...], QosConfig]:
     path = "strategy"
     raw = _mapping(raw, path)
     _check_keys(raw, {"kind", "physical_checks", "channel_reuse"}, path)
-    kind_raw = _get(raw, "kind", path, default=None)
-    if kind_raw is None:
-        kinds_list = [Strategy.DYNAMIC_SBAC]
-        _defaulted("strategy.kind", Strategy.DYNAMIC_SBAC.value)
-    else:
-        if not isinstance(kind_raw, list):
-            kind_raw = [kind_raw]
-        kinds_list = []
-        for name in kind_raw:
-            try:
-                kinds_list.append(Strategy(str(name).upper()))
-            except ValueError:
-                raise ConfigError(
-                    f"strategy.kind must be FIXED or DYNAMIC_SBAC, got {name!r}"
-                ) from None
-        if len(set(kinds_list)) != len(kinds_list):
-            raise ConfigError("strategy.kind lists a strategy twice")
+    kind_raw = _get(raw, "kind", path, default=Strategy.DYNAMIC_SBAC.value)
+    if kind_raw is None:  # an explicit null means the default too
+        kind_raw = Strategy.DYNAMIC_SBAC.value
+    if not isinstance(kind_raw, list):
+        kind_raw = [kind_raw]
+    kinds_list = []
+    for name in kind_raw:
+        try:
+            kinds_list.append(Strategy(str(name).upper()))
+        except ValueError:
+            raise ConfigError(
+                f"strategy.kind must be FIXED or DYNAMIC_SBAC, got {name!r}"
+            ) from None
+    if len(set(kinds_list)) != len(kinds_list):
+        raise ConfigError("strategy.kind lists a strategy twice")
 
     def _bool(key: str, default: bool) -> bool:
         value = _get(raw, key, path, default=default)
@@ -454,7 +452,12 @@ def _parse_sweep(raw) -> SweepSpec | None:
     values_raw = _get(raw, "values", path)
     if not isinstance(values_raw, list) or not values_raw:
         raise ConfigError("sweep.values must be a non-empty list of numbers")
-    values = tuple(_to_float(v, "sweep.values") for v in values_raw)
+    values = tuple(_to_float(v, f"sweep.values[{i}]") for i, v in enumerate(values_raw))
+    for i, value in enumerate(values):
+        if parameter == "users" and not (value >= 1 and value.is_integer()):
+            raise ConfigError(f"sweep.values[{i}] must be a user count >= 1, got {value}")
+        if parameter == "arrival_rate" and value < 0:
+            raise ConfigError(f"sweep.values[{i}] must be an arrival rate >= 0, got {value}")
     seeds = _get(raw, "seeds_per_point", path, default=1)
     if not isinstance(seeds, int) or isinstance(seeds, bool) or seeds < 1:
         raise ConfigError("sweep.seeds_per_point must be a positive integer")
@@ -469,7 +472,7 @@ def parse_config(text: str) -> ScenarioConfig:
     """
     try:
         document = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError) as exc:  # ValueError: an int past Python's digit limit
         raise ConfigError(f"not valid YAML: {exc}") from exc
     document = _mapping(document, "document")
     _check_keys(document, {"topology", "traffic", "sbac", "strategy", "sweep"}, "document")

@@ -143,14 +143,10 @@ class Simulation:
         self._g_ps = topology.gains.g_ps
         self._tolerance = np.array([p.tolerance for p in topology.primary_points])
         if self.qos.physical_checks:
-            # per-link physics as arrays indexed by link id, for the power solve;
-            # every session requests the same rate, so the processing gain is fixed
-            links = topology.links
-            self._noise = np.array([link.noise for link in links])
-            self._sinr_target = np.array([link.sinr_target for link in links])
-            self._power_max = np.array([link.power_max for link in links])
-            bandwidth = np.array([link.bandwidth for link in links])
-            self._gain = bandwidth / traffic_spec.requested_rate
+            # per-link physics as arrays indexed by link id, for the power solve
+            self._noise, self._gain, self._sinr_target, self._power_max = qos.link_arrays(
+                topology.links, traffic_spec.requested_rate
+            )
 
     # -- event loop ---------------------------------------------------------
 

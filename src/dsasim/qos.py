@@ -1,16 +1,18 @@
-"""SINR evaluation, QoS/interference checks and minimal-power feasibility.
+"""SINR, the QoS predicate and minimal powers of one co-channel group, given
+as the per-link arrays of :func:`link_arrays`.
 
 The per-link quality measure is the effective bit-energy-to-noise ratio
 
-    mu_i = (W_i / R_i) * g_ss[i][i] * P_i / (sum_{j != i} g_ss[i][j] * P_j + N_i)
+    mu_i = (W_i / R) * g_ss[i][i] * P_i / (sum_{j != i} g_ss[i][j] * P_j + N_i)
 
-where ``W_i / R_i`` is the processing gain (exactly 1 for an access scheme
-without spreading, whose link bandwidth equals the requested rate).  A
-link's QoS holds when ``mu_i >= gamma_i``; each primary receiving point
-``j`` additionally requires ``sum_i g_ps[j][i] * P_i <= T_j``.
+where ``W_i / R`` is the processing gain: the link bandwidth over the data
+rate every session requests (exactly 1 for an access scheme without
+spreading, whose link bandwidth equals the requested rate).  A link's QoS
+holds when ``mu_i >= gamma_i``; each primary receiving point ``j``
+additionally requires ``sum_i g_ps[j][i] * P_i <= T_j``.
 
-With ``F[i][j] = gamma_i * g_ss[i][j] / ((W_i / R_i) * g_ss[i][i])`` for
-``j != i`` (zero on the diagonal) and ``u_i = gamma_i * N_i / ((W_i / R_i) *
+With ``F[i][j] = gamma_i * g_ss[i][j] / ((W_i / R) * g_ss[i][i])`` for
+``j != i`` (zero on the diagonal) and ``u_i = gamma_i * N_i / ((W_i / R) *
 g_ss[i][i])``, the targets hold with equality exactly when ``(I - F) P = u``.
 Since ``F >= 0`` and ``u > 0``, that system has a positive solution exactly
 when the spectral radius of ``F`` is below one, and that solution is then the
@@ -22,53 +24,60 @@ finite powers meet the targets.
 A solve that meets the targets with equality lands on either side of them by
 rounding, so the solver raises every target by the relative margin
 ``QOS_MARGIN`` first.  The powers it returns then pass the exact comparison of
-:func:`check_qos` and sit just above the minimal ones.
+:func:`qos_met` and sit just above the minimal ones.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import erfc, erfcinv
 
 from .errors import UnsupportedModulationError
-from .topology import Modulation, NetworkTopology
+from .topology import Modulation, SecondaryLink
 
-# Relative margin on the SINR targets, so that solved powers pass check_qos.
+# Relative margin on the SINR targets, so that solved powers pass qos_met.
 # Over 29,822 admissions (8 x 10 channels, 32 links, reuse, 32 seeds) the
 # check failed 23,380 times at 0, 8 times at 1e-15 and never at 1e-14..1e-12.
 QOS_MARGIN = 1e-12
 
 
 @dataclass(frozen=True)
-class SinrReport:
-    """Per-link SINR values and the processing gains used to compute them."""
-
-    sinr: np.ndarray
-    processing_gain: np.ndarray
-
-
-@dataclass(frozen=True)
 class PowerSolution:
-    """Outcome of the minimal-power solve.
-
-    ``feasible`` requires both: the minimal powers respect every per-link
-    cap, and the primary-point interference constraints hold at them.  The
-    component flags are kept so callers can tell a QoS failure from an
-    interference failure.  When no finite powers meet every target, the
-    powers are infinite and so over every cap.
+    """Outcome of the minimal-power solve: are the minimal powers within every
+    per-link cap, and do the primary-point budgets hold at them?  Apart, the
+    two tell a QoS failure from an interference failure.  When no finite
+    powers meet every target, the powers are infinite and so over every cap.
     """
 
-    feasible: bool
     powers: np.ndarray
     within_power_caps: bool = True
     interference_ok: bool = True
+
+    @property
+    def feasible(self) -> bool:
+        return self.within_power_caps and self.interference_ok
+
+
+def link_arrays(
+    links: Sequence[SecondaryLink], requested_rate: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per-link noise, processing gain, SINR target and power cap arrays, in
+    the argument order of :func:`solve_min_powers`.  The processing gain is
+    each link's bandwidth over ``requested_rate``, every session's data rate.
+    """
+    noise = np.array([link.noise for link in links])
+    gain = np.array([link.bandwidth for link in links]) / requested_rate
+    sinr_target = np.array([link.sinr_target for link in links])
+    power_max = np.array([link.power_max for link in links])
+    return noise, gain, sinr_target, power_max
 
 
 def link_sinr(
     g_ss: np.ndarray, noise: np.ndarray, processing_gain: np.ndarray, powers: np.ndarray
 ) -> np.ndarray:
-    """Per-link SINR (the ``mu_i`` above) of one group given as per-link arrays."""
+    """Per-link SINR (the ``mu_i`` above) of one co-channel group."""
     # off-diagonal interference: sum_j!=i g_ss[i][j] * P_j
     interference = g_ss @ powers - np.diag(g_ss) * powers
     denominator = interference + noise
@@ -83,36 +92,6 @@ def qos_met(sinr: np.ndarray, sinr_target: np.ndarray) -> np.ndarray:
     return sinr >= sinr_target
 
 
-def compute_sinr(topology: NetworkTopology, powers: np.ndarray) -> SinrReport:
-    """Per-link SINR (the ``mu_i`` above) at the given transmit powers."""
-    powers = np.asarray(powers, dtype=float)
-    n = topology.num_links
-    if powers.shape != (n,):
-        raise ValueError(f"powers shape {powers.shape} does not match {n} links")
-    noise = np.array([link.noise for link in topology.links])
-    pg = np.array([link.processing_gain for link in topology.links])
-    return SinrReport(sinr=link_sinr(topology.gains.g_ss, noise, pg, powers), processing_gain=pg)
-
-
-def check_qos(report: SinrReport, topology: NetworkTopology) -> np.ndarray:
-    """Per-link boolean :func:`qos_met` against the topology's link targets."""
-    return qos_met(report.sinr, np.array([link.sinr_target for link in topology.links]))
-
-
-def check_interference(
-    topology: NetworkTopology, powers: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Aggregate secondary interference at each primary receiving point.
-
-    Returns ``(loads, satisfied)`` where ``loads[j] = sum_i g_ps[j][i]*P_i``
-    and ``satisfied[j]`` is ``loads[j] <= T_j``.
-    """
-    powers = np.asarray(powers, dtype=float)
-    loads = topology.gains.g_ps @ powers
-    tolerances = np.array([p.tolerance for p in topology.primary_points])
-    return loads, loads <= tolerances
-
-
 def solve_min_powers(
     g_ss: np.ndarray,
     noise: np.ndarray,
@@ -122,13 +101,13 @@ def solve_min_powers(
     g_ps: np.ndarray,
     primary_tolerance: np.ndarray,
 ) -> PowerSolution:
-    """Minimal powers for one co-channel group, given as per-link arrays.
+    """Minimal powers for one co-channel group.
 
     ``g_ss`` is the group's (n, n) gain block, ``g_ps`` its (m, n) gains
     toward the primary points and ``primary_tolerance`` the (m,) budgets the
-    group may use.  Solves ``(I - F) P = u`` with the targets raised by
-    :data:`QOS_MARGIN`; see the module docstring for why one solve decides
-    feasibility.
+    group may use; a budget holds when the group's load is at most it.
+    Solves ``(I - F) P = u`` with the targets raised by :data:`QOS_MARGIN`;
+    see the module docstring for why one solve decides feasibility.
     """
     scale = sinr_target * (1.0 + QOS_MARGIN) / (processing_gain * np.diag(g_ss))
     system = -scale[:, None] * g_ss
@@ -139,33 +118,11 @@ def solve_min_powers(
         powers = np.full(len(noise), np.nan)
     if not np.all((powers > 0.0) & (powers < np.inf)):
         # rho(F) >= 1: no finite powers meet every target, whatever the caps
-        return PowerSolution(
-            feasible=False,
-            powers=np.full(len(noise), np.inf),
-            within_power_caps=False,
-        )
-    within_caps = bool(np.all(powers <= power_max))
-    interference_ok = bool(np.all(g_ps @ powers <= primary_tolerance))
+        return PowerSolution(powers=np.full(len(noise), np.inf), within_power_caps=False)
     return PowerSolution(
-        feasible=within_caps and interference_ok,
         powers=powers,
-        within_power_caps=within_caps,
-        interference_ok=interference_ok,
-    )
-
-
-def min_power_allocation(topology: NetworkTopology) -> PowerSolution:
-    """Component-wise minimal powers meeting every link's QoS target, with the
-    topology's links as one co-channel group (see :func:`solve_min_powers`)."""
-    links = topology.links
-    return solve_min_powers(
-        topology.gains.g_ss,
-        np.array([link.noise for link in links]),
-        np.array([link.processing_gain for link in links]),
-        np.array([link.sinr_target for link in links]),
-        np.array([link.power_max for link in links]),
-        topology.gains.g_ps,
-        np.array([p.tolerance for p in topology.primary_points]),
+        within_power_caps=bool(np.all(powers <= power_max)),
+        interference_ok=bool(np.all(g_ps @ powers <= primary_tolerance)),
     )
 
 

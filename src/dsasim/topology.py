@@ -76,10 +76,6 @@ class SecondaryLink:
         """Transmitter-to-receiver distance in meters."""
         return math.dist(self.tx_position, self.rx_position)
 
-    @property
-    def processing_gain(self) -> float:
-        return self.bandwidth / self.rate
-
 
 @dataclass(frozen=True)
 class PrimaryReceivingPoint:
@@ -132,7 +128,8 @@ class NetworkTopology:
 
 
 def _pathloss_gain(distance: float, exponent: float, reference: float) -> float:
-    return min(1.0, (distance / reference) ** (-exponent))
+    # min(1, (d / d_ref) ** -alpha), clamping first so that the power cannot overflow
+    return 1.0 if distance <= reference else (distance / reference) ** (-exponent)
 
 
 def gains_from_positions(
@@ -152,10 +149,10 @@ def gains_from_positions(
     GeometryError
         If any transmitter coincides with a receiver or primary point.
     """
-    if path_loss_exponent < 2.0:
-        raise ValueError(f"path_loss_exponent must be >= 2, got {path_loss_exponent}")
-    if reference_distance <= 0.0:
-        raise ValueError(f"reference_distance must be > 0, got {reference_distance}")
+    if not 2.0 <= path_loss_exponent < math.inf:
+        raise ValueError(f"path_loss_exponent must be finite and >= 2, got {path_loss_exponent}")
+    if not 0.0 < reference_distance < math.inf:
+        raise ValueError(f"reference_distance must be finite and > 0, got {reference_distance}")
 
     n = len(links)
     m = len(primary_points)

@@ -8,6 +8,7 @@ the draws of the others, and identical seeds give byte-identical streams.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,12 +30,12 @@ class TrafficSpec:
     requested_rate: float = 1.0e5  # bits/s
 
     def __post_init__(self):
-        if any(rate < 0 for rate in self.arrival_rates):
-            raise ValueError("arrival rates must be >= 0")
-        if self.mean_holding_time <= 0:
-            raise ValueError("mean_holding_time must be > 0")
-        if self.horizon <= 0:
-            raise ValueError("horizon must be > 0")
+        # written so that NaN fails every check; an infinite horizon never ends
+        if not all(0 <= rate < math.inf for rate in self.arrival_rates):
+            raise ValueError("arrival_rates must be finite and >= 0")
+        for name in ("mean_holding_time", "horizon", "requested_rate"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and > 0")
 
 
 @dataclass(frozen=True, slots=True)

@@ -7,12 +7,18 @@ import pytest
 from dsasim import (
     GainMatrices,
     NetworkTopology,
+    PowerSolution,
     PrimaryReceivingPoint,
     SecondaryLink,
     ServiceProvider,
     SpectrumChannel,
     gains_from_positions,
+    link_arrays,
+    solve_min_powers,
 )
+
+# every session's data rate in these tests, and make_link's default link rate
+REQUESTED_RATE = 1e5
 
 
 def make_provider(provider_id: int = 0, channels: int = 10, base_mhz: float = 400.0,
@@ -32,7 +38,7 @@ def make_provider(provider_id: int = 0, channels: int = 10, base_mhz: float = 40
 
 
 def make_link(link_id: int = 0, tx=(0.0, 0.0), rx=(200.0, 0.0), bandwidth: float = 1e6,
-              rate: float = 1e5, power: float = 0.1, power_max: float = 1.0,
+              rate: float = REQUESTED_RATE, power: float = 0.1, power_max: float = 1.0,
               noise: float = 1e-10, sinr_target: float = 5.0) -> SecondaryLink:
     return SecondaryLink(
         id=link_id,
@@ -85,16 +91,24 @@ def explicit_gain_topology(g_ss, links, g_ps=None, points=(), providers=None,
     )
 
 
+def solve_as_one_group(topology: NetworkTopology) -> PowerSolution:
+    """solve_min_powers with every link of the topology in one co-channel group."""
+    return solve_min_powers(
+        topology.gains.g_ss,
+        *link_arrays(topology.links, REQUESTED_RATE),
+        topology.gains.g_ps,
+        np.array([p.tolerance for p in topology.primary_points]),
+    )
+
+
 def fixed_point_system(topology: NetworkTopology) -> tuple[np.ndarray, np.ndarray]:
     """F and u of the fixed point P = F P + u equivalent to mu = gamma (no margin)."""
-    links = topology.links
+    noise, gain, sinr_target, _ = link_arrays(topology.links, REQUESTED_RATE)
     g_ss = topology.gains.g_ss
-    scale = np.array(
-        [link.sinr_target / (link.processing_gain * g_ss[i, i]) for i, link in enumerate(links)]
-    )
+    scale = sinr_target / (gain * np.diag(g_ss))
     coupling = g_ss * scale[:, None]
     np.fill_diagonal(coupling, 0.0)
-    return coupling, scale * np.array([link.noise for link in links])
+    return coupling, scale * noise
 
 
 def jacobi_powers(topology: NetworkTopology, tolerance: float = 1e-9,

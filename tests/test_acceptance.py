@@ -19,9 +19,8 @@ from dsasim import (
     SpectrumChannel,
     Strategy,
     TrafficSpec,
-    compute_sinr,
     erlang_b,
-    min_power_allocation,
+    link_sinr,
     run_simulation,
     select_best_channel,
 )
@@ -30,11 +29,13 @@ from dsasim.qos import ber_from_sinr, sinr_target_from_ber
 from dsasim.topology import Modulation
 
 from conftest import (
+    REQUESTED_RATE,
     explicit_gain_topology,
     fixed_point_system,
     jacobi_powers,
     make_link,
     make_topology,
+    solve_as_one_group,
 )
 
 
@@ -45,7 +46,7 @@ def report_pass(criterion: str, detail: str) -> None:
 def unit_pg_pair(g, gammas, noises, power_max=1e6):
     links = tuple(
         make_link(
-            i, tx=(0.0, 30.0 * i), rx=(10.0, 30.0 * i), bandwidth=1e5, rate=1e5,
+            i, tx=(0.0, 30.0 * i), rx=(10.0, 30.0 * i), bandwidth=REQUESTED_RATE,
             noise=float(noises[i]), sinr_target=float(gammas[i]), power_max=power_max,
         )
         for i in range(2)
@@ -101,11 +102,12 @@ def test_c1_erlang_b_agreement():
 
 
 def test_c2_power_solver_equivalence():
+    # solve_min_powers on each instance's two links as one co-channel group
     rng = np.random.default_rng(777)
     feasible_count = 0
     for _ in range(100):
         topology, radius = random_two_link_instance(rng)
-        solution = min_power_allocation(topology)
+        solution = solve_as_one_group(topology)
         assert solution.feasible == (radius < 1.0), (radius, solution)
         if solution.feasible:
             feasible_count += 1
@@ -126,7 +128,7 @@ def test_c2_power_solver_equivalence():
         closed_form = np.linalg.solve(np.eye(2) - coupling, offset)
         if not 0.05 < closed_form.max() < 0.8:
             continue
-        solution = min_power_allocation(topology)
+        solution = solve_as_one_group(topology)
         assert solution.feasible
         g = topology.gains.g_ss
         first, second = topology.links
@@ -154,24 +156,17 @@ def test_c3_sinr_oracle_equivalence():
         n = int(rng.integers(1, 7))
         g_ss = rng.uniform(0.01, 1.0, size=(n, n))
         np.fill_diagonal(g_ss, rng.uniform(0.5, 1.0, size=n))
-        links = tuple(
-            make_link(
-                i, tx=(0.0, 25.0 * i), rx=(10.0, 25.0 * i),
-                bandwidth=float(rng.uniform(1e5, 2e6)), rate=float(rng.uniform(5e4, 2e5)),
-                noise=float(rng.uniform(1e-4, 0.5)),
-            )
-            for i in range(n)
-        )
-        topology = explicit_gain_topology(g_ss, links)
+        # processing gains: bandwidths in [1e5, 2e6] Hz over rates in [5e4, 2e5] bit/s
+        gain = rng.uniform(1e5, 2e6, size=n) / rng.uniform(5e4, 2e5, size=n)
+        noise = rng.uniform(1e-4, 0.5, size=n)
         powers = rng.uniform(0.0, 2.0, size=n)
-        mu = compute_sinr(topology, powers).sinr
+        mu = link_sinr(g_ss, noise, gain, powers)
         for i in range(n):
             interference = 0.0
             for j in range(n):
                 if j != i:
                     interference += g_ss[i][j] * powers[j]
-            pg = links[i].bandwidth / links[i].rate
-            expected = pg * g_ss[i][i] * powers[i] / (interference + links[i].noise)
+            expected = gain[i] * g_ss[i][i] * powers[i] / (interference + noise[i])
             relative = abs(mu[i] - expected) / max(abs(expected), 1e-300)
             worst = max(worst, relative)
             assert relative <= 1e-12

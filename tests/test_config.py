@@ -2,10 +2,15 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 import logging
+import math
 
+import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dsasim import ConfigError, Modulation, Strategy
 from dsasim.config import parse_config, serialize_config
@@ -53,10 +58,12 @@ BASE_DOCUMENT = {
 
 
 def doc(**overrides) -> dict:
+    """BASE_DOCUMENT with each dotted key path (list indexes as digits) set
+    to its value, or deleted where the value is ``...``."""
     document = copy.deepcopy(BASE_DOCUMENT)
     for dotted, value in overrides.items():
         node = document
-        *parents, last = dotted.split(".")
+        *parents, last = (int(key) if key.isdigit() else key for key in dotted.split("."))
         for key in parents:
             node = node[key]
         if value is ...:
@@ -190,15 +197,140 @@ def test_scientific_notation_strings_are_accepted():
 
 
 def test_defaults_are_logged(caplog):
-    document = doc(sbac=..., **{"strategy.kind": ...})
+    document = doc(sbac=..., **{
+        "strategy.kind": ...,
+        "strategy.physical_checks": ...,
+        "topology.links.0.rate_min": ...,
+    })
     with caplog.at_level(logging.INFO, logger="dsasim.config"):
         config = parse(document)
     messages = [r.message for r in caplog.records if "defaulted" in r.message]
     assert any("sbac.beta1=0.5" in m for m in messages)
     assert any("strategy.kind" in m for m in messages)
+    assert "defaulted topology.links[0].rate_min=100000.0" in messages
+    assert "defaulted strategy.physical_checks=False" in messages
     assert config.sbac.weights.beta1 == 0.5
+    assert config.topology.links[0].rate_min == 1.0e5
+    assert not config.qos.physical_checks
     # session minutes default derives from the mean holding time
     assert config.sbac.session_minutes == pytest.approx(10.0 / 60.0)
+
+
+def test_explicit_null_strategy_kind_means_the_default():
+    assert parse(doc(**{"strategy.kind": None})).strategies == (Strategy.DYNAMIC_SBAC,)
+
+
+@pytest.mark.parametrize(
+    "key",
+    ["traffic.arrival_rate", "traffic.mean_holding_time", "traffic.horizon",
+     "traffic.requested_rate"],
+)
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_number_names_its_key(key, value):
+    # a NaN or infinite horizon or arrival rate would never end the arrival stream
+    with pytest.raises(ConfigError, match=rf"{key.replace('.', '[.]')} must be finite"):
+        parse(doc(**{key: value}))
+
+
+# Documents that parse_config must reject with a ConfigError naming the key
+# path (a regex) instead of another exception, or instead of parsing.
+BAD_DOCUMENTS = {
+    "nan_rate": ({"traffic.arrival_rate": math.nan}, r"traffic\.arrival_rate must be finite"),
+    "nan_horizon": ({"traffic.horizon": math.nan}, r"traffic\.horizon must be finite"),
+    "inf_horizon": ({"traffic.horizon": math.inf}, r"traffic\.horizon must be finite"),
+    "exponent_1.5": ({"topology.path_loss_exponent": 1.5}, r"topology\.path_loss_exponent"),
+    "reference_0": ({"topology.reference_distance": 0}, r"topology\.reference_distance"),
+    "g_ss_string": (
+        {"topology.gains": {"g_ss": "abc", "g_ps": [[0.5]]}}, r"topology\.gains\.g_ss"
+    ),
+    "tx_is_rx": ({"topology.links.0.rx": [0.0, 0.0]}, r"topology\.links: .*link 0"),
+    "users_2.5": ({"sweep": {"parameter": "users", "values": [1, 2.5]}}, r"sweep\.values\[1\]"),
+    "users_0": ({"sweep": {"parameter": "users", "values": [0]}}, r"sweep\.values\[0\]"),
+    "negative_seed": ({"traffic.seed": -1}, r"traffic\.seed must be an integer >= 0"),
+}
+
+
+@pytest.mark.parametrize("name", BAD_DOCUMENTS)
+def test_bad_document_is_a_config_error_naming_its_key(name):
+    overrides, message = BAD_DOCUMENTS[name]
+    with pytest.raises(ConfigError, match=message):
+        parse(doc(**overrides))
+
+
+def test_integral_users_sweep_values_parse():
+    config = parse(doc(sweep={"parameter": "users", "values": [1, 2.0, 3]}))
+    assert config.sweep.values == (1.0, 2.0, 3.0)
+
+
+def test_negative_arrival_rate_sweep_value_names_its_index():
+    with pytest.raises(ConfigError, match=r"sweep\.values\[1\]"):
+        parse(doc(sweep={"parameter": "arrival_rate", "values": [0.5, -0.5]}))
+
+
+def _leaf_paths(node, prefix=()):
+    """Key paths of every scalar leaf of a document."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        if isinstance(value, (dict, list)):
+            yield from _leaf_paths(value, prefix + (key,))
+        else:
+            yield prefix + (key,)
+
+
+def _float_fields(value):
+    """Every float, and every array entry, of a parsed config."""
+    if dataclasses.is_dataclass(value):
+        for field in dataclasses.fields(value):
+            yield from _float_fields(getattr(value, field.name))
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from _float_fields(item)
+    elif isinstance(value, np.ndarray):
+        yield from value.ravel().tolist()
+    elif isinstance(value, float):
+        yield value
+
+
+LEAF_PATHS = list(_leaf_paths(BASE_DOCUMENT))
+SPECIAL_VALUES = [math.nan, math.inf, -math.inf, 0, 0.0, -1.0, 1e308, "abc", None, [1.0]]
+
+
+def _check_leaf(path, value):
+    """Parsing BASE_DOCUMENT with the leaf at ``path`` set to ``value`` gives a
+    config whose floats are all finite or raises ConfigError; any other
+    exception fails.  The config is not run: a valid huge arrival rate is a
+    legitimately long run."""
+    document = copy.deepcopy(BASE_DOCUMENT)
+    node = document
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    try:
+        config = parse(document)
+    except ConfigError:
+        return
+    assert all(math.isfinite(number) for number in _float_fields(config)), (path, value)
+
+
+@pytest.mark.parametrize("value", SPECIAL_VALUES, ids=repr)
+def test_special_value_at_every_leaf_parses_to_finite_floats_or_is_a_config_error(value):
+    for path in LEAF_PATHS:
+        _check_leaf(path, value)
+
+
+@given(
+    path=st.sampled_from(LEAF_PATHS),
+    value=st.one_of(
+        st.floats(),
+        st.integers(max_value=-1),
+        st.text(max_size=8),
+        st.none(),
+        st.lists(st.floats(), max_size=3),
+    ),
+)
+@settings(max_examples=300, deadline=None)
+def test_fuzzed_leaf_parses_to_finite_floats_or_is_a_config_error(path, value):
+    _check_leaf(path, value)
 
 
 def test_strategy_list_parses_both():
@@ -268,3 +400,8 @@ def test_not_yaml_is_a_config_error():
         parse_config("foo: [unclosed")
     with pytest.raises(ConfigError):
         parse_config("- just\n- a\n- list\n")
+
+
+def test_integer_past_the_digit_limit_is_a_config_error():
+    with pytest.raises(ConfigError, match="YAML"):
+        parse_config("topology: " + "1" * 5000)

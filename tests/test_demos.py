@@ -1,5 +1,6 @@
-"""The fast demos run to completion: 01 and 02 drive the qos and sbac APIs,
-04 the event loop.  03 and 05 take about 20 s together and are left out."""
+"""The fast demos run to completion: 01 drives the array-level qos API
+(link_arrays, link_sinr, qos_met, solve_min_powers), 02 the sbac API and 04
+the event loop.  03 and 05 take about 20 s together and are left out."""
 from __future__ import annotations
 
 import os

@@ -27,6 +27,7 @@ from dsasim import sbac
 from dsasim.engine import Simulation
 from dsasim.sbac import LivePool
 from dsasim.metrics import mean_primary_interference
+from dsasim.qos import QOS_MARGIN
 
 from conftest import explicit_gain_topology, make_link, make_provider, make_topology
 
@@ -163,6 +164,24 @@ def test_reuse_mode_admits_feasible_co_channel_pair_with_power_raise():
     # both ended up on the shared minimal-power solution P = (0.2, 0.2)
     assert admitted[0].power == pytest.approx(0.2, abs=1e-8)
     assert admitted[1].power == pytest.approx(0.2, abs=1e-8)
+
+
+def test_processing_gain_is_bandwidth_over_requested_rate():
+    # the link's own rate (2e5) is not the session rate (1e5): the gain is
+    # 1e6 / 1e5 = 10, so the minimal power is 0.78125 mW, under the 1 mW cap
+    # (a gain of 1e6 / 2e5 = 5 would need 1.5625 mW and block every call)
+    gain = 250.0 ** -3
+    link = make_link(0, rate=2e5, power=1e-3, power_max=1e-3)
+    topology = explicit_gain_topology([[gain]], [link])
+    spec = spec_for([0.5], holding=10.0, horizon=200.0, seed=1, rate=1e5)
+    records, report = run_simulation(
+        topology, spec, Strategy.FIXED, qos_config=QosConfig(physical_checks=True), audit=True
+    )
+    expected = 5.0 * 1e-10 * (1.0 + QOS_MARGIN) / (10.0 * gain)
+    admitted = [r for r in records if r.admitted]
+    assert report.admitted == len(admitted) >= 1
+    assert report.blocked_qos == 0
+    assert all(r.power == pytest.approx(expected, rel=1e-12) for r in admitted)
 
 
 def test_fixed_strategy_serves_home_provider_only():
@@ -397,7 +416,7 @@ def test_run_is_one_shot(simple_topology):
 def test_reuse_audit_passes_check_qos_at_recorded_powers():
     # 8 providers x 10 channels, 32 links, 0.8 Erlang per channel: co-channel
     # groups of several links; audit=True recomputes every group's SINR with
-    # compute_sinr after every event and raises StateError on a missed target
+    # link_sinr after every event and raises StateError when qos_met fails
     topology = make_topology(num_providers=8, channels=10, num_links=32, tolerance=4e-11)
     spec = spec_for([0.8] * 8, holding=10.0, horizon=30.0, seed=3)
     qos_config = QosConfig(physical_checks=True, channel_reuse=True)

@@ -1,7 +1,7 @@
-"""SINR evaluation, constraint checks, BER mapping and the power solver."""
+"""SINR evaluation, the QoS predicate, the processing gain, BER mapping and
+the power solver."""
 from __future__ import annotations
 
-import dataclasses
 import math
 
 import numpy as np
@@ -13,23 +13,29 @@ from dsasim import (
     PrimaryReceivingPoint,
     UnsupportedModulationError,
     ber_from_sinr,
-    check_interference,
-    check_qos,
-    compute_sinr,
-    min_power_allocation,
+    link_arrays,
+    link_sinr,
+    qos_met,
     sinr_target_from_ber,
+    solve_min_powers,
 )
-from conftest import explicit_gain_topology, fixed_point_system, jacobi_powers, make_link
+from conftest import (
+    REQUESTED_RATE,
+    explicit_gain_topology,
+    fixed_point_system,
+    jacobi_powers,
+    make_link,
+    solve_as_one_group,
+)
 
 
 def unit_pg_link(link_id, sinr_target, noise, power_max=1.0):
-    """Link with processing gain exactly 1 (bandwidth == rate)."""
+    """Link with processing gain exactly 1 (bandwidth == requested rate)."""
     return make_link(
         link_id,
         tx=(0.0, float(link_id)),
         rx=(10.0, float(link_id)),
-        bandwidth=1e5,
-        rate=1e5,
+        bandwidth=REQUESTED_RATE,
         noise=noise,
         sinr_target=sinr_target,
         power_max=power_max,
@@ -58,30 +64,37 @@ def brute_force_sinr(g_ss, powers, noise, pg):
     return mu
 
 
-# -- compute_sinr -------------------------------------------------------------
+# -- link_sinr and the processing gain ------------------------------------------
 
 
 def test_single_link_no_interference():
-    link = make_link(0, bandwidth=1e6, rate=1e5, noise=0.1)
-    topology = explicit_gain_topology([[1.0]], [link])
-    report = compute_sinr(topology, np.array([1.0]))
-    assert report.sinr[0] == pytest.approx(100.0, rel=1e-15)
-    assert report.processing_gain[0] == 10.0
+    noise, gain, _, _ = link_arrays([make_link(0, bandwidth=1e6, noise=0.1)], 1e5)
+    assert gain.tolist() == [10.0]
+    sinr = link_sinr(np.array([[1.0]]), noise, gain, np.array([1.0]))
+    assert sinr[0] == pytest.approx(100.0, rel=1e-15)
 
 
 def test_two_symmetric_links():
-    topology = two_link_topology(g_ratio=0.5, sinr_target=1.0, noise=0.5)
-    report = compute_sinr(topology, np.array([1.0, 1.0]))
-    assert report.sinr == pytest.approx([1.0, 1.0], rel=1e-15)
+    g_ss = np.array([[1.0, 0.5], [0.5, 1.0]])
+    sinr = link_sinr(g_ss, np.array([0.5, 0.5]), np.ones(2), np.array([1.0, 1.0]))
+    assert sinr == pytest.approx([1.0, 1.0], rel=1e-15)
 
 
 def test_unspread_link_has_processing_gain_one():
     # no spreading: the link's bandwidth equals the requested rate
-    link = make_link(0, bandwidth=1e5, rate=1e5, noise=0.1)
-    topology = explicit_gain_topology([[1.0]], [link])
-    report = compute_sinr(topology, np.array([1.0]))
-    assert report.sinr[0] == pytest.approx(10.0, rel=1e-15)
-    assert report.processing_gain[0] == 1.0
+    noise, gain, _, _ = link_arrays([make_link(0, bandwidth=1e5, noise=0.1)], 1e5)
+    assert gain.tolist() == [1.0]
+    sinr = link_sinr(np.array([[1.0]]), noise, gain, np.array([1.0]))
+    assert sinr[0] == pytest.approx(10.0, rel=1e-15)
+
+
+def test_processing_gain_divides_by_the_requested_rate_not_the_link_rate():
+    links = [make_link(0, bandwidth=1e6, rate=2e5), make_link(1, bandwidth=5e5, rate=5e4)]
+    noise, gain, sinr_target, power_max = link_arrays(links, 1e5)
+    assert gain.tolist() == [10.0, 5.0]
+    assert noise.tolist() == [link.noise for link in links]
+    assert sinr_target.tolist() == [link.sinr_target for link in links]
+    assert power_max.tolist() == [link.power_max for link in links]
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -90,130 +103,121 @@ def test_matches_brute_force_on_random_instances(seed):
     n = int(rng.integers(2, 7))
     g_ss = rng.uniform(0.01, 1.0, size=(n, n))
     np.fill_diagonal(g_ss, rng.uniform(0.5, 1.0, size=n))
-    links = tuple(
-        make_link(i, tx=(0.0, 20.0 * i), rx=(10.0, 20.0 * i),
-                  bandwidth=float(rng.uniform(1e5, 1e6)), noise=float(rng.uniform(1e-3, 1e-1)))
-        for i in range(n)
-    )
-    topology = explicit_gain_topology(g_ss, links)
+    noise = rng.uniform(1e-3, 1e-1, size=n)
+    gain = rng.uniform(1.0, 10.0, size=n)
     powers = rng.uniform(0.0, 1.0, size=n)
-    report = compute_sinr(topology, powers)
-    expected = brute_force_sinr(
-        g_ss, powers, [l.noise for l in links], [l.processing_gain for l in links]
-    )
-    assert report.sinr == pytest.approx(expected, rel=1e-12)
+    expected = brute_force_sinr(g_ss, powers, noise, gain)
+    assert link_sinr(g_ss, noise, gain, powers) == pytest.approx(expected, rel=1e-12)
 
 
 def test_zero_denominator_raises():
-    link = dataclasses.replace(make_link(0), noise=0.0)
-    topology = explicit_gain_topology([[1.0]], [link])
     with pytest.raises(ZeroDivisionError):
-        compute_sinr(topology, np.array([1.0]))
+        link_sinr(np.array([[1.0]]), np.zeros(1), np.ones(1), np.array([1.0]))
 
 
 def test_scale_invariance_with_zero_noise():
-    # test-only construction bypassing the noise > 0 invariant
     rng = np.random.default_rng(5)
     g_ss = rng.uniform(0.1, 1.0, size=(3, 3))
-    links = tuple(
-        dataclasses.replace(make_link(i, tx=(0.0, 9.0 * i), rx=(5.0, 9.0 * i)), noise=0.0)
-        for i in range(3)
-    )
-    topology = explicit_gain_topology(g_ss, links)
+    gain = np.full(3, 10.0)
     powers = rng.uniform(0.1, 1.0, size=3)
-    base = compute_sinr(topology, powers).sinr
+    base = link_sinr(g_ss, np.zeros(3), gain, powers)
     for factor in (0.25, 3.0, 1e4):
-        scaled = compute_sinr(topology, factor * powers).sinr
+        scaled = link_sinr(g_ss, np.zeros(3), gain, factor * powers)
         assert scaled == pytest.approx(base, rel=1e-12)
 
 
 def test_sinr_monotone_in_own_and_cross_power_and_noise():
-    topology = two_link_topology(g_ratio=0.4, sinr_target=1.0, noise=0.2)
-    base = compute_sinr(topology, np.array([0.5, 0.5])).sinr
-    more_own = compute_sinr(topology, np.array([0.6, 0.5])).sinr
+    g_ss = np.array([[1.0, 0.4], [0.4, 1.0]])
+    noise, gain = np.array([0.2, 0.2]), np.ones(2)
+    base = link_sinr(g_ss, noise, gain, np.array([0.5, 0.5]))
+    more_own = link_sinr(g_ss, noise, gain, np.array([0.6, 0.5]))
     assert more_own[0] > base[0]
-    more_cross = compute_sinr(topology, np.array([0.5, 0.6])).sinr
+    more_cross = link_sinr(g_ss, noise, gain, np.array([0.5, 0.6]))
     assert more_cross[0] < base[0]
-    noisier = dataclasses.replace(topology.links[0], noise=0.3)
-    topology2 = dataclasses.replace(topology, links=(noisier, topology.links[1]))
-    assert compute_sinr(topology2, np.array([0.5, 0.5])).sinr[0] < base[0]
+    noisier = link_sinr(g_ss, np.array([0.3, 0.2]), gain, np.array([0.5, 0.5]))
+    assert noisier[0] < base[0]
 
 
-# -- check_qos ----------------------------------------------------------------
+# -- qos_met ------------------------------------------------------------------
 
 
 def test_qos_clearly_met():
-    link = make_link(0, sinr_target=5.0, bandwidth=1e6, rate=1e5, noise=0.1)
-    topology = explicit_gain_topology([[1.0]], [link])
-    report = compute_sinr(topology, np.array([1.0]))  # mu = 100
-    assert check_qos(report, topology).tolist() == [True]
+    sinr = link_sinr(np.array([[1.0]]), np.array([0.1]), np.array([10.0]), np.array([1.0]))
+    assert sinr[0] == pytest.approx(100.0, rel=1e-15)
+    assert qos_met(sinr, np.array([5.0])).tolist() == [True]
 
 
 def test_qos_boundary_counts_as_satisfied():
     # mu = 1 * 1 * 1.0 / 0.25 = 4.0 exactly, equal to the target
-    link = unit_pg_link(0, sinr_target=4.0, noise=0.25)
-    topology = explicit_gain_topology([[1.0]], [link])
-    report = compute_sinr(topology, np.array([1.0]))
-    assert report.sinr[0] == 4.0
-    assert check_qos(report, topology).tolist() == [True]
+    sinr = link_sinr(np.array([[1.0]]), np.array([0.25]), np.ones(1), np.array([1.0]))
+    assert sinr[0] == 4.0
+    assert qos_met(sinr, np.array([4.0])).tolist() == [True]
 
 
 def test_qos_below_target_fails():
-    link = unit_pg_link(0, sinr_target=1.0, noise=1.0)
-    topology = explicit_gain_topology([[0.9]], [link])
-    report = compute_sinr(topology, np.array([1.0]))  # mu = 0.9
-    assert check_qos(report, topology).tolist() == [False]
+    sinr = link_sinr(np.array([[0.9]]), np.ones(1), np.ones(1), np.array([1.0]))  # mu = 0.9
+    assert qos_met(sinr, np.array([1.0])).tolist() == [False]
 
 
-# -- check_interference ---------------------------------------------------------
-
-
-def _interference_fixture(g_ps, tolerance):
-    links = (unit_pg_link(0, 1.0, 0.1), unit_pg_link(1, 1.0, 0.1))
-    points = (PrimaryReceivingPoint(id=0, position=(50.0, 50.0), tolerance=tolerance),)
-    return explicit_gain_topology(
-        [[1.0, 0.1], [0.1, 1.0]], links, g_ps=g_ps, points=points
-    )
+# -- primary budgets in the solve ---------------------------------------------------
 
 
 def test_interference_boundary_is_satisfied():
-    topology = _interference_fixture([[0.5, 0.25]], tolerance=2.0)
-    loads, ok = check_interference(topology, np.array([2.0, 4.0]))
-    assert loads[0] == 2.0
-    assert ok[0]
+    # a budget holds while the group's load is at most it: a tolerance of
+    # exactly g_ps @ powers passes, one ulp below it blocks
+    topology = two_link_topology(g_ratio=0.5, sinr_target=1.0, noise=0.1)
+    g_ps = np.array([[0.5, 0.25]])
+    group = (topology.gains.g_ss, *link_arrays(topology.links, REQUESTED_RATE), g_ps)
+    load = g_ps @ solve_min_powers(*group, np.array([np.inf])).powers
+    at_load = solve_min_powers(*group, load)
+    assert at_load.interference_ok
+    assert at_load.feasible
+    below = solve_min_powers(*group, np.nextafter(load, 0.0))
+    assert below.within_power_caps
+    assert not below.interference_ok
+    assert not below.feasible
 
 
 def test_interference_zero_powers():
-    topology = _interference_fixture([[0.7, 0.9]], tolerance=0.0)
-    loads, ok = check_interference(topology, np.zeros(2))
-    assert loads[0] == 0.0
-    assert ok[0]
+    # a point the group's transmitters do not reach carries no load, so even
+    # a zero tolerance holds
+    points = (PrimaryReceivingPoint(id=0, position=(50.0, 50.0), tolerance=0.0),)
+    topology = two_link_topology(
+        g_ratio=0.1, sinr_target=1.0, noise=0.1, points=points, g_ps=[[0.0, 0.0]]
+    )
+    solution = solve_as_one_group(topology)
+    assert (topology.gains.g_ps @ solution.powers).tolist() == [0.0]
+    assert solution.interference_ok
+    assert solution.feasible
 
 
 def test_interference_matches_manual_sum():
     rng = np.random.default_rng(11)
-    row = rng.uniform(0.0, 1.0, size=2)
-    powers = rng.uniform(0.0, 2.0, size=2)
-    topology = _interference_fixture([row.tolist()], tolerance=1.0)
-    loads, ok = check_interference(topology, powers)
-    expected = row[0] * powers[0] + row[1] * powers[1]
-    assert loads[0] == pytest.approx(expected, rel=1e-15)
-    assert ok[0] == (expected <= 1.0)
+    for _ in range(20):
+        row = rng.uniform(0.0, 1.0, size=2)
+        tolerance = float(rng.uniform(0.0, 0.3))
+        points = (PrimaryReceivingPoint(id=0, position=(50.0, 50.0), tolerance=tolerance),)
+        topology = two_link_topology(
+            g_ratio=0.1, sinr_target=1.0, noise=0.1, points=points, g_ps=[row.tolist()]
+        )
+        solution = solve_as_one_group(topology)
+        expected = row[0] * solution.powers[0] + row[1] * solution.powers[1]
+        assert solution.interference_ok == (expected <= tolerance)
 
 
-# -- min_power_allocation -------------------------------------------------------
+# -- solve_min_powers -----------------------------------------------------------
 
 
 def test_decoupled_links_reach_closed_form():
     topology = two_link_topology(g_ratio=0.0, sinr_target=2.0, noise=0.1)
-    solution = min_power_allocation(topology)
+    solution = solve_as_one_group(topology)
     assert solution.feasible
     assert solution.powers == pytest.approx([0.2, 0.2], abs=1e-9)
 
 
 def test_symmetric_coupled_links_match_linear_solve():
     topology = two_link_topology(g_ratio=0.5, sinr_target=1.0, noise=0.1)
-    solution = min_power_allocation(topology)
+    solution = solve_as_one_group(topology)
     assert solution.feasible
     # oracle: solve (I - F) P = u for F = [[0, .5], [.5, 0]], u = (.1, .1)
     coupling, offset = fixed_point_system(topology)
@@ -225,7 +229,7 @@ def test_symmetric_coupled_links_match_linear_solve():
 def test_strong_coupling_is_infeasible():
     # spectral radius of the coupling matrix is 3 * 0.5 = 1.5 >= 1
     topology = two_link_topology(g_ratio=0.5, sinr_target=3.0, noise=0.1)
-    solution = min_power_allocation(topology)
+    solution = solve_as_one_group(topology)
     assert not solution.feasible
     assert not solution.within_power_caps
     assert np.all(np.isinf(solution.powers))
@@ -235,7 +239,7 @@ def test_strong_coupling_is_infeasible():
 def test_unit_spectral_radius_is_infeasible():
     # F = [[0, 1], [1, 0]]: I - F is singular, and the margin tips it past 1
     topology = two_link_topology(g_ratio=1.0, sinr_target=1.0, noise=0.1)
-    solution = min_power_allocation(topology)
+    solution = solve_as_one_group(topology)
     assert not solution.feasible
     assert np.all(np.isinf(solution.powers))
     assert jacobi_powers(topology) is None
@@ -244,7 +248,7 @@ def test_unit_spectral_radius_is_infeasible():
 def test_cap_violation_is_infeasible_even_when_convergent():
     # minimal solution 0.2 W exceeds a 0.15 W cap; coupling still contractive
     topology = two_link_topology(g_ratio=0.5, sinr_target=1.0, noise=0.1, power_max=0.15)
-    solution = min_power_allocation(topology)
+    solution = solve_as_one_group(topology)
     assert not solution.feasible
     assert not solution.within_power_caps
 
@@ -255,7 +259,7 @@ def test_feasible_but_interference_blocked():
     topology = two_link_topology(
         g_ratio=0.5, sinr_target=1.0, noise=0.1, points=points, g_ps=g_ps
     )
-    solution = min_power_allocation(topology)  # powers (0.2, 0.2), load 0.4 > 0.1
+    solution = solve_as_one_group(topology)  # powers (0.2, 0.2), load 0.4 > 0.1
     assert solution.within_power_caps
     assert not solution.interference_ok
     assert not solution.feasible
@@ -270,24 +274,22 @@ def test_solver_soundness_on_random_feasible_instances():
             continue
         topology = two_link_topology(ratio, target, noise=float(rng.uniform(0.01, 0.2)),
                                      power_max=100.0)
-        solution = min_power_allocation(topology)
+        solution = solve_as_one_group(topology)
         assert solution.feasible
-        report = compute_sinr(topology, solution.powers)
-        targets = np.array([l.sinr_target for l in topology.links])
-        assert np.all(report.sinr >= targets)
-        _, ok = check_interference(topology, solution.powers)
-        assert np.all(ok)
+        noise, gain, targets, _ = link_arrays(topology.links, REQUESTED_RATE)
+        sinr = link_sinr(topology.gains.g_ss, noise, gain, solution.powers)
+        assert np.all(qos_met(sinr, targets))
 
 
 def test_solver_minimality_against_power_grid():
     topology = two_link_topology(g_ratio=0.5, sinr_target=1.0, noise=0.1)
-    solution = min_power_allocation(topology)
+    solution = solve_as_one_group(topology)
+    noise, gain, targets, _ = link_arrays(topology.links, REQUESTED_RATE)
     grid = np.linspace(0.0, 1.0, 200)
-    targets = np.array([l.sinr_target for l in topology.links])
     for p0 in grid:
         for p1 in grid:
-            report = compute_sinr(topology, np.array([p0, p1]))
-            if np.all(report.sinr >= targets):
+            sinr = link_sinr(topology.gains.g_ss, noise, gain, np.array([p0, p1]))
+            if np.all(sinr >= targets):
                 assert solution.powers[0] <= p0 + 1e-9
                 assert solution.powers[1] <= p1 + 1e-9
 
@@ -301,7 +303,7 @@ def test_iterates_non_decreasing_from_zero():
         assert np.all(updated >= powers)
         powers = updated
     # the iterates rise to the direct solve's powers from below
-    solution = min_power_allocation(topology)
+    solution = solve_as_one_group(topology)
     assert np.all(powers <= solution.powers)
     assert solution.powers == pytest.approx(jacobi_powers(topology), abs=1e-8)
 

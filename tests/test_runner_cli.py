@@ -3,15 +3,18 @@ from __future__ import annotations
 
 import copy
 import csv
+import dataclasses
 import json
+import re
 
+import pytest
 import yaml
 
 from dsasim.cli import main as cli_main
 from dsasim.config import parse_config
 from dsasim.runner import RESULT_COLUMNS, expand_runs, run_scenario
 
-from test_config import BASE_DOCUMENT
+from test_config import BAD_DOCUMENTS, BASE_DOCUMENT, doc
 
 
 def scenario(**changes) -> dict:
@@ -65,9 +68,12 @@ def test_manifest_records_completeness(tmp_path):
 
 
 def test_failed_run_preserves_partial_results(tmp_path):
-    # a users sweep point of 0 is rejected at run time, the other points succeed
-    document = scenario(sweep={"parameter": "users", "values": [1, 0, 2]})
-    config = parse(document)
+    # a users sweep point of 0 is rejected at run time, the other points
+    # succeed; parse_config rejects 0, so it goes onto the parsed config
+    config = parse(scenario(sweep={"parameter": "users", "values": [1, 2]}))
+    config = dataclasses.replace(
+        config, sweep=dataclasses.replace(config.sweep, values=(1.0, 0.0, 2.0))
+    )
     assert run_scenario(config, tmp_path / "out") == 1
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert manifest["complete"] is False
@@ -191,6 +197,18 @@ def test_cli_validate_rejects_bad_config(tmp_path, capsys):
     path.write_text(yaml.safe_dump(document))
     assert cli_main(["validate", str(path)]) == 2
     assert "traffic.horizon" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", BAD_DOCUMENTS)
+def test_cli_validate_names_the_key_of_a_bad_document(name, tmp_path, capsys):
+    overrides, message = BAD_DOCUMENTS[name]
+    path = tmp_path / "scenario.yaml"
+    path.write_text(yaml.safe_dump(doc(**overrides)))
+    assert cli_main(["validate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ")
+    assert re.search(message, err)
+    assert "Traceback" not in err
 
 
 def test_cli_validate_missing_file(capsys):

@@ -43,6 +43,23 @@ def test_gain_clamped_below_reference_distance():
     assert gains.g_ss[0, 0] == 1.0
 
 
+def test_gain_far_below_reference_distance_is_clamped_without_overflow():
+    # (1 / 1e308) ** -3 overflows a float; the clamp applies first
+    link = make_link(0, tx=(0.0, 0.0), rx=(1.0, 0.0))
+    gains = gains_from_positions([link], [], path_loss_exponent=3.0, reference_distance=1e308)
+    assert gains.g_ss[0, 0] == 1.0
+
+
+@pytest.mark.parametrize(
+    "exponent, reference",
+    [(1.5, 1.0), (math.nan, 1.0), (math.inf, 1.0), (3.0, 0.0), (3.0, math.nan), (3.0, math.inf)],
+)
+def test_bad_path_loss_parameters_raise(exponent, reference):
+    link = make_link(0)
+    with pytest.raises(ValueError, match="path_loss_exponent|reference_distance"):
+        gains_from_positions([link], [], path_loss_exponent=exponent, reference_distance=reference)
+
+
 def test_coincident_tx_rx_raises():
     bad = make_link(0, tx=(5.0, 5.0), rx=(5.0, 5.0))
     with pytest.raises(GeometryError):

@@ -99,3 +99,25 @@ def test_spec_rejects_invalid_parameters():
         TrafficSpec(arrival_rates=(1.0,), mean_holding_time=0.0, horizon=10.0, seed=0)
     with pytest.raises(ValueError):
         TrafficSpec(arrival_rates=(1.0,), mean_holding_time=1.0, horizon=0.0, seed=0)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("arrival_rates", (math.nan,)),
+        ("arrival_rates", (math.inf,)),
+        ("mean_holding_time", math.nan),
+        ("mean_holding_time", math.inf),
+        ("horizon", math.nan),
+        ("horizon", math.inf),
+        ("requested_rate", math.nan),
+        ("requested_rate", math.inf),
+        ("requested_rate", 0.0),
+        ("requested_rate", -1e5),
+    ],
+)
+def test_spec_rejects_non_finite_or_non_positive_parameters(field, value):
+    # a NaN or infinite horizon or rate would never end the arrival stream
+    spec = dict(arrival_rates=(1.0,), mean_holding_time=1.0, horizon=10.0, seed=0)
+    with pytest.raises(ValueError, match=field):
+        TrafficSpec(**{**spec, field: value})
