@@ -11,6 +11,13 @@ from .metrics import erlang_b
 from .runner import run_scenario
 
 
+def _seed(text: str) -> int:
+    """An ``--seed-override`` value: an integer >= 0, as ``traffic.seed`` is."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dsasim",
@@ -22,7 +29,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("config", help="scenario YAML document")
     run.add_argument("--out", required=True, help="output directory for results")
     run.add_argument(
-        "--seed-override", type=int, default=None, help="replace the config's base seed"
+        "--seed-override", type=_seed, default=None, help="replace the config's base seed"
     )
     run.add_argument(
         "--verbose", action="store_true", help="debug logging plus per-run session logs"

@@ -1,5 +1,9 @@
 """Deterministic discrete-event loop over arrivals and departures.
 
+Arrivals are drawn lazily from :func:`~dsasim.traffic.build_event_stream`,
+which holds one pending arrival per provider, and the event queue is a heap
+of the held sessions' departures keyed ``(end_time, session_id)``.
+
 Every arrival is offered the candidate pools its strategy allows (home
 provider only under fixed allocation, all providers under dynamic
 selection), the best-available-channel rule picks a free channel, and an
@@ -10,8 +14,10 @@ The admitted :class:`SessionRecord` is the only per-session state: the
 order, and the departure event carries it.  Under channel reuse that list
 is the co-channel group whose links and powers the power solve reads.
 Each provider's :class:`~dsasim.sbac.LivePool`, built once per run, follows
-the held sessions as channels are taken and given back, so an arrival's
-candidate pools cost nothing to build and O(1) each to score.
+the held sessions as channels are taken and given back, and under dynamic
+selection re-scores itself on each take and give, so an arrival's selection
+is a max over P cached scores; under fixed allocation the home pool is the
+one candidate and is never scored.
 A departure leaves the powers of the rest of its co-channel group as they
 are: they were solved for the larger group, so every target still holds,
 and they relax to the smaller group's minimal powers only at the next
@@ -19,7 +25,9 @@ admission on that channel index.
 Departures at a given instant are processed before arrivals at the same
 instant, the standard loss-system convention.  The run has one clock; the
 busy-channel and primary-interference integrals advance with it, clamped
-to the horizon so the metrics cover exactly ``[0, horizon]``.
+to the horizon so the metrics cover exactly ``[0, horizon]``.  The primary
+loads and integrals are float lists, one entry per primary point, updated
+elementwise with the IEEE operations numpy would take, minus its call cost.
 
 One run is strictly single-threaded; independent runs can execute
 concurrently because topologies and traffic specs are immutable.
@@ -98,7 +106,9 @@ class Simulation:
     ``groups`` maps each channel index to the records of the sessions held
     on it, in admission order, and ``busy`` counts them all.  ``clock`` is
     the run's one clock; ``busy_integral`` (channel * seconds) and
-    ``primary_integral`` (watt * seconds per primary point) advance with it.
+    ``primary_integral`` (watt * seconds per primary point, a list) advance
+    with it.  ``primary_loads`` (watts per primary point, a list) is the
+    held sessions' interference at each point.
     """
 
     def __init__(
@@ -128,19 +138,27 @@ class Simulation:
         self.qos = qos_config or QosConfig()
         self.audit = audit
 
-        self._pools = [LivePool(p) for p in topology.providers]
+        if strategy is Strategy.FIXED:
+            # the home pool is the only candidate: it is never scored
+            self._pools = [LivePool(p) for p in topology.providers]
+            self._candidates = [(pool,) for pool in self._pools]
+        else:
+            self._pools = [LivePool(p, self.sbac) for p in topology.providers]
+            self._candidates = [self._pools] * len(self._pools)
         self.records: list[SessionRecord] = []
         self.groups: defaultdict[int, list[SessionRecord]] = defaultdict(list)
         self.busy = 0
         self.clock = 0.0
         self.busy_integral = 0.0
         num_points = len(topology.primary_points)
-        self.primary_loads = np.zeros(num_points)
-        self.primary_integral = np.zeros(num_points)
+        self.primary_loads = [0.0] * num_points
+        self.primary_integral = [0.0] * num_points
         self._ran = False
 
         self._g_ss = topology.gains.g_ss
         self._g_ps = topology.gains.g_ps
+        # each link's gains to the primary points, for the elementwise updates
+        self._g_ps_columns = [tuple(column) for column in self._g_ps.T.tolist()]
         self._tolerance = np.array([p.tolerance for p in topology.primary_points])
         if self.qos.physical_checks:
             # per-link physics as arrays indexed by link id, for the power solve
@@ -155,37 +173,43 @@ class Simulation:
         if self._ran:
             raise StateError("Simulation.run() was already called; build a new Simulation")
         self._ran = True
-        events = build_event_stream(self.traffic_spec)
-        # entries: (time, kind, key, payload); kind 0 = departure, 1 = arrival,
-        # so departures at time t free capacity before arrivals at time t.  The
-        # key is unique within a kind (the arrival's index, the departing
-        # session's id, which rises in admission order), so tuple comparison
-        # never reaches the payload.
-        heap: list[tuple[float, int, int, object]] = [
-            (ev.time, 1, i, ev) for i, ev in enumerate(events)
-        ]
-        heapq.heapify(heap)
-
-        while heap:
-            time, kind, _, payload = heapq.heappop(heap)
-            self._advance_clocks(time)
-            if kind == 0:
-                self._depart(payload)
-            else:
-                record = self._admit(payload)
-                self.records.append(record)
-                if record.admitted:
-                    heapq.heappush(heap, (record.end_time, 0, record.session_id, record))
+        # departures: (end_time, session_id, record); session ids rise in
+        # admission order, so tuple comparison never reaches the record.  A
+        # departure due by the next arrival's time goes first, so departures
+        # at time t free capacity before arrivals at time t.
+        departures: list[tuple[float, int, SessionRecord]] = []
+        for event in build_event_stream(self.traffic_spec):
+            while departures and departures[0][0] <= event.time:
+                self._depart_next(departures)
+            self._advance_clocks(event.time)
+            record = self._admit(event)
+            self.records.append(record)
+            if record.admitted:
+                heapq.heappush(departures, (record.end_time, record.session_id, record))
             if self.audit:
-                self._audit_pools()
-                self._audit_primary_loads()
-                if self.qos.physical_checks:
-                    self._audit_qos()
+                self._audit_state()
+        while departures:
+            self._depart_next(departures)
 
         # close the busy/interference integrals out to the horizon (departures
         # beyond it may already have advanced the clock further)
         self._advance_clocks(max(self.traffic_spec.horizon, self.clock))
         return self.records, self._report()
+
+    def _depart_next(self, departures: list[tuple[float, int, SessionRecord]]) -> None:
+        """Process the earliest departure in the queue."""
+        end_time, _, record = heapq.heappop(departures)
+        self._advance_clocks(end_time)
+        self._depart(record)
+        if self.audit:
+            self._audit_state()
+
+    def _audit_state(self) -> None:
+        """Run every audit that applies, after each event when ``audit`` is on."""
+        self._audit_pools()
+        self._audit_primary_loads()
+        if self.qos.physical_checks:
+            self._audit_qos()
 
     def _advance_clocks(self, time: float) -> None:
         """Move the clock to ``time``, adding the busy channels and primary
@@ -195,8 +219,12 @@ class Simulation:
         horizon = self.traffic_spec.horizon
         start, end = min(self.clock, horizon), min(time, horizon)
         if end > start:
-            self.busy_integral += self.busy * (end - start)
-            self.primary_integral += self.primary_loads * (end - start)
+            elapsed = end - start
+            self.busy_integral += self.busy * elapsed
+            self.primary_integral = [
+                total + load * elapsed
+                for total, load in zip(self.primary_integral, self.primary_loads)
+            ]
         self.clock = time
 
     def _depart(self, record: SessionRecord) -> None:
@@ -210,15 +238,12 @@ class Simulation:
             raise StateError(f"session {record.session_id} holds no channel (double release?)")
         self.busy -= 1
         self._pools[record.provider_id].give(record.channel_id)
-        if self.primary_loads.size:
-            self.primary_loads -= self._g_ps[:, record.link_id] * record.power
+        self.primary_loads = [
+            load - gain * record.power
+            for load, gain in zip(self.primary_loads, self._g_ps_columns[record.link_id])
+        ]
 
     # -- admission ----------------------------------------------------------
-
-    def _candidate_pools(self, home_provider: int) -> list[LivePool]:
-        if self.strategy is Strategy.FIXED:
-            return [self._pools[home_provider]]
-        return self._pools
 
     def _admit(self, event: ArrivalEvent) -> SessionRecord:
         session_id = len(self.records)
@@ -234,9 +259,10 @@ class Simulation:
             outcome=Outcome.BLOCKED_NO_CHANNEL,
         )
 
-        pools = self._candidate_pools(event.provider_id)
         try:
-            provider_id, channel_id, _ = sbac.select_best_channel(pools, self.sbac)
+            provider_id, channel_id, _ = sbac.select_best_channel(
+                self._candidates[event.provider_id], self.sbac
+            )
         except NoCandidateError:
             return record
 
@@ -247,8 +273,10 @@ class Simulation:
                 return record
         else:
             record.power = link.power
-            if self.primary_loads.size:
-                self.primary_loads += self._g_ps[:, link.id] * record.power
+            self.primary_loads = [
+                load + gain * link.power
+                for load, gain in zip(self.primary_loads, self._g_ps_columns[link.id])
+            ]
 
         record.outcome = Outcome.ADMITTED
         record.provider_id = provider_id
@@ -278,7 +306,7 @@ class Simulation:
             self._sinr_target[ids],
             self._power_max[ids],
             g_ps,
-            self._tolerance - (self.primary_loads - group_load),
+            self._tolerance - (np.array(self.primary_loads) - group_load),
         )
         if not solution.within_power_caps:
             return Outcome.BLOCKED_QOS
@@ -286,7 +314,8 @@ class Simulation:
             return Outcome.BLOCKED_INTERFERENCE
         for member, power in zip(group + [record], solution.powers.tolist()):
             member.power = power
-        self.primary_loads += g_ps @ solution.powers - group_load
+        delta = (g_ps @ solution.powers - group_load).tolist()
+        self.primary_loads = [load + change for load, change in zip(self.primary_loads, delta)]
         return Outcome.ADMITTED
 
     def _audit_pools(self) -> None:
@@ -316,10 +345,11 @@ class Simulation:
         held = [record for group in self.groups.values() for record in group]
         expected = self._g_ps[:, [r.link_id for r in held]] @ np.array([r.power for r in held])
         if np.any(
-            np.abs(self.primary_loads - expected) > 1e-9 * np.maximum(self._tolerance, expected)
+            np.abs(np.array(self.primary_loads) - expected)
+            > 1e-9 * np.maximum(self._tolerance, expected)
         ):
             raise StateError(
-                f"primary loads {self.primary_loads.tolist()} drifted from the held "
+                f"primary loads {self.primary_loads} drifted from the held "
                 f"sessions' {expected.tolist()}"
             )
 
@@ -366,8 +396,8 @@ class Simulation:
             mean_delay = 0.0
             mean_rtt = 0.0
 
-        if self.primary_integral.size:
-            per_point = self.primary_integral / horizon
+        if self.primary_integral:
+            per_point = np.array(self.primary_integral) / horizon
             mean_interference = float(np.mean(per_point))
         else:
             per_point = np.zeros(0)

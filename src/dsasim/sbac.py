@@ -18,9 +18,12 @@ formula total without reordering non-degenerate candidates.
 
 Scoring reads four summaries of a pool and nothing else: its free-channel
 count, its min and max free center frequency and its lowest free channel id.
-A :class:`CandidatePool` computes them from its tuple of free channels; the
-simulation's :class:`LivePool` keeps them up to date as channels are taken
-and given back, so each pool is scored in O(1) whatever its channel count.
+A :class:`CandidatePool` computes them from its tuple of free channels and
+is scored when offered.  The simulation's :class:`LivePool` keeps them
+current as channels are taken and given back and, built with an
+:class:`SbacConfig`, caches its ``score``, recomputed on each take and give,
+so selecting among P live pools is a max over P cached floats.  A lone
+candidate (fixed allocation's home pool) wins without being scored.
 """
 from __future__ import annotations
 
@@ -90,17 +93,19 @@ class LivePool:
     order (equal frequencies in id order).  Taking or giving back a channel
     flips its bit in each, found by bisecting the sorted ids, and refreshes
     the four summaries of :class:`CandidatePool` from the lowest and highest
-    set bits.
+    set bits, then ``score``: ``utility(self, config)`` while a channel is
+    free, None when none is or when the pool was built without a config.
     """
 
     __slots__ = (
-        "provider", "provider_id", "total_channels", "cost_rate",
+        "provider", "provider_id", "total_channels", "cost_rate", "config",
         "_ids", "_frequency_rank", "_frequencies", "id_mask", "frequency_mask",
-        "free_count", "min_free_frequency", "max_free_frequency", "lowest_free_id",
+        "free_count", "min_free_frequency", "max_free_frequency", "lowest_free_id", "score",
     )
 
-    def __init__(self, provider: ServiceProvider):
+    def __init__(self, provider: ServiceProvider, config: SbacConfig | None = None):
         self.provider = provider
+        self.config = config
         self.provider_id = provider.id
         self.total_channels = provider.num_channels
         self.cost_rate = provider.cost_rate
@@ -145,8 +150,10 @@ class LivePool:
             lowest = (by_frequency & -by_frequency).bit_length() - 1
             self.min_free_frequency = self._frequencies[lowest]
             self.max_free_frequency = self._frequencies[by_frequency.bit_length() - 1]
+            self.score = None if self.config is None else utility(self, self.config)
         else:
             self.lowest_free_id = self.min_free_frequency = self.max_free_frequency = None
+            self.score = None
 
     @property
     def available_channels(self) -> tuple[SpectrumChannel, ...]:
@@ -159,7 +166,8 @@ class LivePool:
 
     def audit(self, held_channel_ids) -> None:
         """Rebuild the free set from the held channel ids; raises StateError
-        if either bitmask, or a summary, differs from the rebuilt one."""
+        if either bitmask, a summary or the score differs from the rebuilt
+        one."""
         held = set(held_channel_ids)
         free = tuple(ch for ch in self.provider.channels if ch.id not in held)
         id_mask = frequency_mask = 0
@@ -177,6 +185,12 @@ class LivePool:
         for name in ("free_count", "min_free_frequency", "max_free_frequency", "lowest_free_id"):
             if getattr(self, name) != getattr(snapshot, name):
                 raise StateError(f"provider {self.provider_id} pool {name} is stale")
+        score = None if self.config is None or not free else utility(snapshot, self.config)
+        if self.score != score:
+            raise StateError(
+                f"provider {self.provider_id} pool score {self.score} differs from {score} "
+                "scored from the held channels"
+            )
 
 
 @dataclass(frozen=True)
@@ -204,20 +218,25 @@ def utility(pool: CandidatePool | LivePool, config: SbacConfig) -> float:
 def select_best_channel(
     pools: list[CandidatePool | LivePool] | tuple[CandidatePool | LivePool, ...],
     config: SbacConfig,
-) -> tuple[int, int, float]:
+) -> tuple[int, int, float | None]:
     """Pick the highest-utility pool and its lowest-indexed free channel.
 
-    Returns ``(provider_id, channel_id, utility)``.  Pools without free
+    Returns ``(provider_id, channel_id, utility)``.  A :class:`LivePool`'s
+    utility is its cached ``score``, so it must have been built with
+    ``config``, or, as a lone candidate, without one (its utility is then
+    None); any other pool is scored by :func:`utility`.  Pools without free
     channels are skipped; if none remain a NoCandidateError is raised, which
     the simulation maps to a blocked call.
     """
-    best: tuple[int, int, float] | None = None
-    for pool in sorted(pools, key=lambda p: p.provider_id):
+    best = best_score = None
+    for pool in pools:
         if not pool.free_count:
             continue
-        score = utility(pool, config)
-        if best is None or score > best[2]:
-            best = (pool.provider_id, pool.lowest_free_id, score)
+        score = pool.score if type(pool) is LivePool else utility(pool, config)
+        if best is None or score > best_score or (
+            score == best_score and pool.provider_id < best.provider_id
+        ):
+            best, best_score = pool, score
     if best is None:
         raise NoCandidateError("no candidate pool has a free channel")
-    return best
+    return best.provider_id, best.lowest_free_id, best_score

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from dsasim import (
     InvalidTopologyError,
+    NetworkTopology,
     Outcome,
     PrimaryReceivingPoint,
     QosConfig,
@@ -21,9 +22,10 @@ from dsasim import (
     StateError,
     Strategy,
     TrafficSpec,
+    gains_from_positions,
     run_simulation,
 )
-from dsasim import sbac
+from dsasim import sbac, traffic
 from dsasim.engine import Simulation
 from dsasim.sbac import LivePool
 from dsasim.metrics import mean_primary_interference
@@ -239,6 +241,41 @@ def test_occupancy_integral_clamps_to_horizon():
     assert report.spectral_efficiency <= 1.0
 
 
+class Stop(Exception):
+    pass
+
+
+@pytest.mark.parametrize("stop_after", [0, 1, 25])
+def test_run_draws_each_arrival_only_when_it_reaches_it(stop_after, monkeypatch):
+    # the arrival stream is drawn lazily: a run stopped after k arrivals has
+    # drawn a gap and a holding time for those k and at most one pending
+    # arrival per provider, not the horizon's ~2,000 arrivals
+    draws = []
+    draw_exponential = traffic.draw_exponential
+
+    def counting(rng, mean):
+        draws.append(mean)
+        return draw_exponential(rng, mean)
+
+    class Stopping(Simulation):
+        def _admit(self, event):
+            if len(self.records) == stop_after:
+                raise Stop
+            return super()._admit(event)
+
+    monkeypatch.setattr(traffic, "draw_exponential", counting)
+    topology = make_topology(num_providers=3, channels=3)
+    spec = spec_for([1.5, 0.5, 1.0], holding=2.0, horizon=700.0, seed=1)
+    with pytest.raises(Stop):
+        Stopping(topology, spec, Strategy.DYNAMIC_SBAC).run()
+    assert len(draws) <= 2 * (stop_after + 3)
+    draws.clear()
+    records, _ = run_simulation(topology, spec, Strategy.DYNAMIC_SBAC)
+    # the whole run: a gap and a holding time per arrival, plus the gap
+    # past the horizon that ends each provider's stream
+    assert len(draws) == 2 * len(records) + 3 > 2000
+
+
 def run_with_engine(engine_class, audit=False):
     topology = make_topology(num_providers=2, channels=3)
     spec = spec_for([1.5, 0.5], holding=2.0, horizon=50.0, seed=1)
@@ -444,7 +481,7 @@ def test_audit_flags_drifted_primary_loads():
     class Drifting(Simulation):
         def _depart(self, record):
             super()._depart(record)
-            self.primary_loads += 1e-6 * tolerance
+            self.primary_loads = [load + 1e-6 * tolerance for load in self.primary_loads]
 
     Simulation(topology, spec, Strategy.DYNAMIC_SBAC, qos_config=qos_config, audit=True).run()
     drifting = Drifting(topology, spec, Strategy.DYNAMIC_SBAC, qos_config=qos_config, audit=True)
@@ -638,3 +675,70 @@ def test_golden_run_reports(name):
     else:
         assert metadata["per_point_interference_w"] == [interference]
     assert fields == expected
+
+
+# Full reports of a 3-point topology, recorded before the primary loads and
+# integrals became lists of floats: each point's running sums must still
+# take the same IEEE multiplies and adds, to the bit, with and without the
+# power solve.
+GOLDEN_THREE_POINT_RUNS = {
+    "fixed": dict(
+        mean_propagation_delay=7.211102550927979e-07,
+        mean_rtt=1.4422205101855957e-06,
+        throughput=755224.8000700597,
+        mean_primary_interference=7.142044598366335e-10,
+        spectral_efficiency=0.6293540000583828,
+        blocking_probability=0.2556818181818182,
+        arrivals=176, admitted=131, blocked_no_channel=45, blocked_qos=0,
+        blocked_interference=0,
+        metadata={
+            "strategy": "FIXED", "seed": 21, "horizon": 80.0,
+            "per_point_interference_w": [
+                9.060560905852713e-10, 5.696611359158168e-10, 6.668961530088124e-10,
+            ],
+        },
+    ),
+    "physical_reuse": dict(
+        mean_propagation_delay=7.211102550927979e-07,
+        mean_rtt=1.4422205101855957e-06,
+        throughput=738114.8921824765,
+        mean_primary_interference=1.7767099141751737e-11,
+        spectral_efficiency=0.6150957434853973,
+        blocking_probability=0.18181818181818182,
+        arrivals=176, admitted=144, blocked_no_channel=4, blocked_qos=10,
+        blocked_interference=18,
+        metadata={
+            "strategy": "DYNAMIC_SBAC", "seed": 21, "horizon": 80.0,
+            "per_point_interference_w": [
+                1.416061837009408e-11, 1.8926596040719076e-11, 2.0214083014442055e-11,
+            ],
+        },
+    ),
+}
+
+
+def three_point_topology(tolerance=3e-11):
+    providers = tuple(make_provider(i, channels=4, base_mhz=400.0 + 50.0 * i) for i in range(3))
+    links = tuple(
+        make_link(i, tx=(250.0 * i, y), rx=(250.0 * i + 180.0, y + 120.0))
+        for i, y in enumerate([0.0, 100.0, 200.0] * 3)
+    )
+    points = tuple(
+        PrimaryReceivingPoint(id=j, position=position, tolerance=tolerance * (j + 1))
+        for j, position in enumerate([(900.0, 900.0), (-400.0, 600.0), (2200.0, -500.0)])
+    )
+    gains = gains_from_positions(links, points, path_loss_exponent=3.0, reference_distance=1.0)
+    return NetworkTopology(providers=providers, links=links, primary_points=points, gains=gains)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_THREE_POINT_RUNS))
+def test_golden_three_point_run_reports(name):
+    spec = spec_for([1.0, 0.6, 0.8], holding=4.0, horizon=80.0, seed=21)
+    if name == "fixed":
+        strategy, qos_config = Strategy.FIXED, None
+    else:
+        strategy, qos_config = Strategy.DYNAMIC_SBAC, QosConfig(physical_checks=True,
+                                                                channel_reuse=True)
+    _, report = run_simulation(three_point_topology(), spec, strategy, qos_config=qos_config,
+                               audit=True)
+    assert dataclasses.asdict(report) == GOLDEN_THREE_POINT_RUNS[name]

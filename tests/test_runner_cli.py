@@ -94,6 +94,21 @@ def test_seed_override_changes_rows(tmp_path):
     assert row_a["arrivals"] != row_b["arrivals"]
 
 
+@pytest.mark.parametrize("value", ["-3", "1.5", "seven"])
+def test_cli_rejects_a_seed_override_that_is_not_an_integer_at_least_zero(
+    value, tmp_path, capsys
+):
+    path = tmp_path / "scenario.yaml"
+    path.write_text(yaml.safe_dump(scenario()))
+    out_dir = tmp_path / "out"
+    with pytest.raises(SystemExit) as exit_info:
+        cli_main(["run", str(path), "--out", str(out_dir), "--seed-override", value])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "--seed-override" in err and repr(value) in err
+    assert not out_dir.exists()  # rejected before any run
+
+
 def test_verbose_writes_session_logs(tmp_path):
     config = parse(scenario())
     assert run_scenario(config, tmp_path / "out", verbose=True) == 0

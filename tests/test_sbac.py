@@ -305,6 +305,53 @@ def test_live_pool_rejects_double_take_double_give_and_unknown_channels():
     assert summaries(pool) == (1, 400e6, 400e6, 4)
 
 
+def test_live_pool_scores_on_change_only_when_built_with_a_config():
+    provider = explicit_provider(0, [(7, 403.0), (2, 400.0), (11, 401.0)])
+    sbac_config = config(0.5, 0.3, 0.2, minutes=2.0)
+    scored, unscored = LivePool(provider, sbac_config), LivePool(provider)
+    for channel_id in (2, 7, 11):
+        for pool in (scored, unscored):
+            pool.take(channel_id)
+        free = [ch for ch in provider.channels if ch.id > channel_id]
+        if free:
+            assert scored.score == utility(CandidatePool(0, tuple(free), 3, 0.05), sbac_config)
+        else:
+            assert scored.score is None  # no free channel, nothing to score
+        assert unscored.score is None
+    scored.give(11)
+    assert scored.score == utility(CandidatePool(0, provider.channels[2:], 3, 0.05), sbac_config)
+
+
+def test_selection_reads_live_scores_and_lets_a_lone_pool_win_unscored():
+    provider = explicit_provider(3, [(4, 400.0), (9, 401.0)])
+    assert select_best_channel((LivePool(provider),), SbacConfig()) == (3, 4, None)
+    scored = LivePool(provider, SbacConfig())
+    scored.score = 1e9  # selection reads the cached score, it does not re-score
+    cheap = LivePool(explicit_provider(0, [(0, 400.0)], cost_rate=1e-9), SbacConfig())
+    assert select_best_channel([cheap, scored], SbacConfig()) == (3, 4, 1e9)
+
+
+def test_equal_live_scores_tie_break_to_the_lowest_provider_id():
+    sbac_config = SbacConfig()
+    pools = [LivePool(explicit_provider(i, [(0, 400.0), (1, 410.0)]), sbac_config)
+             for i in (2, 0, 1)]
+    assert select_best_channel(pools, sbac_config)[:2] == (0, 0)
+
+
+def test_audit_flags_a_stale_score():
+    sbac_config = SbacConfig()
+    pool = LivePool(explicit_provider(0, [(7, 403.0), (2, 400.0), (11, 401.0)]), sbac_config)
+    pool.take(11)
+    pool.audit([11])
+    pool.score += 1e-12
+    with pytest.raises(StateError, match="score"):
+        pool.audit([11])
+    unscored = LivePool(explicit_provider(0, [(7, 403.0)]))
+    unscored.score = 1.0
+    with pytest.raises(StateError, match="score"):
+        unscored.audit([])
+
+
 @pytest.mark.parametrize("mask", ["id_mask", "frequency_mask"])
 def test_audit_flags_a_flipped_pool_bit(mask):
     pool = LivePool(explicit_provider(0, [(7, 403.0), (2, 400.0), (11, 401.0)]))
@@ -326,13 +373,13 @@ def test_audit_flags_a_flipped_pool_bit(mask):
 @settings(max_examples=200, deadline=None)
 def test_live_pools_score_like_tuple_built_pools(bands, ops, weights):
     # each op toggles one channel (take it if free, give it back if held);
-    # after every op the live pools must summarise and select exactly like
-    # CandidatePools built from the free channels' tuples
+    # after every op the live pools must summarise, score and select exactly
+    # like CandidatePools built from the free channels' tuples
     providers = [
         explicit_provider(i, band, cost_rate=0.01 * (i + 1)) for i, band in enumerate(bands)
     ]
-    live = [LivePool(provider) for provider in providers]
     sbac_config = SbacConfig(weights, session_minutes=2.0)
+    live = [LivePool(provider, sbac_config) for provider in providers]
     held = [set() for _ in providers]
 
     def check():
@@ -350,6 +397,10 @@ def test_live_pools_score_like_tuple_built_pools(bands, ops, weights):
         for pool, reference in zip(live, built):
             assert summaries(pool) == summaries(reference)
             assert pool.available_channels == reference.available_channels
+            if reference.free_count:
+                assert pool.score == utility(reference, sbac_config)
+            else:
+                assert pool.score is None
             pool.audit(held[pool.provider_id])
         if any(reference.free_count for reference in built):
             assert select_best_channel(live, sbac_config) == select_best_channel(built, sbac_config)

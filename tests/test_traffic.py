@@ -8,17 +8,18 @@ import numpy as np
 import pytest
 
 from dsasim import TrafficSpec, build_event_stream
+from dsasim import traffic
 from dsasim.traffic import draw_exponential, provider_rng
 
 
 def test_zero_rate_gives_empty_stream():
     spec = TrafficSpec(arrival_rates=(0.0, 0.0), mean_holding_time=1.0, horizon=100.0, seed=1)
-    assert build_event_stream(spec) == []
+    assert list(build_event_stream(spec)) == []
 
 
 def test_arrival_count_and_mean_gap_match_rate():
     spec = TrafficSpec(arrival_rates=(1.0,), mean_holding_time=5.0, horizon=1e5, seed=42)
-    events = build_event_stream(spec)
+    events = list(build_event_stream(spec))
     assert abs(len(events) - 1e5) < 3 * math.sqrt(1e5)
     gaps = np.diff([0.0] + [e.time for e in events])
     assert gaps.mean() == pytest.approx(1.0, rel=0.01)
@@ -26,13 +27,13 @@ def test_arrival_count_and_mean_gap_match_rate():
 
 def test_same_seed_gives_identical_stream():
     spec = TrafficSpec(arrival_rates=(0.8, 0.2), mean_holding_time=3.0, horizon=500.0, seed=77)
-    assert build_event_stream(spec) == build_event_stream(spec)
+    assert list(build_event_stream(spec)) == list(build_event_stream(spec))
 
 
 def test_different_seed_gives_different_stream():
     a = TrafficSpec(arrival_rates=(0.8,), mean_holding_time=3.0, horizon=500.0, seed=1)
     b = TrafficSpec(arrival_rates=(0.8,), mean_holding_time=3.0, horizon=500.0, seed=2)
-    assert build_event_stream(a) != build_event_stream(b)
+    assert list(build_event_stream(a)) != list(build_event_stream(b))
 
 
 def test_holding_time_sample_mean():
@@ -75,7 +76,7 @@ def test_adding_a_provider_does_not_perturb_others():
     extended = TrafficSpec(
         arrival_rates=(0.5, 2.0), mean_holding_time=5.0, horizon=1000.0, seed=11
     )
-    only = build_event_stream(base)
+    only = list(build_event_stream(base))
     mixed = [e for e in build_event_stream(extended) if e.provider_id == 0]
     assert only == mixed
 
@@ -86,9 +87,9 @@ def test_events_carry_common_requested_rate_and_holding():
         arrival_rates=(1.0,), mean_holding_time=2.0, horizon=100.0, seed=4,
         requested_rate=2.5e5,
     )
-    events = build_event_stream(spec)
+    events = list(build_event_stream(spec))
     assert events
-    assert events == build_event_stream(dataclasses.replace(spec, requested_rate=1e5))
+    assert events == list(build_event_stream(dataclasses.replace(spec, requested_rate=1e5)))
     assert all(e.holding_time > 0 for e in events)
 
 
@@ -121,3 +122,35 @@ def test_spec_rejects_non_finite_or_non_positive_parameters(field, value):
     spec = dict(arrival_rates=(1.0,), mean_holding_time=1.0, horizon=10.0, seed=0)
     with pytest.raises(ValueError, match=field):
         TrafficSpec(**{**spec, field: value})
+
+
+@pytest.mark.parametrize("seed", [-3, 1.5, True, "7", None])
+def test_spec_rejects_a_seed_that_is_not_an_integer_at_least_zero(seed):
+    # numpy would reject -3 and 1.5 only at the first draw, deep inside a run
+    with pytest.raises(ValueError, match="seed"):
+        TrafficSpec(arrival_rates=(1.0,), mean_holding_time=1.0, horizon=10.0, seed=seed)
+
+
+def test_stream_ties_order_by_provider_and_keep_each_providers_draw_order(monkeypatch):
+    # scripted draws force equal times across providers and, through a gap
+    # below half an ulp of t, within provider 0; the merge must order them
+    # exactly as a stable sort of all arrivals by (time, provider id) would
+    script = {
+        0: iter([1.0, 0.1, 1e-20, 0.2, 1.0, 0.3, 9.0]),  # times 1.0, 1.0, 2.0
+        1: iter([1.0, 0.4, 1.0, 0.5, 9.0]),  # times 1.0, 2.0
+    }
+    monkeypatch.setattr(traffic, "provider_rng", lambda seed, provider_id: provider_id)
+    monkeypatch.setattr(traffic, "draw_exponential", lambda rng, mean: next(script[rng]))
+    spec = TrafficSpec(arrival_rates=(1.0, 1.0), mean_holding_time=1.0, horizon=5.0, seed=0)
+    events = [(e.time, e.provider_id, e.holding_time) for e in build_event_stream(spec)]
+    assert events == [(1.0, 0, 0.1), (1.0, 0, 0.2), (1.0, 1, 0.4), (2.0, 0, 0.3), (2.0, 1, 0.5)]
+
+
+def test_stream_repeats_itself_and_counts_its_arrivals():
+    spec = TrafficSpec(arrival_rates=(0.8, 0.0, 0.3), mean_holding_time=3.0, horizon=500.0,
+                       seed=77)
+    stream = build_event_stream(spec)
+    events = list(stream)
+    assert list(stream) == events
+    assert len(stream) == len(events) > 0
+    assert {e.provider_id for e in events} == {0, 2}
