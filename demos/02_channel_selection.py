@@ -8,7 +8,7 @@ channels.
 
 Run: python demos/02_channel_selection.py
 """
-from dsasim import CandidatePool, SbacConfig, SbacWeights, SpectrumChannel, select_best_channel
+from dsasim import CandidatePool, SbacConfig, SpectrumChannel, select_best_channel
 from dsasim.sbac import SPREAD_UNIT_HZ
 
 SESSION_MINUTES = 2.0  # expected session length that the cost term prices
@@ -47,14 +47,14 @@ def main() -> None:
         )
 
     scenarios = [
-        ("availability-heavy", SbacWeights(1.0, 0.05, 0.05)),
-        ("spread-heavy", SbacWeights(0.05, 1.0, 0.05)),
-        ("cost-heavy", SbacWeights(0.05, 0.05, 1.0)),
-        ("balanced default", SbacWeights(0.5, 0.3, 0.2)),
+        ("availability-heavy", (1.0, 0.05, 0.05)),
+        ("spread-heavy", (0.05, 1.0, 0.05)),
+        ("cost-heavy", (0.05, 0.05, 1.0)),
+        ("balanced default", (0.5, 0.3, 0.2)),
     ]
     print("\nSelection under different weightings:")
-    for label, weights in scenarios:
-        config = SbacConfig(weights=weights, session_minutes=SESSION_MINUTES)
+    for label, (beta1, beta2, beta3) in scenarios:
+        config = SbacConfig(beta1, beta2, beta3, session_minutes=SESSION_MINUTES)
         provider_id, channel_id, utility = select_best_channel(pools, config)
         print(
             f"  {label:20s} -> provider {provider_id}, channel {channel_id} "
@@ -62,10 +62,8 @@ def main() -> None:
         )
 
     print("\nScaling all weights by a common factor never changes the winner:")
-    base = SbacWeights(0.5, 0.3, 0.2)
     for factor in (0.01, 1.0, 250.0):
-        scaled = SbacWeights(base.beta1 * factor, base.beta2 * factor, base.beta3 * factor)
-        config = SbacConfig(weights=scaled, session_minutes=SESSION_MINUTES)
+        config = SbacConfig(0.5 * factor, 0.3 * factor, 0.2 * factor, SESSION_MINUTES)
         provider_id, channel_id, utility = select_best_channel(pools, config)
         print(f"  x{factor:<7} -> provider {provider_id}, channel {channel_id} "
               f"(utility {utility:10.3f})")

@@ -25,7 +25,6 @@ from .errors import (
     DsasimError,
     GeometryError,
     InvalidTopologyError,
-    NoCandidateError,
     StateError,
     TraceError,
     UnsupportedModulationError,
@@ -40,7 +39,7 @@ from .qos import (
     sinr_target_from_ber,
     solve_min_powers,
 )
-from .sbac import CandidatePool, SbacConfig, SbacWeights, select_best_channel, utility
+from .sbac import CandidatePool, SbacConfig, select_best_channel, utility
 from .topology import (
     GainMatrices,
     Modulation,
@@ -52,11 +51,10 @@ from .topology import (
     gains_from_positions,
     validate_topology,
 )
-from .traffic import ArrivalEvent, TrafficSpec, build_event_stream
+from .traffic import TrafficSpec, build_event_stream
 
 __all__ = [
     "__version__",
-    "ArrivalEvent",
     "CandidatePool",
     "ConfigError",
     "DsasimError",
@@ -66,13 +64,11 @@ __all__ = [
     "MetricsReport",
     "Modulation",
     "NetworkTopology",
-    "NoCandidateError",
     "Outcome",
     "PowerSolution",
     "PrimaryReceivingPoint",
     "QosConfig",
     "SbacConfig",
-    "SbacWeights",
     "SecondaryLink",
     "ServiceProvider",
     "SessionRecord",

@@ -23,7 +23,7 @@ import yaml
 from .engine import QosConfig, Strategy
 from .errors import ConfigError, GeometryError
 from .qos import sinr_target_from_ber
-from .sbac import SbacConfig, SbacWeights
+from .sbac import SbacConfig
 from .topology import (
     GainMatrices,
     Modulation,
@@ -367,42 +367,33 @@ def _parse_traffic(raw, topology: NetworkTopology) -> TrafficSpec:
     if any(r < 0 for r in rates):
         raise ConfigError("traffic.arrival_rate entries must be >= 0")
 
-    seed = _get(raw, "seed", path)
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise ConfigError(f"traffic.seed must be an integer >= 0, got {seed!r}")
-
     try:
         return TrafficSpec(
             arrival_rates=rates,
             mean_holding_time=_number(raw, "mean_holding_time", path),
             horizon=_number(raw, "horizon", path),
-            seed=seed,
+            seed=_get(raw, "seed", path),
             requested_rate=_number(raw, "requested_rate", path, default=topology.links[0].rate),
         )
-    except ValueError as exc:
-        raise ConfigError(f"traffic section invalid: {exc}") from None
+    except ValueError as exc:  # its message starts with the offending key's name
+        raise ConfigError(f"{path}.{exc}") from None
 
 
 def _parse_sbac(raw, traffic: TrafficSpec) -> SbacConfig:
     path = "sbac"
     raw = _mapping(raw, path)
     _check_keys(raw, {"beta1", "beta2", "beta3", "session_minutes"}, path)
-    betas = {
-        key: _number(raw, key, path, default=default)
-        for key, default in (("beta1", 0.5), ("beta2", 0.3), ("beta3", 0.2))
-    }
-    session_minutes = _number(
-        raw, "session_minutes", path, default=traffic.mean_holding_time / 60.0
-    )
     try:
-        weights = SbacWeights(**betas)
-    except ValueError as exc:
-        raise ConfigError(f"sbac weights invalid: {exc}") from None
-    # the session cost is proportional to it; at <= 0 every provider's cost
-    # falls to the floor and the cost term stops ranking them
-    if not session_minutes > 0:
-        raise ConfigError(f"{path}.session_minutes must be > 0, got {session_minutes}")
-    return SbacConfig(weights=weights, session_minutes=session_minutes)
+        return SbacConfig(
+            beta1=_number(raw, "beta1", path, default=0.5),
+            beta2=_number(raw, "beta2", path, default=0.3),
+            beta3=_number(raw, "beta3", path, default=0.2),
+            session_minutes=_number(
+                raw, "session_minutes", path, default=traffic.mean_holding_time / 60.0
+            ),
+        )
+    except ValueError as exc:  # its message starts with the offending key's name
+        raise ConfigError(f"{path}.{exc}") from None
 
 
 def _parse_strategy(raw) -> tuple[tuple[Strategy, ...], QosConfig]:
@@ -431,10 +422,13 @@ def _parse_strategy(raw) -> tuple[tuple[Strategy, ...], QosConfig]:
             raise ConfigError(f"strategy.{key} must be a boolean")
         return value
 
-    qos_config = QosConfig(
-        physical_checks=_bool("physical_checks", False),
-        channel_reuse=_bool("channel_reuse", False),
-    )
+    try:
+        qos_config = QosConfig(
+            physical_checks=_bool("physical_checks", False),
+            channel_reuse=_bool("channel_reuse", False),
+        )
+    except ValueError as exc:  # its message starts with the offending key's name
+        raise ConfigError(f"{path}.{exc}") from None
     return tuple(kinds_list), qos_config
 
 
@@ -575,9 +569,9 @@ def config_to_document(config: ScenarioConfig) -> dict:
             "requested_rate": config.traffic.requested_rate,
         },
         "sbac": {
-            "beta1": config.sbac.weights.beta1,
-            "beta2": config.sbac.weights.beta2,
-            "beta3": config.sbac.weights.beta3,
+            "beta1": config.sbac.beta1,
+            "beta2": config.sbac.beta2,
+            "beta3": config.sbac.beta3,
             "session_minutes": config.sbac.session_minutes,
         },
         "strategy": {

@@ -1,8 +1,9 @@
 """Deterministic discrete-event loop over arrivals and departures.
 
-Arrivals are drawn lazily from :func:`~dsasim.traffic.build_event_stream`,
-which holds one pending arrival per provider, and the event queue is a heap
-of the held sessions' departures keyed ``(end_time, session_id)``.
+Arrivals are ``(time, provider_id, holding_time)`` tuples drawn lazily from
+:func:`~dsasim.traffic.build_event_stream`, which holds one pending arrival
+per provider, and the event queue is a heap of the held sessions'
+departures keyed ``(end_time, session_id)``.
 
 Every arrival is offered the candidate pools its strategy allows (home
 provider only under fixed allocation, all providers under dynamic
@@ -41,12 +42,12 @@ from enum import Enum
 
 import numpy as np
 
-from . import metrics, qos, sbac
-from .errors import InvalidTopologyError, NoCandidateError, StateError
+from . import qos, sbac
+from .errors import InvalidTopologyError, StateError
 from .metrics import MetricsReport
 from .sbac import LivePool, SbacConfig
 from .topology import NetworkTopology, validate_topology
-from .traffic import ArrivalEvent, TrafficSpec, build_event_stream
+from .traffic import TrafficSpec, build_event_stream
 
 
 class Strategy(Enum):
@@ -68,11 +69,17 @@ class QosConfig:
     With ``physical_checks`` off, channel availability alone decides
     admission.  ``channel_reuse`` makes equal channel indexes on different
     providers co-channel, so concurrent sessions there are power-coupled
-    and admission exercises the full SINR feasibility machinery.
+    and admission exercises the full SINR feasibility machinery.  Only the
+    power solve reads the groups, so reuse without physical checks is a
+    ValueError.
     """
 
     physical_checks: bool = False
     channel_reuse: bool = False
+
+    def __post_init__(self):
+        if self.channel_reuse and not self.physical_checks:
+            raise ValueError("channel_reuse needs physical_checks")
 
 
 @dataclass(slots=True)
@@ -179,9 +186,9 @@ class Simulation:
         # at time t free capacity before arrivals at time t.
         departures: list[tuple[float, int, SessionRecord]] = []
         for event in build_event_stream(self.traffic_spec):
-            while departures and departures[0][0] <= event.time:
+            while departures and departures[0][0] <= event[0]:
                 self._depart_next(departures)
-            self._advance_clocks(event.time)
+            self._advance_clocks(event[0])
             record = self._admit(event)
             self.records.append(record)
             if record.admitted:
@@ -245,26 +252,25 @@ class Simulation:
 
     # -- admission ----------------------------------------------------------
 
-    def _admit(self, event: ArrivalEvent) -> SessionRecord:
+    def _admit(self, event: tuple[float, int, float]) -> SessionRecord:
+        time, home_provider_id, holding_time = event
         session_id = len(self.records)
         link = self.topology.links[session_id % self.topology.num_links]
         record = SessionRecord(
             session_id=session_id,
-            arrival_time=event.time,
-            end_time=event.time,
-            home_provider_id=event.provider_id,
+            arrival_time=time,
+            end_time=time,
+            home_provider_id=home_provider_id,
             provider_id=None,
             channel_id=None,
             link_id=link.id,
             outcome=Outcome.BLOCKED_NO_CHANNEL,
         )
 
-        try:
-            provider_id, channel_id, _ = sbac.select_best_channel(
-                self._candidates[event.provider_id], self.sbac
-            )
-        except NoCandidateError:
+        choice = sbac.select_best_channel(self._candidates[home_provider_id], self.sbac)
+        if choice is None:
             return record
+        provider_id, channel_id, _ = choice
 
         if self.qos.physical_checks:
             outcome = self._physical_admission(channel_id, record)
@@ -281,7 +287,7 @@ class Simulation:
         record.outcome = Outcome.ADMITTED
         record.provider_id = provider_id
         record.channel_id = channel_id
-        record.end_time = event.time + event.holding_time
+        record.end_time = time + holding_time
         self._pools[provider_id].take(channel_id)
         self.groups[channel_id].append(record)
         self.busy += 1
@@ -383,18 +389,19 @@ class Simulation:
 
     def _report(self) -> MetricsReport:
         horizon = self.traffic_spec.horizon
-        admitted = [r for r in self.records if r.admitted]
+        rate = self.traffic_spec.requested_rate
         speed = self.topology.propagation_speed
-
-        if admitted:
-            distances = [link.distance for link in self.topology.links]
-            delays = [metrics.propagation_delay(distances[r.link_id], speed) for r in admitted]
-            rtts = [metrics.rtt(distances[r.link_id], speed) for r in admitted]
-            mean_delay = sum(delays) / len(delays)
-            mean_rtt = sum(rtts) / len(rtts)
-        else:
-            mean_delay = 0.0
-            mean_rtt = 0.0
+        distances = [link.distance for link in self.topology.links]
+        outcomes = {outcome: 0 for outcome in Outcome}
+        delays = []
+        bits = 0.0
+        for record in self.records:
+            outcomes[record.outcome] += 1
+            if record.outcome is Outcome.ADMITTED:
+                delays.append(distances[record.link_id] / speed)
+                # an admitted session arrived before the horizon: active >= 0
+                bits += rate * (min(record.end_time, horizon) - record.arrival_time)
+        mean_delay = sum(delays) / len(delays) if delays else 0.0
 
         if self.primary_integral:
             per_point = np.array(self.primary_integral) / horizon
@@ -403,22 +410,16 @@ class Simulation:
             per_point = np.zeros(0)
             mean_interference = 0.0
 
-        outcomes = {outcome: 0 for outcome in Outcome}
-        for record in self.records:
-            outcomes[record.outcome] += 1
         arrivals = len(self.records)
         blocked = arrivals - outcomes[Outcome.ADMITTED]
 
         return MetricsReport(
             mean_propagation_delay=mean_delay,
-            mean_rtt=mean_rtt,
-            throughput=metrics.throughput(
-                self.records, self.traffic_spec.requested_rate, horizon
-            ),
+            # doubling is exact and commutes with every rounding of the mean
+            mean_rtt=2.0 * mean_delay,
+            throughput=bits / horizon,
             mean_primary_interference=mean_interference,
-            spectral_efficiency=metrics.spectral_efficiency(
-                self.busy_integral, self.topology.total_channels, horizon
-            ),
+            spectral_efficiency=(self.busy_integral / horizon) / self.topology.total_channels,
             blocking_probability=blocked / arrivals if arrivals else 0.0,
             arrivals=arrivals,
             admitted=outcomes[Outcome.ADMITTED],

@@ -9,10 +9,6 @@ class GeometryError(DsasimError):
     """Raised when node positions are degenerate (e.g. coincident tx/rx)."""
 
 
-class NoCandidateError(DsasimError):
-    """Raised when channel selection is asked to choose from no free channels."""
-
-
 class UnsupportedModulationError(DsasimError):
     """Raised when a BER/SINR mapping is requested for a modulation without one."""
 

@@ -1,8 +1,7 @@
-"""Run metrics: delay, RTT, throughput, interference, spectral efficiency.
-
-All functions here are pure and operate on immutable run outputs.  The
-Erlang-B recursion lives here too; it is the analytic oracle for the
-fixed-allocation baseline, which behaves as an M/M/K/K loss system.
+"""The run report, which defines each metric, and two oracles for it:
+:func:`mean_primary_interference` integrates a load trace from scratch, and
+:func:`erlang_b` gives the blocking of the fixed-allocation baseline, which
+behaves as an M/M/K/K loss system.
 """
 from __future__ import annotations
 
@@ -19,11 +18,12 @@ _TILE_TOLERANCE = 1e-9
 class MetricsReport:
     """Metric suite for one simulation run plus its sweep metadata."""
 
-    mean_propagation_delay: float  # s, over admitted sessions
-    mean_rtt: float  # s, over admitted sessions
-    throughput: float  # bits/s delivered over the horizon
+    # s: link length / propagation speed, mean over admitted sessions (0.0 if none)
+    mean_propagation_delay: float
+    mean_rtt: float  # s: twice the delay, as an admitted session waits for nothing
+    throughput: float  # bits/s: requested rate x active time within the horizon, over it
     mean_primary_interference: float  # watts, time and point averaged
-    spectral_efficiency: float  # busy-channel time fraction, in [0, 1]
+    spectral_efficiency: float  # busy channels, time averaged, over all channels; in [0, 1]
     blocking_probability: float  # in [0, 1]; 0.0 when there were no arrivals
     arrivals: int = 0
     admitted: int = 0
@@ -31,39 +31,6 @@ class MetricsReport:
     blocked_qos: int = 0
     blocked_interference: int = 0
     metadata: dict = field(default_factory=dict)
-
-
-def propagation_delay(distance: float, speed: float) -> float:
-    """Signal travel time: link length over propagation speed."""
-    if speed <= 0:
-        raise ValueError(f"speed must be > 0, got {speed}")
-    if distance < 0:
-        raise ValueError(f"distance must be >= 0, got {distance}")
-    return distance / speed
-
-
-def rtt(distance: float, speed: float) -> float:
-    """Request/response round trip excluding data transfer.
-
-    Modeled as twice the propagation delay: in a pure loss system an admitted
-    session is served at arrival, so no admission wait adds to it.
-    """
-    return 2.0 * propagation_delay(distance, speed)
-
-
-def throughput(records, rate: float, horizon: float) -> float:
-    """Delivered bits of admitted sessions within the horizon, per second,
-    every session carrying ``rate`` bits/s."""
-    if horizon <= 0:
-        raise ValueError(f"horizon must be > 0, got {horizon}")
-    bits = 0.0
-    for record in records:
-        if not record.admitted:
-            continue
-        active = min(record.end_time, horizon) - record.arrival_time
-        if active > 0:
-            bits += rate * active
-    return bits / horizon
 
 
 def mean_primary_interference(trace, horizon: float) -> float:
@@ -96,15 +63,6 @@ def mean_primary_interference(trace, horizon: float) -> float:
     if total is None or total.size == 0:
         return 0.0
     return float(np.mean(total) / horizon)
-
-
-def spectral_efficiency(busy_channel_seconds: float, total_channels: int, horizon: float) -> float:
-    """Average busy channels over total channels owned by all providers."""
-    if horizon <= 0:
-        raise ValueError(f"horizon must be > 0, got {horizon}")
-    if total_channels <= 0:
-        raise ValueError(f"total_channels must be > 0, got {total_channels}")
-    return (busy_channel_seconds / horizon) / total_channels
 
 
 def erlang_b(channels: int, offered_load: float) -> float:

@@ -21,6 +21,7 @@ from pathlib import Path
 from . import __version__
 from .config import ScenarioConfig, apply_sweep_point, config_to_document
 from .engine import SessionRecord, Strategy, run_simulation
+from .errors import ConfigError
 
 logger = logging.getLogger(__name__)
 
@@ -76,7 +77,12 @@ class RunSpec:
 
 
 def expand_runs(config: ScenarioConfig, seed_override: int | None = None) -> list[RunSpec]:
+    """Every (sweep point, seed, strategy) cell; raises ConfigError for a
+    ``seed_override`` that is not an integer >= 0."""
     base_seed = config.traffic.seed if seed_override is None else seed_override
+    # TrafficSpec has checked traffic.seed, so only an override can fail here
+    if not isinstance(base_seed, int) or isinstance(base_seed, bool) or base_seed < 0:
+        raise ConfigError(f"seed_override must be an integer >= 0, got {seed_override!r}")
     if config.sweep is None:
         points: list[tuple[str, float | None]] = [("none", None)]
         seeds_per_point = 1
@@ -191,11 +197,12 @@ def run_scenario(
     Writes ``results.csv`` (one row per run, fixed column order) and
     ``manifest.json`` recording parameters, per-run status and overall
     completeness.  With ``verbose`` a per-run session log is written under
-    ``sessions/``.  Returns 0 iff every run completed.
+    ``sessions/``.  Returns 0 iff every run completed.  An invalid
+    ``seed_override`` raises ConfigError before any run or write.
     """
+    runs = expand_runs(config, seed_override)
     output_dir = Path(output_dir)
     output_dir.mkdir(parents=True, exist_ok=True)
-    runs = expand_runs(config, seed_override)
     workers = _worker_count()
     logger.info("executing %d runs with %d worker(s)", len(runs), workers)
 

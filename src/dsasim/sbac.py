@@ -4,7 +4,8 @@ Each provider with at least one free channel forms a candidate pool.  A pool
 is scored by :func:`utility`, a weighted sum of three terms: the fraction of
 its channels currently free, the log-reciprocal of the frequency spread of
 the free channels in MHz (``SPREAD_UNIT_HZ``), and the reciprocal of the
-expected session cost ``session_minutes * 60 * cost_rate``:
+expected session cost ``session_minutes * 60 * cost_rate`` (an
+:class:`SbacConfig` holds the weights and session length):
 
     utility = 10 * beta1 * free / total
             + beta2 * ln(1 / max(spread, SPREAD_FLOOR))
@@ -29,9 +30,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .errors import NoCandidateError, StateError
+from .errors import StateError
 from .topology import ServiceProvider, SpectrumChannel
 
 SPREAD_UNIT_HZ = 1e6  # the spread term is scored in MHz
@@ -40,16 +41,25 @@ COST_FLOOR = 1e-6  # currency units
 
 
 @dataclass(frozen=True)
-class SbacWeights:
+class SbacConfig:
+    """The utility weights and the session length, in minutes, that the cost
+    term prices; a bad field raises ValueError naming it."""
+
     beta1: float = 0.5
     beta2: float = 0.3
     beta3: float = 0.2
+    session_minutes: float = 1.0
 
     def __post_init__(self):
-        if self.beta1 < 0 or self.beta2 < 0 or self.beta3 < 0:
-            raise ValueError("weights must be non-negative")
-        if self.beta1 + self.beta2 + self.beta3 <= 0:
-            raise ValueError("at least one weight must be positive")
+        # written so that NaN fails every check; at session_minutes <= 0 every
+        # cost falls to COST_FLOOR and the cost term stops ranking providers
+        for name in ("beta1", "beta2", "beta3"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if not self.beta1 + self.beta2 + self.beta3 > 0:
+            raise ValueError("beta1 + beta2 + beta3 must be > 0")
+        if not self.session_minutes > 0:
+            raise ValueError(f"session_minutes must be > 0, got {self.session_minutes}")
 
 
 @dataclass(frozen=True)
@@ -193,40 +203,32 @@ class LivePool:
             )
 
 
-@dataclass(frozen=True)
-class SbacConfig:
-    """Selection weights plus the expected session length the cost term prices."""
-
-    weights: SbacWeights = field(default_factory=SbacWeights)
-    session_minutes: float = 1.0
-
-
 def utility(pool: CandidatePool | LivePool, config: SbacConfig) -> float:
-    """Score one candidate pool; raises NoCandidateError on an empty pool."""
+    """Score one candidate pool; raises ValueError on a pool with no free
+    channel, which is no candidate."""
     if not pool.free_count:
-        raise NoCandidateError(f"pool {pool.provider_id} has no free channel")
-    weights = config.weights
+        raise ValueError(f"pool {pool.provider_id} has no free channel")
     spread = (pool.max_free_frequency - pool.min_free_frequency) / SPREAD_UNIT_HZ
     cost = config.session_minutes * 60.0 * pool.cost_rate
     return (
-        10.0 * weights.beta1 * (pool.free_count / pool.total_channels)
-        + weights.beta2 * math.log(1.0 / max(spread, SPREAD_FLOOR))
-        + weights.beta3 / max(cost, COST_FLOOR)
+        10.0 * config.beta1 * (pool.free_count / pool.total_channels)
+        + config.beta2 * math.log(1.0 / max(spread, SPREAD_FLOOR))
+        + config.beta3 / max(cost, COST_FLOOR)
     )
 
 
 def select_best_channel(
     pools: list[CandidatePool | LivePool] | tuple[CandidatePool | LivePool, ...],
     config: SbacConfig,
-) -> tuple[int, int, float | None]:
+) -> tuple[int, int, float | None] | None:
     """Pick the highest-utility pool and its lowest-indexed free channel.
 
-    Returns ``(provider_id, channel_id, utility)``.  A :class:`LivePool`'s
-    utility is its cached ``score``, so it must have been built with
-    ``config``, or, as a lone candidate, without one (its utility is then
-    None); any other pool is scored by :func:`utility`.  Pools without free
-    channels are skipped; if none remain a NoCandidateError is raised, which
-    the simulation maps to a blocked call.
+    Returns ``(provider_id, channel_id, utility)``, or None when no pool has
+    a free channel, which the simulation records as a blocked call.  A
+    :class:`LivePool`'s utility is its cached ``score``, so it must have
+    been built with ``config``, or, as a lone candidate, without one (its
+    utility is then None); any other pool is scored by :func:`utility`.
+    Pools without free channels are skipped.
     """
     best = best_score = None
     for pool in pools:
@@ -238,5 +240,5 @@ def select_best_channel(
         ):
             best, best_score = pool, score
     if best is None:
-        raise NoCandidateError("no candidate pool has a free channel")
+        return None
     return best.provider_id, best.lowest_free_id, best_score

@@ -6,10 +6,11 @@ are derived from one root seed through per-provider spawn keys of a
 counter-based generator, so adding or removing a provider never perturbs
 the draws of the others, and identical seeds give byte-identical streams.
 
-Arrivals are drawn as they are consumed: each provider's stream is a
-generator, and :class:`ArrivalStream` merges them in ``(time, provider id)``
-order while holding one pending arrival per provider, so a run never keeps
-more of its arrival stream than that in memory.
+Arrivals, plain ``(time, provider_id, holding_time)`` tuples, are drawn as
+they are consumed: each provider's stream is a generator, and
+:class:`ArrivalStream` merges them in ``(time, provider id)`` order while
+holding one pending arrival per provider, so a run never keeps more of its
+arrival stream than that in memory.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ import heapq
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
-from operator import attrgetter
+from operator import itemgetter
 
 import numpy as np
 
@@ -48,13 +49,6 @@ class TrafficSpec:
                 raise ValueError(f"{name} must be finite and > 0")
 
 
-@dataclass(frozen=True, slots=True)
-class ArrivalEvent:
-    time: float
-    provider_id: int  # home base station of the requesting user
-    holding_time: float  # seconds
-
-
 def provider_rng(seed: int, provider_id: int) -> np.random.Generator:
     """Independent deterministic sub-stream for one provider."""
     sequence = np.random.SeedSequence(seed, spawn_key=(provider_id,))
@@ -75,8 +69,9 @@ def draw_exponential(rng: np.random.Generator, mean: float) -> float:
     return -mean * float(np.log(u))
 
 
-def provider_arrivals(spec: TrafficSpec, provider_id: int) -> Iterator[ArrivalEvent]:
-    """One provider's arrivals in time order, each drawn when it is asked for.
+def provider_arrivals(spec: TrafficSpec, provider_id: int) -> Iterator[tuple[float, int, float]]:
+    """One provider's ``(time, provider_id, holding_time)`` arrivals in time
+    order, each drawn when it is asked for.
 
     The draw order is strictly (gap, holding, gap, holding, ...), ending
     with the first gap that reaches the horizon, so arrival ``k`` of a
@@ -95,7 +90,7 @@ def provider_arrivals(spec: TrafficSpec, provider_id: int) -> Iterator[ArrivalEv
         if t >= spec.horizon:
             return
         holding = draw_exponential(rng, spec.mean_holding_time)
-        yield ArrivalEvent(time=t, provider_id=provider_id, holding_time=holding)
+        yield t, provider_id, holding
 
 
 class ArrivalStream:
@@ -115,9 +110,9 @@ class ArrivalStream:
     def __init__(self, spec: TrafficSpec):
         self.spec = spec
 
-    def __iter__(self) -> Iterator[ArrivalEvent]:
+    def __iter__(self) -> Iterator[tuple[float, int, float]]:
         streams = [provider_arrivals(self.spec, i) for i in range(len(self.spec.arrival_rates))]
-        return heapq.merge(*streams, key=attrgetter("time"))
+        return heapq.merge(*streams, key=itemgetter(0))
 
     def __len__(self) -> int:
         return sum(1 for _ in self)

@@ -14,17 +14,17 @@ import pytest
 
 from dsasim import (
     CandidatePool,
+    NetworkTopology,
     SbacConfig,
-    SbacWeights,
     SpectrumChannel,
     Strategy,
     TrafficSpec,
     erlang_b,
+    gains_from_positions,
     link_sinr,
     run_simulation,
     select_best_channel,
 )
-from dsasim.metrics import propagation_delay, rtt, spectral_efficiency, throughput
 from dsasim.qos import ber_from_sinr, sinr_target_from_ber
 from dsasim.topology import Modulation
 
@@ -34,6 +34,7 @@ from conftest import (
     fixed_point_system,
     jacobi_powers,
     make_link,
+    make_provider,
     make_topology,
     solve_as_one_group,
 )
@@ -262,13 +263,11 @@ def test_c6a_sbac_argmax_invariance_500_cases():
         minutes = float(rng.uniform(0.1, 30.0))
         if not any(p.available_channels for p in pools):
             continue
-        weights = SbacWeights(*rng.uniform(0.01, 10.0, size=3))
+        weights = rng.uniform(0.01, 10.0, size=3).tolist()
         factor = float(rng.uniform(1e-3, 1e3))
-        scaled = SbacWeights(
-            weights.beta1 * factor, weights.beta2 * factor, weights.beta3 * factor
-        )
-        base_choice = select_best_channel(pools, SbacConfig(weights, minutes))
-        if base_choice[:2] != select_best_channel(pools, SbacConfig(scaled, minutes))[:2]:
+        scaled = [beta * factor for beta in weights]
+        base_choice = select_best_channel(pools, SbacConfig(*weights, minutes))
+        if base_choice[:2] != select_best_channel(pools, SbacConfig(*scaled, minutes))[:2]:
             flips += 1
     assert flips == 0
     report_pass("C6a (SBAC argmax invariance)", "500 randomized weight scalings, 0 flips")
@@ -361,18 +360,45 @@ def test_c6f_littles_law_at_1e5_arrivals():
 
 def test_c7_metric_definitions_stand_in_for_figure_curves():
     # the delay/throughput/RTT/interference curves have no published data;
-    # the metrics themselves are pinned by their exact unit definitions
-    assert propagation_delay(1500.0, 2e8) == pytest.approx(7.5e-6)
-    assert rtt(3e8, 3e8) == pytest.approx(2.0)
-    assert spectral_efficiency(50.0, 4, 100.0) == pytest.approx(0.125)
+    # instead each metric of a run's report is recomputed from the run's own
+    # records by its definition, on links of three lengths
+    speed = 2e8
+    links = tuple(
+        make_link(i, tx=(300.0 * i, 0.0), rx=(300.0 * i + 100.0 * (i + 1), 0.0))
+        for i in range(3)
+    )
+    topology = NetworkTopology(
+        providers=tuple(make_provider(p, channels=3, base_mhz=400.0 + 50.0 * p) for p in (0, 1)),
+        links=links,
+        primary_points=(),
+        gains=gains_from_positions(links, (), path_loss_exponent=3.0, reference_distance=1.0),
+        propagation_speed=speed,
+    )
+    spec = TrafficSpec(
+        arrival_rates=(1.0, 0.5), mean_holding_time=4.0, horizon=200.0, seed=3,
+        requested_rate=REQUESTED_RATE,
+    )
+    records, report = run_simulation(topology, spec, Strategy.DYNAMIC_SBAC)
+    admitted = [r for r in records if r.admitted]
+    assert 0 < len(admitted) < len(records)  # both outcomes occur
+    assert {r.link_id for r in admitted} == {0, 1, 2}
 
-    class _Rec:
-        def __init__(self, arrival, end):
-            self.arrival_time, self.end_time = arrival, end
-            self.admitted = True
-
-    assert throughput([_Rec(0.0, 50.0), _Rec(50.0, 100.0)], 2e5, 100.0) == pytest.approx(2e5)
+    # delay = d / c per admitted session; RTT = 2 x delay
+    delays = [links[r.link_id].distance / speed for r in admitted]
+    mean_delay = sum(delays) / len(delays)
+    assert report.mean_propagation_delay == pytest.approx(mean_delay, rel=1e-12)
+    assert report.mean_rtt == pytest.approx(2.0 * mean_delay, rel=1e-12)
+    # throughput: the requested rate over each session's active time within
+    # the horizon; spectral efficiency: that busy time over horizon x channels
+    active = sum(min(r.end_time, spec.horizon) - r.arrival_time for r in admitted)
+    assert report.throughput == pytest.approx(REQUESTED_RATE * active / spec.horizon, rel=1e-12)
+    assert report.spectral_efficiency == pytest.approx(
+        active / (spec.horizon * topology.total_channels), rel=1e-12
+    )
+    assert report.blocking_probability == (len(records) - len(admitted)) / len(records)
     report_pass(
         "C7 (figure shapes not reproduced)",
-        "delay/throughput/RTT/interference covered by exact-definition checks only",
+        f"delay {report.mean_propagation_delay:.3e} s, RTT {report.mean_rtt:.3e} s, "
+        f"throughput {report.throughput:.4g} bit/s, spectral efficiency "
+        f"{report.spectral_efficiency:.4f} equal their definitions over {len(records)} records",
     )

@@ -209,7 +209,7 @@ def test_defaults_are_logged(caplog):
     assert any("strategy.kind" in m for m in messages)
     assert "defaulted topology.links[0].rate_min=100000.0" in messages
     assert "defaulted strategy.physical_checks=False" in messages
-    assert config.sbac.weights.beta1 == 0.5
+    assert config.sbac.beta1 == 0.5
     assert config.topology.links[0].rate_min == 1.0e5
     assert not config.qos.physical_checks
     # session minutes default derives from the mean holding time
@@ -247,6 +247,13 @@ BAD_DOCUMENTS = {
     "users_2.5": ({"sweep": {"parameter": "users", "values": [1, 2.5]}}, r"sweep\.values\[1\]"),
     "users_0": ({"sweep": {"parameter": "users", "values": [0]}}, r"sweep\.values\[0\]"),
     "negative_seed": ({"traffic.seed": -1}, r"traffic\.seed must be an integer >= 0"),
+    "negative_beta2": ({"sbac.beta2": -0.5}, r"sbac\.beta2 must be >= 0"),
+    "zero_weights": (
+        {"sbac.beta1": 0, "sbac.beta2": 0, "sbac.beta3": 0}, r"sbac\.beta1 \+ beta2 \+ beta3"
+    ),
+    "reuse_without_physical": (
+        {"strategy.channel_reuse": True}, r"strategy\.channel_reuse needs physical_checks"
+    ),
 }
 
 

@@ -16,7 +16,6 @@ from dsasim import (
     PrimaryReceivingPoint,
     QosConfig,
     SbacConfig,
-    SbacWeights,
     ServiceProvider,
     SpectrumChannel,
     StateError,
@@ -366,13 +365,14 @@ def test_audited_runs_conserve_arrivals_and_repeat(
     providers, channels, links, strategy, physical, reuse, tolerance, load, seed
 ):
     # audit=True rebuilds the pools, the busy count, the primary loads and
-    # every group's SINR from the held records after each event
+    # every group's SINR from the held records after each event; channel
+    # reuse is drawn only with physical checks, which it needs
     topology = make_topology(
         num_providers=providers, channels=channels, num_links=links, tolerance=tolerance
     )
     spec = spec_for([load * (1 + p) for p in range(providers)], holding=3.0, horizon=20.0,
                     seed=seed)
-    qos_config = QosConfig(physical_checks=physical, channel_reuse=reuse)
+    qos_config = QosConfig(physical_checks=physical, channel_reuse=physical and reuse)
     sim = Simulation(topology, spec, strategy, qos_config=qos_config, audit=True)
     records, report = sim.run()
     assert report.arrivals == len(records) == (
@@ -381,6 +381,7 @@ def test_audited_runs_conserve_arrivals_and_repeat(
     )
     assert sim.busy == 0 and not any(sim.groups.values())
     assert 0.0 <= report.spectral_efficiency <= 1.0
+    assert report.mean_rtt == 2 * report.mean_propagation_delay
     assert run_simulation(topology, spec, strategy, qos_config=qos_config) == (records, report)
 
 
@@ -553,7 +554,7 @@ def test_sbac_config_affects_selection():
     base = make_topology(num_providers=2, channels=4)
     topology = dataclasses.replace(base, providers=(cheap, pricey))
     spec = spec_for([0.0, 0.4], holding=1.0, horizon=50.0, seed=8)
-    sbac_config = SbacConfig(weights=SbacWeights(0.0, 0.0, 1.0))
+    sbac_config = SbacConfig(0.0, 0.0, 1.0)
     records, _ = run_simulation(topology, spec, Strategy.DYNAMIC_SBAC, sbac_config=sbac_config)
     admitted = [r for r in records if r.admitted]
     assert admitted

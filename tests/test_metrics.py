@@ -1,96 +1,117 @@
-"""Metric definitions, exact unit examples and the Erlang-B oracle."""
+"""Metric definitions on the reports of scripted runs, the interference
+trace oracle and the Erlang-B oracle."""
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from dsasim import TraceError, erlang_b
-from dsasim.metrics import (
-    mean_primary_interference,
-    propagation_delay,
-    rtt,
-    spectral_efficiency,
-    throughput,
+from dsasim import (
+    InvalidTopologyError,
+    QosConfig,
+    Strategy,
+    TraceError,
+    TrafficSpec,
+    erlang_b,
+    run_simulation,
 )
+from dsasim import engine
+from dsasim.metrics import mean_primary_interference
+
+from conftest import explicit_gain_topology, make_link, make_provider
 
 
-@dataclass
-class FakeRecord:
-    arrival_time: float
-    end_time: float
-    admitted: bool = True
+def scripted_report(monkeypatch, arrivals, horizon=100.0, rate=1e5, channels=10,
+                    distance=200.0, speed=3e8, physical=False, **link_kwargs):
+    """The report of a fixed-allocation run on one provider and one link
+    whose arrivals are the given ``(time, holding_time)`` pairs."""
+    link = make_link(0, tx=(0.0, 0.0), rx=(distance, 0.0), rate=rate, **link_kwargs)
+    topology = explicit_gain_topology(
+        [[1.0]], [link], providers=(make_provider(0, channels=channels),), speed=speed
+    )
+    spec = TrafficSpec(arrival_rates=(1.0,), mean_holding_time=1.0, horizon=horizon, seed=0,
+                       requested_rate=rate)
+    monkeypatch.setattr(
+        engine, "build_event_stream", lambda _: [(t, 0, holding) for t, holding in arrivals]
+    )
+    qos_config = QosConfig(physical_checks=physical)
+    records, report = run_simulation(topology, spec, Strategy.FIXED, qos_config=qos_config)
+    assert len(records) == report.arrivals == len(arrivals)
+    return report
 
 
-# -- propagation delay ---------------------------------------------------------
+# -- propagation delay: link length over propagation speed ------------------------
 
 
 @pytest.mark.parametrize(
     "distance,speed,expected",
     [(3e8, 3e8, 1.0), (0.0, 3e8, 0.0), (1500.0, 2e8, 7.5e-6)],
 )
-def test_propagation_delay(distance, speed, expected):
-    assert propagation_delay(distance, speed) == pytest.approx(expected, rel=1e-15)
+def test_propagation_delay(distance, speed, expected, monkeypatch):
+    report = scripted_report(monkeypatch, [(0.0, 1.0)], distance=distance, speed=speed)
+    assert report.mean_propagation_delay == pytest.approx(expected, rel=1e-15)
 
 
 def test_propagation_delay_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        propagation_delay(1.0, 0.0)
-    with pytest.raises(ValueError):
-        propagation_delay(-1.0, 1.0)
+    # topology validation rejects a speed <= 0 before any event; a link's
+    # length is a Euclidean distance, never negative
+    link = make_link(0)
+    for speed in (0.0, -3e8):
+        topology = explicit_gain_topology([[1.0]], [link], speed=speed)
+        spec = TrafficSpec(arrival_rates=(1.0,), mean_holding_time=1.0, horizon=10.0, seed=0)
+        with pytest.raises(InvalidTopologyError, match="propagation_speed must be > 0"):
+            run_simulation(topology, spec, Strategy.FIXED)
 
 
-# -- RTT -------------------------------------------------------------------------
+# -- RTT: twice the propagation delay ------------------------------------------------
 
 
 @pytest.mark.parametrize(
     "distance,speed,expected",
     [(3e8, 3e8, 2.0), (0.0, 3e8, 0.0), (300.0, 3e8, 2e-6)],
 )
-def test_rtt(distance, speed, expected):
-    assert rtt(distance, speed) == pytest.approx(expected, rel=1e-12)
+def test_rtt(distance, speed, expected, monkeypatch):
+    report = scripted_report(monkeypatch, [(0.0, 1.0)], distance=distance, speed=speed)
+    assert report.mean_rtt == pytest.approx(expected, rel=1e-12)
 
 
-# -- throughput -------------------------------------------------------------------
+# -- throughput: requested rate x active time within the horizon, over it ----------
 
 
-def test_throughput_single_full_span_session():
-    records = [FakeRecord(arrival_time=0.0, end_time=100.0)]
-    assert throughput(records, rate=1e5, horizon=100.0) == pytest.approx(1e5)
+def test_throughput_single_full_span_session(monkeypatch):
+    report = scripted_report(monkeypatch, [(0.0, 100.0)], rate=1e5)
+    assert report.throughput == pytest.approx(1e5)
 
 
-def test_throughput_no_admissions():
-    records = [FakeRecord(arrival_time=0.0, end_time=0.0, admitted=False)]
-    assert throughput(records, rate=1e5, horizon=100.0) == 0.0
+def test_throughput_no_admissions(monkeypatch):
+    # every call misses its SINR target at the power cap: nothing is delivered
+    report = scripted_report(
+        monkeypatch, [(0.0, 100.0), (10.0, 5.0)], physical=True, sinr_target=1e12
+    )
+    assert report.blocked_qos == 2
+    assert report.throughput == 0.0
 
 
-def test_throughput_two_half_horizon_sessions():
-    records = [
-        FakeRecord(arrival_time=0.0, end_time=50.0),
-        FakeRecord(arrival_time=50.0, end_time=100.0),
-    ]
-    assert throughput(records, rate=2e5, horizon=100.0) == pytest.approx(2e5)
+def test_throughput_two_half_horizon_sessions(monkeypatch):
+    report = scripted_report(monkeypatch, [(0.0, 50.0), (50.0, 50.0)], rate=2e5)
+    assert report.throughput == pytest.approx(2e5)
 
 
-def test_throughput_clamps_sessions_running_past_horizon():
-    records = [FakeRecord(arrival_time=90.0, end_time=150.0)]
+def test_throughput_clamps_sessions_running_past_horizon(monkeypatch):
     # only 10 of the 60 active seconds fall inside the horizon
-    assert throughput(records, rate=1e5, horizon=100.0) == pytest.approx(1e5 * 10.0 / 100.0)
+    report = scripted_report(monkeypatch, [(90.0, 60.0)], rate=1e5)
+    assert report.throughput == pytest.approx(1e5 * 10.0 / 100.0)
 
 
-def test_throughput_is_permutation_invariant():
+def test_throughput_is_permutation_invariant(monkeypatch):
+    # the report sums in record order; any order of the same sessions agrees
     rng = random.Random(2)
-    records = [
-        FakeRecord(arrival_time=rng.uniform(0, 50), end_time=rng.uniform(50, 100),
-                   admitted=rng.random() < 0.8)
-        for _ in range(30)
-    ]
-    base = throughput(records, 1e5, 100.0)
-    shuffled = records[:]
-    rng.shuffle(shuffled)
-    assert throughput(shuffled, 1e5, 100.0) == pytest.approx(base, rel=1e-12)
+    arrivals = sorted((rng.uniform(0, 50), rng.uniform(1, 60)) for _ in range(30))
+    report = scripted_report(monkeypatch, arrivals, channels=30, rate=1e5)
+    active = [min(t + holding, 100.0) - t for t, holding in arrivals]
+    rng.shuffle(active)
+    assert report.throughput == pytest.approx(1e5 * sum(active) / 100.0, rel=1e-12)
 
 
 # -- interference ------------------------------------------------------------------
@@ -131,20 +152,22 @@ def test_interference_rejects_overlap_and_short_trace():
         mean_primary_interference([(0.0, 60.0, np.array([1.0]))], 100.0)
 
 
-# -- spectral efficiency -------------------------------------------------------------
+# -- spectral efficiency: time-averaged busy channels over all channels -------------
 
 
-def test_spectral_efficiency_half_busy():
+def test_spectral_efficiency_half_busy(monkeypatch):
     # 5 of 10 channels busy for the entire horizon
-    assert spectral_efficiency(5.0 * 100.0, total_channels=10, horizon=100.0) == 0.5
+    report = scripted_report(monkeypatch, [(0.0, 100.0)] * 5, channels=10)
+    assert report.spectral_efficiency == 0.5
 
 
-def test_spectral_efficiency_idle():
-    assert spectral_efficiency(0.0, total_channels=10, horizon=100.0) == 0.0
+def test_spectral_efficiency_idle(monkeypatch):
+    assert scripted_report(monkeypatch, [], channels=10).spectral_efficiency == 0.0
 
 
-def test_spectral_efficiency_one_of_four_half_time():
-    assert spectral_efficiency(50.0, total_channels=4, horizon=100.0) == pytest.approx(0.125)
+def test_spectral_efficiency_one_of_four_half_time(monkeypatch):
+    report = scripted_report(monkeypatch, [(0.0, 50.0)], channels=4)
+    assert report.spectral_efficiency == pytest.approx(0.125)
 
 
 # -- Erlang-B ----------------------------------------------------------------------------

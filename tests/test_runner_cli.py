@@ -10,6 +10,7 @@ import re
 import pytest
 import yaml
 
+from dsasim import ConfigError
 from dsasim.cli import main as cli_main
 from dsasim.config import parse_config
 from dsasim.runner import RESULT_COLUMNS, expand_runs, run_scenario
@@ -107,6 +108,18 @@ def test_cli_rejects_a_seed_override_that_is_not_an_integer_at_least_zero(
     err = capsys.readouterr().err
     assert "--seed-override" in err and repr(value) in err
     assert not out_dir.exists()  # rejected before any run
+
+
+@pytest.mark.parametrize("value", [-3, 1.5, True, "7"])
+def test_library_rejects_a_seed_override_that_is_not_an_integer_at_least_zero(value, tmp_path):
+    config = parse(scenario())
+    message = rf"seed_override must be an integer >= 0, got {re.escape(repr(value))}"
+    with pytest.raises(ConfigError, match=message):
+        expand_runs(config, value)
+    out_dir = tmp_path / "out"
+    with pytest.raises(ConfigError, match=message):
+        run_scenario(config, out_dir, seed_override=value)
+    assert not out_dir.exists()  # rejected before any run or write
 
 
 def test_verbose_writes_session_logs(tmp_path):

@@ -9,9 +9,7 @@ from hypothesis import strategies as st
 
 from dsasim import (
     CandidatePool,
-    NoCandidateError,
     SbacConfig,
-    SbacWeights,
     ServiceProvider,
     SpectrumChannel,
     StateError,
@@ -38,7 +36,7 @@ def pool(free_mhz, total=10, provider_id=0, cost_rate=1.0) -> CandidatePool:
 
 
 def config(beta1, beta2, beta3, minutes=1.0) -> SbacConfig:
-    return SbacConfig(SbacWeights(beta1, beta2, beta3), session_minutes=minutes)
+    return SbacConfig(beta1, beta2, beta3, session_minutes=minutes)
 
 
 # one weight at a time, the utility is one ingredient: 10 x the free fraction,
@@ -59,7 +57,7 @@ def test_availability(free, total, expected):
     if free:
         assert utility(p, AVAILABILITY) == 10.0 * expected
     else:  # an empty pool is no candidate
-        with pytest.raises(NoCandidateError):
+        with pytest.raises(ValueError, match="no free channel"):
             utility(p, AVAILABILITY)
 
 
@@ -76,7 +74,7 @@ def test_spread_uses_extremes_only():
 
 
 def test_spread_of_empty_pool_raises():
-    with pytest.raises(NoCandidateError):
+    with pytest.raises(ValueError, match="no free channel"):
         utility(pool([]), SPREAD)
 
 
@@ -115,6 +113,23 @@ def test_zero_spread_and_zero_cost_are_clamped():
     assert score == pytest.approx(math.log(1.0 / 1e-6) + 1.0 / 1e-6)
 
 
+@pytest.mark.parametrize(
+    "fields,message",
+    [
+        ({"session_minutes": 0.0}, "session_minutes must be > 0"),
+        ({"session_minutes": -1.0}, "session_minutes must be > 0"),
+        ({"session_minutes": math.nan}, "session_minutes must be > 0"),
+        ({"beta2": -0.1}, "beta2 must be >= 0"),
+        ({"beta3": math.nan}, "beta3 must be >= 0"),
+        ({"beta1": 0.0, "beta2": 0.0, "beta3": 0.0}, r"beta1 \+ beta2 \+ beta3 must be > 0"),
+    ],
+)
+def test_config_rejects_a_non_positive_session_length_and_bad_weights(fields, message):
+    # a zero session length would price every provider at the cost floor
+    with pytest.raises(ValueError, match=message):
+        SbacConfig(**fields)
+
+
 # -- selection --------------------------------------------------------------------
 
 
@@ -139,9 +154,9 @@ def test_singleton_pool_returns_its_channel():
     assert score == utility(only, config(0.2, 0.5, 0.3))
 
 
-def test_all_pools_occupied_raises():
-    with pytest.raises(NoCandidateError):
-        select_best_channel([pool([]), pool([], provider_id=1)], SbacConfig())
+def test_all_pools_occupied_returns_none():
+    assert select_best_channel([pool([]), pool([], provider_id=1)], SbacConfig()) is None
+    assert select_best_channel([], SbacConfig()) is None
 
 
 def test_occupied_pools_are_skipped():
@@ -183,7 +198,8 @@ def random_pools(draw):
 
 @st.composite
 def random_weights(draw):
-    return SbacWeights(
+    """``(beta1, beta2, beta3)``, with a positive sum."""
+    return (
         draw(st.floats(0.0, 10.0)),
         draw(st.floats(0.0, 10.0)),
         draw(st.floats(0.01, 10.0)),
@@ -196,11 +212,8 @@ def test_argmax_invariant_under_weight_scaling(drawn, weights, factor):
     pools, minutes = drawn
     if not any(p.available_channels for p in pools):
         return
-    base = SbacConfig(weights, minutes)
-    scaled = SbacConfig(
-        SbacWeights(weights.beta1 * factor, weights.beta2 * factor, weights.beta3 * factor),
-        minutes,
-    )
+    base = SbacConfig(*weights, minutes)
+    scaled = SbacConfig(*(beta * factor for beta in weights), minutes)
     base_choice = select_best_channel(pools, base)
     scaled_choice = select_best_channel(pools, scaled)
     if base_choice[:2] != scaled_choice[:2]:
@@ -229,7 +242,7 @@ def test_selected_channel_is_in_selected_pool(drawn, weights):
     pools, minutes = drawn
     if not any(p.available_channels for p in pools):
         return
-    provider_id, channel_id, _ = select_best_channel(pools, SbacConfig(weights, minutes))
+    provider_id, channel_id, _ = select_best_channel(pools, SbacConfig(*weights, minutes))
     chosen = next(p for p in pools if p.provider_id == provider_id)
     assert channel_id in [ch.id for ch in chosen.available_channels]
 
@@ -368,7 +381,7 @@ def test_audit_flags_a_flipped_pool_bit(mask):
     bands=[[(7, 403.0), (2, 400.0), (11, 401.0), (5, 403.0), (0, 402.0), (9, 404.5)],
            [(3, 410.0), (1, 400.5), (8, 400.5)]],
     ops=[(0, 4), (0, 1), (1, 1), (0, 0), (1, 2), (0, 4), (0, 3), (1, 0)],
-    weights=SbacWeights(),
+    weights=(0.5, 0.3, 0.2),
 )
 @settings(max_examples=200, deadline=None)
 def test_live_pools_score_like_tuple_built_pools(bands, ops, weights):
@@ -378,7 +391,7 @@ def test_live_pools_score_like_tuple_built_pools(bands, ops, weights):
     providers = [
         explicit_provider(i, band, cost_rate=0.01 * (i + 1)) for i, band in enumerate(bands)
     ]
-    sbac_config = SbacConfig(weights, session_minutes=2.0)
+    sbac_config = SbacConfig(*weights, session_minutes=2.0)
     live = [LivePool(provider, sbac_config) for provider in providers]
     held = [set() for _ in providers]
 
@@ -402,11 +415,8 @@ def test_live_pools_score_like_tuple_built_pools(bands, ops, weights):
             else:
                 assert pool.score is None
             pool.audit(held[pool.provider_id])
-        if any(reference.free_count for reference in built):
-            assert select_best_channel(live, sbac_config) == select_best_channel(built, sbac_config)
-        else:
-            with pytest.raises(NoCandidateError):
-                select_best_channel(live, sbac_config)
+        # both None when no pool has a free channel
+        assert select_best_channel(live, sbac_config) == select_best_channel(built, sbac_config)
 
     check()
     for provider_index, position in ops:
