@@ -379,19 +379,13 @@ def _parse_traffic(raw, topology: NetworkTopology) -> TrafficSpec:
         raise ConfigError(f"{path}.{exc}") from None
 
 
-def _parse_sbac(raw, traffic: TrafficSpec) -> SbacConfig:
+def _parse_sbac(raw) -> SbacConfig:
     path = "sbac"
     raw = _mapping(raw, path)
-    _check_keys(raw, {"beta1", "beta2", "beta3", "session_minutes"}, path)
+    fields = dataclasses.fields(SbacConfig)
+    _check_keys(raw, {f.name for f in fields}, path)
     try:
-        return SbacConfig(
-            beta1=_number(raw, "beta1", path, default=0.5),
-            beta2=_number(raw, "beta2", path, default=0.3),
-            beta3=_number(raw, "beta3", path, default=0.2),
-            session_minutes=_number(
-                raw, "session_minutes", path, default=traffic.mean_holding_time / 60.0
-            ),
-        )
+        return SbacConfig(**{f.name: _number(raw, f.name, path, default=f.default) for f in fields})
     except ValueError as exc:  # its message starts with the offending key's name
         raise ConfigError(f"{path}.{exc}") from None
 
@@ -479,7 +473,7 @@ def parse_config(text: str) -> ScenarioConfig:
         raise ConfigError("topology invalid: " + "; ".join(violations))
 
     traffic = _parse_traffic(_get(document, "traffic", "document"), topology)
-    sbac_config = _parse_sbac(document.get("sbac"), traffic)
+    sbac_config = _parse_sbac(document.get("sbac"))
     strategies, qos_config = _parse_strategy(document.get("strategy"))
     sweep = _parse_sweep(document.get("sweep"))
 

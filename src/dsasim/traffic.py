@@ -21,6 +21,8 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 import numpy as np
+# numpy imports numpy.random on first use; importing it here keeps that out of a run
+from numpy.random import Generator, Philox, SeedSequence
 
 
 @dataclass(frozen=True)
@@ -49,13 +51,12 @@ class TrafficSpec:
                 raise ValueError(f"{name} must be finite and > 0")
 
 
-def provider_rng(seed: int, provider_id: int) -> np.random.Generator:
+def provider_rng(seed: int, provider_id: int) -> Generator:
     """Independent deterministic sub-stream for one provider."""
-    sequence = np.random.SeedSequence(seed, spawn_key=(provider_id,))
-    return np.random.Generator(np.random.Philox(sequence))
+    return Generator(Philox(SeedSequence(seed, spawn_key=(provider_id,))))
 
 
-def draw_exponential(rng: np.random.Generator, mean: float) -> float:
+def draw_exponential(rng: Generator, mean: float) -> float:
     """Strictly positive exponential draw via the inverse CDF.
 
     Inverse-CDF sampling makes draws scale linearly with the mean for

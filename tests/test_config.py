@@ -12,7 +12,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dsasim import ConfigError, Modulation, Strategy
+from dsasim import ConfigError, Modulation, SbacConfig, Strategy
 from dsasim.config import parse_config, serialize_config
 
 BASE_DOCUMENT = {
@@ -212,8 +212,13 @@ def test_defaults_are_logged(caplog):
     assert config.sbac.beta1 == 0.5
     assert config.topology.links[0].rate_min == 1.0e5
     assert not config.qos.physical_checks
-    # session minutes default derives from the mean holding time
-    assert config.sbac.session_minutes == pytest.approx(10.0 / 60.0)
+    # every sbac default is SbacConfig's own, not one derived from the traffic
+    assert "defaulted sbac.session_minutes=1.0" in messages
+    assert config.sbac.session_minutes == 1.0
+
+
+def test_missing_sbac_section_parses_to_sbac_config_defaults():
+    assert parse(doc(sbac=...)).sbac == SbacConfig()
 
 
 def test_explicit_null_strategy_kind_means_the_default():
