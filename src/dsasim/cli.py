@@ -63,8 +63,8 @@ def main(argv=None) -> int:
 
     try:
         config = load_config(args.config)
-    except FileNotFoundError:
-        print(f"error: no such file: {args.config}", file=sys.stderr)
+    except OSError as exc:  # a missing file, a directory, no permission
+        print(f"error: {args.config}: {exc.strerror or exc}", file=sys.stderr)
         return 2
     except ConfigError as exc:
         print(f"error: {args.config}: {exc}", file=sys.stderr)
@@ -80,6 +80,9 @@ def main(argv=None) -> int:
         )
     except DsasimError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:  # an output path that cannot be written
+        print(f"error: {exc.filename or args.out}: {exc.strerror or exc}", file=sys.stderr)
         return 1
 
 

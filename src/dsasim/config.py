@@ -504,7 +504,11 @@ def parse_config(text: str) -> ScenarioConfig:
 
 def load_config(path) -> ScenarioConfig:
     with open(path, "r", encoding="utf-8") as handle:
-        return parse_config(handle.read())
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
+    return parse_config(text)
 
 
 # -- serialization ------------------------------------------------------------

@@ -14,6 +14,10 @@ The admitted :class:`SessionRecord` is the only per-session state: the
 :class:`Simulation` holds it in the list of its channel index, in admission
 order, and the departure event carries it.  Under channel reuse that list
 is the co-channel group whose links and powers the power solve reads.
+The report is streamed: each arrival adds to a count per outcome, and each
+admission appends its link's precomputed delay and adds its bits to a
+running total, so a run's memory follows its held sessions, not its
+arrivals.  Every arrival's record is kept only with ``keep_records``.
 Each provider's :class:`~dsasim.sbac.LivePool`, built once per run, follows
 the held sessions as channels are taken and given back, and under dynamic
 selection re-scores itself on each take and give, so an arrival's selection
@@ -116,6 +120,14 @@ class Simulation:
     ``primary_integral`` (watt * seconds per primary point, a list) advance
     with it.  ``primary_loads`` (watts per primary point, a list) is the
     held sessions' interference at each point.
+
+    The report's sums are streamed: ``arrivals`` counts the arrivals and
+    numbers their sessions, ``outcomes`` counts them per outcome, ``delays``
+    holds the admitted sessions' propagation delays in admission order, for
+    one ``sum`` in the report (compensated on Python 3.12+, which a running
+    total is not), and ``bits`` their served bits within the horizon.
+    ``records`` is every arrival's record, in arrival order, with
+    ``keep_records``, and None without.
     """
 
     def __init__(
@@ -126,6 +138,7 @@ class Simulation:
         sbac_config: SbacConfig | None = None,
         qos_config: QosConfig | None = None,
         audit: bool = False,
+        keep_records: bool = False,
     ):
         violations = validate_topology(topology)
         if violations:
@@ -152,7 +165,11 @@ class Simulation:
         else:
             self._pools = [LivePool(p, self.sbac) for p in topology.providers]
             self._candidates = [self._pools] * len(self._pools)
-        self.records: list[SessionRecord] = []
+        self.records: list[SessionRecord] | None = [] if keep_records else None
+        self.arrivals = 0
+        self.outcomes = {outcome: 0 for outcome in Outcome}
+        self.delays: list[float] = []
+        self.bits = 0.0
         self.groups: defaultdict[int, list[SessionRecord]] = defaultdict(list)
         self.busy = 0
         self.clock = 0.0
@@ -162,6 +179,8 @@ class Simulation:
         self.primary_integral = [0.0] * num_points
         self._ran = False
 
+        speed = topology.propagation_speed
+        self._link_delays = [link.distance / speed for link in topology.links]
         self._g_ss = topology.gains.g_ss
         self._g_ps = topology.gains.g_ps
         # each link's gains to the primary points, for the elementwise updates
@@ -175,8 +194,10 @@ class Simulation:
 
     # -- event loop ---------------------------------------------------------
 
-    def run(self) -> tuple[list[SessionRecord], MetricsReport]:
-        """Process every event once; a Simulation runs at most one time."""
+    def run(self) -> tuple[list[SessionRecord] | None, MetricsReport]:
+        """Process every event once and return ``(records, report)``, the
+        records None without ``keep_records``; a Simulation runs at most
+        one time."""
         if self._ran:
             raise StateError("Simulation.run() was already called; build a new Simulation")
         self._ran = True
@@ -190,11 +211,12 @@ class Simulation:
                 self._depart_next(departures)
             self._advance_clocks(event[0])
             record = self._admit(event)
-            self.records.append(record)
+            if self.records is not None:
+                self.records.append(record)
             if record.admitted:
                 heapq.heappush(departures, (record.end_time, record.session_id, record))
             if self.audit:
-                self._audit_state()
+                self._audit_state(departures)
         while departures:
             self._depart_next(departures)
 
@@ -209,11 +231,12 @@ class Simulation:
         self._advance_clocks(end_time)
         self._depart(record)
         if self.audit:
-            self._audit_state()
+            self._audit_state(departures)
 
-    def _audit_state(self) -> None:
+    def _audit_state(self, departures: list[tuple[float, int, SessionRecord]]) -> None:
         """Run every audit that applies, after each event when ``audit`` is on."""
         self._audit_pools()
+        self._audit_departures(departures)
         self._audit_primary_loads()
         if self.qos.physical_checks:
             self._audit_qos()
@@ -254,7 +277,8 @@ class Simulation:
 
     def _admit(self, event: tuple[float, int, float]) -> SessionRecord:
         time, home_provider_id, holding_time = event
-        session_id = len(self.records)
+        session_id = self.arrivals
+        self.arrivals += 1
         link = self.topology.links[session_id % self.topology.num_links]
         record = SessionRecord(
             session_id=session_id,
@@ -268,29 +292,31 @@ class Simulation:
         )
 
         choice = sbac.select_best_channel(self._candidates[home_provider_id], self.sbac)
-        if choice is None:
-            return record
-        provider_id, channel_id, _ = choice
-
-        if self.qos.physical_checks:
-            outcome = self._physical_admission(channel_id, record)
-            if outcome is not Outcome.ADMITTED:
-                record.outcome = outcome
-                return record
-        else:
+        if choice is not None and self.qos.physical_checks:
+            record.outcome = self._physical_admission(choice[1], record)
+        elif choice is not None:
+            record.outcome = Outcome.ADMITTED
             record.power = link.power
             self.primary_loads = [
                 load + gain * link.power
                 for load, gain in zip(self.primary_loads, self._g_ps_columns[link.id])
             ]
+        self.outcomes[record.outcome] += 1
+        if record.outcome is not Outcome.ADMITTED:
+            return record
 
-        record.outcome = Outcome.ADMITTED
+        provider_id, channel_id, _ = choice
         record.provider_id = provider_id
         record.channel_id = channel_id
         record.end_time = time + holding_time
         self._pools[provider_id].take(channel_id)
         self.groups[channel_id].append(record)
         self.busy += 1
+        self.delays.append(self._link_delays[link.id])
+        # an admitted session arrived before the horizon: active >= 0
+        self.bits += self.traffic_spec.requested_rate * (
+            min(record.end_time, self.traffic_spec.horizon) - time
+        )
         return record
 
     def _physical_admission(self, channel_id: int, record: SessionRecord) -> Outcome:
@@ -344,6 +370,23 @@ class Simulation:
         for pool, channel_ids in zip(self._pools, held):
             pool.audit(channel_ids)
 
+    def _audit_departures(self, departures: list[tuple[float, int, SessionRecord]]) -> None:
+        """Check that the departure heap holds exactly one entry per held
+        record, keyed by its end time and session id; raises StateError
+        otherwise."""
+        held = sorted(
+            (record.end_time, record.session_id, id(record))
+            for group in self.groups.values()
+            for record in group
+        )
+        queued = sorted((end_time, session_id, id(record))
+                        for end_time, session_id, record in departures)
+        if queued != held:
+            raise StateError(
+                f"the departure heap holds {len(departures)} entries for "
+                f"{len(held)} held sessions, or keys that differ from theirs"
+            )
+
     def _audit_primary_loads(self) -> None:
         """Recompute the primary loads from the held records' powers; raises
         StateError when the running sums drifted by more than 1e-9 of a
@@ -389,19 +432,8 @@ class Simulation:
 
     def _report(self) -> MetricsReport:
         horizon = self.traffic_spec.horizon
-        rate = self.traffic_spec.requested_rate
-        speed = self.topology.propagation_speed
-        distances = [link.distance for link in self.topology.links]
-        outcomes = {outcome: 0 for outcome in Outcome}
-        delays = []
-        bits = 0.0
-        for record in self.records:
-            outcomes[record.outcome] += 1
-            if record.outcome is Outcome.ADMITTED:
-                delays.append(distances[record.link_id] / speed)
-                # an admitted session arrived before the horizon: active >= 0
-                bits += rate * (min(record.end_time, horizon) - record.arrival_time)
-        mean_delay = sum(delays) / len(delays) if delays else 0.0
+        outcomes = self.outcomes
+        mean_delay = sum(self.delays) / len(self.delays) if self.delays else 0.0
 
         if self.primary_integral:
             per_point = np.array(self.primary_integral) / horizon
@@ -410,14 +442,14 @@ class Simulation:
             per_point = np.zeros(0)
             mean_interference = 0.0
 
-        arrivals = len(self.records)
+        arrivals = self.arrivals
         blocked = arrivals - outcomes[Outcome.ADMITTED]
 
         return MetricsReport(
             mean_propagation_delay=mean_delay,
             # doubling is exact and commutes with every rounding of the mean
             mean_rtt=2.0 * mean_delay,
-            throughput=bits / horizon,
+            throughput=self.bits / horizon,
             mean_primary_interference=mean_interference,
             spectral_efficiency=(self.busy_integral / horizon) / self.topology.total_channels,
             blocking_probability=blocked / arrivals if arrivals else 0.0,
@@ -442,12 +474,16 @@ def run_simulation(
     sbac_config: SbacConfig | None = None,
     qos_config: QosConfig | None = None,
     audit: bool = False,
-) -> tuple[list[SessionRecord], MetricsReport]:
+    keep_records: bool = False,
+) -> tuple[list[SessionRecord] | None, MetricsReport]:
     """Run one deterministic simulation and compute its metric suite.
 
+    Returns ``(records, report)``: ``records`` lists every arrival's
+    :class:`SessionRecord` in arrival order with ``keep_records``, and is
+    None without it, so that the run's memory follows its held sessions.
     Identical arguments (including the traffic seed) produce an identical
-    record sequence and report.  Raises InvalidTopologyError before any
-    event is processed if the topology fails validation.
+    report, and record sequence when kept.  Raises InvalidTopologyError
+    before any event is processed if the topology fails validation.
     """
     sim = Simulation(
         topology,
@@ -456,5 +492,6 @@ def run_simulation(
         sbac_config=sbac_config,
         qos_config=qos_config,
         audit=audit,
+        keep_records=keep_records,
     )
     return sim.run()

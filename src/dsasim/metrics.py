@@ -5,6 +5,7 @@ behaves as an M/M/K/K loss system.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,8 +74,8 @@ def erlang_b(channels: int, offered_load: float) -> float:
     """
     if channels < 1:
         raise ValueError(f"channels must be >= 1, got {channels}")
-    if offered_load < 0:
-        raise ValueError(f"offered_load must be >= 0, got {offered_load}")
+    if not 0 <= offered_load < math.inf:
+        raise ValueError(f"offered_load must be finite and >= 0, got {offered_load}")
     b = 1.0
     for k in range(1, channels + 1):
         b = offered_load * b / (k + offered_load * b)

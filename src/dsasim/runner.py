@@ -111,7 +111,8 @@ def expand_runs(config: ScenarioConfig, seed_override: int | None = None) -> lis
 def execute_run(
     config: ScenarioConfig, spec: RunSpec, with_records: bool = False
 ) -> tuple[ResultRow, list[SessionRecord] | None]:
-    """Run one cell of the matrix and convert its report to a result row."""
+    """Run one cell of the matrix and convert its report to a result row;
+    the run's session records come with it only ``with_records``."""
     if spec.sweep_value is None:
         topology, traffic = config.topology, config.traffic
     else:
@@ -124,6 +125,7 @@ def execute_run(
         spec.strategy,
         sbac_config=config.sbac,
         qos_config=config.qos,
+        keep_records=with_records,
     )
     row = ResultRow(
         sweep_param=spec.sweep_param,
@@ -142,7 +144,7 @@ def execute_run(
         blocked_qos=report.blocked_qos,
         blocked_interference=report.blocked_interference,
     )
-    return row, (records if with_records else None)
+    return row, records
 
 
 def _worker(args):

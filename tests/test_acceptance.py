@@ -281,7 +281,9 @@ def test_c6b_conservation_on_every_run():
             spec = TrafficSpec(
                 arrival_rates=(1.0, 0.5), mean_holding_time=2.0, horizon=300.0, seed=seed
             )
-            records, report = run_simulation(topology, spec, strategy, audit=True)
+            records, report = run_simulation(
+                topology, spec, strategy, audit=True, keep_records=True
+            )
             assert len(records) == report.arrivals
             assert report.arrivals == (
                 report.admitted
@@ -378,7 +380,7 @@ def test_c7_metric_definitions_stand_in_for_figure_curves():
         arrival_rates=(1.0, 0.5), mean_holding_time=4.0, horizon=200.0, seed=3,
         requested_rate=REQUESTED_RATE,
     )
-    records, report = run_simulation(topology, spec, Strategy.DYNAMIC_SBAC)
+    records, report = run_simulation(topology, spec, Strategy.DYNAMIC_SBAC, keep_records=True)
     admitted = [r for r in records if r.admitted]
     assert 0 < len(admitted) < len(records)  # both outcomes occur
     assert {r.link_id for r in admitted} == {0, 1, 2}

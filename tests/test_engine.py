@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
+import heapq
 import math
 
 import numpy as np
@@ -47,7 +48,9 @@ def spec_for(rates, holding=1.0, horizon=200.0, seed=0, rate=1e5):
 
 
 def test_zero_rate_run_is_empty(simple_topology):
-    records, report = run_simulation(simple_topology, spec_for([0.0]), Strategy.FIXED)
+    records, report = run_simulation(
+        simple_topology, spec_for([0.0]), Strategy.FIXED, keep_records=True
+    )
     assert records == []
     assert report.spectral_efficiency == 0.0
     assert report.blocking_probability == 0.0
@@ -58,7 +61,7 @@ def test_single_channel_overlapping_arrivals_block():
     topology = make_topology(num_providers=1, channels=1)
     # holding far beyond the horizon: every arrival after the first overlaps
     spec = spec_for([5.0], holding=1e7, horizon=2.0, seed=3)
-    records, report = run_simulation(topology, spec, Strategy.FIXED)
+    records, report = run_simulation(topology, spec, Strategy.FIXED, keep_records=True)
     assert report.arrivals >= 2
     assert records[0].outcome is Outcome.ADMITTED
     assert all(r.outcome is Outcome.BLOCKED_NO_CHANNEL for r in records[1:])
@@ -92,7 +95,9 @@ def physical_link(link_id=0, sinr_target=2.0, noise=0.1, power_max=1.0, y=0.0):
 
 def test_admission_on_free_channel_without_checks(simple_topology):
     spec = spec_for([0.2], holding=1.0, horizon=50.0, seed=1)
-    records, report = run_simulation(simple_topology, spec, Strategy.DYNAMIC_SBAC)
+    records, report = run_simulation(
+        simple_topology, spec, Strategy.DYNAMIC_SBAC, keep_records=True
+    )
     assert report.arrivals > 0
     assert report.admitted == report.arrivals
     assert all(r.channel_id is not None and r.provider_id is not None for r in records)
@@ -105,7 +110,7 @@ def test_blocked_qos_when_minimal_power_exceeds_cap():
     link = physical_link(power_max=0.15)
     topology = explicit_gain_topology([[1.0]], [link], providers=(make_provider(0, 2),))
     spec = spec_for([0.5], holding=1.0, horizon=20.0, seed=2)
-    records, report = run_simulation(
+    _, report = run_simulation(
         topology, spec, Strategy.FIXED, qos_config=QosConfig(physical_checks=True)
     )
     assert report.arrivals > 0
@@ -121,7 +126,7 @@ def test_blocked_interference_when_primary_budget_exhausted():
         [[1.0]], [link], g_ps=[[1.0]], points=(point,), providers=(make_provider(0, 2),)
     )
     spec = spec_for([0.5], holding=1.0, horizon=20.0, seed=2)
-    records, report = run_simulation(
+    _, report = run_simulation(
         topology, spec, Strategy.FIXED, qos_config=QosConfig(physical_checks=True)
     )
     assert report.arrivals > 0
@@ -138,13 +143,13 @@ def test_reuse_mode_blocks_infeasible_co_channel_pair():
     )
     qos_config = QosConfig(physical_checks=True, channel_reuse=True)
     spec = spec_for([2.0, 2.0], holding=1e4, horizon=5.0, seed=4)
-    records, report = run_simulation(
+    _, report = run_simulation(
         topology, spec, Strategy.DYNAMIC_SBAC, qos_config=qos_config, audit=True
     )
     assert report.admitted == 1  # the first call takes one band
     assert report.blocked_qos >= 1  # a co-channel partner is infeasible
     # without reuse the same workload fills both bands
-    records2, report2 = run_simulation(
+    _, report2 = run_simulation(
         topology, spec, Strategy.DYNAMIC_SBAC,
         qos_config=QosConfig(physical_checks=True, channel_reuse=False),
     )
@@ -158,7 +163,8 @@ def test_reuse_mode_admits_feasible_co_channel_pair_with_power_raise():
     qos_config = QosConfig(physical_checks=True, channel_reuse=True)
     spec = spec_for([2.0, 2.0], holding=1e4, horizon=5.0, seed=4)
     records, report = run_simulation(
-        topology, spec, Strategy.DYNAMIC_SBAC, qos_config=qos_config, audit=True
+        topology, spec, Strategy.DYNAMIC_SBAC, qos_config=qos_config, audit=True,
+        keep_records=True,
     )
     admitted = [r for r in records if r.admitted]
     assert len(admitted) == 2
@@ -176,7 +182,8 @@ def test_processing_gain_is_bandwidth_over_requested_rate():
     topology = explicit_gain_topology([[gain]], [link])
     spec = spec_for([0.5], holding=10.0, horizon=200.0, seed=1, rate=1e5)
     records, report = run_simulation(
-        topology, spec, Strategy.FIXED, qos_config=QosConfig(physical_checks=True), audit=True
+        topology, spec, Strategy.FIXED, qos_config=QosConfig(physical_checks=True), audit=True,
+        keep_records=True,
     )
     expected = 5.0 * 1e-10 * (1.0 + QOS_MARGIN) / (10.0 * gain)
     admitted = [r for r in records if r.admitted]
@@ -188,7 +195,7 @@ def test_processing_gain_is_bandwidth_over_requested_rate():
 def test_fixed_strategy_serves_home_provider_only():
     topology = make_topology(num_providers=3, channels=4)
     spec = spec_for([0.5, 0.5, 0.5], holding=2.0, horizon=100.0, seed=9)
-    records, _ = run_simulation(topology, spec, Strategy.FIXED)
+    records, _ = run_simulation(topology, spec, Strategy.FIXED, keep_records=True)
     for record in records:
         if record.admitted:
             assert record.provider_id == record.home_provider_id
@@ -197,7 +204,7 @@ def test_fixed_strategy_serves_home_provider_only():
 def test_dynamic_strategy_offloads_to_other_providers():
     topology = make_topology(num_providers=2, channels=4)
     spec = spec_for([3.0, 0.0], holding=2.0, horizon=100.0, seed=9)
-    records, _ = run_simulation(topology, spec, Strategy.DYNAMIC_SBAC)
+    records, _ = run_simulation(topology, spec, Strategy.DYNAMIC_SBAC, keep_records=True)
     providers_used = {r.provider_id for r in records if r.admitted}
     assert 1 in providers_used  # overflow traffic lands on the idle provider
 
@@ -221,7 +228,7 @@ def test_occupancy_release_restores_prior_state():
 def test_occupancy_integral_counts_exact_busy_time():
     topology = make_topology(num_providers=2, channels=3)
     spec = spec_for([1.5, 0.5], holding=2.0, horizon=50.0, seed=1)
-    sim = Simulation(topology, spec, Strategy.DYNAMIC_SBAC)
+    sim = Simulation(topology, spec, Strategy.DYNAMIC_SBAC, keep_records=True)
     records, report = sim.run()
     held = sum(min(r.end_time, spec.horizon) - r.arrival_time for r in records if r.admitted)
     assert sim.busy_integral == pytest.approx(held, rel=1e-12)
@@ -232,7 +239,7 @@ def test_occupancy_integral_clamps_to_horizon():
     # one channel held from the first arrival far past the 2 s horizon
     topology = make_topology(num_providers=1, channels=1)
     spec = spec_for([5.0], holding=1e7, horizon=2.0, seed=3)
-    sim = Simulation(topology, spec, Strategy.FIXED, audit=True)
+    sim = Simulation(topology, spec, Strategy.FIXED, audit=True, keep_records=True)
     records, report = sim.run()
     assert records[0].admitted and records[0].end_time > 1e5
     assert sim.clock == records[0].end_time  # its departure moved the clock last
@@ -258,7 +265,7 @@ def test_run_draws_each_arrival_only_when_it_reaches_it(stop_after, monkeypatch)
 
     class Stopping(Simulation):
         def _admit(self, event):
-            if len(self.records) == stop_after:
+            if self.arrivals == stop_after:
                 raise Stop
             return super()._admit(event)
 
@@ -269,10 +276,10 @@ def test_run_draws_each_arrival_only_when_it_reaches_it(stop_after, monkeypatch)
         Stopping(topology, spec, Strategy.DYNAMIC_SBAC).run()
     assert len(draws) <= 2 * (stop_after + 3)
     draws.clear()
-    records, _ = run_simulation(topology, spec, Strategy.DYNAMIC_SBAC)
+    _, report = run_simulation(topology, spec, Strategy.DYNAMIC_SBAC)
     # the whole run: a gap and a holding time per arrival, plus the gap
     # past the horizon that ends each provider's stream
-    assert len(draws) == 2 * len(records) + 3 > 2000
+    assert len(draws) == 2 * report.arrivals + 3 > 2000
 
 
 def run_with_engine(engine_class, audit=False):
@@ -328,6 +335,29 @@ def test_audit_flags_a_miscounted_busy_channel():
         run_with_engine(Miscounting, audit=True)
 
 
+@pytest.mark.parametrize("fault", ["kept", "dropped"])
+def test_audit_flags_a_departure_heap_out_of_step(fault):
+    # the heap must hold one departure per held session: here the first
+    # departure's entry goes back in, due never, after the session left,
+    # or the next entry is dropped while its session is still held
+    class Leaking(Simulation):
+        done = False
+
+        def _depart_next(self, departures):
+            entry = departures[0]
+            super()._depart_next(departures)
+            if self.done or (fault == "dropped" and not departures):
+                return
+            self.done = True
+            if fault == "kept":
+                heapq.heappush(departures, (math.inf, *entry[1:]))
+            else:
+                heapq.heappop(departures)
+
+    with pytest.raises(StateError, match="departure heap holds"):
+        run_with_engine(Leaking, audit=True)
+
+
 # -- run invariants --------------------------------------------------------------------
 
 
@@ -336,7 +366,7 @@ def test_audit_flags_a_miscounted_busy_channel():
 def test_conservation_of_arrivals(strategy, seed):
     topology = make_topology(num_providers=2, channels=3)
     spec = spec_for([1.5, 0.5], holding=2.0, horizon=300.0, seed=seed)
-    records, report = run_simulation(topology, spec, strategy, audit=True)
+    records, report = run_simulation(topology, spec, strategy, audit=True, keep_records=True)
     assert report.arrivals == len(records)
     assert (
         report.arrivals
@@ -364,16 +394,17 @@ def test_conservation_of_arrivals(strategy, seed):
 def test_audited_runs_conserve_arrivals_and_repeat(
     providers, channels, links, strategy, physical, reuse, tolerance, load, seed
 ):
-    # audit=True rebuilds the pools, the busy count, the primary loads and
-    # every group's SINR from the held records after each event; channel
-    # reuse is drawn only with physical checks, which it needs
+    # audit=True rebuilds the pools, the busy count, the departure heap, the
+    # primary loads and every group's SINR from the held records after each
+    # event; channel reuse is drawn only with physical checks, which it needs
     topology = make_topology(
         num_providers=providers, channels=channels, num_links=links, tolerance=tolerance
     )
     spec = spec_for([load * (1 + p) for p in range(providers)], holding=3.0, horizon=20.0,
                     seed=seed)
     qos_config = QosConfig(physical_checks=physical, channel_reuse=physical and reuse)
-    sim = Simulation(topology, spec, strategy, qos_config=qos_config, audit=True)
+    sim = Simulation(topology, spec, strategy, qos_config=qos_config, audit=True,
+                     keep_records=True)
     records, report = sim.run()
     assert report.arrivals == len(records) == (
         report.admitted + report.blocked_no_channel + report.blocked_qos
@@ -382,13 +413,19 @@ def test_audited_runs_conserve_arrivals_and_repeat(
     assert sim.busy == 0 and not any(sim.groups.values())
     assert 0.0 <= report.spectral_efficiency <= 1.0
     assert report.mean_rtt == 2 * report.mean_propagation_delay
-    assert run_simulation(topology, spec, strategy, qos_config=qos_config) == (records, report)
+    assert run_simulation(
+        topology, spec, strategy, qos_config=qos_config, keep_records=True
+    ) == (records, report)
+    # the streamed report is the same without the records, which are None
+    assert run_simulation(topology, spec, strategy, qos_config=qos_config, audit=True) == (
+        None, report
+    )
 
 
 def test_identical_inputs_give_identical_outputs(simple_topology):
     spec = spec_for([1.0], holding=3.0, horizon=500.0, seed=123)
-    first = run_simulation(simple_topology, spec, Strategy.DYNAMIC_SBAC)
-    second = run_simulation(simple_topology, spec, Strategy.DYNAMIC_SBAC)
+    first = run_simulation(simple_topology, spec, Strategy.DYNAMIC_SBAC, keep_records=True)
+    second = run_simulation(simple_topology, spec, Strategy.DYNAMIC_SBAC, keep_records=True)
     assert first[0] == second[0]
     assert first[1] == second[1]
 
@@ -425,7 +462,7 @@ def test_engine_interference_matches_trace_oracle():
     # piecewise-constant primary loads between consecutive arrivals/departures
     topology = make_topology(num_providers=1, channels=4)
     spec = spec_for([0.8], holding=2.0, horizon=100.0, seed=6)
-    records, report = run_simulation(topology, spec, Strategy.FIXED)
+    records, report = run_simulation(topology, spec, Strategy.FIXED, keep_records=True)
     admitted = [r for r in records if r.admitted]
     cuts = sorted(
         {0.0, spec.horizon}
@@ -459,7 +496,8 @@ def test_reuse_audit_passes_check_qos_at_recorded_powers():
     spec = spec_for([0.8] * 8, holding=10.0, horizon=30.0, seed=3)
     qos_config = QosConfig(physical_checks=True, channel_reuse=True)
     records, report = run_simulation(
-        topology, spec, Strategy.DYNAMIC_SBAC, qos_config=qos_config, audit=True
+        topology, spec, Strategy.DYNAMIC_SBAC, qos_config=qos_config, audit=True,
+        keep_records=True,
     )
     admitted = [r for r in records if r.admitted]
     assert report.admitted == len(admitted) > 0
@@ -555,7 +593,9 @@ def test_sbac_config_affects_selection():
     topology = dataclasses.replace(base, providers=(cheap, pricey))
     spec = spec_for([0.0, 0.4], holding=1.0, horizon=50.0, seed=8)
     sbac_config = SbacConfig(0.0, 0.0, 1.0)
-    records, _ = run_simulation(topology, spec, Strategy.DYNAMIC_SBAC, sbac_config=sbac_config)
+    records, _ = run_simulation(
+        topology, spec, Strategy.DYNAMIC_SBAC, sbac_config=sbac_config, keep_records=True
+    )
     admitted = [r for r in records if r.admitted]
     assert admitted
     assert all(r.provider_id == 0 for r in admitted)

@@ -2,6 +2,7 @@
 trace oracle and the Erlang-B oracle."""
 from __future__ import annotations
 
+import math
 import random
 
 import numpy as np
@@ -36,7 +37,9 @@ def scripted_report(monkeypatch, arrivals, horizon=100.0, rate=1e5, channels=10,
         engine, "build_event_stream", lambda _: [(t, 0, holding) for t, holding in arrivals]
     )
     qos_config = QosConfig(physical_checks=physical)
-    records, report = run_simulation(topology, spec, Strategy.FIXED, qos_config=qos_config)
+    records, report = run_simulation(
+        topology, spec, Strategy.FIXED, qos_config=qos_config, keep_records=True
+    )
     assert len(records) == report.arrivals == len(arrivals)
     return report
 
@@ -200,5 +203,6 @@ def test_erlang_b_monotone_in_load_and_channels():
 def test_erlang_b_rejects_bad_arguments():
     with pytest.raises(ValueError):
         erlang_b(0, 1.0)
-    with pytest.raises(ValueError):
-        erlang_b(5, -1.0)
+    for load in (-1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="offered_load"):
+            erlang_b(5, load)

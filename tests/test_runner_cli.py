@@ -211,6 +211,14 @@ def test_cli_erlang_b(capsys):
     assert out == "0.018384570"
 
 
+@pytest.mark.parametrize("load", ["nan", "inf", "-inf"])
+def test_cli_erlang_b_rejects_a_load_that_is_not_finite(load, capsys):
+    assert cli_main(["erlang-b", "--channels", "10", f"--load={load}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: offered_load must be finite and >= 0")
+
+
 def test_cli_validate_accepts_good_config(tmp_path, capsys):
     path = tmp_path / "scenario.yaml"
     path.write_text(yaml.safe_dump(scenario()))
@@ -241,7 +249,35 @@ def test_cli_validate_names_the_key_of_a_bad_document(name, tmp_path, capsys):
 
 def test_cli_validate_missing_file(capsys):
     assert cli_main(["validate", "nope.yaml"]) == 2
-    assert "no such file" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: nope.yaml: No such file or directory\n"
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_cli_config_path_that_is_a_directory(command, tmp_path, capsys):
+    out_args = ["--out", str(tmp_path / "out")] if command == "run" else []
+    assert cli_main([command, str(tmp_path), *out_args]) == 2
+    assert capsys.readouterr().err == f"error: {tmp_path}: Is a directory\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_config_that_is_not_utf8_text(tmp_path, capsys):
+    path = tmp_path / "scenario.yaml"
+    path.write_bytes(b"topology: \xff\n")
+    assert cli_main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}: not UTF-8 text: invalid start byte at byte 10\n"
+    )
+
+
+def test_cli_run_output_path_that_is_a_file(tmp_path, capsys):
+    path = tmp_path / "scenario.yaml"
+    path.write_text(yaml.safe_dump(scenario()))
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert cli_main(["run", str(path), "--out", str(taken)]) == 1
+    err = capsys.readouterr().err
+    assert err.endswith(f"error: {taken}: File exists\n")
+    assert "Traceback" not in err
 
 
 def test_cli_run_end_to_end(tmp_path):
