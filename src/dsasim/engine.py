@@ -8,12 +8,19 @@ departures keyed ``(end_time, session_id)``.
 Every arrival is offered the candidate pools its strategy allows (home
 provider only under fixed allocation, all providers under dynamic
 selection), the best-available-channel rule picks a free channel, and an
-optional physical-layer stage re-solves minimal powers for the co-channel
-group and re-checks primary-point interference before the call is admitted.
+optional physical-layer stage finds minimal powers for the co-channel group
+plus the call and re-checks primary-point interference before the call is
+admitted.
 The admitted :class:`SessionRecord` is the only per-session state: the
 :class:`Simulation` holds it in the list of its channel index, in admission
 order, and the departure event carries it.  Under channel reuse that list
-is the co-channel group whose links and powers the power solve reads.
+is the co-channel group, and each non-empty group also has its cached
+``(I - F_G)^-1`` and minimal powers.  An admission reads them in one
+bordered (Schur) step and only an admitted session grows them, by a rank-1
+update; a departure shrinks them to the rest of the group by a downdate
+(:mod:`dsasim.qos`), neither with a numpy call, and an emptied group's
+entry is dropped, so rounding restarts from exact values whenever a group
+empties.
 The report is streamed: each arrival adds to a count per outcome, and each
 admission appends its link's precomputed delay and adds its bits to a
 running total, so a run's memory follows its held sessions, not its
@@ -40,9 +47,12 @@ concurrently because topologies and traffic specs are immutable.
 from __future__ import annotations
 
 import heapq
+import math
+from array import array
 from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
+from operator import mul
 
 import numpy as np
 
@@ -74,7 +84,7 @@ class QosConfig:
     admission.  ``channel_reuse`` makes equal channel indexes on different
     providers co-channel, so concurrent sessions there are power-coupled
     and admission exercises the full SINR feasibility machinery.  Only the
-    power solve reads the groups, so reuse without physical checks is a
+    physical stage reads the groups, so reuse without physical checks is a
     ValueError.
     """
 
@@ -119,7 +129,10 @@ class Simulation:
     the run's one clock; ``busy_integral`` (channel * seconds) and
     ``primary_integral`` (watt * seconds per primary point, a list) advance
     with it.  ``primary_loads`` (watts per primary point, a list) is the
-    held sessions' interference at each point.
+    held sessions' interference at each point.  Under channel reuse,
+    ``inverses`` and ``min_powers`` map each channel index with a non-empty
+    group to its ``(I - F_G)^-1`` (flat, row-major) and minimal powers, in
+    the group's order; the Schur steps of the module docstring keep them.
 
     The report's sums are streamed: ``arrivals`` counts the arrivals and
     numbers their sessions, ``outcomes`` counts them per outcome, ``delays``
@@ -177,20 +190,29 @@ class Simulation:
         num_points = len(topology.primary_points)
         self.primary_loads = [0.0] * num_points
         self.primary_integral = [0.0] * num_points
+        self.inverses: dict[int, array] = {}
+        self.min_powers: dict[int, array] = {}
         self._ran = False
 
         speed = topology.propagation_speed
         self._link_delays = [link.distance / speed for link in topology.links]
         self._g_ss = topology.gains.g_ss
         self._g_ps = topology.gains.g_ps
-        # each link's gains to the primary points, for the elementwise updates
-        self._g_ps_columns = [tuple(column) for column in self._g_ps.T.tolist()]
-        self._tolerance = np.array([p.tolerance for p in topology.primary_points])
+        # each primary point's gains from the links, by link id
+        self._g_ps_rows = [array("d", row) for row in self._g_ps.tolist()]
+        self._tolerance = [p.tolerance for p in topology.primary_points]
         if self.qos.physical_checks:
-            # per-link physics as arrays indexed by link id, for the power solve
+            # per-link physics as arrays indexed by link id, for the audits
             self._noise, self._gain, self._sinr_target, self._power_max = qos.link_arrays(
                 topology.links, traffic_spec.requested_rate
             )
+            # and the Schur steps' inputs: F[i][j] = scale[i] * g_ss[i][j]
+            # (j != i) is read from a flat view of g_ss, never stored
+            scale = qos.coupling_scale(self._g_ss, self._gain, self._sinr_target)
+            self._scale = array("d", scale.tolist())
+            self._u = array("d", (scale * self._noise).tolist())
+            self._cap = array("d", self._power_max.tolist())
+            self._g_ss_flat = memoryview(np.ascontiguousarray(self._g_ss).reshape(-1))
 
     # -- event loop ---------------------------------------------------------
 
@@ -240,6 +262,8 @@ class Simulation:
         self._audit_primary_loads()
         if self.qos.physical_checks:
             self._audit_qos()
+        if self.qos.channel_reuse:
+            self._audit_inverses()
 
     def _advance_clocks(self, time: float) -> None:
         """Move the clock to ``time``, adding the busy channels and primary
@@ -259,7 +283,8 @@ class Simulation:
 
     def _depart(self, record: SessionRecord) -> None:
         # the rest of the co-channel group keeps its powers (module docstring)
-        group = self.groups[record.channel_id]
+        channel_id = record.channel_id
+        group = self.groups[channel_id]
         for index, held in enumerate(group):
             if held is record:
                 del group[index]
@@ -267,11 +292,20 @@ class Simulation:
         else:
             raise StateError(f"session {record.session_id} holds no channel (double release?)")
         self.busy -= 1
-        self._pools[record.provider_id].give(record.channel_id)
+        self._pools[record.provider_id].give(channel_id)
+        link_id = record.link_id
         self.primary_loads = [
-            load - gain * record.power
-            for load, gain in zip(self.primary_loads, self._g_ps_columns[record.link_id])
+            load - row[link_id] * record.power
+            for load, row in zip(self.primary_loads, self._g_ps_rows)
         ]
+        if not self.qos.channel_reuse:
+            return
+        if group:
+            self.inverses[channel_id], self.min_powers[channel_id] = qos.principal_downdate(
+                self.inverses[channel_id], self.min_powers[channel_id], index
+            )
+        else:
+            del self.inverses[channel_id], self.min_powers[channel_id]
 
     # -- admission ----------------------------------------------------------
 
@@ -298,8 +332,8 @@ class Simulation:
             record.outcome = Outcome.ADMITTED
             record.power = link.power
             self.primary_loads = [
-                load + gain * link.power
-                for load, gain in zip(self.primary_loads, self._g_ps_columns[link.id])
+                load + row[link.id] * link.power
+                for load, row in zip(self.primary_loads, self._g_ps_rows)
             ]
         self.outcomes[record.outcome] += 1
         if record.outcome is not Outcome.ADMITTED:
@@ -320,34 +354,58 @@ class Simulation:
         return record
 
     def _physical_admission(self, channel_id: int, record: SessionRecord) -> Outcome:
-        """Solve minimal powers for the co-channel group plus the new session.
+        """Minimal powers for the co-channel group plus the new session, by
+        one bordered (Schur) step on the group's cached inverse ``B`` and
+        minimal powers ``P`` (the ``qos`` module docstring).
 
         Existing group members must keep meeting their own QoS targets under
         the added interference, and the whole system must stay within every
-        primary point's tolerance.  On admission the group's records and
-        ``record`` get the solved powers and ``primary_loads`` follows them.
+        primary point's tolerance.  Without reuse the group is the session
+        alone.  ``s <= 0``, a power that is not positive and finite, or one
+        over its cap is a QoS block; then a budget exceeded is an
+        interference block.  On admission the group's records and
+        ``record`` get the new minimal powers, ``primary_loads`` follows
+        them and, under reuse, the channel's cache grows by the session.
         """
-        group = self.groups[channel_id] if self.qos.channel_reuse else []
-        ids = [member.link_id for member in group] + [record.link_id]
-        g_ps = self._g_ps[:, ids]
-        group_load = g_ps[:, :-1] @ [member.power for member in group]
-        solution = qos.solve_min_powers(
-            self._g_ss[np.ix_(ids, ids)],
-            self._noise[ids],
-            self._gain[ids],
-            self._sinr_target[ids],
-            self._power_max[ids],
-            g_ps,
-            self._tolerance - (np.array(self.primary_loads) - group_load),
-        )
-        if not solution.within_power_caps:
+        link_id = record.link_id
+        group = self.groups[channel_id] if self.qos.channel_reuse else ()
+        ids = [member.link_id for member in group]
+        inverse = self.inverses.get(channel_id, ())
+        min_powers = self.min_powers.get(channel_id, ())
+        n, g_ss, stride, scale = len(ids), self._g_ss_flat, len(self._scale), self._scale
+        column = [scale[i] * g_ss[i * stride + link_id] for i in ids]  # F[G, k]
+        row = [scale[link_id] * g_ss[link_id * stride + i] for i in ids]  # F[k, G]
+        h = [math.fsum(map(mul, inverse[a * n:a * n + n], column)) for a in range(n)]
+        s = 1.0 - math.fsum(map(mul, row, h))
+        if not s > 0.0:  # rho(F) >= 1 for the grown group: no finite powers
             return Outcome.BLOCKED_QOS
-        if not solution.interference_ok:
-            return Outcome.BLOCKED_INTERFERENCE
-        for member, power in zip(group + [record], solution.powers.tolist()):
-            member.power = power
-        delta = (g_ps @ solution.powers - group_load).tolist()
-        self.primary_loads = [load + change for load, change in zip(self.primary_loads, delta)]
+        power = (self._u[link_id] + math.fsum(map(mul, row, min_powers))) / s
+        powers = [p + x * power for p, x in zip(min_powers, h)]
+        powers.append(power)
+        ids.append(link_id)
+        cap = self._cap
+        for i, p in zip(ids, powers):
+            if not (0.0 < p < math.inf and p <= cap[i]):
+                return Outcome.BLOCKED_QOS
+
+        held = [member.power for member in group]
+        changes = []
+        points = zip(self._g_ps_rows, self._tolerance, self.primary_loads)
+        for gains_row, tolerance, load in points:
+            gains = [gains_row[i] for i in ids]
+            before = math.fsum(map(mul, gains, held))  # the n members' loads
+            after = math.fsum(map(mul, gains, powers))
+            if not after <= tolerance - (load - before):
+                return Outcome.BLOCKED_INTERFERENCE
+            changes.append(after - before)
+
+        for member, p in zip(group, powers):
+            member.power = p
+        record.power = power
+        self.primary_loads = [load + change for load, change in zip(self.primary_loads, changes)]
+        if self.qos.channel_reuse:
+            self.inverses[channel_id] = qos.bordered_inverse(inverse, h, row, s)
+            self.min_powers[channel_id] = array("d", powers)
         return Outcome.ADMITTED
 
     def _audit_pools(self) -> None:
@@ -427,6 +485,40 @@ class Simulation:
                 f"sessions {[held[i][1].session_id for i in np.flatnonzero(missed)]} miss "
                 "their SINR targets at their co-channel group's powers"
             )
+
+    def _audit_inverses(self) -> None:
+        """Check that exactly the non-empty groups have a cached inverse and
+        minimal powers, that each inverse times its group's ``I - F_G`` is
+        the identity within 1e-12, and that the cached powers equal a fresh
+        :func:`qos.solve_min_powers` within 1e-12 relative; raises
+        StateError naming the channel index otherwise."""
+        held = {channel_id for channel_id, group in self.groups.items() if group}
+        if held != self.inverses.keys() or held != self.min_powers.keys():
+            raise StateError(
+                f"cached channels {sorted(self.inverses)} and {sorted(self.min_powers)} "
+                f"differ from the non-empty groups {sorted(held)}"
+            )
+        scale = np.array(self._scale)
+        for channel_id in sorted(held):
+            ids = [record.link_id for record in self.groups[channel_id]]
+            n = len(ids)
+            if len(self.inverses[channel_id]) != n * n or len(self.min_powers[channel_id]) != n:
+                raise StateError(f"channel {channel_id}'s cache does not fit its {n} sessions")
+            g_ss = self._g_ss[np.ix_(ids, ids)]
+            system = -scale[ids, None] * g_ss
+            np.fill_diagonal(system, 1.0)
+            inverse = np.array(self.inverses[channel_id]).reshape(n, n)
+            residual = np.max(np.abs(inverse @ system - np.eye(n)))
+            solution = qos.solve_min_powers(
+                g_ss, self._noise[ids], self._gain[ids], self._sinr_target[ids],
+                self._power_max[ids], self._g_ps[:, ids], np.full(len(self._tolerance), np.inf),
+            )
+            drift = np.max(np.abs(np.array(self.min_powers[channel_id]) / solution.powers - 1.0))
+            if not (residual <= 1e-12 and drift <= 1e-12):
+                raise StateError(
+                    f"channel {channel_id}'s cached inverse is off the identity by {residual:.3g} "
+                    f"and its minimal powers off a fresh solve by {drift:.3g} (relative)"
+                )
 
     # -- reporting ----------------------------------------------------------
 

@@ -26,6 +26,17 @@ rounding, so the solver raises every target by the relative margin
 ``QOS_MARGIN`` first.  The powers it returns then pass the exact comparison of
 :func:`qos_met` and sit just above the minimal ones.
 
+A group that grows or shrinks by one link need not be solved afresh.  With
+``B = (I - F_G)^-1`` and ``P = B u_G`` known for group ``G``, link ``k``
+borders the system with column ``b = F[G, k]`` and row ``c = F[k, G]``.  The
+bordered matrix is again a nonsingular M-matrix exactly when its Schur
+complement ``s = 1 - c B b`` is positive (Berman and Plemmons, *Nonnegative
+Matrices in the Mathematical Sciences*), and then, with ``h = B b``, the new
+link's minimal power is ``y = (u_k + c P) / s`` and the others' ``P + h y``
+(the block inverse; Horn and Johnson, *Matrix Analysis*, 0.7).
+:func:`bordered_inverse` and :func:`principal_downdate` update ``B`` and
+``P`` for one link more or less, on flat row-major ``array('d')`` storage.
+
 A BPSK link's bit error rate at SINR ``gamma`` is ``Q(sqrt(2 * gamma))``, a
 QPSK link's ``Q(sqrt(gamma))``, with ``Q(x) = erfc(x / sqrt(2)) / 2``.  So a
 BER target ``b`` needs ``x = -Phi^-1(b)``, ``Phi`` the standard normal CDF:
@@ -35,8 +46,10 @@ so that the BER at the returned SINR is at most ``b``, not above by rounding.
 from __future__ import annotations
 
 import math
+from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
+from operator import mul
 from statistics import NormalDist
 
 import numpy as np
@@ -101,6 +114,17 @@ def qos_met(sinr: np.ndarray, sinr_target: np.ndarray) -> np.ndarray:
     return sinr >= sinr_target
 
 
+def coupling_scale(
+    g_ss: np.ndarray, processing_gain: np.ndarray, sinr_target: np.ndarray
+) -> np.ndarray:
+    """Per-link ``gamma_i * (1 + QOS_MARGIN) / ((W_i / R) * g_ss[i][i])``: the
+    factor that turns row ``i`` of ``g_ss`` into row ``i`` of ``F`` (off the
+    diagonal) and the noise ``N_i`` into ``u_i``, targets raised by
+    :data:`QOS_MARGIN`.
+    """
+    return sinr_target * (1.0 + QOS_MARGIN) / (processing_gain * np.diag(g_ss))
+
+
 def solve_min_powers(
     g_ss: np.ndarray,
     noise: np.ndarray,
@@ -118,7 +142,7 @@ def solve_min_powers(
     Solves ``(I - F) P = u`` with the targets raised by :data:`QOS_MARGIN`;
     see the module docstring for why one solve decides feasibility.
     """
-    scale = sinr_target * (1.0 + QOS_MARGIN) / (processing_gain * np.diag(g_ss))
+    scale = coupling_scale(g_ss, processing_gain, sinr_target)
     system = -scale[:, None] * g_ss
     np.fill_diagonal(system, 1.0)
     try:
@@ -133,6 +157,50 @@ def solve_min_powers(
         within_power_caps=bool(np.all(powers <= power_max)),
         interference_ok=bool(np.all(g_ps @ powers <= primary_tolerance)),
     )
+
+
+def bordered_inverse(
+    inverse: Sequence[float], h: Sequence[float], row: Sequence[float], s: float
+) -> array:
+    """``(I - F)^-1`` of a group grown by one link, flat and row-major: from
+    the group's inverse ``B``, ``h = B F[G, k]``, the new link's row
+    ``F[k, G]`` and its Schur complement ``s > 0`` (module docstring), the
+    block inverse ``[[B + h r / s, h / s], [r / s, 1 / s]]`` with
+    ``r = F[k, G] B``.
+    """
+    n = len(h)
+    r = [math.fsum(map(mul, row, inverse[b::n])) for b in range(n)]
+    grown = []
+    for a, x in enumerate(h):
+        x /= s
+        grown += [value + x * y for value, y in zip(inverse[a * n:a * n + n], r)]
+        grown.append(x)
+    grown += [y / s for y in r]
+    grown.append(1.0 / s)
+    return array("d", grown)
+
+
+def principal_downdate(
+    inverse: Sequence[float], min_powers: Sequence[float], q: int
+) -> tuple[array, array]:
+    """Inverse and minimal powers of a group without its member ``q``, from
+    the group's flat row-major ``B = (I - F_G)^-1`` and ``P = B u_G``:
+    ``B[-q, -q] - B[-q, q] B[q, -q] / B[q, q]`` and
+    ``P[-q] - B[-q, q] P[q] / B[q, q]``.
+    """
+    n = len(min_powers)
+    pivot = inverse[q * n:q * n + n]
+    shrunk: list[float] = []
+    powers = []
+    for a in range(n):
+        if a != q:
+            values = inverse[a * n:a * n + n]
+            factor = values[q] / pivot[q]
+            values = [value - factor * y for value, y in zip(values, pivot)]
+            del values[q]
+            shrunk += values
+            powers.append(min_powers[a] - factor * min_powers[q])
+    return array("d", shrunk), array("d", powers)
 
 
 def ber_from_sinr(modulation: Modulation, sinr: float) -> float:

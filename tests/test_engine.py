@@ -4,6 +4,7 @@ from __future__ import annotations
 import dataclasses
 import heapq
 import math
+from array import array
 
 import numpy as np
 import pytest
@@ -23,9 +24,11 @@ from dsasim import (
     Strategy,
     TrafficSpec,
     gains_from_positions,
+    link_arrays,
     run_simulation,
+    solve_min_powers,
 )
-from dsasim import sbac, traffic
+from dsasim import qos, sbac, traffic
 from dsasim.engine import Simulation
 from dsasim.sbac import LivePool
 from dsasim.metrics import mean_primary_interference
@@ -395,8 +398,9 @@ def test_audited_runs_conserve_arrivals_and_repeat(
     providers, channels, links, strategy, physical, reuse, tolerance, load, seed
 ):
     # audit=True rebuilds the pools, the busy count, the departure heap, the
-    # primary loads and every group's SINR from the held records after each
-    # event; channel reuse is drawn only with physical checks, which it needs
+    # primary loads, every group's SINR and, under reuse, every cached group
+    # inverse from the held records after each event; channel reuse is drawn
+    # only with physical checks, which it needs
     topology = make_topology(
         num_providers=providers, channels=channels, num_links=links, tolerance=tolerance
     )
@@ -411,6 +415,7 @@ def test_audited_runs_conserve_arrivals_and_repeat(
         + report.blocked_interference
     )
     assert sim.busy == 0 and not any(sim.groups.values())
+    assert sim.inverses == sim.min_powers == {}
     assert 0.0 <= report.spectral_efficiency <= 1.0
     assert report.mean_rtt == 2 * report.mean_propagation_delay
     assert run_simulation(
@@ -559,6 +564,167 @@ def test_audit_flags_a_flipped_pool_bit_in_a_run():
     Simulation(topology, spec, Strategy.DYNAMIC_SBAC, audit=True).run()
     with pytest.raises(StateError, match="masks"):
         Flipping(topology, spec, Strategy.DYNAMIC_SBAC, audit=True).run()
+
+
+# -- cached co-channel inverses ------------------------------------------------------
+
+REUSE = QosConfig(physical_checks=True, channel_reuse=True)
+
+
+def schur_topology():
+    """Four one-channel providers, so every session shares channel index 0,
+    and six hand-coupled links: links 0-3 fit together, link 4's minimal
+    power exceeds its 1 W cap and link 5 alone exceeds the primary budget."""
+    links = tuple(physical_link(i, sinr_target=1.0 + 0.25 * i, y=20.0 * i) for i in range(4)) + (
+        physical_link(4, sinr_target=12.0, y=80.0),  # 1.2 W alone
+        physical_link(5, sinr_target=1.0, y=100.0),
+    )
+    g_ss = np.full((6, 6), 0.04) + np.diag([0.96] * 6)
+    g_ss[0, 1], g_ss[1, 0], g_ss[2, 1], g_ss[3, 0] = 0.15, 0.02, 0.12, 0.09
+    point = PrimaryReceivingPoint(id=0, position=(500.0, 500.0), tolerance=1.0)
+    return explicit_gain_topology(
+        g_ss, links, g_ps=[[0.5, 0.6, 0.7, 0.8, 0.1, 50.0]], points=(point,),
+        providers=tuple(make_provider(i, channels=1, base_mhz=400.0 + 50.0 * i)
+                        for i in range(4)),
+    )
+
+
+def assert_cache_solves_group(sim, channel_id=0):
+    """The channel's cached inverse and minimal powers against a fresh
+    inverse of I - F_G, F built from the topology, and solve_min_powers."""
+    ids = [record.link_id for record in sim.groups[channel_id]]
+    noise, gain, sinr_target, power_max = link_arrays(sim.topology.links, 1e5)
+    g_ss = sim.topology.gains.g_ss[np.ix_(ids, ids)]
+    coupling = (sinr_target[ids] * (1.0 + QOS_MARGIN) / gain[ids])[:, None] * g_ss
+    coupling /= np.diag(g_ss)[:, None]
+    np.fill_diagonal(coupling, 0.0)
+    expected = np.linalg.inv(np.eye(len(ids)) - coupling)
+    solution = solve_min_powers(g_ss, noise[ids], gain[ids], sinr_target[ids], power_max[ids],
+                                sim.topology.gains.g_ps[:, ids], np.array([np.inf]))
+    inverse = np.array(sim.inverses[channel_id]).reshape(len(ids), len(ids))
+    np.testing.assert_allclose(inverse, expected, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(sim.min_powers[channel_id], solution.powers, rtol=1e-12)
+    sim._audit_inverses()
+
+
+def snapshot(sim):
+    return {c: (list(sim.inverses[c]), list(sim.min_powers[c])) for c in sim.inverses}
+
+
+def test_schur_steps_track_the_group_solve():
+    sim = Simulation(schur_topology(), spec_for([1.0] * 4), Strategy.DYNAMIC_SBAC,
+                     qos_config=REUSE)
+    admitted = []
+    for link_id in range(3):  # session i transmits on link i
+        admitted.append(sim._admit((0.0, 0, 1.0)))
+        assert admitted[-1].outcome is Outcome.ADMITTED
+        assert [r.link_id for r in sim.groups[0]] == list(range(link_id + 1))
+        assert_cache_solves_group(sim)
+    sim._depart(admitted[1])
+    assert [r.link_id for r in sim.groups[0]] == [0, 2]
+    assert_cache_solves_group(sim)
+    admitted.append(sim._admit((0.0, 0, 1.0)))
+    assert admitted[-1].outcome is Outcome.ADMITTED
+    assert [r.link_id for r in sim.groups[0]] == [0, 2, 3]
+    assert_cache_solves_group(sim)
+    # every member transmits at the cached minimal powers just after an admission
+    assert [r.power for r in sim.groups[0]] == list(sim.min_powers[0])
+
+    # a rejection leaves the cache as it was
+    before = snapshot(sim)
+    assert sim._admit((0.0, 0, 1.0)).outcome is Outcome.BLOCKED_QOS  # link 4: over its cap
+    assert snapshot(sim) == before
+    assert sim._admit((0.0, 0, 1.0)).outcome is Outcome.BLOCKED_INTERFERENCE  # link 5
+    assert snapshot(sim) == before
+
+    for record in (admitted[0], admitted[3]):
+        sim._depart(record)
+        assert_cache_solves_group(sim)
+    sim._depart(admitted[2])
+    assert sim.inverses == sim.min_powers == {}
+    sim._audit_inverses()
+
+
+def test_infeasible_pair_leaves_the_cache_untouched():
+    # gamma = 3 and cross gain 0.5: s = 1 - (3 * 0.5) ** 2 < 0 for the pair
+    links = (physical_link(0, sinr_target=3.0, y=0.0), physical_link(1, sinr_target=3.0, y=20.0))
+    providers = (make_provider(0, channels=1), make_provider(1, channels=1, base_mhz=450.0))
+    topology = explicit_gain_topology([[1.0, 0.5], [0.5, 1.0]], links, providers=providers)
+    sim = Simulation(topology, spec_for([1.0, 1.0]), Strategy.DYNAMIC_SBAC, qos_config=REUSE)
+    first = sim._admit((0.0, 0, 1.0))
+    before = snapshot(sim)
+    assert before == {0: ([1.0], [first.power])}
+    assert sim._admit((0.0, 1, 1.0)).outcome is Outcome.BLOCKED_QOS
+    assert snapshot(sim) == before
+
+
+@pytest.mark.parametrize("fault", ["perturbed", "stale"])
+def test_audit_flags_a_cache_out_of_step(fault):
+    topology = make_topology(num_providers=2, channels=3, num_links=6, tolerance=4e-11)
+    spec = spec_for([0.8, 0.8], holding=10.0, horizon=30.0, seed=3)
+    spoiled = []
+
+    class Spoiling(Simulation):
+        def _physical_admission(self, channel_id, record):
+            outcome = super()._physical_admission(channel_id, record)
+            if fault == "perturbed" and outcome is Outcome.ADMITTED and not spoiled:
+                self.inverses[channel_id][0] += 1e-9
+                spoiled.append(channel_id)
+            return outcome
+
+        def _depart(self, record):
+            super()._depart(record)
+            channel_id = record.channel_id
+            if fault == "stale" and not spoiled and channel_id not in self.inverses:
+                self.inverses[channel_id] = self.min_powers[channel_id] = array("d")
+                spoiled.append(channel_id)
+
+    Simulation(topology, spec, Strategy.DYNAMIC_SBAC, qos_config=REUSE, audit=True).run()
+    with pytest.raises(StateError, match="channel") as raised:
+        Spoiling(topology, spec, Strategy.DYNAMIC_SBAC, qos_config=REUSE, audit=True).run()
+    assert str(spoiled[0]) in str(raised.value)
+
+
+def test_cached_inverses_hold_through_a_group_that_never_empties():
+    # 2 Erlang per channel on the benchmark's 8 x 10 reuse topology: the low
+    # channel indexes stay busy, so their caches take Schur step after Schur
+    # step with no reset, and the audit bounds the drift after every event
+    topology = make_topology(num_providers=8, channels=10, num_links=32, tolerance=4e-11)
+    spec = spec_for([2.0] * 8, holding=10.0, horizon=60.0, seed=5)
+    streak = dict.fromkeys(range(10), 0)  # Schur steps since the cache was last empty
+    longest = []
+
+    class Counting(Simulation):
+        def _physical_admission(self, channel_id, record):
+            outcome = super()._physical_admission(channel_id, record)
+            streak[channel_id] += outcome is Outcome.ADMITTED
+            return outcome
+
+        def _depart(self, record):
+            super()._depart(record)
+            streak[record.channel_id] += 1
+            if not self.groups[record.channel_id]:
+                longest.append(streak[record.channel_id])
+                streak[record.channel_id] = 0
+
+    _, report = Counting(topology, spec, Strategy.DYNAMIC_SBAC, qos_config=REUSE,
+                         audit=True).run()
+    # each channel index emptied once, as the run drained its departures
+    assert report.admitted > 500
+    assert len(longest) == len(streak) and min(longest) > 50
+
+
+def test_reuse_runs_make_no_dense_solve(monkeypatch):
+    topology = make_topology(num_providers=8, channels=10, num_links=32, tolerance=4e-11)
+    spec = spec_for([0.8] * 8, holding=10.0, horizon=60.0, seed=3)
+    expected = run_simulation(topology, spec, Strategy.DYNAMIC_SBAC, qos_config=REUSE)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a dense solve was called")
+
+    monkeypatch.setattr(qos, "solve_min_powers", forbidden)
+    monkeypatch.setattr(np.linalg, "solve", forbidden)
+    assert run_simulation(topology, spec, Strategy.DYNAMIC_SBAC, qos_config=REUSE) == expected
 
 
 @pytest.mark.parametrize("strategy", [Strategy.FIXED, Strategy.DYNAMIC_SBAC])
@@ -721,7 +887,9 @@ def test_golden_run_reports(name):
 # Full reports of a 3-point topology, recorded before the primary loads and
 # integrals became lists of floats: each point's running sums must still
 # take the same IEEE multiplies and adds, to the bit, with and without the
-# power solve.
+# power solve.  "physical_reuse" was re-recorded when the powers came from
+# Schur steps on cached group inverses in place of a dense solve per
+# admission: its counts stayed, and its interference moved in the last digits.
 GOLDEN_THREE_POINT_RUNS = {
     "fixed": dict(
         mean_propagation_delay=7.211102550927979e-07,
@@ -743,7 +911,7 @@ GOLDEN_THREE_POINT_RUNS = {
         mean_propagation_delay=7.211102550927979e-07,
         mean_rtt=1.4422205101855957e-06,
         throughput=738114.8921824765,
-        mean_primary_interference=1.7767099141751737e-11,
+        mean_primary_interference=1.776709914175173e-11,
         spectral_efficiency=0.6150957434853973,
         blocking_probability=0.18181818181818182,
         arrivals=176, admitted=144, blocked_no_channel=4, blocked_qos=10,
@@ -751,7 +919,7 @@ GOLDEN_THREE_POINT_RUNS = {
         metadata={
             "strategy": "DYNAMIC_SBAC", "seed": 21, "horizon": 80.0,
             "per_point_interference_w": [
-                1.416061837009408e-11, 1.8926596040719076e-11, 2.0214083014442055e-11,
+                1.416061837009408e-11, 1.8926596040719073e-11, 2.0214083014442042e-11,
             ],
         },
     ),
