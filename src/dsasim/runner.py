@@ -156,6 +156,15 @@ def _worker(args):
         return spec.index, None, None, f"{type(exc).__name__}: {exc}"
 
 
+def _outcomes(jobs, workers: int):
+    """Each job's :func:`_worker` result, in job order, as it arrives."""
+    if workers > 1 and len(jobs) > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            yield from pool.map(_worker, jobs)
+    else:
+        yield from map(_worker, jobs)
+
+
 def _worker_count() -> int:
     raw = os.environ.get(WORKERS_ENV_VAR, "1")
     try:
@@ -199,7 +208,8 @@ def run_scenario(
     Writes ``results.csv`` (one row per run, fixed column order) and
     ``manifest.json`` recording parameters, per-run status and overall
     completeness.  With ``verbose`` a per-run session log is written under
-    ``sessions/``.  Returns 0 iff every run completed.  An invalid
+    ``sessions/`` as each run's result arrives, so one run's records are
+    held at a time.  Returns 0 iff every run completed.  An invalid
     ``seed_override`` raises ConfigError before any run or write.
     """
     runs = expand_runs(config, seed_override)
@@ -209,33 +219,25 @@ def run_scenario(
     logger.info("executing %d runs with %d worker(s)", len(runs), workers)
 
     results: dict[int, ResultRow] = {}
-    session_logs: dict[int, list[SessionRecord]] = {}
     failures: dict[int, str] = {}
 
     jobs = [(config, spec, verbose) for spec in runs]
-    if workers > 1 and len(runs) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_worker, jobs))
-    else:
-        outcomes = [_worker(job) for job in jobs]
-
-    for index, row, records, error in outcomes:
+    for index, row, records, error in _outcomes(jobs, workers):
         if error is not None:
             failures[index] = error
             logger.error("run %s failed: %s", _run_label(runs[index]), error)
             continue
         results[index] = row
         if records is not None:
-            session_logs[index] = records
+            # written as it arrives and dropped before the next run's result,
+            # so a verbose sweep holds one run's records at a time
+            sessions_dir = output_dir / "sessions"
+            sessions_dir.mkdir(exist_ok=True)
+            write_session_log(sessions_dir / f"{_run_label(runs[index])}.csv", records)
+            del records
 
     rows = [results[i] for i in sorted(results)]
     write_results_csv(output_dir / "results.csv", rows)
-
-    if session_logs:
-        sessions_dir = output_dir / "sessions"
-        sessions_dir.mkdir(exist_ok=True)
-        for index, records in sorted(session_logs.items()):
-            write_session_log(sessions_dir / f"{_run_label(runs[index])}.csv", records)
 
     manifest = {
         "artifact": "dsasim",

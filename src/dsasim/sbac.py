@@ -21,10 +21,11 @@ Scoring reads four summaries of a pool and nothing else: its free-channel
 count, its min and max free center frequency and its lowest free channel id.
 A :class:`CandidatePool` computes them from its tuple of free channels and
 is scored when offered.  The simulation's :class:`LivePool` keeps them
-current as channels are taken and given back and, built with an
-:class:`SbacConfig`, caches its ``score``, recomputed on each take and give,
-so selecting among P live pools is a max over P cached floats.  A lone
-candidate (fixed allocation's home pool) wins without being scored.
+current as channels are taken and given back (the two frequencies as reads
+of a bitmask) and, built with an :class:`SbacConfig`, caches its ``score``,
+recomputed on each take and give, so selecting among P live pools is a max
+over P cached floats.  A lone candidate (fixed allocation's home pool)
+wins without being scored.
 """
 from __future__ import annotations
 
@@ -102,15 +103,16 @@ class LivePool:
     ``id_mask`` in channel-id order and ``frequency_mask`` in center-frequency
     order (equal frequencies in id order).  Taking or giving back a channel
     flips its bit in each, found by bisecting the sorted ids, and refreshes
-    the four summaries of :class:`CandidatePool` from the lowest and highest
-    set bits, then ``score``: ``utility(self, config)`` while a channel is
-    free, None when none is or when the pool was built without a config.
+    what selection reads, ``free_count``, ``lowest_free_id`` and ``score``:
+    ``utility(self, config)`` while a channel is free, None when none is or
+    the pool has no config.  Only scoring and the audit read the min and
+    max free frequency, properties on the lowest and highest frequency bit.
     """
 
     __slots__ = (
         "provider", "provider_id", "total_channels", "cost_rate", "config",
         "_ids", "_frequency_rank", "_frequencies", "id_mask", "frequency_mask",
-        "free_count", "min_free_frequency", "max_free_frequency", "lowest_free_id", "score",
+        "free_count", "lowest_free_id", "score",
     )
 
     def __init__(self, provider: ServiceProvider, config: SbacConfig | None = None):
@@ -152,18 +154,24 @@ class LivePool:
         self._summarise()
 
     def _summarise(self) -> None:
-        by_id, by_frequency = self.id_mask, self.frequency_mask
+        by_id = self.id_mask
         self.free_count = by_id.bit_count()
         if by_id:
-            # x & -x keeps the lowest set bit; bit_length() - 1 is the highest
+            # x & -x keeps the lowest set bit
             self.lowest_free_id = self._ids[(by_id & -by_id).bit_length() - 1]
-            lowest = (by_frequency & -by_frequency).bit_length() - 1
-            self.min_free_frequency = self._frequencies[lowest]
-            self.max_free_frequency = self._frequencies[by_frequency.bit_length() - 1]
             self.score = None if self.config is None else utility(self, self.config)
         else:
-            self.lowest_free_id = self.min_free_frequency = self.max_free_frequency = None
-            self.score = None
+            self.lowest_free_id = self.score = None
+
+    @property
+    def min_free_frequency(self) -> float | None:
+        mask = self.frequency_mask
+        return self._frequencies[(mask & -mask).bit_length() - 1] if mask else None
+
+    @property
+    def max_free_frequency(self) -> float | None:
+        mask = self.frequency_mask  # bit_length() - 1 is the highest set bit
+        return self._frequencies[mask.bit_length() - 1] if mask else None
 
     @property
     def available_channels(self) -> tuple[SpectrumChannel, ...]:

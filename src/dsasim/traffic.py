@@ -7,18 +7,19 @@ counter-based generator, so adding or removing a provider never perturbs
 the draws of the others, and identical seeds give byte-identical streams.
 
 Arrivals, plain ``(time, provider_id, holding_time)`` tuples, are drawn as
-they are consumed: each provider's stream is a generator, and
-:class:`ArrivalStream` merges them in ``(time, provider id)`` order while
-holding one pending arrival per provider, so a run never keeps more of its
-arrival stream than that in memory.
+they are consumed: each provider's stream is a generator that holds one
+block of at most ``BLOCK`` (16) log-uniforms, 8 arrivals' worth, as an
+``array('d')``, and :class:`ArrivalStream` merges them in ``(time, provider
+id)`` order while holding one pending arrival per provider, so a run never
+keeps more of its arrival stream than that in memory.
 """
 from __future__ import annotations
 
 import heapq
 import math
+from array import array
 from collections.abc import Iterator
 from dataclasses import dataclass
-from operator import itemgetter
 
 import numpy as np
 # numpy imports numpy.random on first use; importing it here keeps that out of a run
@@ -51,59 +52,61 @@ class TrafficSpec:
                 raise ValueError(f"{name} must be finite and > 0")
 
 
+BLOCK = 16  # uniforms drawn per generator call, 8 arrivals' worth
+
+
 def provider_rng(seed: int, provider_id: int) -> Generator:
     """Independent deterministic sub-stream for one provider."""
     return Generator(Philox(SeedSequence(seed, spawn_key=(provider_id,))))
-
-
-def draw_exponential(rng: Generator, mean: float) -> float:
-    """Strictly positive exponential draw via the inverse CDF.
-
-    Inverse-CDF sampling makes draws scale linearly with the mean for
-    matched generator states, which several reproducibility tests rely on.
-    """
-    if mean <= 0:
-        raise ValueError(f"mean must be > 0, got {mean}")
-    u = rng.random()
-    while u == 0.0:  # log(0) guard; probability ~2**-53 per draw
-        u = rng.random()
-    return -mean * float(np.log(u))
 
 
 def provider_arrivals(spec: TrafficSpec, provider_id: int) -> Iterator[tuple[float, int, float]]:
     """One provider's ``(time, provider_id, holding_time)`` arrivals in time
     order, each drawn when it is asked for.
 
-    The draw order is strictly (gap, holding, gap, holding, ...), ending
-    with the first gap that reaches the horizon, so arrival ``k`` of a
-    provider consumes the same underlying draws regardless of the other
+    Gaps and holding times are exponential by the inverse CDF, ``-mean *
+    log(u)``, in the strict draw order (gap, holding, gap, holding, ...),
+    ending with the first gap that reaches the horizon, so arrival ``k`` of
+    a provider consumes the same underlying draws regardless of the other
     providers or of the arrival rate: scaling the rate only compresses the
-    arrival clock.
+    arrival clock.  The uniforms come ``BLOCK`` at a time; exact zeros are
+    dropped (the scalar path's redraw of ``u == 0``, probability ~2**-53)
+    and one ``np.log`` of the block, bit for bit the scalar logs, is held
+    as an ``array('d')``.  An odd log left over after the pairs carries
+    into the next block.
     """
     rate = spec.arrival_rates[provider_id]
     if rate == 0.0:
         return
     rng = provider_rng(spec.seed, provider_id)
-    mean_gap = 1.0 / rate
+    mean_gap, mean_holding, horizon = 1.0 / rate, spec.mean_holding_time, spec.horizon
     t = 0.0
+    logs = array("d")
     while True:
-        t += draw_exponential(rng, mean_gap)
-        if t >= spec.horizon:
-            return
-        holding = draw_exponential(rng, spec.mean_holding_time)
-        yield t, provider_id, holding
+        u = rng.random(BLOCK)
+        logs.frombytes(np.log(u[u != 0.0]).tobytes())
+        del u  # the suspended generator holds the logs alone
+        paired = len(logs) - len(logs) % 2
+        for i in range(0, paired, 2):
+            t -= mean_gap * logs[i]
+            if t >= horizon:
+                return
+            yield t, provider_id, -mean_holding * logs[i + 1]
+        del logs[:paired]
 
 
 class ArrivalStream:
     """The merged, time-ordered arrival stream of every provider.
 
-    Iterating merges fresh :func:`provider_arrivals` generators with the
-    stable :func:`heapq.merge`, which holds one pending arrival per provider:
-    equal times (impossible with continuous draws unless forced) go to the
-    lower provider id, and a provider's own keep their draw order.  So the
-    stream can be iterated again and repeats itself, and ``len()``, for
-    callers that count arrivals (the benchmark's tracer does), draws the
-    whole stream once more in O(1) memory.
+    Iterating merges fresh :func:`provider_arrivals` generators, each with
+    its block of logs, with :func:`heapq.merge`, which holds one pending
+    arrival per provider and compares the tuples themselves: equal times
+    (impossible with continuous draws unless forced) go to the lower
+    provider id, and a provider's own keep their draw order, because no two
+    of them are pending at once.  So the stream can be iterated again and
+    repeats itself, and ``len()``, for callers that count arrivals (the
+    benchmark's tracer does), draws the whole stream once more in O(1)
+    memory.
     """
 
     __slots__ = ("spec",)
@@ -113,7 +116,7 @@ class ArrivalStream:
 
     def __iter__(self) -> Iterator[tuple[float, int, float]]:
         streams = [provider_arrivals(self.spec, i) for i in range(len(self.spec.arrival_rates))]
-        return heapq.merge(*streams, key=itemgetter(0))
+        return heapq.merge(*streams)
 
     def __len__(self) -> int:
         return sum(1 for _ in self)

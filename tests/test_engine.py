@@ -257,14 +257,19 @@ class Stop(Exception):
 @pytest.mark.parametrize("stop_after", [0, 1, 25])
 def test_run_draws_each_arrival_only_when_it_reaches_it(stop_after, monkeypatch):
     # the arrival stream is drawn lazily: a run stopped after k arrivals has
-    # drawn a gap and a holding time for those k and at most one pending
-    # arrival per provider, not the horizon's ~2,000 arrivals
-    draws = []
-    draw_exponential = traffic.draw_exponential
+    # drawn the uniforms of a gap and a holding time for those k and for one
+    # pending arrival per provider, plus at most one block more per provider,
+    # not the horizon's ~2,000 arrivals
+    drawn = []
+    provider_rng = traffic.provider_rng
 
-    def counting(rng, mean):
-        draws.append(mean)
-        return draw_exponential(rng, mean)
+    class Counting:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def random(self, size):
+            drawn.append(size)
+            return self.rng.random(size)
 
     class Stopping(Simulation):
         def _admit(self, event):
@@ -272,17 +277,22 @@ def test_run_draws_each_arrival_only_when_it_reaches_it(stop_after, monkeypatch)
                 raise Stop
             return super()._admit(event)
 
-    monkeypatch.setattr(traffic, "draw_exponential", counting)
+    monkeypatch.setattr(traffic, "provider_rng", lambda *args: Counting(provider_rng(*args)))
     topology = make_topology(num_providers=3, channels=3)
     spec = spec_for([1.5, 0.5, 1.0], holding=2.0, horizon=700.0, seed=1)
     with pytest.raises(Stop):
         Stopping(topology, spec, Strategy.DYNAMIC_SBAC).run()
-    assert len(draws) <= 2 * (stop_after + 3)
-    draws.clear()
+    assert 0 < sum(drawn) <= 2 * (stop_after + 3) + 3 * traffic.BLOCK
+    # the whole run: a gap and a holding time per arrival, plus the gap past
+    # the horizon that ends each provider's stream, each drawn in whole blocks
+    per_provider = [sum(1 for _ in traffic.provider_arrivals(spec, i)) for i in range(3)]
+    drawn.clear()
     _, report = run_simulation(topology, spec, Strategy.DYNAMIC_SBAC)
-    # the whole run: a gap and a holding time per arrival, plus the gap
-    # past the horizon that ends each provider's stream
-    assert len(draws) == 2 * report.arrivals + 3 > 2000
+    assert sum(per_provider) == report.arrivals > 2000
+    assert sum(drawn) == sum(
+        math.ceil((2 * count + 1) / traffic.BLOCK) * traffic.BLOCK for count in per_provider
+    )
+    assert set(drawn) == {traffic.BLOCK}
 
 
 def run_with_engine(engine_class, audit=False):
@@ -714,6 +724,36 @@ def test_cached_inverses_hold_through_a_group_that_never_empties():
     assert len(longest) == len(streak) and min(longest) > 50
 
 
+def test_inverse_audit_allows_an_ill_conditioned_group_its_rounding():
+    # every link at sinr_target 80 with noise 1e-16: feasible groups of up to
+    # 8 links with cond(I - F_G) past 1e4, whose Schur-step caches sit more
+    # than 1e-12 off the identity yet within what that conditioning allows.
+    # Only the inverse audit runs: the QoS audit flags this run, because a
+    # session admitted at Schur-step powers misses its target by ~1e-13
+    # relative, more than QOS_MARGIN covers at this conditioning
+    topology = make_topology(num_providers=8, channels=10, num_links=32, tolerance=1.0,
+                             sinr_target=80.0, noise=1e-16)
+    spec = spec_for([0.8] * 8, holding=10.0, horizon=40.0, seed=3)
+    _, gain, sinr_target, _ = link_arrays(topology.links, 1e5)
+    g_ss = topology.gains.g_ss
+    scale = qos.coupling_scale(g_ss, gain, sinr_target)
+    seen = []  # (residual, condition) of every cached group after every event
+
+    class InversesOnly(Simulation):
+        def _audit_state(self, departures):
+            self._audit_inverses()
+            for channel_id, inverse in self.inverses.items():
+                ids = [record.link_id for record in self.groups[channel_id]]
+                system = -scale[ids, None] * g_ss[np.ix_(ids, ids)]
+                np.fill_diagonal(system, 1.0)
+                product = np.array(inverse).reshape(len(ids), len(ids)) @ system
+                seen.append((np.max(np.abs(product - np.eye(len(ids)))), np.linalg.cond(system)))
+
+    InversesOnly(topology, spec, Strategy.DYNAMIC_SBAC, qos_config=REUSE, audit=True).run()
+    assert max(residual for residual, _ in seen) > 1e-12  # the old absolute bound
+    assert max(condition for _, condition in seen) > 1e4
+
+
 def test_reuse_runs_make_no_dense_solve(monkeypatch):
     topology = make_topology(num_providers=8, channels=10, num_links=32, tolerance=4e-11)
     spec = spec_for([0.8] * 8, holding=10.0, horizon=60.0, seed=3)
@@ -740,6 +780,24 @@ def test_selection_never_lists_free_channels(strategy, monkeypatch):
 
     monkeypatch.setattr(LivePool, "available_channels", property(forbidden))
     assert run_simulation(topology, spec, strategy, audit=True) == expected
+
+
+def test_fixed_allocation_never_scores_its_home_pool(monkeypatch):
+    # the home pool is the lone candidate: it wins unscored, and nothing in
+    # an unaudited run reads the frequencies that only scoring needs
+    topology = shuffled_topology()
+    spec = spec_for([2.0, 0.5, 1.5], holding=5.0, horizon=60.0, seed=14)
+    expected = run_simulation(topology, spec, Strategy.FIXED)
+    assert 0 < expected[1].blocked_no_channel < expected[1].admitted
+
+    def forbidden(*args):
+        raise AssertionError("the home pool was scored")
+
+    monkeypatch.setattr(sbac, "utility", forbidden)
+    assert run_simulation(topology, spec, Strategy.FIXED, audit=True) == expected
+    for name in ("min_free_frequency", "max_free_frequency"):
+        monkeypatch.setattr(LivePool, name, property(forbidden))
+    assert run_simulation(topology, spec, Strategy.FIXED) == expected
 
 
 def test_throughput_never_exceeds_capacity_bound():

@@ -13,6 +13,7 @@ import yaml
 from dsasim import ConfigError
 from dsasim.cli import main as cli_main
 from dsasim.config import parse_config
+from dsasim import runner
 from dsasim.runner import RESULT_COLUMNS, expand_runs, run_scenario
 
 from test_config import BAD_DOCUMENTS, BASE_DOCUMENT, doc
@@ -130,6 +131,42 @@ def test_verbose_writes_session_logs(tmp_path):
     rows = read_rows(logs[0])
     assert rows
     assert {"session_id", "outcome", "provider_id"} <= set(rows[0].keys())
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_verbose_writes_each_runs_log_before_the_next_result(workers, tmp_path, monkeypatch):
+    # a run's records are written out and dropped as its result arrives, so
+    # when run i + 1's result is taken every earlier run's log is on disk;
+    # the files match those of a serial sweep byte for byte
+    document = scenario(
+        sweep={"parameter": "arrival_rate", "values": [0.2, 1.0], "seeds_per_point": 2},
+        strategy={"kind": ["FIXED", "DYNAMIC_SBAC"]},
+    )
+    config = parse(document)
+    runs = expand_runs(config)
+    run_scenario(config, tmp_path / "serial", verbose=True)
+    sessions = tmp_path / "out" / "sessions"
+    outcomes = runner._outcomes
+    taken = []
+
+    def checking(jobs, count):
+        for outcome in outcomes(jobs, count):
+            index = outcome[0]
+            written = sorted(path.name for path in sessions.glob("*.csv"))
+            assert written == sorted(f"{runner._run_label(run)}.csv" for run in runs[:index])
+            taken.append(index)
+            yield outcome
+
+    monkeypatch.setattr(runner, "_outcomes", checking)
+    monkeypatch.setenv("DSASIM_WORKERS", workers)
+    assert run_scenario(config, tmp_path / "out", verbose=True) == 0
+    assert taken == list(range(len(runs))) and len(runs) == 8
+    for name in ("results.csv", "manifest.json"):
+        assert (tmp_path / "out" / name).read_bytes() == (tmp_path / "serial" / name).read_bytes()
+    serial = sorted((tmp_path / "serial" / "sessions").glob("*.csv"))
+    assert [path.name for path in serial] == sorted(path.name for path in sessions.glob("*.csv"))
+    for path in serial:
+        assert (sessions / path.name).read_bytes() == path.read_bytes()
 
 
 # The session log of a physical-checks reuse run, recorded before the log was
