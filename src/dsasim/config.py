@@ -163,13 +163,17 @@ def _parse_provider(raw, index: int, path: str) -> ServiceProvider:
             raise ConfigError(f"{path}.channels must be >= 1")
         bandwidth = _number(raw, "channel_bandwidth", path)
         base = _number(raw, "base_frequency", path)
+        for key, value in (("channel_bandwidth", bandwidth), ("base_frequency", base)):
+            if not value > 0:
+                raise ConfigError(f"{path}.{key} must be > 0")
         spacing = _number(raw, "channel_spacing", path, default=bandwidth)
         channels = tuple(
             SpectrumChannel(id=i, center_frequency=base + i * spacing, bandwidth=bandwidth)
             for i in range(channels_raw)
         )
-        if not math.isfinite(channels[-1].center_frequency):
-            raise ConfigError(f"{path}.channel_spacing puts channels at an infinite frequency")
+        # base > 0, so the last channel is the one a spacing can push out
+        if not 0 < channels[-1].center_frequency < math.inf:
+            raise ConfigError(f"{path}.channel_spacing puts channels outside (0, inf) Hz")
     elif isinstance(channels_raw, list):
         for key in ("base_frequency", "channel_spacing", "channel_bandwidth"):
             if key in raw:
@@ -470,7 +474,7 @@ def parse_config(text: str) -> ScenarioConfig:
     )
     violations = validate_topology(topology)
     if violations:
-        raise ConfigError("topology invalid: " + "; ".join(violations))
+        raise ConfigError("; ".join(violations))
 
     traffic = _parse_traffic(_get(document, "traffic", "document"), topology)
     sbac_config = _parse_sbac(document.get("sbac"))

@@ -14,13 +14,10 @@ admitted.
 The admitted :class:`SessionRecord` is the only per-session state: the
 :class:`Simulation` holds it in the list of its channel index, in admission
 order, and the departure event carries it.  Under channel reuse that list
-is the co-channel group, and each non-empty group also has its cached
-``(I - F_G)^-1`` and minimal powers.  An admission reads them in one
-bordered (Schur) step and only an admitted session grows them, by a rank-1
-update; a departure shrinks them to the rest of the group by a downdate
-(:mod:`dsasim.qos`), neither with a numpy call, and an emptied group's
-entry is dropped, so rounding restarts from exact values whenever a group
-empties.
+is the co-channel group.  An admission solves the group plus the call
+afresh (:func:`dsasim.qos.group_powers`, pure Python), so no state but the
+records follows a group, a departure does no power work and neither path
+makes a numpy call.
 The report is streamed: each blocked arrival adds to a count per cause, and
 each admission appends its link's precomputed delay and adds its bits to a
 running total, so a run's memory follows its held sessions, not its
@@ -78,10 +75,6 @@ class Outcome(Enum):
 
 ADMITTED = Outcome.ADMITTED
 
-# the audit's allowance over eps * n * max|B| * max|I - F_G|, for the rounding
-# that Schur steps pile up while a group never empties (worst seen: 3.7e3)
-INVERSE_AUDIT_FACTOR = 2.0**15
-
 
 @dataclass(frozen=True)
 class QosConfig:
@@ -136,10 +129,7 @@ class Simulation:
     the run's one clock; ``busy_integral`` (channel * seconds) and
     ``primary_integral`` (watt * seconds per primary point, a list) advance
     with it.  ``primary_loads`` (watts per primary point, a list) is the
-    held sessions' interference at each point.  Under channel reuse,
-    ``inverses`` and ``min_powers`` map each channel index with a non-empty
-    group to its ``(I - F_G)^-1`` (flat, row-major) and minimal powers, in
-    the group's order; the Schur steps of the module docstring keep them.
+    held sessions' interference at each point.
 
     The report's sums are streamed: ``arrivals`` counts the arrivals and
     numbers their sessions, ``blocks`` counts the blocked ones per cause,
@@ -197,8 +187,6 @@ class Simulation:
         num_points = len(topology.primary_points)
         self.primary_loads = [0.0] * num_points
         self.primary_integral = [0.0] * num_points
-        self.inverses: dict[int, array] = {}
-        self.min_powers: dict[int, array] = {}
         self._ran = False
         self._links = topology.links
         self._horizon = traffic_spec.horizon
@@ -212,15 +200,15 @@ class Simulation:
         self._tolerance = [p.tolerance for p in topology.primary_points]
         if self.qos.physical_checks:
             # per-link physics as arrays indexed by link id, for the audits
-            self._noise, self._gain, self._sinr_target, self._power_max = qos.link_arrays(
+            self._noise, self._gain, self._sinr_target, power_max = qos.link_arrays(
                 topology.links, traffic_spec.requested_rate
             )
-            # and the Schur steps' inputs: F[i][j] = scale[i] * g_ss[i][j]
+            # and the admission solve's: F[i][j] = scale[i] * g_ss[i][j]
             # (j != i) is read from a flat view of g_ss, never stored
             scale = qos.coupling_scale(self._g_ss, self._gain, self._sinr_target)
             self._scale = array("d", scale.tolist())
             self._u = array("d", (scale * self._noise).tolist())
-            self._cap = array("d", self._power_max.tolist())
+            self._cap = array("d", power_max.tolist())
             self._g_ss_flat = memoryview(np.ascontiguousarray(self._g_ss).reshape(-1))
 
     # -- event loop ---------------------------------------------------------
@@ -275,8 +263,6 @@ class Simulation:
         self._audit_primary_loads()
         if self.qos.physical_checks:
             self._audit_qos()
-        if self.qos.channel_reuse:
-            self._audit_inverses()
 
     def _advance_clocks(self, time: float) -> None:
         """Move the clock to ``time``, adding the busy channels and primary
@@ -312,14 +298,6 @@ class Simulation:
             load - row[link_id] * record.power
             for load, row in zip(self.primary_loads, self._g_ps_rows)
         ]
-        if not self.qos.channel_reuse:
-            return
-        if group:
-            self.inverses[channel_id], self.min_powers[channel_id] = qos.principal_downdate(
-                self.inverses[channel_id], self.min_powers[channel_id], index
-            )
-        else:
-            del self.inverses[channel_id], self.min_powers[channel_id]
 
     # -- admission ----------------------------------------------------------
 
@@ -372,34 +350,23 @@ class Simulation:
 
     def _physical_admission(self, channel_id: int, record: SessionRecord) -> Outcome:
         """Minimal powers for the co-channel group plus the new session, by
-        one bordered (Schur) step on the group's cached inverse ``B`` and
-        minimal powers ``P`` (the ``qos`` module docstring).
+        one fresh :func:`qos.group_powers` solve of the grown group.
 
         Existing group members must keep meeting their own QoS targets under
         the added interference, and the whole system must stay within every
         primary point's tolerance.  Without reuse the group is the session
-        alone.  ``s <= 0``, a power that is not positive and finite, or one
-        over its cap is a QoS block; then a budget exceeded is an
-        interference block.  On admission the group's records and
-        ``record`` get the new minimal powers, ``primary_loads`` follows
-        them and, under reuse, the channel's cache grows by the session.
+        alone.  A pivot that is not positive (``rho(F) >= 1``), a power that
+        is not positive and finite, or one over its cap is a QoS block; then
+        a budget exceeded is an interference block.  On admission the
+        group's records and ``record`` get the new minimal powers and
+        ``primary_loads`` follows them.
         """
-        link_id = record.link_id
         group = self.groups[channel_id] if self.qos.channel_reuse else ()
         ids = [member.link_id for member in group]
-        inverse = self.inverses.get(channel_id, ())
-        min_powers = self.min_powers.get(channel_id, ())
-        n, g_ss, stride, scale = len(ids), self._g_ss_flat, len(self._scale), self._scale
-        column = [scale[i] * g_ss[i * stride + link_id] for i in ids]  # F[G, k]
-        row = [scale[link_id] * g_ss[link_id * stride + i] for i in ids]  # F[k, G]
-        h = [math.fsum(map(mul, inverse[a * n:a * n + n], column)) for a in range(n)]
-        s = 1.0 - math.fsum(map(mul, row, h))
-        if not s > 0.0:  # rho(F) >= 1 for the grown group: no finite powers
+        ids.append(record.link_id)
+        powers = qos.group_powers(ids, self._scale, self._u, self._g_ss_flat)
+        if powers is None:  # rho(F) >= 1 for the grown group: no finite powers
             return Outcome.BLOCKED_QOS
-        power = (self._u[link_id] + math.fsum(map(mul, row, min_powers))) / s
-        powers = [p + x * power for p, x in zip(min_powers, h)]
-        powers.append(power)
-        ids.append(link_id)
         cap = self._cap
         for i, p in zip(ids, powers):
             if not (0.0 < p < math.inf and p <= cap[i]):
@@ -418,11 +385,8 @@ class Simulation:
 
         for member, p in zip(group, powers):
             member.power = p
-        record.power = power
+        record.power = powers[-1]
         self.primary_loads = [load + change for load, change in zip(self.primary_loads, changes)]
-        if self.qos.channel_reuse:
-            self.inverses[channel_id] = qos.bordered_inverse(inverse, h, row, s)
-            self.min_powers[channel_id] = array("d", powers)
         return Outcome.ADMITTED
 
     def _audit_pools(self) -> None:
@@ -502,44 +466,6 @@ class Simulation:
                 f"sessions {[held[i][1].session_id for i in np.flatnonzero(missed)]} miss "
                 "their SINR targets at their co-channel group's powers"
             )
-
-    def _audit_inverses(self) -> None:
-        """Check that exactly the non-empty groups have a cached inverse and
-        minimal powers, and that ``B`` times the group's ``I - F_G`` is the
-        identity and the powers a fresh :func:`qos.solve_min_powers`
-        (relative) within ``INVERSE_AUDIT_FACTOR * eps * n * max|B| * max|I -
-        F_G|``, what the group's conditioning allows; raises StateError
-        naming the channel index otherwise."""
-        held = {channel_id for channel_id, group in self.groups.items() if group}
-        if held != self.inverses.keys() or held != self.min_powers.keys():
-            raise StateError(
-                f"cached channels {sorted(self.inverses)} and {sorted(self.min_powers)} "
-                f"differ from the non-empty groups {sorted(held)}"
-            )
-        scale = np.array(self._scale)
-        for channel_id in sorted(held):
-            ids = [record.link_id for record in self.groups[channel_id]]
-            n = len(ids)
-            if len(self.inverses[channel_id]) != n * n or len(self.min_powers[channel_id]) != n:
-                raise StateError(f"channel {channel_id}'s cache does not fit its {n} sessions")
-            g_ss = self._g_ss[np.ix_(ids, ids)]
-            system = -scale[ids, None] * g_ss
-            np.fill_diagonal(system, 1.0)
-            inverse = np.array(self.inverses[channel_id]).reshape(n, n)
-            residual = np.max(np.abs(inverse @ system - np.eye(n)))
-            solution = qos.solve_min_powers(
-                g_ss, self._noise[ids], self._gain[ids], self._sinr_target[ids],
-                self._power_max[ids], self._g_ps[:, ids], np.full(len(self._tolerance), np.inf),
-            )
-            drift = np.max(np.abs(np.array(self.min_powers[channel_id]) / solution.powers - 1.0))
-            bound = (INVERSE_AUDIT_FACTOR * np.finfo(float).eps * n
-                     * np.max(np.abs(inverse)) * np.max(np.abs(system)))
-            if not (residual <= bound and drift <= bound):
-                raise StateError(
-                    f"channel {channel_id}'s cached inverse is off the identity by {residual:.3g} "
-                    f"and its minimal powers off a fresh solve by {drift:.3g} (relative), "
-                    f"over the {bound:.3g} its conditioning allows"
-                )
 
     # -- reporting ----------------------------------------------------------
 

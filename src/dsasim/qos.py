@@ -26,16 +26,13 @@ rounding, so the solver raises every target by the relative margin
 ``QOS_MARGIN`` first.  The powers it returns then pass the exact comparison of
 :func:`qos_met` and sit just above the minimal ones.
 
-A group that grows or shrinks by one link need not be solved afresh.  With
-``B = (I - F_G)^-1`` and ``P = B u_G`` known for group ``G``, link ``k``
-borders the system with column ``b = F[G, k]`` and row ``c = F[k, G]``.  The
-bordered matrix is again a nonsingular M-matrix exactly when its Schur
-complement ``s = 1 - c B b`` is positive (Berman and Plemmons, *Nonnegative
-Matrices in the Mathematical Sciences*), and then, with ``h = B b``, the new
-link's minimal power is ``y = (u_k + c P) / s`` and the others' ``P + h y``
-(the block inverse; Horn and Johnson, *Matrix Analysis*, 0.7).
-:func:`bordered_inverse` and :func:`principal_downdate` update ``B`` and
-``P`` for one link more or less, on flat row-major ``array('d')`` storage.
+The engine solves each admission's grown group afresh, in pure Python, by
+Gaussian elimination without pivoting (:func:`group_powers`).  ``I - F`` is
+a Z-matrix (off-diagonal entries <= 0), and a Z-matrix is a nonsingular
+M-matrix, so ``rho(F) < 1``, exactly when every pivot of that elimination
+is positive (Berman and Plemmons, *Nonnegative Matrices in the Mathematical
+Sciences*).  The off-diagonal, right-hand-side and back-substitution
+updates all add terms of one sign, so only the pivots can lose accuracy.
 
 A BPSK link's bit error rate at SINR ``gamma`` is ``Q(sqrt(2 * gamma))``, a
 QPSK link's ``Q(sqrt(gamma))``, with ``Q(x) = erfc(x / sqrt(2)) / 2``.  So a
@@ -46,10 +43,8 @@ so that the BER at the returned SINR is at most ``b``, not above by rounding.
 from __future__ import annotations
 
 import math
-from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
-from operator import mul
 from statistics import NormalDist
 
 import numpy as np
@@ -159,48 +154,39 @@ def solve_min_powers(
     )
 
 
-def bordered_inverse(
-    inverse: Sequence[float], h: Sequence[float], row: Sequence[float], s: float
-) -> array:
-    """``(I - F)^-1`` of a group grown by one link, flat and row-major: from
-    the group's inverse ``B``, ``h = B F[G, k]``, the new link's row
-    ``F[k, G]`` and its Schur complement ``s > 0`` (module docstring), the
-    block inverse ``[[B + h r / s, h / s], [r / s, 1 / s]]`` with
-    ``r = F[k, G] B``.
+def group_powers(
+    ids: Sequence[int], scale: Sequence[float], u: Sequence[float], g_ss: Sequence[float]
+) -> list[float] | None:
+    """Minimal powers of the co-channel group of links ``ids``, in that
+    order, or None at the first pivot that is not positive when ``[I - F |
+    u]`` is eliminated without pivoting (module docstring).  ``scale`` and
+    ``u`` are every link's :func:`coupling_scale` and ``scale * noise``, and
+    ``g_ss`` the whole gain matrix, flat and row-major, so ``F[i][j] =
+    scale[i] * g_ss[i * len(scale) + j]``.
     """
-    n = len(h)
-    r = [math.fsum(map(mul, row, inverse[b::n])) for b in range(n)]
-    grown = []
-    for a, x in enumerate(h):
-        x /= s
-        grown += [value + x * y for value, y in zip(inverse[a * n:a * n + n], r)]
-        grown.append(x)
-    grown += [y / s for y in r]
-    grown.append(1.0 / s)
-    return array("d", grown)
-
-
-def principal_downdate(
-    inverse: Sequence[float], min_powers: Sequence[float], q: int
-) -> tuple[array, array]:
-    """Inverse and minimal powers of a group without its member ``q``, from
-    the group's flat row-major ``B = (I - F_G)^-1`` and ``P = B u_G``:
-    ``B[-q, -q] - B[-q, q] B[q, -q] / B[q, q]`` and
-    ``P[-q] - B[-q, q] P[q] / B[q, q]``.
-    """
-    n = len(min_powers)
-    pivot = inverse[q * n:q * n + n]
-    shrunk: list[float] = []
-    powers = []
-    for a in range(n):
-        if a != q:
-            values = inverse[a * n:a * n + n]
-            factor = values[q] / pivot[q]
-            values = [value - factor * y for value, y in zip(values, pivot)]
-            del values[q]
-            shrunk += values
-            powers.append(min_powers[a] - factor * min_powers[q])
-    return array("d", shrunk), array("d", powers)
+    stride = len(scale)
+    rows = []  # the augmented rows [I - F | u] of the group
+    for a, i in enumerate(ids):
+        factor, base = -scale[i], i * stride
+        row = [factor * g_ss[base + j] for j in ids]
+        row[a] = 1.0
+        row.append(u[i])
+        rows.append(row)
+    tails = []  # each step's pivot row past the pivot, divided by the pivot
+    while rows:
+        pivot, *top = rows.pop(0)
+        if not pivot > 0.0:
+            return None
+        tail = [y / pivot for y in top]
+        tails.append(tail)
+        rows = [[x - row[0] * y for x, y in zip(row[1:], tail)] for row in rows]
+    powers: list[float] = []
+    for tail in reversed(tails):
+        total = tail[-1]
+        for x, p in zip(tail, powers):
+            total -= x * p
+        powers.insert(0, total)
+    return powers
 
 
 def ber_from_sinr(modulation: Modulation, sinr: float) -> float:

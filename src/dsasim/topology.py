@@ -180,79 +180,82 @@ def gains_from_positions(
 
 
 def validate_topology(topology: NetworkTopology) -> list[str]:
-    """Check every structural invariant; return one message per violation.
+    """Check every structural invariant; return one message per violation,
+    each naming its key path (``topology.links[1].noise must be > 0``).
 
     An empty list means every downstream operation's preconditions on the
-    topology hold.  Violations are data, not exceptions.
+    topology hold.  Violations are data, not exceptions.  Each test is
+    written so that NaN fails it.
     """
     violations: list[str] = []
 
     if not topology.providers:
-        violations.append("topology has no providers")
+        violations.append("topology.providers must be non-empty")
     # gain matrices and the event loop index entities by position, so ids
     # must equal list positions
-    for position, provider in enumerate(topology.providers):
-        if provider.id != position:
-            violations.append(f"provider at position {position} has id {provider.id}")
-    for position, link in enumerate(topology.links):
-        if link.id != position:
-            violations.append(f"link at position {position} has id {link.id}")
-    for position, point in enumerate(topology.primary_points):
-        if point.id != position:
-            violations.append(f"primary point at position {position} has id {point.id}")
-    for provider in topology.providers:
-        if not provider.channels:
-            violations.append(f"provider {provider.id} has no channels")
-        if provider.cost_rate < 0:
-            violations.append(f"provider {provider.id} has negative cost_rate")
-        seen_ids = set()
-        for ch in provider.channels:
-            if ch.id in seen_ids:
-                violations.append(f"provider {provider.id} has duplicate channel id {ch.id}")
-            seen_ids.add(ch.id)
-            if ch.bandwidth <= 0:
-                violations.append(f"provider {provider.id} channel {ch.id} has bandwidth <= 0")
-            if ch.center_frequency <= 0:
+    for key, entities in (("providers", topology.providers), ("links", topology.links),
+                          ("primary_points", topology.primary_points)):
+        for position, entity in enumerate(entities):
+            if entity.id != position:
                 violations.append(
-                    f"provider {provider.id} channel {ch.id} has center_frequency <= 0"
+                    f"topology.{key}[{position}].id must equal its position, got {entity.id}"
                 )
+    for i, provider in enumerate(topology.providers):
+        path = f"topology.providers[{i}]"
+        if not provider.channels:
+            violations.append(f"{path}.channels must be non-empty")
+        if not provider.cost_rate >= 0:
+            violations.append(f"{path}.cost_rate must be >= 0")
+        seen_ids = set()
+        for k, ch in enumerate(provider.channels):
+            if ch.id in seen_ids:
+                violations.append(f"{path}.channels[{k}].id duplicates channel id {ch.id}")
+            seen_ids.add(ch.id)
+            for name in ("center_frequency", "bandwidth"):
+                if not getattr(ch, name) > 0:
+                    violations.append(f"{path}.channels[{k}].{name} must be > 0")
 
-    for link in topology.links:
+    for i, link in enumerate(topology.links):
+        path = f"topology.links[{i}]"
         if not (0 < link.rate_min <= link.rate <= link.rate_max):
             violations.append(
-                f"link {link.id} violates 0 < rate_min <= rate <= rate_max "
-                f"({link.rate_min}, {link.rate}, {link.rate_max})"
+                f"{path}.rate_min, rate and rate_max must satisfy 0 < rate_min <= rate <= "
+                f"rate_max, got ({link.rate_min}, {link.rate}, {link.rate_max})"
             )
         if not (0 <= link.power <= link.power_max):
-            violations.append(f"link {link.id} violates 0 <= power <= power_max")
-        if link.noise <= 0:
-            violations.append(f"link {link.id} has noise <= 0")
-        if link.sinr_target <= 0:
-            violations.append(f"link {link.id} has sinr_target <= 0")
-        if link.bandwidth <= 0:
-            violations.append(f"link {link.id} has bandwidth <= 0")
+            violations.append(
+                f"{path}.power and power_max must satisfy 0 <= power <= power_max, "
+                f"got ({link.power}, {link.power_max})"
+            )
+        for name in ("noise", "sinr_target", "bandwidth"):
+            if not getattr(link, name) > 0:
+                violations.append(f"{path}.{name} must be > 0")
         if link.target_ber is not None and not (0 < link.target_ber < 0.5):
-            violations.append(f"link {link.id} has target_ber outside (0, 0.5)")
+            violations.append(f"{path}.target_ber must be in (0, 0.5)")
 
-    for point in topology.primary_points:
-        if point.tolerance < 0:
-            violations.append(f"primary point {point.id} has negative tolerance")
+    for i, point in enumerate(topology.primary_points):
+        if not point.tolerance >= 0:
+            violations.append(f"topology.primary_points[{i}].tolerance must be >= 0")
 
     n = topology.num_links
     m = len(topology.primary_points)
     g_ss, g_ps = topology.gains.g_ss, topology.gains.g_ps
     if g_ss.shape != (n, n):
-        violations.append(f"g_ss shape {g_ss.shape} does not match {n} links")
+        violations.append(
+            f"topology.gains.g_ss shape {g_ss.shape} must be ({n}, {n}), links x links"
+        )
     if g_ps.shape != (m, n):
-        violations.append(f"g_ps shape {g_ps.shape} does not match {m} points x {n} links")
-    if np.any(g_ss < 0) or np.any(g_ps < 0):
-        violations.append("gain matrices contain negative entries")
+        violations.append(
+            f"topology.gains.g_ps shape {g_ps.shape} must be ({m}, {n}), points x links"
+        )
+    if not (np.all(g_ss >= 0) and np.all(g_ps >= 0)):
+        violations.append("topology.gains entries must be >= 0")
     if g_ss.shape == (n, n):
         for i in range(n):
-            if g_ss[i, i] <= 0:
-                violations.append(f"g_ss diagonal entry for link {i} is not strictly positive")
+            if not g_ss[i, i] > 0:
+                violations.append(f"topology.gains.g_ss[{i}][{i}] (diagonal) must be > 0")
 
-    if topology.propagation_speed <= 0:
-        violations.append("propagation_speed must be > 0")
+    if not topology.propagation_speed > 0:
+        violations.append("topology.propagation_speed must be > 0")
 
     return violations

@@ -144,7 +144,7 @@ def test_rate_range_violation_names_link():
     document["topology"]["links"] = [
         dict(BASE_DOCUMENT["topology"]["links"][0], rate_min=3.0e5, rate=3.0e5, rate_max=2.0e5)
     ]
-    with pytest.raises(ConfigError, match="link 0"):
+    with pytest.raises(ConfigError, match=r"^topology\.links\[0\]\.rate_min, rate and rate_max"):
         parse(document)
 
 
@@ -258,6 +258,62 @@ BAD_DOCUMENTS = {
     ),
     "reuse_without_physical": (
         {"strategy.channel_reuse": True}, r"strategy\.channel_reuse needs physical_checks"
+    ),
+    # topology invariants, checked once the topology is built
+    "negative_noise": ({"topology.links.0.noise": -1}, r"topology\.links\[0\]\.noise must be > 0"),
+    "zero_sinr_target": (
+        {"topology.links.0.sinr_target": 0}, r"topology\.links\[0\]\.sinr_target must be > 0"
+    ),
+    "zero_link_bandwidth": (
+        {"topology.links.0.bandwidth": 0}, r"topology\.links\[0\]\.bandwidth must be > 0"
+    ),
+    "power_over_max": (
+        {"topology.links.0.power": 2.0}, r"topology\.links\[0\]\.power and power_max must"
+    ),
+    "negative_power_max": (
+        {"topology.links.0.power": ..., "topology.links.0.power_max": -1.0},
+        r"topology\.links\[0\]\.power and power_max must",
+    ),
+    "rate_below_min": (
+        {"topology.links.0.rate_min": 3.0e5},
+        r"topology\.links\[0\]\.rate_min, rate and rate_max must satisfy",
+    ),
+    "negative_tolerance": (
+        {"topology.primary_points.0.tolerance": -1.0},
+        r"topology\.primary_points\[0\]\.tolerance must be >= 0",
+    ),
+    "negative_cost_rate": (
+        {"topology.providers.0.cost_rate": -1.0},
+        r"topology\.providers\[0\]\.cost_rate must be >= 0",
+    ),
+    "zero_channel_bandwidth": (
+        {"topology.providers.0.channel_bandwidth": 0},
+        r"topology\.providers\[0\]\.channel_bandwidth must be > 0",
+    ),
+    "zero_base_frequency": (
+        {"topology.providers.0.base_frequency": 0},
+        r"topology\.providers\[0\]\.base_frequency must be > 0",
+    ),
+    "negative_spacing": (
+        {"topology.providers.0.channel_spacing": -2.0e8},
+        r"topology\.providers\[0\]\.channel_spacing puts channels outside",
+    ),
+    "infinite_spacing": (
+        {"topology.providers.0.channel_spacing": 1e308},
+        r"topology\.providers\[0\]\.channel_spacing puts channels outside",
+    ),
+    "listed_channel_bandwidth": (
+        {"topology.providers.0": {"channels": [{"center_frequency": 4e8, "bandwidth": -1.0}],
+                                  "cost_rate": 0.05}},
+        r"topology\.providers\[0\]\.channels\[0\]\.bandwidth must be > 0",
+    ),
+    "listed_center_frequency": (
+        {"topology.providers.0": {"channels": [{"center_frequency": 0.0, "bandwidth": 1e6}],
+                                  "cost_rate": 0.05}},
+        r"topology\.providers\[0\]\.channels\[0\]\.center_frequency must be > 0",
+    ),
+    "zero_propagation_speed": (
+        {"topology.propagation_speed": 0}, r"topology\.propagation_speed must be > 0"
     ),
 }
 

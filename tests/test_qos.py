@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from dsasim import (
     Modulation,
@@ -18,6 +20,7 @@ from dsasim import (
     sinr_target_from_ber,
     solve_min_powers,
 )
+from dsasim.qos import coupling_scale, group_powers
 from conftest import (
     REQUESTED_RATE,
     explicit_gain_topology,
@@ -242,6 +245,57 @@ def test_unit_spectral_radius_is_infeasible():
     assert not solution.feasible
     assert np.all(np.isinf(solution.powers))
     assert jacobi_powers(topology) is None
+
+
+UNIVERSE = 8  # links in the gain matrix that group_powers indexes into
+
+
+@given(
+    distinct=st.lists(st.integers(0, UNIVERSE - 1), min_size=1, max_size=UNIVERSE, unique=True),
+    repeats=st.lists(st.integers(0, UNIVERSE - 1), max_size=2),
+    cross=st.lists(st.floats(0.0, 0.1), min_size=UNIVERSE**2, max_size=UNIVERSE**2),
+    own=st.lists(st.floats(0.05, 1.0), min_size=UNIVERSE, max_size=UNIVERSE),
+    sinr_target=st.lists(st.floats(0.1, 20.0), min_size=UNIVERSE, max_size=UNIVERSE),
+    gain=st.lists(st.floats(1.0, 10.0), min_size=UNIVERSE, max_size=UNIVERSE),
+    noise_exponent=st.lists(st.floats(-16.0, -8.0), min_size=UNIVERSE, max_size=UNIVERSE),
+)
+@settings(max_examples=200, deadline=None)
+def test_group_powers_match_the_dense_solve(
+    distinct, repeats, cross, own, sinr_target, gain, noise_exponent
+):
+    # the elimination on a group of 1 to 8 links of a larger gain matrix
+    # against solve_min_powers on the gathered group: the same verdict away
+    # from rho(F) = 1, and the same powers where feasible.  A link may
+    # repeat, as when two sessions on one link share a channel index
+    ids = (distinct + [distinct[k % len(distinct)] for k in repeats])[:UNIVERSE]
+    g_ss = np.array(cross).reshape(UNIVERSE, UNIVERSE)
+    np.fill_diagonal(g_ss, own)
+    sinr_target, gain = np.array(sinr_target), np.array(gain)
+    noise = 10.0 ** np.array(noise_exponent)
+    scale = coupling_scale(g_ss, gain, sinr_target)
+    size = len(ids)
+    group = np.ix_(ids, ids)
+    coupling = scale[ids, None] * g_ss[group]
+    np.fill_diagonal(coupling, 0.0)
+    assume(abs(max(abs(np.linalg.eigvals(coupling))) - 1.0) > 1e-4)
+
+    powers = group_powers(ids, scale.tolist(), (scale * noise).tolist(),
+                          g_ss.reshape(-1).tolist())
+    solution = solve_min_powers(g_ss[group], noise[ids], gain[ids], sinr_target[ids],
+                                np.full(size, np.inf), np.zeros((0, size)), np.zeros(0))
+    if np.all(np.isinf(solution.powers)):
+        assert powers is None
+    else:
+        assert powers is not None
+        np.testing.assert_allclose(powers, solution.powers, rtol=1e-12, atol=0.0)
+
+
+def test_group_powers_stop_at_the_first_pivot_that_is_not_positive():
+    # F = [[0, 1.5], [1.5, 0]]: the second pivot is 1 - 1.5 ** 2 < 0; and a
+    # lone link's power is its u
+    scale, u, g_ss = [3.0, 3.0], [0.3, 0.3], [1.0, 0.5, 0.5, 1.0]
+    assert group_powers([0, 1], scale, u, g_ss) is None
+    assert group_powers([1], scale, u, g_ss) == [0.3]
 
 
 def test_cap_violation_is_infeasible_even_when_convergent():
