@@ -26,20 +26,11 @@ from .errors import (
     GeometryError,
     InvalidTopologyError,
     StateError,
-    TraceError,
     UnsupportedModulationError,
 )
 from .metrics import MetricsReport, erlang_b
-from .qos import (
-    PowerSolution,
-    ber_from_sinr,
-    link_arrays,
-    link_sinr,
-    qos_met,
-    sinr_target_from_ber,
-    solve_min_powers,
-)
-from .sbac import CandidatePool, SbacConfig, select_best_channel, utility
+from .qos import ber_from_sinr, link_arrays, link_sinr, qos_met, sinr_target_from_ber
+from .sbac import SbacConfig, select_best_channel, utility
 from .topology import (
     GainMatrices,
     Modulation,
@@ -55,7 +46,6 @@ from .traffic import TrafficSpec, build_event_stream
 
 __all__ = [
     "__version__",
-    "CandidatePool",
     "ConfigError",
     "DsasimError",
     "GainMatrices",
@@ -65,7 +55,6 @@ __all__ = [
     "Modulation",
     "NetworkTopology",
     "Outcome",
-    "PowerSolution",
     "PrimaryReceivingPoint",
     "QosConfig",
     "SbacConfig",
@@ -76,7 +65,6 @@ __all__ = [
     "SpectrumChannel",
     "StateError",
     "Strategy",
-    "TraceError",
     "TrafficSpec",
     "UnsupportedModulationError",
     "ber_from_sinr",
@@ -89,7 +77,6 @@ __all__ = [
     "run_simulation",
     "select_best_channel",
     "sinr_target_from_ber",
-    "solve_min_powers",
     "utility",
     "validate_topology",
 ]

@@ -336,8 +336,8 @@ def _parse_topology(raw) -> tuple[NetworkTopology, float, float, bool]:
             )
         except ValueError as exc:  # its message starts with the offending key's name
             raise ConfigError(f"topology.{exc}") from None
-        except GeometryError as exc:
-            raise ConfigError(f"topology.links: {exc}") from None
+        except GeometryError as exc:  # its message names both key paths
+            raise ConfigError(str(exc)) from None
 
     topology = NetworkTopology(
         providers=providers,
@@ -358,6 +358,13 @@ def _parse_traffic(raw, topology: NetworkTopology) -> TrafficSpec:
         path,
     )
     num_providers = len(topology.providers)
+
+    def _rate(value, where: str) -> float:
+        rate = _to_float(value, where)
+        if rate < 0:
+            raise ConfigError(f"{where} must be >= 0")
+        return rate
+
     rate_raw = _get(raw, "arrival_rate", path)
     if isinstance(rate_raw, list):
         if len(rate_raw) != num_providers:
@@ -365,11 +372,9 @@ def _parse_traffic(raw, topology: NetworkTopology) -> TrafficSpec:
                 f"traffic.arrival_rate lists {len(rate_raw)} rates for "
                 f"{num_providers} providers"
             )
-        rates = tuple(_to_float(r, f"{path}.arrival_rate[{i}]") for i, r in enumerate(rate_raw))
+        rates = tuple(_rate(r, f"{path}.arrival_rate[{i}]") for i, r in enumerate(rate_raw))
     else:
-        rates = (_to_float(rate_raw, f"{path}.arrival_rate"),) * num_providers
-    if any(r < 0 for r in rates):
-        raise ConfigError("traffic.arrival_rate entries must be >= 0")
+        rates = (_rate(rate_raw, f"{path}.arrival_rate"),) * num_providers
 
     try:
         return TrafficSpec(
@@ -411,6 +416,8 @@ def _parse_strategy(raw) -> tuple[tuple[Strategy, ...], QosConfig]:
             raise ConfigError(
                 f"strategy.kind must be FIXED or DYNAMIC_SBAC, got {name!r}"
             ) from None
+    if not kinds_list:
+        raise ConfigError("strategy.kind must name at least one strategy")
     if len(set(kinds_list)) != len(kinds_list):
         raise ConfigError("strategy.kind lists a strategy twice")
 

@@ -317,7 +317,7 @@ class Simulation:
             outcome=Outcome.BLOCKED_NO_CHANNEL,
         )
 
-        choice = sbac.select_best_channel(self._candidates[home_provider_id], self.sbac)
+        choice = sbac.select_best_channel(self._candidates[home_provider_id])
         if choice is None:
             outcome = Outcome.BLOCKED_NO_CHANNEL
         elif self.qos.physical_checks:

@@ -13,10 +13,6 @@ class UnsupportedModulationError(DsasimError):
     """Raised when a BER/SINR mapping is requested for a modulation without one."""
 
 
-class TraceError(DsasimError):
-    """Raised when a piecewise-constant trace has gaps or overlaps."""
-
-
 class StateError(DsasimError):
     """Internal simulator state inconsistency (double release etc.). Fail fast."""
 

@@ -17,18 +17,16 @@ g_ss[i][i])``, the targets hold with equality exactly when ``(I - F) P = u``.
 Since ``F >= 0`` and ``u > 0``, that system has a positive solution exactly
 when the spectral radius of ``F`` is below one, and that solution is then the
 component-wise minimal power vector meeting every target (Foschini and
-Miljanic 1993; Zander 1992).  So one linear solve decides feasibility: a
-singular system, a non-finite result or any non-positive power means no
-finite powers meet the targets.
+Miljanic 1993; Zander 1992).  So one linear solve decides feasibility.
 
 A solve that meets the targets with equality lands on either side of them by
-rounding, so the solver raises every target by the relative margin
-``QOS_MARGIN`` first.  The powers it returns then pass the exact comparison of
-:func:`qos_met` and sit just above the minimal ones.
+rounding, so every target is first raised by the relative margin
+``QOS_MARGIN`` (:func:`coupling_scale`).  The solved powers then pass the
+exact comparison of :func:`qos_met` and sit just above the minimal ones.
 
-The engine solves each admission's grown group afresh, in pure Python, by
-Gaussian elimination without pivoting (:func:`group_powers`).  ``I - F`` is
-a Z-matrix (off-diagonal entries <= 0), and a Z-matrix is a nonsingular
+:func:`group_powers` makes that solve for each admission's grown group, in
+pure Python, by Gaussian elimination without pivoting.  ``I - F`` is a
+Z-matrix (off-diagonal entries <= 0), and a Z-matrix is a nonsingular
 M-matrix, so ``rho(F) < 1``, exactly when every pivot of that elimination
 is positive (Berman and Plemmons, *Nonnegative Matrices in the Mathematical
 Sciences*).  The off-diagonal, right-hand-side and back-substitution
@@ -44,7 +42,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 from statistics import NormalDist
 
 import numpy as np
@@ -60,29 +57,12 @@ from .topology import Modulation, SecondaryLink
 QOS_MARGIN = 1e-12
 
 
-@dataclass(frozen=True)
-class PowerSolution:
-    """Outcome of the minimal-power solve: are the minimal powers within every
-    per-link cap, and do the primary-point budgets hold at them?  Apart, the
-    two tell a QoS failure from an interference failure.  When no finite
-    powers meet every target, the powers are infinite and so over every cap.
-    """
-
-    powers: np.ndarray
-    within_power_caps: bool = True
-    interference_ok: bool = True
-
-    @property
-    def feasible(self) -> bool:
-        return self.within_power_caps and self.interference_ok
-
-
 def link_arrays(
     links: Sequence[SecondaryLink], requested_rate: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per-link noise, processing gain, SINR target and power cap arrays, in
-    the argument order of :func:`solve_min_powers`.  The processing gain is
-    each link's bandwidth over ``requested_rate``, every session's data rate.
+    """Per-link noise, processing gain, SINR target and power cap arrays.
+    The processing gain is each link's bandwidth over ``requested_rate``,
+    every session's data rate.
     """
     noise = np.array([link.noise for link in links])
     gain = np.array([link.bandwidth for link in links]) / requested_rate
@@ -118,40 +98,6 @@ def coupling_scale(
     :data:`QOS_MARGIN`.
     """
     return sinr_target * (1.0 + QOS_MARGIN) / (processing_gain * np.diag(g_ss))
-
-
-def solve_min_powers(
-    g_ss: np.ndarray,
-    noise: np.ndarray,
-    processing_gain: np.ndarray,
-    sinr_target: np.ndarray,
-    power_max: np.ndarray,
-    g_ps: np.ndarray,
-    primary_tolerance: np.ndarray,
-) -> PowerSolution:
-    """Minimal powers for one co-channel group.
-
-    ``g_ss`` is the group's (n, n) gain block, ``g_ps`` its (m, n) gains
-    toward the primary points and ``primary_tolerance`` the (m,) budgets the
-    group may use; a budget holds when the group's load is at most it.
-    Solves ``(I - F) P = u`` with the targets raised by :data:`QOS_MARGIN`;
-    see the module docstring for why one solve decides feasibility.
-    """
-    scale = coupling_scale(g_ss, processing_gain, sinr_target)
-    system = -scale[:, None] * g_ss
-    np.fill_diagonal(system, 1.0)
-    try:
-        powers = np.linalg.solve(system, scale * noise)
-    except np.linalg.LinAlgError:  # singular: F has eigenvalue 1
-        powers = np.full(len(noise), np.nan)
-    if not np.all((powers > 0.0) & (powers < np.inf)):
-        # rho(F) >= 1: no finite powers meet every target, whatever the caps
-        return PowerSolution(powers=np.full(len(noise), np.inf), within_power_caps=False)
-    return PowerSolution(
-        powers=powers,
-        within_power_caps=bool(np.all(powers <= power_max)),
-        interference_ok=bool(np.all(g_ps @ powers <= primary_tolerance)),
-    )
 
 
 def group_powers(

@@ -19,13 +19,11 @@ formula total without reordering non-degenerate candidates.
 
 Scoring reads four summaries of a pool and nothing else: its free-channel
 count, its min and max free center frequency and its lowest free channel id.
-A :class:`CandidatePool` computes them from its tuple of free channels and
-is scored when offered.  The simulation's :class:`LivePool` keeps them
-current as channels are taken and given back (the two frequencies as reads
-of a bitmask) and, built with an :class:`SbacConfig`, caches its ``score``,
-recomputed on each take and give, so selecting among P live pools is a max
-over P cached floats.  A lone candidate (fixed allocation's home pool)
-wins without being scored.
+A :class:`LivePool` keeps them current as channels are taken and given back
+(the two frequencies as reads of a bitmask) and, built with an
+:class:`SbacConfig`, caches its ``score``, recomputed on each take and give,
+so selecting among P pools is a max over P cached floats.  A lone candidate
+(fixed allocation's home pool) wins without being scored.
 """
 from __future__ import annotations
 
@@ -61,39 +59,6 @@ class SbacConfig:
             raise ValueError("beta1 + beta2 + beta3 must be > 0")
         if not self.session_minutes > 0:
             raise ValueError(f"session_minutes must be > 0, got {self.session_minutes}")
-
-
-@dataclass(frozen=True)
-class CandidatePool:
-    """One provider's free channels as seen at selection time."""
-
-    provider_id: int
-    available_channels: tuple[SpectrumChannel, ...]
-    total_channels: int
-    cost_rate: float  # currency per minute
-
-    def __post_init__(self):
-        if self.total_channels <= 0:
-            raise ValueError("pool has no channels")
-
-    # the four summaries scoring reads; the frequencies and id are None when
-    # no channel is free
-
-    @property
-    def free_count(self) -> int:
-        return len(self.available_channels)
-
-    @property
-    def min_free_frequency(self) -> float | None:
-        return min((ch.center_frequency for ch in self.available_channels), default=None)
-
-    @property
-    def max_free_frequency(self) -> float | None:
-        return max((ch.center_frequency for ch in self.available_channels), default=None)
-
-    @property
-    def lowest_free_id(self) -> int | None:
-        return min((ch.id for ch in self.available_channels), default=None)
 
 
 class LivePool:
@@ -183,11 +148,11 @@ class LivePool:
         )
 
     def audit(self, held_channel_ids) -> None:
-        """Rebuild the free set from the held channel ids; raises StateError
-        if either bitmask, a summary or the score differs from the rebuilt
-        one."""
+        """Recount the free channels from the held channel ids, over the
+        provider's channel tuple rather than the bitmasks; raises StateError
+        if either bitmask, a summary or the score differs from the recount."""
         held = set(held_channel_ids)
-        free = tuple(ch for ch in self.provider.channels if ch.id not in held)
+        free = [ch for ch in self.provider.channels if ch.id not in held]
         id_mask = frequency_mask = 0
         for ch in free:
             index = bisect_left(self._ids, ch.id)
@@ -199,11 +164,14 @@ class LivePool:
                 f"{self.frequency_mask:b} differ from {id_mask:b}, {frequency_mask:b} "
                 "rebuilt from the held channels"
             )
-        snapshot = CandidatePool(self.provider_id, free, self.total_channels, self.cost_rate)
-        for name in ("free_count", "min_free_frequency", "max_free_frequency", "lowest_free_id"):
-            if getattr(self, name) != getattr(snapshot, name):
+        frequencies = [ch.center_frequency for ch in free]
+        recount = (len(free), min(frequencies, default=None), max(frequencies, default=None),
+                   min((ch.id for ch in free), default=None))
+        names = ("free_count", "min_free_frequency", "max_free_frequency", "lowest_free_id")
+        for name, value in zip(names, recount):
+            if getattr(self, name) != value:
                 raise StateError(f"provider {self.provider_id} pool {name} is stale")
-        score = None if self.config is None or not free else utility(snapshot, self.config)
+        score = None if self.config is None or not free else utility(self, self.config)
         if self.score != score:
             raise StateError(
                 f"provider {self.provider_id} pool score {self.score} differs from {score} "
@@ -211,7 +179,7 @@ class LivePool:
             )
 
 
-def utility(pool: CandidatePool | LivePool, config: SbacConfig) -> float:
+def utility(pool: LivePool, config: SbacConfig) -> float:
     """Score one candidate pool; raises ValueError on a pool with no free
     channel, which is no candidate."""
     if not pool.free_count:
@@ -226,23 +194,20 @@ def utility(pool: CandidatePool | LivePool, config: SbacConfig) -> float:
 
 
 def select_best_channel(
-    pools: list[CandidatePool | LivePool] | tuple[CandidatePool | LivePool, ...],
-    config: SbacConfig,
+    pools: list[LivePool] | tuple[LivePool, ...],
 ) -> tuple[int, int, float | None] | None:
-    """Pick the highest-utility pool and its lowest-indexed free channel.
+    """Pick the pool with the highest cached ``score`` and its lowest free channel.
 
-    Returns ``(provider_id, channel_id, utility)``, or None when no pool has
-    a free channel, which the simulation records as a blocked call.  A
-    :class:`LivePool`'s utility is its cached ``score``, so it must have
-    been built with ``config``, or, as a lone candidate, without one (its
-    utility is then None); any other pool is scored by :func:`utility`.
-    Pools without free channels are skipped.
+    Returns ``(provider_id, channel_id, score)``, or None when no pool has
+    a free channel, which the simulation records as a blocked call.  The
+    pools must share one :class:`SbacConfig`, or, as a lone candidate, have
+    none (the score is then None).  Pools without free channels are skipped.
     """
     best = best_score = None
     for pool in pools:
         if not pool.free_count:
             continue
-        score = pool.score if type(pool) is LivePool else utility(pool, config)
+        score = pool.score
         if best is None or score > best_score or (
             score == best_score and pool.provider_id < best.provider_id
         ):

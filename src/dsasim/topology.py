@@ -162,7 +162,7 @@ def gains_from_positions(
             d = math.dist(tx_link.tx_position, rx_link.rx_position)
             if d <= 0.0:
                 raise GeometryError(
-                    f"transmitter of link {tx_link.id} coincides with receiver of link {rx_link.id}"
+                    f"topology.links[{i}].tx coincides with topology.links[{j}].rx"
                 )
             g_ss[j, i] = _pathloss_gain(d, path_loss_exponent, reference_distance)
 
@@ -172,7 +172,7 @@ def gains_from_positions(
             d = math.dist(tx_link.tx_position, point.position)
             if d <= 0.0:
                 raise GeometryError(
-                    f"transmitter of link {tx_link.id} coincides with primary point {point.id}"
+                    f"topology.links[{i}].tx coincides with topology.primary_points[{j}].position"
                 )
             g_ps[j, i] = _pathloss_gain(d, path_loss_exponent, reference_distance)
 

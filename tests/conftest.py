@@ -7,15 +7,16 @@ import pytest
 from dsasim import (
     GainMatrices,
     NetworkTopology,
-    PowerSolution,
     PrimaryReceivingPoint,
     SecondaryLink,
     ServiceProvider,
     SpectrumChannel,
     gains_from_positions,
     link_arrays,
-    solve_min_powers,
 )
+from dsasim.qos import coupling_scale, group_powers
+
+from oracles import PowerSolution
 
 # every session's data rate in these tests, and make_link's default link rate
 REQUESTED_RATE = 1e5
@@ -92,13 +93,19 @@ def explicit_gain_topology(g_ss, links, g_ps=None, points=(), providers=None,
 
 
 def solve_as_one_group(topology: NetworkTopology) -> PowerSolution:
-    """solve_min_powers with every link of the topology in one co-channel group."""
-    return solve_min_powers(
-        topology.gains.g_ss,
-        *link_arrays(topology.links, REQUESTED_RATE),
-        topology.gains.g_ps,
-        np.array([p.tolerance for p in topology.primary_points]),
-    )
+    """qos.group_powers with every link of the topology in one co-channel
+    group, judged against the caps and budgets as an admission is."""
+    noise, gain, sinr_target, power_max = link_arrays(topology.links, REQUESTED_RATE)
+    g_ss = topology.gains.g_ss
+    scale = coupling_scale(g_ss, gain, sinr_target)
+    powers = group_powers(range(len(noise)), scale.tolist(), (scale * noise).tolist(),
+                          g_ss.reshape(-1).tolist())
+    if powers is None:  # rho(F) >= 1: no finite powers, so over every cap
+        return PowerSolution(powers=np.full(len(noise), np.inf), within_power_caps=False)
+    powers = np.array(powers)
+    budgets = np.array([p.tolerance for p in topology.primary_points])
+    return PowerSolution(powers, bool(np.all(powers <= power_max)),
+                         bool(np.all(topology.gains.g_ps @ powers <= budgets)))
 
 
 def fixed_point_system(topology: NetworkTopology) -> tuple[np.ndarray, np.ndarray]:

@@ -13,10 +13,8 @@ import numpy as np
 import pytest
 
 from dsasim import (
-    CandidatePool,
     NetworkTopology,
     SbacConfig,
-    SpectrumChannel,
     Strategy,
     TrafficSpec,
     erlang_b,
@@ -26,6 +24,7 @@ from dsasim import (
     select_best_channel,
 )
 from dsasim.qos import ber_from_sinr, sinr_target_from_ber
+from dsasim.sbac import LivePool
 from dsasim.topology import Modulation
 
 from conftest import (
@@ -103,7 +102,7 @@ def test_c1_erlang_b_agreement():
 
 
 def test_c2_power_solver_equivalence():
-    # solve_min_powers on each instance's two links as one co-channel group
+    # qos.group_powers on each instance's two links as one co-channel group
     rng = np.random.default_rng(777)
     feasible_count = 0
     for _ in range(100):
@@ -238,36 +237,36 @@ def test_c5_spectral_efficiency_trend_over_arrival_sweep():
 # -- criterion 6: property suites ----------------------------------------------------------
 
 
+def select_live(providers, frees, config):
+    """Selection over live pools with only each one's first ``free`` channels free."""
+    pools = [LivePool(provider, config) for provider in providers]
+    for pool, free in zip(pools, frees):
+        for channel in pool.provider.channels[free:]:
+            pool.take(channel.id)
+    return select_best_channel(pools)
+
+
 def test_c6a_sbac_argmax_invariance_500_cases():
     rng = np.random.default_rng(99)
     flips = 0
     for _ in range(500):
-        pools = []
+        providers, frees = [], []
         for provider_id in range(int(rng.integers(1, 6))):
             free = int(rng.integers(0, 9))
             total = int(rng.integers(max(free, 1), 13))
             base = rng.uniform(100.0, 900.0)
             step = rng.uniform(0.1, 25.0)
-            pools.append(
-                CandidatePool(
-                    provider_id=provider_id,
-                    available_channels=tuple(
-                        SpectrumChannel(id=i, center_frequency=(base + i * step) * 1e6,
-                                        bandwidth=1e6)
-                        for i in range(free)
-                    ),
-                    total_channels=total,
-                    cost_rate=float(rng.uniform(0.0, 5.0)),
-                )
-            )
+            providers.append(make_provider(provider_id, total, base, step,
+                                           float(rng.uniform(0.0, 5.0))))
+            frees.append(free)
         minutes = float(rng.uniform(0.1, 30.0))
-        if not any(p.available_channels for p in pools):
+        if not any(frees):
             continue
         weights = rng.uniform(0.01, 10.0, size=3).tolist()
         factor = float(rng.uniform(1e-3, 1e3))
         scaled = [beta * factor for beta in weights]
-        base_choice = select_best_channel(pools, SbacConfig(*weights, minutes))
-        if base_choice[:2] != select_best_channel(pools, SbacConfig(*scaled, minutes))[:2]:
+        base_choice = select_live(providers, frees, SbacConfig(*weights, minutes))
+        if base_choice[:2] != select_live(providers, frees, SbacConfig(*scaled, minutes))[:2]:
             flips += 1
     assert flips == 0
     report_pass("C6a (SBAC argmax invariance)", "500 randomized weight scalings, 0 flips")

@@ -248,7 +248,18 @@ BAD_DOCUMENTS = {
     "g_ss_string": (
         {"topology.gains": {"g_ss": "abc", "g_ps": [[0.5]]}}, r"topology\.gains\.g_ss"
     ),
-    "tx_is_rx": ({"topology.links.0.rx": [0.0, 0.0]}, r"topology\.links: .*link 0"),
+    "tx_is_rx": (
+        {"topology.links.0.rx": [0.0, 0.0]},
+        r"topology\.links\[0\]\.tx coincides with topology\.links\[0\]\.rx",
+    ),
+    "tx_on_primary_point": (
+        {"topology.links.0.tx": [500.0, 500.0]},
+        r"topology\.links\[0\]\.tx coincides with topology\.primary_points\[0\]\.position",
+    ),
+    "negative_listed_rate": (
+        {"traffic.arrival_rate": [-0.5]}, r"traffic\.arrival_rate\[0\] must be >= 0"
+    ),
+    "no_strategy_kind": ({"strategy.kind": []}, r"strategy\.kind must name at least one"),
     "users_2.5": ({"sweep": {"parameter": "users", "values": [1, 2.5]}}, r"sweep\.values\[1\]"),
     "users_0": ({"sweep": {"parameter": "users", "values": [0]}}, r"sweep\.values\[0\]"),
     "negative_seed": ({"traffic.seed": -1}, r"traffic\.seed must be an integer >= 0"),

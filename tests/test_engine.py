@@ -25,15 +25,14 @@ from dsasim import (
     gains_from_positions,
     link_arrays,
     run_simulation,
-    solve_min_powers,
 )
 from dsasim import qos, sbac, traffic
 from dsasim.engine import Simulation
 from dsasim.sbac import LivePool
-from dsasim.metrics import mean_primary_interference
 from dsasim.qos import QOS_MARGIN
 
 from conftest import explicit_gain_topology, make_link, make_provider, make_topology
+from oracles import mean_primary_interference, solve_min_powers
 
 
 def spec_for(rates, holding=1.0, horizon=200.0, seed=0, rate=1e5):
@@ -319,7 +318,7 @@ def test_double_occupancy_is_a_state_error(monkeypatch):
     with pytest.raises(StateError, match="holds no channel"):
         run_with_engine(DepartingACopy)
     # nor may a second session be admitted onto a held channel
-    monkeypatch.setattr(sbac, "select_best_channel", lambda pools, config: (0, 0, 1.0))
+    monkeypatch.setattr(sbac, "select_best_channel", lambda pools: (0, 0, 1.0))
     with pytest.raises(StateError, match=r"channel \(0, 0\) is already held"):
         run_with_engine(Simulation)
 
@@ -716,7 +715,6 @@ def test_reuse_runs_make_no_dense_solve(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("a dense solve was called")
 
-    monkeypatch.setattr(qos, "solve_min_powers", forbidden)
     monkeypatch.setattr(np.linalg, "solve", forbidden)
     assert run_simulation(topology, spec, Strategy.DYNAMIC_SBAC, qos_config=REUSE) == expected
 

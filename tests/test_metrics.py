@@ -12,15 +12,14 @@ from dsasim import (
     InvalidTopologyError,
     QosConfig,
     Strategy,
-    TraceError,
     TrafficSpec,
     erlang_b,
     run_simulation,
 )
 from dsasim import engine
-from dsasim.metrics import mean_primary_interference
 
-from conftest import explicit_gain_topology, make_link, make_provider
+from conftest import explicit_gain_topology, make_link, make_provider, make_topology
+from oracles import TraceError, mean_primary_interference
 
 
 def scripted_report(monkeypatch, arrivals, horizon=100.0, rate=1e5, channels=10,
@@ -198,6 +197,30 @@ def test_erlang_b_monotone_in_load_and_channels():
     channels = range(1, 15)
     blocks_k = [erlang_b(k, 5.0) for k in channels]
     assert all(b1 > b2 for b1, b2 in zip(blocks_k, blocks_k[1:]))
+
+
+def test_pooled_and_fixed_blocking_match_erlang_b():
+    # without physical checks DYNAMIC_SBAC pools every channel: an M/M/PK/PK
+    # loss system, here B(10, 6).  FIXED is one M/M/K/K system per provider,
+    # so its blocking is the arrival-weighted B(5, a_p).  Per-seed sd over 16
+    # seeds of 2e4 s: 0.0036 pooled, 0.0056 fixed; each bound is about 4
+    # standard errors of the 8-seed mean
+    topology = make_topology(num_providers=2, channels=5, num_links=2, with_primary=False)
+    rates, holding = (0.45, 0.15), 10.0
+    fixed_oracle = sum(r * erlang_b(5, r * holding) for r in rates) / sum(rates)
+    oracles = {Strategy.DYNAMIC_SBAC: (erlang_b(10, 6.0), 0.005),
+               Strategy.FIXED: (fixed_oracle, 0.008)}
+    for strategy, (oracle, bound) in oracles.items():
+        blocking = [
+            run_simulation(
+                topology,
+                TrafficSpec(arrival_rates=rates, mean_holding_time=holding, horizon=2e4,
+                            seed=seed),
+                strategy,
+            )[1].blocking_probability
+            for seed in range(8)
+        ]
+        assert abs(np.mean(blocking) - oracle) < bound, (strategy, np.mean(blocking), oracle)
 
 
 def test_erlang_b_rejects_bad_arguments():

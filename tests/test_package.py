@@ -25,6 +25,24 @@ def test_every_exported_name_resolves():
     assert len(set(dsasim.__all__)) == len(dsasim.__all__)
 
 
+def test_public_names_are_exactly_these():
+    # a name added to the package, or a test-only reference moved back into
+    # it, must be added here on purpose
+    assert set(dsasim.__all__) == {
+        "__version__",
+        "ConfigError", "DsasimError", "GeometryError", "InvalidTopologyError", "StateError",
+        "UnsupportedModulationError",
+        "GainMatrices", "Modulation", "NetworkTopology", "PrimaryReceivingPoint",
+        "SecondaryLink", "ServiceProvider", "SpectrumChannel", "gains_from_positions",
+        "validate_topology",
+        "Outcome", "QosConfig", "SessionRecord", "Simulation", "Strategy", "run_simulation",
+        "MetricsReport", "erlang_b",
+        "ber_from_sinr", "link_arrays", "link_sinr", "qos_met", "sinr_target_from_ber",
+        "SbacConfig", "select_best_channel", "utility",
+        "TrafficSpec", "build_event_stream",
+    }
+
+
 def test_import_loads_no_scipy():
     env = dict(os.environ, PYTHONPATH=str(SRC))
     done = subprocess.run(

@@ -18,7 +18,6 @@ from dsasim import (
     link_sinr,
     qos_met,
     sinr_target_from_ber,
-    solve_min_powers,
 )
 from dsasim.qos import coupling_scale, group_powers
 from conftest import (
@@ -29,6 +28,7 @@ from conftest import (
     make_link,
     solve_as_one_group,
 )
+from oracles import solve_min_powers
 
 
 def unit_pg_link(link_id, sinr_target, noise, power_max=1.0):
@@ -207,7 +207,7 @@ def test_interference_matches_manual_sum():
         assert solution.interference_ok == (expected <= tolerance)
 
 
-# -- solve_min_powers -----------------------------------------------------------
+# -- minimal powers -------------------------------------------------------------
 
 
 def test_decoupled_links_reach_closed_form():

@@ -8,7 +8,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dsasim import (
-    CandidatePool,
     SbacConfig,
     ServiceProvider,
     SpectrumChannel,
@@ -17,6 +16,9 @@ from dsasim import (
     utility,
 )
 from dsasim.sbac import SPREAD_FLOOR, LivePool
+
+from conftest import make_provider
+from oracles import CandidatePool, select_by_utility
 
 
 def channels_at(*mhz: float) -> tuple[SpectrumChannel, ...]:
@@ -135,7 +137,7 @@ def test_config_rejects_a_non_positive_session_length_and_bad_weights(fields, me
 
 def test_identical_pools_tie_break_to_provider_zero():
     pools = [pool([400.0, 410.0], provider_id=1), pool([400.0, 410.0], provider_id=0)]
-    provider_id, channel_id, _ = select_best_channel(pools, SbacConfig())
+    provider_id, channel_id, _ = select_by_utility(pools, SbacConfig())
     assert provider_id == 0
     assert channel_id == 0
 
@@ -143,32 +145,33 @@ def test_identical_pools_tie_break_to_provider_zero():
 def test_higher_availability_wins():
     full = pool([400.0 + i for i in range(10)], total=10, provider_id=0)
     sparse = pool([400.0], total=10, provider_id=1)
-    provider_id, _, _ = select_best_channel([sparse, full], config(1.0, 0.01, 0.01))
+    provider_id, _, _ = select_by_utility([sparse, full], config(1.0, 0.01, 0.01))
     assert provider_id == 0
 
 
 def test_singleton_pool_returns_its_channel():
     only = pool([432.0], total=4, provider_id=3)
-    provider_id, channel_id, score = select_best_channel([only], config(0.2, 0.5, 0.3))
+    provider_id, channel_id, score = select_by_utility([only], config(0.2, 0.5, 0.3))
     assert (provider_id, channel_id) == (3, 0)
     assert score == utility(only, config(0.2, 0.5, 0.3))
 
 
 def test_all_pools_occupied_returns_none():
-    assert select_best_channel([pool([]), pool([], provider_id=1)], SbacConfig()) is None
-    assert select_best_channel([], SbacConfig()) is None
+    assert select_by_utility([pool([]), pool([], provider_id=1)], SbacConfig()) is None
+    assert select_by_utility([], SbacConfig()) is None
+    assert select_best_channel([]) is None
 
 
 def test_occupied_pools_are_skipped():
     pools = [pool([], provider_id=0), pool([415.0], provider_id=1)]
-    provider_id, _, _ = select_best_channel(pools, SbacConfig())
+    provider_id, _, _ = select_by_utility(pools, SbacConfig())
     assert provider_id == 1
 
 
 def test_selection_is_pure_and_deterministic():
     pools = [pool([400.0, 405.0], provider_id=0), pool([500.0], total=3, provider_id=1)]
-    first = select_best_channel(pools, SbacConfig())
-    assert all(select_best_channel(pools, SbacConfig()) == first for _ in range(5))
+    first = select_by_utility(pools, SbacConfig())
+    assert all(select_by_utility(pools, SbacConfig()) == first for _ in range(5))
 
 
 # -- invariants -------------------------------------------------------------------
@@ -214,8 +217,8 @@ def test_argmax_invariant_under_weight_scaling(drawn, weights, factor):
         return
     base = SbacConfig(*weights, minutes)
     scaled = SbacConfig(*(beta * factor for beta in weights), minutes)
-    base_choice = select_best_channel(pools, base)
-    scaled_choice = select_best_channel(pools, scaled)
+    base_choice = select_by_utility(pools, base)
+    scaled_choice = select_by_utility(pools, scaled)
     if base_choice[:2] != scaled_choice[:2]:
         # only a genuine float-rounding tie may flip the argmax
         by_id = {p.provider_id: p for p in pools}
@@ -230,7 +233,7 @@ def test_availability_only_weights_pick_max_availability(drawn):
     pools, minutes = drawn
     if not any(p.available_channels for p in pools):
         return
-    provider_id, _, _ = select_best_channel(pools, config(1.0, 0.0, 0.0, minutes))
+    provider_id, _, _ = select_by_utility(pools, config(1.0, 0.0, 0.0, minutes))
     chosen = next(p for p in pools if p.provider_id == provider_id)
     best = max(p.free_count / p.total_channels for p in pools if p.available_channels)
     assert chosen.free_count / chosen.total_channels == pytest.approx(best)
@@ -242,7 +245,7 @@ def test_selected_channel_is_in_selected_pool(drawn, weights):
     pools, minutes = drawn
     if not any(p.available_channels for p in pools):
         return
-    provider_id, channel_id, _ = select_best_channel(pools, SbacConfig(*weights, minutes))
+    provider_id, channel_id, _ = select_by_utility(pools, SbacConfig(*weights, minutes))
     chosen = next(p for p in pools if p.provider_id == provider_id)
     assert channel_id in [ch.id for ch in chosen.available_channels]
 
@@ -337,18 +340,36 @@ def test_live_pool_scores_on_change_only_when_built_with_a_config():
 
 def test_selection_reads_live_scores_and_lets_a_lone_pool_win_unscored():
     provider = explicit_provider(3, [(4, 400.0), (9, 401.0)])
-    assert select_best_channel((LivePool(provider),), SbacConfig()) == (3, 4, None)
+    assert select_best_channel((LivePool(provider),)) == (3, 4, None)
     scored = LivePool(provider, SbacConfig())
     scored.score = 1e9  # selection reads the cached score, it does not re-score
     cheap = LivePool(explicit_provider(0, [(0, 400.0)], cost_rate=1e-9), SbacConfig())
-    assert select_best_channel([cheap, scored], SbacConfig()) == (3, 4, 1e9)
+    assert select_best_channel([cheap, scored]) == (3, 4, 1e9)
 
 
 def test_equal_live_scores_tie_break_to_the_lowest_provider_id():
     sbac_config = SbacConfig()
     pools = [LivePool(explicit_provider(i, [(0, 400.0), (1, 410.0)]), sbac_config)
              for i in (2, 0, 1)]
-    assert select_best_channel(pools, sbac_config)[:2] == (0, 0)
+    assert select_best_channel(pools)[:2] == (0, 0)
+
+
+def test_a_lone_free_channel_outranks_fuller_pools():
+    # pins today's ranking without endorsing it: one free channel has zero
+    # spread, floored at SPREAD_FLOOR, and 0.3 * ln(1 / SPREAD_FLOOR) outweighs
+    # the availability of a full band.  10 channels 1 MHz apart, channels 0
+    # to f - 1 free, the default weights
+    pools = {}
+    for free in (1, 2, 8, 10):
+        pool = LivePool(make_provider(provider_id=free, channels=10, cost_rate=0.05),
+                        SbacConfig())
+        for channel_id in range(free, 10):
+            pool.take(channel_id)
+        pools[free] = pool
+    scores = {free: pool.score for free, pool in pools.items()}
+    assert scores == pytest.approx({1: 4.7113, 2: 1.0667, 8: 3.4829, 10: 4.4075}, abs=1e-4)
+    assert scores[1] > scores[10] > scores[8] > scores[2]
+    assert select_best_channel(list(pools.values()))[:2] == (1, 0)
 
 
 def test_audit_flags_a_stale_score():
@@ -416,7 +437,7 @@ def test_live_pools_score_like_tuple_built_pools(bands, ops, weights):
                 assert pool.score is None
             pool.audit(held[pool.provider_id])
         # both None when no pool has a free channel
-        assert select_best_channel(live, sbac_config) == select_best_channel(built, sbac_config)
+        assert select_best_channel(live) == select_by_utility(built, sbac_config)
 
     check()
     for provider_index, position in ops:
