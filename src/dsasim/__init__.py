@@ -24,7 +24,6 @@ from .errors import (
     ConfigError,
     DsasimError,
     GeometryError,
-    InvalidTopologyError,
     StateError,
     UnsupportedModulationError,
 )
@@ -40,7 +39,6 @@ from .topology import (
     ServiceProvider,
     SpectrumChannel,
     gains_from_positions,
-    validate_topology,
 )
 from .traffic import TrafficSpec, build_event_stream
 
@@ -50,7 +48,6 @@ __all__ = [
     "DsasimError",
     "GainMatrices",
     "GeometryError",
-    "InvalidTopologyError",
     "MetricsReport",
     "Modulation",
     "NetworkTopology",
@@ -78,5 +75,4 @@ __all__ = [
     "select_best_channel",
     "sinr_target_from_ber",
     "utility",
-    "validate_topology",
 ]

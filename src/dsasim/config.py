@@ -6,7 +6,9 @@ seed), ``sbac`` (selection weights and session length), ``strategy`` (allocation
 kind(s) and physical-layer flags) and an optional ``sweep``.  Parsing is
 strict: unknown or missing keys fail with the offending key path, numbers must be
 finite, dB-valued fields are converted to linear watts, and every applied
-default is logged.
+default is logged.  Each object checks its own fields when it is built
+(:func:`_built` puts the key path in front of its message), so the first
+violation found is the one reported.
 A parsed config serializes back to an equivalent document, so any run can
 be reproduced from its normalized config alone.
 """
@@ -33,7 +35,6 @@ from .topology import (
     ServiceProvider,
     SpectrumChannel,
     gains_from_positions,
-    validate_topology,
 )
 from .traffic import TrafficSpec
 
@@ -139,6 +140,19 @@ def _matrix(value, path: str) -> np.ndarray:
     return matrix
 
 
+def _built(path: str, make):
+    """``make`` with its ValueError, whose message starts with the offending
+    field's name, raised as a ConfigError with ``path`` in front."""
+
+    def build(*args, **kwargs):
+        try:
+            return make(*args, **kwargs)
+        except ValueError as exc:
+            raise ConfigError(f"{path}.{exc}") from None
+
+    return build
+
+
 def _position(value, path: str) -> tuple[float, float]:
     if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise ConfigError(f"{path} must be a 2-element [x, y] position")
@@ -167,13 +181,13 @@ def _parse_provider(raw, index: int, path: str) -> ServiceProvider:
             if not value > 0:
                 raise ConfigError(f"{path}.{key} must be > 0")
         spacing = _number(raw, "channel_spacing", path, default=bandwidth)
+        # base > 0, so the last channel is the one a spacing can push out
+        if not 0 < base + (channels_raw - 1) * spacing < math.inf:
+            raise ConfigError(f"{path}.channel_spacing puts channels outside (0, inf) Hz")
         channels = tuple(
             SpectrumChannel(id=i, center_frequency=base + i * spacing, bandwidth=bandwidth)
             for i in range(channels_raw)
         )
-        # base > 0, so the last channel is the one a spacing can push out
-        if not 0 < channels[-1].center_frequency < math.inf:
-            raise ConfigError(f"{path}.channel_spacing puts channels outside (0, inf) Hz")
     elif isinstance(channels_raw, list):
         for key in ("base_frequency", "channel_spacing", "channel_bandwidth"):
             if key in raw:
@@ -186,7 +200,7 @@ def _parse_provider(raw, index: int, path: str) -> ServiceProvider:
             ch_raw = _mapping(ch_raw, ch_path)
             _check_keys(ch_raw, {"center_frequency", "bandwidth"}, ch_path)
             channels.append(
-                SpectrumChannel(
+                _built(ch_path, SpectrumChannel)(
                     id=i,
                     center_frequency=_number(ch_raw, "center_frequency", ch_path),
                     bandwidth=_number(ch_raw, "bandwidth", ch_path),
@@ -196,7 +210,7 @@ def _parse_provider(raw, index: int, path: str) -> ServiceProvider:
     else:
         raise ConfigError(f"{path}.channels must be an int count or a list of channels")
 
-    return ServiceProvider(id=index, channels=channels, cost_rate=cost_rate)
+    return _built(path, ServiceProvider)(id=index, channels=channels, cost_rate=cost_rate)
 
 
 def _parse_link(raw, index: int, path: str) -> SecondaryLink:
@@ -229,25 +243,21 @@ def _parse_link(raw, index: int, path: str) -> SecondaryLink:
             f"{path}.modulation must be one of BPSK, QPSK, NONE; got {modulation_name!r}"
         ) from None
 
-    target_ber = None
-    if "target_ber" in raw:
-        target_ber = _number(raw, "target_ber", path)
-        if not 0.0 < target_ber < 0.5:
-            raise ConfigError(f"{path}.target_ber must be in (0, 0.5), got {target_ber}")
+    target_ber = _number(raw, "target_ber", path) if "target_ber" in raw else None
     if "sinr_target" in raw:
         sinr_target = _number(raw, "sinr_target", path)
-    elif target_ber is not None:
-        if modulation is Modulation.NONE:
-            raise ConfigError(
-                f"{path}.target_ber needs a BPSK or QPSK modulation to derive the SINR target"
-            )
-        sinr_target = sinr_target_from_ber(modulation, target_ber)
-    else:
+    elif target_ber is None:
         raise ConfigError(f"{path} needs either sinr_target or modulation plus target_ber")
+    elif modulation is Modulation.NONE:
+        raise ConfigError(
+            f"{path}.target_ber needs a BPSK or QPSK modulation to derive the SINR target"
+        )
+    else:  # the derivation checks the range of target_ber
+        sinr_target = _built(path, sinr_target_from_ber)(modulation, target_ber)
 
     rate = _number(raw, "rate", path)
     power_max = _number(raw, "power_max", path)
-    return SecondaryLink(
+    return _built(path, SecondaryLink)(
         id=index,
         tx_position=_position(_get(raw, "tx", path), f"{path}.tx"),
         rx_position=_position(_get(raw, "rx", path), f"{path}.rx"),
@@ -267,7 +277,7 @@ def _parse_link(raw, index: int, path: str) -> SecondaryLink:
 def _parse_primary_point(raw, index: int, path: str) -> PrimaryReceivingPoint:
     raw = _mapping(raw, path)
     _check_keys(raw, {"position", "tolerance", "tolerance_db"}, path)
-    return PrimaryReceivingPoint(
+    return _built(path, PrimaryReceivingPoint)(
         id=index,
         position=_position(_get(raw, "position", path), f"{path}.position"),
         tolerance=_watts(raw, "tolerance", path),
@@ -331,15 +341,13 @@ def _parse_topology(raw) -> tuple[NetworkTopology, float, float, bool]:
         gains = GainMatrices(g_ss=g_ss, g_ps=g_ps)
     else:
         try:
-            gains = gains_from_positions(
+            gains = _built(path, gains_from_positions)(
                 links, points, path_loss_exponent=exponent, reference_distance=reference
             )
-        except ValueError as exc:  # its message starts with the offending key's name
-            raise ConfigError(f"topology.{exc}") from None
         except GeometryError as exc:  # its message names both key paths
             raise ConfigError(str(exc)) from None
 
-    topology = NetworkTopology(
+    topology = _built(path, NetworkTopology)(
         providers=providers,
         links=links,
         primary_points=points,
@@ -376,16 +384,13 @@ def _parse_traffic(raw, topology: NetworkTopology) -> TrafficSpec:
     else:
         rates = (_rate(rate_raw, f"{path}.arrival_rate"),) * num_providers
 
-    try:
-        return TrafficSpec(
-            arrival_rates=rates,
-            mean_holding_time=_number(raw, "mean_holding_time", path),
-            horizon=_number(raw, "horizon", path),
-            seed=_get(raw, "seed", path),
-            requested_rate=_number(raw, "requested_rate", path, default=topology.links[0].rate),
-        )
-    except ValueError as exc:  # its message starts with the offending key's name
-        raise ConfigError(f"{path}.{exc}") from None
+    return _built(path, TrafficSpec)(
+        arrival_rates=rates,
+        mean_holding_time=_number(raw, "mean_holding_time", path),
+        horizon=_number(raw, "horizon", path),
+        seed=_get(raw, "seed", path),
+        requested_rate=_number(raw, "requested_rate", path, default=topology.links[0].rate),
+    )
 
 
 def _parse_sbac(raw) -> SbacConfig:
@@ -393,10 +398,9 @@ def _parse_sbac(raw) -> SbacConfig:
     raw = _mapping(raw, path)
     fields = dataclasses.fields(SbacConfig)
     _check_keys(raw, {f.name for f in fields}, path)
-    try:
-        return SbacConfig(**{f.name: _number(raw, f.name, path, default=f.default) for f in fields})
-    except ValueError as exc:  # its message starts with the offending key's name
-        raise ConfigError(f"{path}.{exc}") from None
+    return _built(path, SbacConfig)(
+        **{f.name: _number(raw, f.name, path, default=f.default) for f in fields}
+    )
 
 
 def _parse_strategy(raw) -> tuple[tuple[Strategy, ...], QosConfig]:
@@ -427,13 +431,10 @@ def _parse_strategy(raw) -> tuple[tuple[Strategy, ...], QosConfig]:
             raise ConfigError(f"strategy.{key} must be a boolean")
         return value
 
-    try:
-        qos_config = QosConfig(
-            physical_checks=_bool("physical_checks", False),
-            channel_reuse=_bool("channel_reuse", False),
-        )
-    except ValueError as exc:  # its message starts with the offending key's name
-        raise ConfigError(f"{path}.{exc}") from None
+    qos_config = _built(path, QosConfig)(
+        physical_checks=_bool("physical_checks", False),
+        channel_reuse=_bool("channel_reuse", False),
+    )
     return tuple(kinds_list), qos_config
 
 
@@ -479,9 +480,6 @@ def parse_config(text: str) -> ScenarioConfig:
     topology, exponent, reference, explicit_gains = _parse_topology(
         _get(document, "topology", "document")
     )
-    violations = validate_topology(topology)
-    if violations:
-        raise ConfigError("; ".join(violations))
 
     traffic = _parse_traffic(_get(document, "traffic", "document"), topology)
     sbac_config = _parse_sbac(document.get("sbac"))
@@ -627,8 +625,6 @@ def apply_sweep_point(
         return topology, dataclasses.replace(traffic, arrival_rates=rates)
     if parameter == "users":
         count = int(value)
-        if count < 1:
-            raise ConfigError(f"users sweep value must be >= 1, got {value}")
         base = topology.links
         links = tuple(
             dataclasses.replace(base[i % len(base)], id=i) for i in range(count)

@@ -39,7 +39,9 @@ loads and integrals are float lists, one entry per primary point, updated
 elementwise with the IEEE operations numpy would take, minus its call cost.
 
 One run is strictly single-threaded; independent runs can execute
-concurrently because topologies and traffic specs are immutable.
+concurrently because topologies and traffic specs are immutable.  Each
+input checked itself when it was built (:mod:`dsasim.topology`), so a run
+checks only that the traffic and the topology agree on the providers.
 """
 from __future__ import annotations
 
@@ -54,10 +56,10 @@ from operator import mul
 import numpy as np
 
 from . import qos, sbac
-from .errors import InvalidTopologyError, StateError
+from .errors import StateError
 from .metrics import MetricsReport
 from .sbac import LivePool, SbacConfig
-from .topology import NetworkTopology, validate_topology
+from .topology import NetworkTopology
 from .traffic import TrafficSpec, build_event_stream
 
 
@@ -150,16 +152,13 @@ class Simulation:
         audit: bool = False,
         keep_records: bool = False,
     ):
-        violations = validate_topology(topology)
-        if violations:
-            raise InvalidTopologyError(violations)
         if len(traffic_spec.arrival_rates) != len(topology.providers):
-            raise InvalidTopologyError(
-                [
-                    f"traffic spec covers {len(traffic_spec.arrival_rates)} providers, "
-                    f"topology has {len(topology.providers)}"
-                ]
+            raise ValueError(
+                f"traffic_spec covers {len(traffic_spec.arrival_rates)} providers, "
+                f"topology has {len(topology.providers)}"
             )
+        if not isinstance(strategy, Strategy):
+            raise ValueError(f"strategy must be a Strategy, got {strategy!r}")
 
         self.topology = topology
         self.traffic_spec = traffic_spec
@@ -521,8 +520,9 @@ def run_simulation(
     :class:`SessionRecord` in arrival order with ``keep_records``, and is
     None without it, so that the run's memory follows its held sessions.
     Identical arguments (including the traffic seed) produce an identical
-    report, and record sequence when kept.  Raises InvalidTopologyError
-    before any event is processed if the topology fails validation.
+    report, and record sequence when kept.  Raises ValueError before any
+    event is processed if the traffic spec and the topology count different
+    providers or ``strategy`` is not a :class:`Strategy`.
     """
     sim = Simulation(
         topology,

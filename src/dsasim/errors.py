@@ -19,11 +19,3 @@ class StateError(DsasimError):
 
 class ConfigError(DsasimError):
     """Raised by scenario parsing when the document is malformed or invalid."""
-
-
-class InvalidTopologyError(DsasimError):
-    """Raised before event processing when the topology fails validation."""
-
-    def __init__(self, violations: list[str]):
-        super().__init__("invalid topology: " + "; ".join(violations))
-        self.violations = violations

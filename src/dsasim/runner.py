@@ -14,6 +14,7 @@ import json
 import logging
 import os
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -157,10 +158,17 @@ def _worker(args):
 
 
 def _outcomes(jobs, workers: int):
-    """Each job's :func:`_worker` result, in job order, as it arrives."""
+    """Each job's :func:`_worker` result, in job order, as it arrives; a
+    job whose worker process died fails with the pool's error."""
     if workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            yield from pool.map(_worker, jobs)
+            futures = [pool.submit(_worker, job) for job in jobs]
+            futures.reverse()  # popped in job order, so a result is dropped once yielded
+            for index in range(len(jobs)):
+                try:
+                    yield futures.pop().result()
+                except BrokenProcessPool as exc:
+                    yield index, None, None, f"{type(exc).__name__}: {exc}"
     else:
         yield from map(_worker, jobs)
 

@@ -6,6 +6,10 @@ interference the secondary system may create.  Channel gains are either
 supplied explicitly or derived from 2-D node positions with a power-law
 path-loss model.  Everything here is immutable after construction and safe
 to share between concurrent simulation runs.
+
+Each class checks its fields when built, so that NaN fails: a bad one
+raises ValueError with a message that starts with the field's name
+(``noise must be > 0``), to which the config parser prefixes the key path.
 """
 from __future__ import annotations
 
@@ -18,6 +22,11 @@ import numpy as np
 from .errors import GeometryError
 
 Position = tuple[float, float]
+
+
+def _check_position(name: str, position: Position) -> None:
+    if not (len(position) == 2 and all(-math.inf < x < math.inf for x in position)):
+        raise ValueError(f"{name} must be a finite (x, y) pair, got {position!r}")
 
 
 class Modulation(Enum):
@@ -34,6 +43,11 @@ class SpectrumChannel:
     center_frequency: float  # Hz
     bandwidth: float  # Hz
 
+    def __post_init__(self):
+        for name in ("center_frequency", "bandwidth"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0")
+
 
 @dataclass(frozen=True)
 class ServiceProvider:
@@ -42,6 +56,17 @@ class ServiceProvider:
     id: int
     channels: tuple[SpectrumChannel, ...]
     cost_rate: float  # currency units per minute
+
+    def __post_init__(self):
+        if not self.channels:
+            raise ValueError("channels must be non-empty")
+        if not self.cost_rate >= 0:
+            raise ValueError("cost_rate must be >= 0")
+        seen_ids = set()
+        for k, channel in enumerate(self.channels):
+            if channel.id in seen_ids:
+                raise ValueError(f"channels[{k}].id duplicates channel id {channel.id}")
+            seen_ids.add(channel.id)
 
     @property
     def num_channels(self) -> int:
@@ -71,6 +96,25 @@ class SecondaryLink:
     modulation: Modulation = Modulation.NONE
     target_ber: float | None = None
 
+    def __post_init__(self):
+        if not (0 < self.rate_min <= self.rate <= self.rate_max):
+            raise ValueError(
+                "rate_min, rate and rate_max must satisfy 0 < rate_min <= rate <= rate_max, "
+                f"got ({self.rate_min}, {self.rate}, {self.rate_max})"
+            )
+        if not (0 <= self.power <= self.power_max):
+            raise ValueError(
+                "power and power_max must satisfy 0 <= power <= power_max, "
+                f"got ({self.power}, {self.power_max})"
+            )
+        for name in ("noise", "sinr_target", "bandwidth"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0")
+        if self.target_ber is not None and not 0 < self.target_ber < 0.5:
+            raise ValueError(f"target_ber must be in (0, 0.5), got {self.target_ber}")
+        _check_position("tx_position", self.tx_position)
+        _check_position("rx_position", self.rx_position)
+
     @property
     def distance(self) -> float:
         """Transmitter-to-receiver distance in meters."""
@@ -85,6 +129,11 @@ class PrimaryReceivingPoint:
     position: Position
     tolerance: float  # watts
 
+    def __post_init__(self):
+        if not self.tolerance >= 0:
+            raise ValueError("tolerance must be >= 0")
+        _check_position("position", self.position)
+
 
 @dataclass(frozen=True, eq=False)
 class GainMatrices:
@@ -92,15 +141,21 @@ class GainMatrices:
 
     ``g_ss[j][i]`` is the gain from the transmitter of link ``i`` to the
     receiver of link ``j``; ``g_ps[j][i]`` is the gain from the transmitter
-    of link ``i`` to primary receiving point ``j``.
+    of link ``i`` to primary receiving point ``j``.  Both are read-only
+    float copies, so no one can change a built topology through them.
     """
 
     g_ss: np.ndarray  # (N, N)
     g_ps: np.ndarray  # (M, N)
 
     def __post_init__(self):
-        object.__setattr__(self, "g_ss", np.asarray(self.g_ss, dtype=float))
-        object.__setattr__(self, "g_ps", np.asarray(self.g_ps, dtype=float))
+        for name in ("g_ss", "g_ps"):
+            matrix = np.array(getattr(self, name), dtype=float)
+            matrix.flags.writeable = False
+            object.__setattr__(self, name, matrix)
+
+    def __reduce__(self):  # an unpickled copy, as a worker process gets, is read-only too
+        return GainMatrices, (self.g_ss, self.g_ps)
 
     def __eq__(self, other):
         if not isinstance(other, GainMatrices):
@@ -112,11 +167,39 @@ class GainMatrices:
 
 @dataclass(frozen=True)
 class NetworkTopology:
+    """The entities, each checked when built, and the checks that span them."""
+
     providers: tuple[ServiceProvider, ...]
     links: tuple[SecondaryLink, ...]
     primary_points: tuple[PrimaryReceivingPoint, ...]
     gains: GainMatrices
     propagation_speed: float = 3.0e8  # m/s
+
+    def __post_init__(self):
+        for key in ("providers", "links"):
+            if not getattr(self, key):
+                raise ValueError(f"{key} must be non-empty")
+        # gain matrices and the event loop index entities by position, so ids
+        # must equal list positions
+        for key in ("providers", "links", "primary_points"):
+            for position, entity in enumerate(getattr(self, key)):
+                if entity.id != position:
+                    raise ValueError(
+                        f"{key}[{position}].id must equal its position, got {entity.id}"
+                    )
+        n, m = len(self.links), len(self.primary_points)
+        g_ss, g_ps = self.gains.g_ss, self.gains.g_ps
+        if g_ss.shape != (n, n):
+            raise ValueError(f"gains.g_ss shape {g_ss.shape} must be ({n}, {n}), links x links")
+        if g_ps.shape != (m, n):
+            raise ValueError(f"gains.g_ps shape {g_ps.shape} must be ({m}, {n}), points x links")
+        if not (np.all(g_ss >= 0) and np.all(g_ps >= 0)):
+            raise ValueError("gains entries must be >= 0")
+        for i in range(n):
+            if not g_ss[i, i] > 0:
+                raise ValueError(f"gains.g_ss[{i}][{i}] (diagonal) must be > 0")
+        if not self.propagation_speed > 0:
+            raise ValueError("propagation_speed must be > 0")
 
     @property
     def num_links(self) -> int:
@@ -177,85 +260,3 @@ def gains_from_positions(
             g_ps[j, i] = _pathloss_gain(d, path_loss_exponent, reference_distance)
 
     return GainMatrices(g_ss=g_ss, g_ps=g_ps)
-
-
-def validate_topology(topology: NetworkTopology) -> list[str]:
-    """Check every structural invariant; return one message per violation,
-    each naming its key path (``topology.links[1].noise must be > 0``).
-
-    An empty list means every downstream operation's preconditions on the
-    topology hold.  Violations are data, not exceptions.  Each test is
-    written so that NaN fails it.
-    """
-    violations: list[str] = []
-
-    if not topology.providers:
-        violations.append("topology.providers must be non-empty")
-    # gain matrices and the event loop index entities by position, so ids
-    # must equal list positions
-    for key, entities in (("providers", topology.providers), ("links", topology.links),
-                          ("primary_points", topology.primary_points)):
-        for position, entity in enumerate(entities):
-            if entity.id != position:
-                violations.append(
-                    f"topology.{key}[{position}].id must equal its position, got {entity.id}"
-                )
-    for i, provider in enumerate(topology.providers):
-        path = f"topology.providers[{i}]"
-        if not provider.channels:
-            violations.append(f"{path}.channels must be non-empty")
-        if not provider.cost_rate >= 0:
-            violations.append(f"{path}.cost_rate must be >= 0")
-        seen_ids = set()
-        for k, ch in enumerate(provider.channels):
-            if ch.id in seen_ids:
-                violations.append(f"{path}.channels[{k}].id duplicates channel id {ch.id}")
-            seen_ids.add(ch.id)
-            for name in ("center_frequency", "bandwidth"):
-                if not getattr(ch, name) > 0:
-                    violations.append(f"{path}.channels[{k}].{name} must be > 0")
-
-    for i, link in enumerate(topology.links):
-        path = f"topology.links[{i}]"
-        if not (0 < link.rate_min <= link.rate <= link.rate_max):
-            violations.append(
-                f"{path}.rate_min, rate and rate_max must satisfy 0 < rate_min <= rate <= "
-                f"rate_max, got ({link.rate_min}, {link.rate}, {link.rate_max})"
-            )
-        if not (0 <= link.power <= link.power_max):
-            violations.append(
-                f"{path}.power and power_max must satisfy 0 <= power <= power_max, "
-                f"got ({link.power}, {link.power_max})"
-            )
-        for name in ("noise", "sinr_target", "bandwidth"):
-            if not getattr(link, name) > 0:
-                violations.append(f"{path}.{name} must be > 0")
-        if link.target_ber is not None and not (0 < link.target_ber < 0.5):
-            violations.append(f"{path}.target_ber must be in (0, 0.5)")
-
-    for i, point in enumerate(topology.primary_points):
-        if not point.tolerance >= 0:
-            violations.append(f"topology.primary_points[{i}].tolerance must be >= 0")
-
-    n = topology.num_links
-    m = len(topology.primary_points)
-    g_ss, g_ps = topology.gains.g_ss, topology.gains.g_ps
-    if g_ss.shape != (n, n):
-        violations.append(
-            f"topology.gains.g_ss shape {g_ss.shape} must be ({n}, {n}), links x links"
-        )
-    if g_ps.shape != (m, n):
-        violations.append(
-            f"topology.gains.g_ps shape {g_ps.shape} must be ({m}, {n}), points x links"
-        )
-    if not (np.all(g_ss >= 0) and np.all(g_ps >= 0)):
-        violations.append("topology.gains entries must be >= 0")
-    if g_ss.shape == (n, n):
-        for i in range(n):
-            if not g_ss[i, i] > 0:
-                violations.append(f"topology.gains.g_ss[{i}][{i}] (diagonal) must be > 0")
-
-    if not topology.propagation_speed > 0:
-        violations.append("topology.propagation_speed must be > 0")
-
-    return violations

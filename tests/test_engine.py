@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dsasim import (
-    InvalidTopologyError,
     NetworkTopology,
     Outcome,
     PrimaryReceivingPoint,
@@ -69,18 +68,22 @@ def test_single_channel_overlapping_arrivals_block():
 
 
 def test_invalid_topology_aborts_before_processing(simple_topology):
-    bad_link = dataclasses.replace(simple_topology.links[0], rate_min=9e5)
-    topology = dataclasses.replace(
-        simple_topology, links=(bad_link,) + simple_topology.links[1:]
-    )
-    with pytest.raises(InvalidTopologyError) as exc_info:
-        run_simulation(topology, spec_for([1.0]), Strategy.FIXED)
-    assert any(v.startswith("topology.links[0].rate_min") for v in exc_info.value.violations)
+    # the bad link fails where it is built, so no topology and no run has it
+    with pytest.raises(ValueError, match=r"^rate_min, rate and rate_max must satisfy"):
+        dataclasses.replace(simple_topology.links[0], rate_min=9e5)
 
 
 def test_traffic_provider_count_must_match(simple_topology):
-    with pytest.raises(InvalidTopologyError):
+    with pytest.raises(ValueError, match=r"^traffic_spec covers 2 providers, topology has 1$"):
         run_simulation(simple_topology, spec_for([1.0, 1.0]), Strategy.FIXED)
+
+
+@pytest.mark.parametrize("strategy", ["FIXED", "DYNAMIC_SBAC", None])
+def test_a_strategy_that_is_not_a_strategy_fails_before_any_event(simple_topology, strategy):
+    # a string used to run the whole stream as dynamic selection and then
+    # fail in the report
+    with pytest.raises(ValueError, match=rf"^strategy must be a Strategy, got {strategy!r}$"):
+        run_simulation(simple_topology, spec_for([1.0]), strategy)
 
 
 # -- admission outcomes ------------------------------------------------------------

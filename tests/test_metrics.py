@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from dsasim import (
-    InvalidTopologyError,
     QosConfig,
     Strategy,
     TrafficSpec,
@@ -56,14 +55,12 @@ def test_propagation_delay(distance, speed, expected, monkeypatch):
 
 
 def test_propagation_delay_rejects_bad_inputs():
-    # topology validation rejects a speed <= 0 before any event; a link's
-    # length is a Euclidean distance, never negative
+    # a topology with a speed <= 0 fails where it is built, so no run has
+    # one; a link's length is a Euclidean distance, never negative
     link = make_link(0)
     for speed in (0.0, -3e8):
-        topology = explicit_gain_topology([[1.0]], [link], speed=speed)
-        spec = TrafficSpec(arrival_rates=(1.0,), mean_holding_time=1.0, horizon=10.0, seed=0)
-        with pytest.raises(InvalidTopologyError, match="propagation_speed must be > 0"):
-            run_simulation(topology, spec, Strategy.FIXED)
+        with pytest.raises(ValueError, match="^propagation_speed must be > 0$"):
+            explicit_gain_topology([[1.0]], [link], speed=speed)
 
 
 # -- RTT: twice the propagation delay ------------------------------------------------

@@ -30,11 +30,9 @@ def test_public_names_are_exactly_these():
     # it, must be added here on purpose
     assert set(dsasim.__all__) == {
         "__version__",
-        "ConfigError", "DsasimError", "GeometryError", "InvalidTopologyError", "StateError",
-        "UnsupportedModulationError",
+        "ConfigError", "DsasimError", "GeometryError", "StateError", "UnsupportedModulationError",
         "GainMatrices", "Modulation", "NetworkTopology", "PrimaryReceivingPoint",
         "SecondaryLink", "ServiceProvider", "SpectrumChannel", "gains_from_positions",
-        "validate_topology",
         "Outcome", "QosConfig", "SessionRecord", "Simulation", "Strategy", "run_simulation",
         "MetricsReport", "erlang_b",
         "ber_from_sinr", "link_arrays", "link_sinr", "qos_met", "sinr_target_from_ber",

@@ -5,6 +5,7 @@ import copy
 import csv
 import dataclasses
 import json
+import os
 import re
 
 import pytest
@@ -83,6 +84,38 @@ def test_failed_run_preserves_partial_results(tmp_path):
     assert statuses.count("failed") == 1
     rows = read_rows(tmp_path / "out" / "results.csv")
     assert len(rows) == 2  # the two good points survive
+
+
+def test_a_dead_worker_fails_its_runs_and_keeps_every_finished_row(tmp_path, monkeypatch):
+    # the worker that takes run 7 exits at once, which breaks the pool: run 7
+    # and every run not yet finished fail with the pool's error, and every
+    # finished run's row is written as a serial sweep writes it.  Forked
+    # workers (the default on Linux) inherit the patch.
+    document = scenario(
+        sweep={"parameter": "arrival_rate", "values": [0.2, 0.6, 1.0], "seeds_per_point": 2},
+        strategy={"kind": ["FIXED", "DYNAMIC_SBAC"]},
+    )
+    config = parse(document)
+    assert run_scenario(config, tmp_path / "serial") == 0
+    execute_run = runner.execute_run
+
+    def dying(config, spec, with_records=False):
+        if spec.index == 7:
+            os._exit(3)
+        return execute_run(config, spec, with_records)
+
+    monkeypatch.setattr(runner, "execute_run", dying)
+    monkeypatch.setenv("DSASIM_WORKERS", "2")
+    assert run_scenario(config, tmp_path / "out") == 1
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["complete"] is False
+    runs = manifest["runs"]
+    assert len(runs) == 12 and runs[7]["status"] == "failed"
+    failed = [run for run in runs if run["status"] == "failed"]
+    assert all(run["error"].startswith("BrokenProcessPool: ") for run in failed)
+    serial = read_rows(tmp_path / "serial" / "results.csv")
+    ok = [serial[run["index"]] for run in runs if run["status"] == "ok"]
+    assert read_rows(tmp_path / "out" / "results.csv") == ok
 
 
 def test_seed_override_changes_rows(tmp_path):
