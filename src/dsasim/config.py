@@ -10,7 +10,9 @@ default is logged.  Each object checks its own fields when it is built
 (:func:`_built` puts the key path in front of its message), so the first
 violation found is the one reported.
 A parsed config serializes back to an equivalent document, so any run can
-be reproduced from its normalized config alone.
+be reproduced from its normalized config alone: the serializer writes each
+object's own fields, and the parser's literal key sets refuse a key it does
+not read yet.
 """
 from __future__ import annotations
 
@@ -18,6 +20,7 @@ import dataclasses
 import logging
 import math
 from dataclasses import dataclass
+from enum import Enum
 
 import numpy as np
 import yaml
@@ -45,9 +48,27 @@ SWEEP_PARAMETERS = ("arrival_rate", "users")
 
 @dataclass(frozen=True)
 class SweepSpec:
+    """The swept parameter, its values and the seeds run at each value; a bad
+    field, NaN included, raises ValueError naming it."""
+
     parameter: str
     values: tuple[float, ...]
     seeds_per_point: int = 1
+
+    def __post_init__(self):
+        if self.parameter not in SWEEP_PARAMETERS:
+            raise ValueError(
+                f"parameter must be one of {', '.join(SWEEP_PARAMETERS)}; got {self.parameter!r}"
+            )
+        if not self.values:
+            raise ValueError("values must be a non-empty list of numbers")
+        for i, value in enumerate(self.values):
+            if self.parameter == "users" and not (value >= 1 and float(value).is_integer()):
+                raise ValueError(f"values[{i}] must be a user count >= 1, got {value}")
+            if self.parameter == "arrival_rate" and not 0 <= value < math.inf:
+                raise ValueError(f"values[{i}] must be an arrival rate >= 0, got {value}")
+        if type(self.seeds_per_point) is not int or self.seeds_per_point < 1:
+            raise ValueError("seeds_per_point must be a positive integer")
 
 
 @dataclass(frozen=True)
@@ -425,15 +446,9 @@ def _parse_strategy(raw) -> tuple[tuple[Strategy, ...], QosConfig]:
     if len(set(kinds_list)) != len(kinds_list):
         raise ConfigError("strategy.kind lists a strategy twice")
 
-    def _bool(key: str, default: bool) -> bool:
-        value = _get(raw, key, path, default=default)
-        if not isinstance(value, bool):
-            raise ConfigError(f"strategy.{key} must be a boolean")
-        return value
-
+    fields = dataclasses.fields(QosConfig)
     qos_config = _built(path, QosConfig)(
-        physical_checks=_bool("physical_checks", False),
-        channel_reuse=_bool("channel_reuse", False),
+        **{f.name: _get(raw, f.name, path, default=f.default) for f in fields}
     )
     return tuple(kinds_list), qos_config
 
@@ -444,24 +459,14 @@ def _parse_sweep(raw) -> SweepSpec | None:
     path = "sweep"
     raw = _mapping(raw, path)
     _check_keys(raw, {"parameter", "values", "seeds_per_point"}, path)
-    parameter = _get(raw, "parameter", path)
-    if parameter not in SWEEP_PARAMETERS:
-        raise ConfigError(
-            f"sweep.parameter must be one of {', '.join(SWEEP_PARAMETERS)}; got {parameter!r}"
-        )
     values_raw = _get(raw, "values", path)
-    if not isinstance(values_raw, list) or not values_raw:
+    if not isinstance(values_raw, list):
         raise ConfigError("sweep.values must be a non-empty list of numbers")
-    values = tuple(_to_float(v, f"sweep.values[{i}]") for i, v in enumerate(values_raw))
-    for i, value in enumerate(values):
-        if parameter == "users" and not (value >= 1 and value.is_integer()):
-            raise ConfigError(f"sweep.values[{i}] must be a user count >= 1, got {value}")
-        if parameter == "arrival_rate" and value < 0:
-            raise ConfigError(f"sweep.values[{i}] must be an arrival rate >= 0, got {value}")
-    seeds = _get(raw, "seeds_per_point", path, default=1)
-    if not isinstance(seeds, int) or isinstance(seeds, bool) or seeds < 1:
-        raise ConfigError("sweep.seeds_per_point must be a positive integer")
-    return SweepSpec(parameter=parameter, values=values, seeds_per_point=seeds)
+    return _built(path, SweepSpec)(
+        parameter=_get(raw, "parameter", path),
+        values=tuple(_to_float(v, f"sweep.values[{i}]") for i, v in enumerate(values_raw)),
+        seeds_per_point=_get(raw, "seeds_per_point", path, default=1),
+    )
 
 
 def parse_config(text: str) -> ScenarioConfig:
@@ -523,81 +528,47 @@ def load_config(path) -> ScenarioConfig:
 # -- serialization ------------------------------------------------------------
 
 
+# the document keys that differ from their fields' names
+_DOCUMENT_KEYS = {"tx_position": "tx", "rx_position": "rx", "arrival_rates": "arrival_rate"}
+
+
+def _document_value(value):
+    """``value`` as YAML data: a dataclass as its fields but ``id`` and None
+    ones, under their document keys; tuples and arrays as lists, enums as values."""
+    if dataclasses.is_dataclass(value):
+        return {
+            _DOCUMENT_KEYS.get(f.name, f.name): _document_value(getattr(value, f.name))
+            for f in dataclasses.fields(value)
+            if f.name != "id" and getattr(value, f.name) is not None
+        }
+    if isinstance(value, (tuple, list)):
+        return [_document_value(item) for item in value]
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, Enum):
+        return value.value
+    return value
+
+
 def config_to_document(config: ScenarioConfig) -> dict:
     """Normalized document: re-parsing it yields an equivalent ScenarioConfig."""
-    topology = config.topology
-    providers = [
-        {
-            "channels": [
-                {"center_frequency": ch.center_frequency, "bandwidth": ch.bandwidth}
-                for ch in provider.channels
-            ],
-            "cost_rate": provider.cost_rate,
-        }
-        for provider in topology.providers
-    ]
-    links = []
-    for link in topology.links:
-        entry = {
-            "tx": list(link.tx_position),
-            "rx": list(link.rx_position),
-            "bandwidth": link.bandwidth,
-            "rate": link.rate,
-            "rate_min": link.rate_min,
-            "rate_max": link.rate_max,
-            "power": link.power,
-            "power_max": link.power_max,
-            "noise": link.noise,
-            "sinr_target": link.sinr_target,
-            "modulation": link.modulation.value,
-        }
-        if link.target_ber is not None:
-            entry["target_ber"] = link.target_ber
-        links.append(entry)
-    points = [
-        {"position": list(p.position), "tolerance": p.tolerance}
-        for p in topology.primary_points
-    ]
-
+    topology = _document_value(config.topology)
+    gains = topology.pop("gains")
     document = {
         "topology": {
-            "propagation_speed": topology.propagation_speed,
+            "propagation_speed": topology.pop("propagation_speed"),  # first: a stable key order
             "path_loss_exponent": config.path_loss_exponent,
             "reference_distance": config.reference_distance,
-            "providers": providers,
-            "links": links,
-            "primary_points": points,
+            **topology,
         },
-        "traffic": {
-            "arrival_rate": list(config.traffic.arrival_rates),
-            "mean_holding_time": config.traffic.mean_holding_time,
-            "horizon": config.traffic.horizon,
-            "seed": config.traffic.seed,
-            "requested_rate": config.traffic.requested_rate,
-        },
-        "sbac": {
-            "beta1": config.sbac.beta1,
-            "beta2": config.sbac.beta2,
-            "beta3": config.sbac.beta3,
-            "session_minutes": config.sbac.session_minutes,
-        },
-        "strategy": {
-            "kind": [s.value for s in config.strategies],
-            "physical_checks": config.qos.physical_checks,
-            "channel_reuse": config.qos.channel_reuse,
-        },
+        "traffic": _document_value(config.traffic),
+        "sbac": _document_value(config.sbac),
+        "strategy": {"kind": _document_value(config.strategies), **_document_value(config.qos)},
     }
     if config.explicit_gains:
-        document["topology"]["gains"] = {
-            "g_ss": topology.gains.g_ss.tolist(),
-            "g_ps": topology.gains.g_ps.tolist(),
-        }
+        document["topology"]["gains"] = gains
     if config.sweep is not None:
-        document["sweep"] = {
-            "parameter": config.sweep.parameter,
-            "values": list(config.sweep.values),
-            "seeds_per_point": config.sweep.seeds_per_point,
-        }
+        document["sweep"] = _document_value(config.sweep)
     return document
 
 

@@ -87,13 +87,16 @@ class QosConfig:
     providers co-channel, so concurrent sessions there are power-coupled
     and admission exercises the full SINR feasibility machinery.  Only the
     physical stage reads the groups, so reuse without physical checks is a
-    ValueError.
+    ValueError, as is a flag that is not a bool.
     """
 
     physical_checks: bool = False
     channel_reuse: bool = False
 
     def __post_init__(self):
+        for name in ("physical_checks", "channel_reuse"):
+            if not isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be a boolean")
         if self.channel_reuse and not self.physical_checks:
             raise ValueError("channel_reuse needs physical_checks")
 

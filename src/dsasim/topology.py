@@ -150,7 +150,10 @@ class GainMatrices:
 
     def __post_init__(self):
         for name in ("g_ss", "g_ps"):
-            matrix = np.array(getattr(self, name), dtype=float)
+            try:
+                matrix = np.array(getattr(self, name), dtype=float)
+            except (TypeError, ValueError):  # ragged rows or entries that are not numbers
+                raise ValueError(f"{name} must be a matrix of numbers") from None
             matrix.flags.writeable = False
             object.__setattr__(self, name, matrix)
 

@@ -1,10 +1,11 @@
 """Second implementations of decisions the package makes once, kept as the
 tests' references: pools scored from tuples of free channels, a dense numpy
-minimal-power solve and an interference integral over a load trace.  The
-simulator never runs them."""
+minimal-power solve, an exact rational linear solve and an interference
+integral over a load trace.  The simulator never runs them."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -106,6 +107,24 @@ def solve_min_powers(g_ss, noise, processing_gain, sinr_target, power_max, g_ps,
         within_power_caps=bool(np.all(powers <= power_max)),
         interference_ok=bool(np.all(g_ps @ powers <= primary_tolerance)),
     )
+
+
+def exact_solve(matrix, rhs) -> list[float]:
+    """``x`` with ``matrix @ x = rhs`` for a nonsingular float ``matrix``, by
+    Gauss-Jordan elimination in exact rationals on the given floats, each
+    entry rounded once at the end: the reference that a float solve of the
+    same system is measured against, free of the solve's own rounding."""
+    rows = [[Fraction(x) for x in row] + [Fraction(b)]
+            for row, b in zip(np.asarray(matrix).tolist(), np.asarray(rhs).tolist())]
+    n = len(rows)
+    for k in range(n):
+        pivot = next(r for r in range(k, n) if rows[r][k] != 0)
+        rows[k], rows[pivot] = rows[pivot], rows[k]
+        for r in range(n):
+            if r != k and rows[r][k] != 0:
+                factor = rows[r][k] / rows[k][k]
+                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[k])]
+    return [float(rows[k][n] / rows[k][k]) for k in range(n)]
 
 
 class TraceError(DsasimError):

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import json
 import logging
 import math
 
@@ -12,8 +13,9 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dsasim import ConfigError, Modulation, SbacConfig, Strategy
-from dsasim.config import parse_config, serialize_config
+from dsasim import ConfigError, Modulation, QosConfig, SbacConfig, Strategy
+from dsasim.config import SweepSpec, parse_config, serialize_config
+from dsasim.runner import run_scenario
 
 BASE_DOCUMENT = {
     "topology": {
@@ -326,6 +328,18 @@ BAD_DOCUMENTS = {
     "zero_propagation_speed": (
         {"topology.propagation_speed": 0}, r"topology\.propagation_speed must be > 0"
     ),
+    # strategy flags and the sweep, checked by QosConfig and SweepSpec
+    "string_physical_checks": (
+        {"strategy.physical_checks": "no"}, r"strategy\.physical_checks must be a boolean"
+    ),
+    "no_sweep_values": (
+        {"sweep": {"parameter": "arrival_rate", "values": []}},
+        r"sweep\.values must be a non-empty list of numbers",
+    ),
+    "zero_seeds_per_point": (
+        {"sweep": {"parameter": "arrival_rate", "values": [0.5], "seeds_per_point": 0}},
+        r"sweep\.seeds_per_point must be a positive integer",
+    ),
 }
 
 
@@ -472,6 +486,122 @@ def test_round_trip_with_explicit_gains():
     first = parse(document)
     second = parse_config(serialize_config(first))
     assert second == first
+
+
+def maximal_document(explicit_gains: bool) -> dict:
+    """A document that sets every field of every object it builds: listed
+    and counted channels, dB inputs, both modulations with BER targets,
+    per-provider rates, both strategies, reuse and a sweep."""
+    document = {
+        "topology": {
+            "propagation_speed": 2.0e8,
+            "path_loss_exponent": 3.5,
+            "reference_distance": 2.0,
+            "providers": [
+                {
+                    "channels": [
+                        {"center_frequency": 4.0e8, "bandwidth": 1.0e6},
+                        {"center_frequency": 4.03e8, "bandwidth": 2.0e6},
+                    ],
+                    "cost_rate": 0.05,
+                },
+                {
+                    "channels": 3,
+                    "base_frequency": 5.0e8,
+                    "channel_spacing": 2.0e6,
+                    "channel_bandwidth": 1.0e6,
+                    "cost_rate": 0.1,
+                },
+            ],
+            "links": [
+                {
+                    "tx": [0.0, 0.0], "rx": [200.0, 0.0], "bandwidth": 1.0e6,
+                    "rate": 1.0e5, "rate_min": 5.0e4, "rate_max": 2.0e5,
+                    "power": 0.1, "power_max": 1.0, "noise_db": -100.0,
+                    "modulation": "BPSK", "target_ber": 1.0e-3,
+                },
+                {
+                    "tx": [0.0, 1000.0], "rx": [150.0, 1000.0], "bandwidth": 2.0e6,
+                    "rate": 1.0e5, "power_max": 0.5, "noise": 1.0e-10,
+                    "modulation": "qpsk", "target_ber": 1.0e-4, "sinr_target": 6.0,
+                },
+            ],
+            "primary_points": [{"position": [100.0, 500.0], "tolerance_db": -90.0}],
+        },
+        "traffic": {
+            "arrival_rate": [0.2, 0.3],
+            "mean_holding_time": 10.0,
+            "horizon": 50.0,
+            "seed": 7,
+            "requested_rate": 1.0e5,
+        },
+        "sbac": {"beta1": 0.4, "beta2": 0.4, "beta3": 0.2, "session_minutes": 2.0},
+        "strategy": {
+            "kind": ["FIXED", "DYNAMIC_SBAC"], "physical_checks": True, "channel_reuse": True
+        },
+        "sweep": {"parameter": "arrival_rate", "values": [0.1, 0.3], "seeds_per_point": 2},
+    }
+    if explicit_gains:
+        document["topology"]["gains"] = {
+            "g_ss": [[1.0, 1.0e-3], [2.0e-3, 0.5]], "g_ps": [[1.0e-6, 2.0e-6]]
+        }
+    return document
+
+
+def _field_values(value):
+    """``(class, field, value)`` of every dataclass field reachable from ``value``."""
+    if dataclasses.is_dataclass(value):
+        for field in dataclasses.fields(value):
+            item = getattr(value, field.name)
+            yield type(value).__name__, field.name, item
+            yield from _field_values(item)
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from _field_values(item)
+
+
+@pytest.mark.parametrize("explicit_gains", [False, True])
+def test_a_maximal_config_round_trips(explicit_gains):
+    # the serializer writes every field but id and None ones, and the parser
+    # refuses any key outside its literal sets, so a field added to an input
+    # fails here, as an unknown key, until the parser reads it too
+    config = parse(maximal_document(explicit_gains))
+    assert config.explicit_gains is explicit_gains
+    assert not [(cls, name) for cls, name, value in _field_values(config) if value is None]
+    assert parse_config(serialize_config(config)) == config
+
+
+def test_the_manifest_config_reparses_to_the_run_config(tmp_path):
+    config = parse(maximal_document(explicit_gains=False))
+    assert run_scenario(config, tmp_path) == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert parse_config(json.dumps(manifest["config"])) == config
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"physical_checks": "no"}, r"^physical_checks must be a boolean$"),
+    ({"physical_checks": True, "channel_reuse": 1}, r"^channel_reuse must be a boolean$"),
+    ({"channel_reuse": True}, r"^channel_reuse needs physical_checks$"),
+])
+def test_a_qos_config_fails_at_construction_on_a_bad_flag(fields, message):
+    with pytest.raises(ValueError, match=message):
+        QosConfig(**fields)
+
+
+@pytest.mark.parametrize("args, message", [
+    (("horizon", (1.0,)), r"^parameter must be one of arrival_rate, users; got 'horizon'$"),
+    (("users", ()), r"^values must be a non-empty list of numbers$"),
+    (("users", (2.0, 2.5)), r"^values\[1\] must be a user count >= 1, got 2\.5$"),
+    (("users", (0,)), r"^values\[0\] must be a user count >= 1, got 0$"),
+    (("users", (math.nan,)), r"^values\[0\] must be a user count >= 1, got nan$"),
+    (("arrival_rate", (0.5, -1.0)), r"^values\[1\] must be an arrival rate >= 0"),
+    (("arrival_rate", (math.inf,)), r"^values\[0\] must be an arrival rate >= 0"),
+    (("arrival_rate", (0.5,), 0), r"^seeds_per_point must be a positive integer$"),
+    (("arrival_rate", (0.5,), 1.0), r"^seeds_per_point must be a positive integer$"),
+])
+def test_a_sweep_spec_fails_at_construction_on_a_bad_field(args, message):
+    with pytest.raises(ValueError, match=message):
+        SweepSpec(*args)
 
 
 def test_not_yaml_is_a_config_error():

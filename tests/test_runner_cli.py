@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import copy
 import csv
-import dataclasses
 import json
 import os
 import re
@@ -70,18 +69,25 @@ def test_manifest_records_completeness(tmp_path):
     assert all(run["status"] == "ok" for run in manifest["runs"])
 
 
-def test_failed_run_preserves_partial_results(tmp_path):
-    # a users sweep point of 0 is rejected at run time, the other points
-    # succeed; parse_config rejects 0, so it goes onto the parsed config
-    config = parse(scenario(sweep={"parameter": "users", "values": [1, 2]}))
-    config = dataclasses.replace(
-        config, sweep=dataclasses.replace(config.sweep, values=(1.0, 0.0, 2.0))
-    )
+def test_failed_run_preserves_partial_results(tmp_path, monkeypatch):
+    # the run of the middle sweep point raises, the other points succeed; no
+    # sweep value that SweepSpec accepts fails a run, so the failure is injected
+    config = parse(scenario(sweep={"parameter": "users", "values": [1, 3, 2]}))
+    execute_run = runner.execute_run
+
+    def failing(config, spec, with_records=False):
+        if spec.sweep_value == 3.0:
+            raise RuntimeError("injected")
+        return execute_run(config, spec, with_records)
+
+    monkeypatch.setattr(runner, "execute_run", failing)
     assert run_scenario(config, tmp_path / "out") == 1
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert manifest["complete"] is False
-    statuses = [run["status"] for run in manifest["runs"]]
-    assert statuses.count("failed") == 1
+    failed = [run for run in manifest["runs"] if run["status"] == "failed"]
+    assert [(run["sweep_value"], run["error"]) for run in failed] == [
+        (3.0, "RuntimeError: injected")
+    ]
     rows = read_rows(tmp_path / "out" / "results.csv")
     assert len(rows) == 2  # the two good points survive
 

@@ -247,6 +247,16 @@ def test_a_topology_fails_at_construction_on_a_bad_gain(matrix, entry):
         dataclasses.replace(topology, gains=GainMatrices(**gains))
 
 
+@pytest.mark.parametrize("gains, name", [
+    ({"g_ss": [[1.0, 0.1], [0.1]], "g_ps": []}, "g_ss"),
+    ({"g_ss": [[1.0]], "g_ps": [["abc"]]}, "g_ps"),
+    ({"g_ss": {"a": 1.0}, "g_ps": []}, "g_ss"),
+])
+def test_gain_matrices_fail_at_construction_on_a_matrix_that_is_not_one(gains, name):
+    with pytest.raises(ValueError, match=rf"^{name} must be a matrix of numbers$"):
+        GainMatrices(**gains)
+
+
 def test_a_topology_fails_at_construction_on_a_nan_id():
     topology = make_topology()
     point = dataclasses.replace(topology.primary_points[0], id=math.nan)
