@@ -20,13 +20,7 @@ from .engine import (
     Strategy,
     run_simulation,
 )
-from .errors import (
-    ConfigError,
-    DsasimError,
-    GeometryError,
-    StateError,
-    UnsupportedModulationError,
-)
+from .errors import ConfigError, DsasimError, StateError
 from .metrics import MetricsReport, erlang_b
 from .qos import ber_from_sinr, link_arrays, link_sinr, qos_met, sinr_target_from_ber
 from .sbac import SbacConfig, select_best_channel, utility
@@ -47,7 +41,6 @@ __all__ = [
     "ConfigError",
     "DsasimError",
     "GainMatrices",
-    "GeometryError",
     "MetricsReport",
     "Modulation",
     "NetworkTopology",
@@ -63,7 +56,6 @@ __all__ = [
     "StateError",
     "Strategy",
     "TrafficSpec",
-    "UnsupportedModulationError",
     "ber_from_sinr",
     "build_event_stream",
     "erlang_b",

@@ -8,7 +8,8 @@ strict: unknown or missing keys fail with the offending key path, numbers must b
 finite, dB-valued fields are converted to linear watts, and every applied
 default is logged.  Each object checks its own fields when it is built
 (:func:`_built` puts the key path in front of its message), so the first
-violation found is the one reported.
+violation found is the one reported.  Nothing after parsing re-checks or
+re-derives a built object: a ``users`` sweep point indexes the parsed gains.
 A parsed config serializes back to an equivalent document, so any run can
 be reproduced from its normalized config alone: the serializer writes each
 object's own fields, and the parser's literal key sets refuse a key it does
@@ -26,7 +27,7 @@ import numpy as np
 import yaml
 
 from .engine import QosConfig, Strategy
-from .errors import ConfigError, GeometryError
+from .errors import ConfigError
 from .qos import sinr_target_from_ber
 from .sbac import SbacConfig
 from .topology import (
@@ -269,11 +270,7 @@ def _parse_link(raw, index: int, path: str) -> SecondaryLink:
         sinr_target = _number(raw, "sinr_target", path)
     elif target_ber is None:
         raise ConfigError(f"{path} needs either sinr_target or modulation plus target_ber")
-    elif modulation is Modulation.NONE:
-        raise ConfigError(
-            f"{path}.target_ber needs a BPSK or QPSK modulation to derive the SINR target"
-        )
-    else:  # the derivation checks the range of target_ber
+    else:  # the derivation checks the modulation and the range of target_ber
         sinr_target = _built(path, sinr_target_from_ber)(modulation, target_ber)
 
     rate = _number(raw, "rate", path)
@@ -361,12 +358,9 @@ def _parse_topology(raw) -> tuple[NetworkTopology, float, float, bool]:
             g_ps = np.zeros((0, len(links)))
         gains = GainMatrices(g_ss=g_ss, g_ps=g_ps)
     else:
-        try:
-            gains = _built(path, gains_from_positions)(
-                links, points, path_loss_exponent=exponent, reference_distance=reference
-            )
-        except GeometryError as exc:  # its message names both key paths
-            raise ConfigError(str(exc)) from None
+        gains = _built(path, gains_from_positions)(
+            links, points, path_loss_exponent=exponent, reference_distance=reference
+        )
 
     topology = _built(path, NetworkTopology)(
         providers=providers,
@@ -497,11 +491,6 @@ def parse_config(text: str) -> ScenarioConfig:
                 f"traffic.requested_rate {traffic.requested_rate} outside link "
                 f"{link.id} allowed range [{link.rate_min}, {link.rate_max}]"
             )
-    if sweep is not None and sweep.parameter == "users" and explicit_gains:
-        raise ConfigError(
-            "sweep.parameter 'users' needs position-derived gains; explicit "
-            "topology.gains cannot be resized"
-        )
 
     return ScenarioConfig(
         topology=topology,
@@ -585,9 +574,11 @@ def apply_sweep_point(
     """Topology and traffic for one sweep point.
 
     ``arrival_rate`` sets every provider's rate to the value.  ``users``
-    resizes the secondary-link population by cycling the configured links
+    resizes the secondary-link population by cycling the configured links,
     and scales every provider's arrival rate proportionally, mapping a user
-    count onto offered load.
+    count onto offered load.  User ``i`` is a copy of link ``b = i % L`` at
+    its positions, so its gains are ``b``'s: they are taken from the parsed
+    matrices by index, explicit ones included, and never recomputed.
     """
     topology = config.topology
     traffic = config.traffic
@@ -596,17 +587,11 @@ def apply_sweep_point(
         return topology, dataclasses.replace(traffic, arrival_rates=rates)
     if parameter == "users":
         count = int(value)
-        base = topology.links
-        links = tuple(
-            dataclasses.replace(base[i % len(base)], id=i) for i in range(count)
-        )
-        gains = gains_from_positions(
-            links,
-            topology.primary_points,
-            path_loss_exponent=config.path_loss_exponent,
-            reference_distance=config.reference_distance,
-        )
-        scale = count / len(base)
+        base = [i % len(topology.links) for i in range(count)]
+        links = tuple(dataclasses.replace(topology.links[b], id=i) for i, b in enumerate(base))
+        g = topology.gains
+        gains = GainMatrices(g_ss=g.g_ss[np.ix_(base, base)], g_ps=g.g_ps[:, base])
+        scale = count / len(topology.links)
         rates = tuple(r * scale for r in traffic.arrival_rates)
         return (
             dataclasses.replace(topology, links=links, gains=gains),

@@ -5,14 +5,6 @@ class DsasimError(Exception):
     """Base class for all dsasim errors."""
 
 
-class GeometryError(DsasimError):
-    """Raised when node positions are degenerate (e.g. coincident tx/rx)."""
-
-
-class UnsupportedModulationError(DsasimError):
-    """Raised when a BER/SINR mapping is requested for a modulation without one."""
-
-
 class StateError(DsasimError):
     """Internal simulator state inconsistency (double release etc.). Fail fast."""
 

@@ -37,6 +37,7 @@ QPSK link's ``Q(sqrt(gamma))``, with ``Q(x) = erfc(x / sqrt(2)) / 2``.  So a
 BER target ``b`` needs ``x = -Phi^-1(b)``, ``Phi`` the standard normal CDF:
 BPSK ``gamma = x**2 / 2`` and QPSK twice that, both raised by ``QOS_MARGIN``
 so that the BER at the returned SINR is at most ``b``, not above by rounding.
+Modulation NONE has no BER curve, so both mappings refuse it with ValueError.
 """
 from __future__ import annotations
 
@@ -46,7 +47,6 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .errors import UnsupportedModulationError
 from .topology import Modulation, SecondaryLink
 
 # Relative margin on the SINR targets, so that solved powers pass qos_met.
@@ -146,9 +146,7 @@ def ber_from_sinr(modulation: Modulation, sinr: float) -> float:
     elif modulation is Modulation.QPSK:
         arg = math.sqrt(sinr)
     else:
-        raise UnsupportedModulationError(
-            f"no BER/SINR mapping for modulation {modulation}"
-        )
+        raise ValueError("modulation must be BPSK or QPSK to map a SINR to a BER")
     return 0.5 * math.erfc(arg / math.sqrt(2.0))
 
 
@@ -158,9 +156,7 @@ def sinr_target_from_ber(modulation: Modulation, target_ber: float) -> float:
     QPSK twice that; see the module docstring.
     """
     if modulation is Modulation.NONE:
-        raise UnsupportedModulationError(
-            "modulation NONE has no BER mapping; set the SINR target directly"
-        )
+        raise ValueError("target_ber needs a BPSK or QPSK modulation to derive the SINR target")
     if not (0.0 < target_ber < 0.5):
         raise ValueError(f"target_ber must be in (0, 0.5), got {target_ber}")
     gamma = NormalDist().inv_cdf(target_ber) ** 2 / 2.0 * (1.0 + QOS_MARGIN)

@@ -7,9 +7,13 @@ supplied explicitly or derived from 2-D node positions with a power-law
 path-loss model.  Everything here is immutable after construction and safe
 to share between concurrent simulation runs.
 
-Each class checks its fields when built, so that NaN fails: a bad one
-raises ValueError with a message that starts with the field's name
-(``noise must be > 0``), to which the config parser prefixes the key path.
+Each class checks its fields when built, so that NaN fails, and so does
+infinity where a run cannot use it: a bad one raises ValueError with a
+message that starts with the field's name (``noise must be > 0``,
+``noise must be finite``), to which the config parser prefixes the key path.
+:func:`gains_from_positions` raises ValueError the same way, naming the
+coincident nodes by their places in the topology (``links[0].tx coincides
+with links[1].rx``).
 """
 from __future__ import annotations
 
@@ -19,14 +23,19 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import GeometryError
-
 Position = tuple[float, float]
 
 
 def _check_position(name: str, position: Position) -> None:
     if not (len(position) == 2 and all(-math.inf < x < math.inf for x in position)):
         raise ValueError(f"{name} must be a finite (x, y) pair, got {position!r}")
+
+
+def _check_finite(entity, *names: str) -> None:
+    # run after the range checks, which NaN already fails
+    for name in names:
+        if getattr(entity, name) == math.inf:
+            raise ValueError(f"{name} must be finite")
 
 
 class Modulation(Enum):
@@ -47,6 +56,7 @@ class SpectrumChannel:
         for name in ("center_frequency", "bandwidth"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0")
+        _check_finite(self, "center_frequency", "bandwidth")
 
 
 @dataclass(frozen=True)
@@ -114,6 +124,7 @@ class SecondaryLink:
             raise ValueError(f"target_ber must be in (0, 0.5), got {self.target_ber}")
         _check_position("tx_position", self.tx_position)
         _check_position("rx_position", self.rx_position)
+        _check_finite(self, "noise", "sinr_target", "bandwidth", "power")
 
     @property
     def distance(self) -> float:
@@ -203,6 +214,8 @@ class NetworkTopology:
                 raise ValueError(f"gains.g_ss[{i}][{i}] (diagonal) must be > 0")
         if not self.propagation_speed > 0:
             raise ValueError("propagation_speed must be > 0")
+        if not (np.all(g_ss < math.inf) and np.all(g_ps < math.inf)):
+            raise ValueError("gains entries must be finite")
 
     @property
     def num_links(self) -> int:
@@ -230,10 +243,8 @@ def gains_from_positions(
     power-law path loss with no fading, so gains are deterministic, in
     (0, 1], and monotone non-increasing in distance.
 
-    Raises
-    ------
-    GeometryError
-        If any transmitter coincides with a receiver or primary point.
+    A transmitter that coincides with a receiver or a primary point raises
+    ValueError naming both (``links[0].tx coincides with links[1].rx``).
     """
     if not 2.0 <= path_loss_exponent < math.inf:
         raise ValueError(f"path_loss_exponent must be finite and >= 2, got {path_loss_exponent}")
@@ -247,9 +258,7 @@ def gains_from_positions(
         for i, tx_link in enumerate(links):
             d = math.dist(tx_link.tx_position, rx_link.rx_position)
             if d <= 0.0:
-                raise GeometryError(
-                    f"topology.links[{i}].tx coincides with topology.links[{j}].rx"
-                )
+                raise ValueError(f"links[{i}].tx coincides with links[{j}].rx")
             g_ss[j, i] = _pathloss_gain(d, path_loss_exponent, reference_distance)
 
     g_ps = np.empty((m, n), dtype=float)
@@ -257,9 +266,7 @@ def gains_from_positions(
         for i, tx_link in enumerate(links):
             d = math.dist(tx_link.tx_position, point.position)
             if d <= 0.0:
-                raise GeometryError(
-                    f"topology.links[{i}].tx coincides with topology.primary_points[{j}].position"
-                )
+                raise ValueError(f"links[{i}].tx coincides with primary_points[{j}].position")
             g_ps[j, i] = _pathloss_gain(d, path_loss_exponent, reference_distance)
 
     return GainMatrices(g_ss=g_ss, g_ps=g_ps)

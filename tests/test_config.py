@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import copy
+import csv
 import dataclasses
 import json
 import logging
@@ -13,8 +14,8 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dsasim import ConfigError, Modulation, QosConfig, SbacConfig, Strategy
-from dsasim.config import SweepSpec, parse_config, serialize_config
+from dsasim import ConfigError, Modulation, QosConfig, SbacConfig, Strategy, gains_from_positions
+from dsasim.config import SweepSpec, apply_sweep_point, parse_config, serialize_config
 from dsasim.runner import run_scenario
 
 BASE_DOCUMENT = {
@@ -252,11 +253,16 @@ BAD_DOCUMENTS = {
     ),
     "tx_is_rx": (
         {"topology.links.0.rx": [0.0, 0.0]},
-        r"topology\.links\[0\]\.tx coincides with topology\.links\[0\]\.rx",
+        r"topology\.links\[0\]\.tx coincides with links\[0\]\.rx",
     ),
     "tx_on_primary_point": (
         {"topology.links.0.tx": [500.0, 500.0]},
-        r"topology\.links\[0\]\.tx coincides with topology\.primary_points\[0\]\.position",
+        r"topology\.links\[0\]\.tx coincides with primary_points\[0\]\.position",
+    ),
+    "target_ber_without_modulation": (
+        {"topology.links.0.sinr_target": ..., "topology.links.0.target_ber": 1e-3},
+        r"topology\.links\[0\]\.target_ber needs a BPSK or QPSK modulation to derive the "
+        r"SINR target",
     ),
     "negative_listed_rate": (
         {"traffic.arrival_rate": [-0.5]}, r"traffic\.arrival_rate\[0\] must be >= 0"
@@ -458,11 +464,54 @@ def test_sweep_section_parses():
     assert config.sweep.seeds_per_point == 5
 
 
-def test_users_sweep_rejects_explicit_gains():
-    document = doc(sweep={"parameter": "users", "values": [1, 2, 4]})
-    document["topology"]["gains"] = {"g_ss": [[1.0]], "g_ps": [[0.5]]}
-    with pytest.raises(ConfigError, match="users"):
-        parse(document)
+def _two_link_document(**overrides) -> dict:
+    document = doc(**overrides)
+    second = dict(document["topology"]["links"][0], tx=[0.0, 300.0], rx=[150.0, 400.0])
+    document["topology"]["links"].append(second)
+    return document
+
+
+def test_users_sweep_over_explicit_gains_indexes_them(tmp_path):
+    # user i is a copy of link i % L, so its gains are that link's given ones
+    g_ss = [[1e-4, 2e-7], [3e-7, 5e-5]]
+    g_ps = [[1e-9, 4e-9]]
+    document = _two_link_document(
+        sweep={"parameter": "users", "values": [1, 2, 3, 5]},
+        **{"strategy.physical_checks": True, "topology.gains": {"g_ss": g_ss, "g_ps": g_ps}},
+    )
+    config = parse(document)
+    assert run_scenario(config, tmp_path / "out") == 0
+    with open(tmp_path / "out" / "results.csv", newline="") as handle:
+        points = [row["sweep_value"] for row in csv.DictReader(handle)]
+    assert points == ["1.0", "2.0", "3.0", "5.0"]
+    for count in (1, 2, 3, 5):
+        topology, _ = apply_sweep_point(config, "users", count)
+        assert topology.gains.g_ss.tolist() == [
+            [g_ss[j % 2][i % 2] for i in range(count)] for j in range(count)
+        ]
+        assert topology.gains.g_ps.tolist() == [[g_ps[0][i % 2] for i in range(count)]]
+
+
+@pytest.mark.parametrize("count", [1, 3, 7])  # 1, L and 2L + 1 users
+def test_users_sweep_gains_equal_those_of_the_cycled_positions(count):
+    document = _two_link_document(
+        sweep={"parameter": "users", "values": [count]},
+        **{"topology.path_loss_exponent": 3.5, "topology.reference_distance": 2.0},
+    )
+    third = dict(document["topology"]["links"][0], tx=[-250.0, 80.0], rx=[-40.0, 10.0])
+    document["topology"]["links"].append(third)
+    config = parse(document)
+    links = config.topology.links
+    topology, _ = apply_sweep_point(config, "users", count)
+    assert topology.links == tuple(
+        dataclasses.replace(links[i % len(links)], id=i) for i in range(count)
+    )
+    expected = gains_from_positions(
+        topology.links, topology.primary_points, path_loss_exponent=3.5, reference_distance=2.0
+    )
+    assert len(topology.primary_points) == 1
+    assert np.array_equal(topology.gains.g_ss, expected.g_ss)
+    assert np.array_equal(topology.gains.g_ps, expected.g_ps)
 
 
 def test_unknown_sweep_parameter_rejected():

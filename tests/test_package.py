@@ -30,7 +30,7 @@ def test_public_names_are_exactly_these():
     # it, must be added here on purpose
     assert set(dsasim.__all__) == {
         "__version__",
-        "ConfigError", "DsasimError", "GeometryError", "StateError", "UnsupportedModulationError",
+        "ConfigError", "DsasimError", "StateError",
         "GainMatrices", "Modulation", "NetworkTopology", "PrimaryReceivingPoint",
         "SecondaryLink", "ServiceProvider", "SpectrumChannel", "gains_from_positions",
         "Outcome", "QosConfig", "SessionRecord", "Simulation", "Strategy", "run_simulation",

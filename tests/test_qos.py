@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from dsasim import (
     Modulation,
     PrimaryReceivingPoint,
-    UnsupportedModulationError,
     ber_from_sinr,
     link_arrays,
     link_sinr,
@@ -441,7 +440,12 @@ def test_one_in_a_trillion_ber_target_is_met(modulation):
 
 
 def test_modulation_none_is_unsupported():
-    with pytest.raises(UnsupportedModulationError):
+    with pytest.raises(
+        ValueError,
+        match=r"^target_ber needs a BPSK or QPSK modulation to derive the SINR target$",
+    ):
         sinr_target_from_ber(Modulation.NONE, 1e-3)
-    with pytest.raises(UnsupportedModulationError):
+    with pytest.raises(
+        ValueError, match=r"^modulation must be BPSK or QPSK to map a SINR to a BER$"
+    ):
         ber_from_sinr(Modulation.NONE, 1.0)

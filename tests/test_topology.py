@@ -10,7 +10,6 @@ import pytest
 
 from dsasim import (
     GainMatrices,
-    GeometryError,
     PrimaryReceivingPoint,
     SbacConfig,
     SecondaryLink,
@@ -67,14 +66,16 @@ def test_bad_path_loss_parameters_raise(exponent, reference):
 
 def test_coincident_tx_rx_raises():
     bad = make_link(0, tx=(5.0, 5.0), rx=(5.0, 5.0))
-    with pytest.raises(GeometryError):
+    with pytest.raises(ValueError, match=r"^links\[0\]\.tx coincides with links\[0\]\.rx$"):
         gains_from_positions([bad], [])
 
 
 def test_coincident_tx_and_primary_point_raises():
     link = make_link(0, tx=(0.0, 0.0), rx=(10.0, 0.0))
     point = PrimaryReceivingPoint(id=0, position=(0.0, 0.0), tolerance=1.0)
-    with pytest.raises(GeometryError):
+    with pytest.raises(
+        ValueError, match=r"^links\[0\]\.tx coincides with primary_points\[0\]\.position$"
+    ):
         gains_from_positions([link], [point])
 
 
@@ -163,9 +164,11 @@ POINT = dict(id=0, position=(1000.0, 1000.0), tolerance=1e-3)
 TRAFFIC = dict(arrival_rates=(0.5,), mean_holding_time=1.0, horizon=10.0, seed=0)
 RATES = "rate_min, rate and rate_max must satisfy"
 POWERS = "power and power_max must satisfy"
+FINITE = "must be finite"
 
 # (class, valid fields, field, out-of-range value, the message's start); each
-# numeric field is also set to NaN, which must fail with the same message
+# numeric field is also set to NaN, which must fail with the same message, but
+# for the rows that check finiteness: NaN fails the range check made first
 FIELD_CHECKS = [
     (SpectrumChannel, CHANNEL, "center_frequency", 0.0, "center_frequency must be > 0"),
     (SpectrumChannel, CHANNEL, "bandwidth", -1e6, "bandwidth must be > 0"),
@@ -191,6 +194,13 @@ FIELD_CHECKS = [
     (SbacConfig, {}, "beta2", -0.5, "beta2 must be >= 0"),
     (SbacConfig, {}, "beta3", -0.5, "beta3 must be >= 0"),
     (SbacConfig, {}, "session_minutes", 0.0, "session_minutes must be > 0"),
+    # infinity passes each range check above and then breaks the run
+    (SpectrumChannel, CHANNEL, "center_frequency", math.inf, f"center_frequency {FINITE}"),
+    (SpectrumChannel, CHANNEL, "bandwidth", math.inf, f"bandwidth {FINITE}"),
+    (SecondaryLink, LINK, "noise", math.inf, f"noise {FINITE}"),
+    (SecondaryLink, LINK, "sinr_target", math.inf, f"sinr_target {FINITE}"),
+    (SecondaryLink, LINK, "bandwidth", math.inf, f"bandwidth {FINITE}"),
+    (SecondaryLink, {**LINK, "power_max": math.inf}, "power", math.inf, f"power {FINITE}"),
 ]
 
 
@@ -201,11 +211,15 @@ def _nan_like(value):
 
 @pytest.mark.parametrize(
     "cls, valid, name, bad, message", FIELD_CHECKS,
-    ids=[f"{cls.__name__}.{name}" for cls, _, name, _, _ in FIELD_CHECKS],
+    ids=[
+        f"{cls.__name__}.{name}" + ("=inf" if message.endswith(FINITE) else "")
+        for cls, _, name, _, message in FIELD_CHECKS
+    ],
 )
 def test_a_bad_field_fails_at_construction_naming_itself(cls, valid, name, bad, message):
     cls(**valid)
-    for value in (bad, _nan_like(valid.get(name))):
+    nan = () if message.endswith(FINITE) else (_nan_like(valid.get(name)),)
+    for value in (bad, *nan):
         with pytest.raises(ValueError) as exc_info:
             cls(**{**valid, name: value})
         assert str(exc_info.value).startswith(message), (value, str(exc_info.value))
@@ -238,12 +252,13 @@ def test_a_topology_fails_at_construction_without_providers_or_links(key):
 
 
 @pytest.mark.parametrize("matrix", ["g_ss", "g_ps"])
-@pytest.mark.parametrize("entry", [-0.5, math.nan])
+@pytest.mark.parametrize("entry", [-0.5, math.nan, math.inf])
 def test_a_topology_fails_at_construction_on_a_bad_gain(matrix, entry):
     topology = make_topology()
     gains = {"g_ss": topology.gains.g_ss.copy(), "g_ps": topology.gains.g_ps.copy()}
     gains[matrix][0, 1] = entry
-    with pytest.raises(ValueError, match=r"^gains entries must be >= 0$"):
+    check = "finite" if entry == math.inf else ">= 0"
+    with pytest.raises(ValueError, match=rf"^gains entries must be {check}$"):
         dataclasses.replace(topology, gains=GainMatrices(**gains))
 
 
