@@ -15,9 +15,10 @@ The admitted :class:`SessionRecord` is the only per-session state: the
 :class:`Simulation` holds it in the list of its channel index, in admission
 order, and the departure event carries it.  Under channel reuse that list
 is the co-channel group.  An admission solves the group plus the call
-afresh (:func:`dsasim.qos.group_powers`, pure Python), so no state but the
-records follows a group, a departure does no power work and neither path
-makes a numpy call.
+afresh (:func:`dsasim.qos.group_powers`: pure Python, one straight-line
+elimination per group size, compiled on the process's first group of that
+size and kept for its life), so no state but the records follows a group,
+a departure does no power work and neither path makes a numpy call.
 The report is streamed: each blocked arrival adds to a count per cause, and
 each admission appends its link's precomputed delay and adds its bits to a
 running total, so a run's memory follows its held sessions, not its

@@ -1,7 +1,8 @@
 """Second implementations of decisions the package makes once, kept as the
 tests' references: pools scored from tuples of free channels, a dense numpy
-minimal-power solve, an exact rational linear solve and an interference
-integral over a load trace.  The simulator never runs them."""
+minimal-power solve, the admission solve as a loop over rows, an exact
+rational linear solve and an interference integral over a load trace.  The
+simulator never runs them."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -125,6 +126,35 @@ def exact_solve(matrix, rhs) -> list[float]:
                 factor = rows[r][k] / rows[k][k]
                 rows[r] = [x - factor * y for x, y in zip(rows[r], rows[k])]
     return [float(rows[k][n] / rows[k][k]) for k in range(n)]
+
+
+def loop_group_powers(ids, scale, u, g_ss) -> list[float] | None:
+    """``qos.group_powers`` as a loop over rows of ``[I - F | u]``: the
+    reference that each generated kernel must equal bit for bit, None at the
+    first pivot that is not positive."""
+    stride = len(scale)
+    rows = []  # the augmented rows [I - F | u] of the group
+    for a, i in enumerate(ids):
+        factor, base = -scale[i], i * stride
+        row = [factor * g_ss[base + j] for j in ids]
+        row[a] = 1.0
+        row.append(u[i])
+        rows.append(row)
+    tails = []  # each step's pivot row past the pivot, divided by the pivot
+    while rows:
+        pivot, *top = rows.pop(0)
+        if not pivot > 0.0:
+            return None
+        tail = [y / pivot for y in top]
+        tails.append(tail)
+        rows = [[x - row[0] * y for x, y in zip(row[1:], tail)] for row in rows]
+    powers: list[float] = []
+    for tail in reversed(tails):
+        total = tail[-1]
+        for x, p in zip(tail, powers):
+            total -= x * p
+        powers.insert(0, total)
+    return powers
 
 
 class TraceError(DsasimError):

@@ -525,6 +525,22 @@ def test_reuse_audit_passes_check_qos_at_recorded_powers():
     assert overlapping_pairs > 0
 
 
+def test_admission_kernels_compile_once_per_size_per_process():
+    # a second audited reuse run finds every group size's kernel compiled,
+    # so compiling stays out of a run's time and memory
+    assert qos._kernel(5) is qos._kernel(5)
+    topology = make_topology(num_providers=8, channels=10, num_links=32, tolerance=4e-11)
+    spec = spec_for([0.8] * 8, holding=10.0, horizon=30.0, seed=3)
+    qos_config = QosConfig(physical_checks=True, channel_reuse=True)
+    first = run_simulation(topology, spec, Strategy.DYNAMIC_SBAC, qos_config=qos_config,
+                           audit=True)
+    compiled = qos._kernel.cache_info()
+    assert run_simulation(topology, spec, Strategy.DYNAMIC_SBAC, qos_config=qos_config,
+                          audit=True) == first
+    after = qos._kernel.cache_info()
+    assert after.misses == compiled.misses and after.hits > compiled.hits
+
+
 def test_audit_flags_drifted_primary_loads():
     tolerance = 4e-11
     topology = make_topology(num_providers=2, channels=3, num_links=6, tolerance=tolerance)

@@ -3,6 +3,7 @@ the power solver."""
 from __future__ import annotations
 
 import math
+from array import array
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from conftest import (
     make_link,
     solve_as_one_group,
 )
-from oracles import exact_solve, solve_min_powers
+from oracles import exact_solve, loop_group_powers, solve_min_powers
 
 
 def unit_pg_link(link_id, sinr_target, noise, power_max=1.0):
@@ -308,6 +309,68 @@ def test_group_powers_stop_at_the_first_pivot_that_is_not_positive():
     assert group_powers([1], scale, u, g_ss) == [0.3]
 
 
+LINKS = 12  # links in the gain matrix of the kernel-against-loop tests
+
+
+def engine_inputs(g_ss, weights, radius, ids, noise):
+    """``scale``, ``u`` and the flat ``g_ss`` as the engine passes them, with
+    the per-link ``weights`` scaled so that the group ``ids`` has
+    ``rho(F) = radius``."""
+    coupling = weights[ids, None] * g_ss[np.ix_(ids, ids)]
+    np.fill_diagonal(coupling, 0.0)
+    rho = max(abs(np.linalg.eigvals(coupling)), default=0.0)
+    scale = weights * (radius / rho if rho > 0.0 else 1.0)
+    flat = memoryview(np.ascontiguousarray(g_ss).reshape(-1))
+    return array("d", scale.tolist()), array("d", (scale * noise).tolist()), flat
+
+
+def bits(powers):
+    """The powers as exact float images (sign of zero and NaN included)."""
+    return None if powers is None else [float.hex(p) for p in powers]
+
+
+@given(
+    ids=st.lists(st.integers(0, LINKS - 1), max_size=LINKS),
+    gains=st.lists(st.floats(0.0, 1.0), min_size=LINKS**2, max_size=LINKS**2),
+    weights=st.lists(st.floats(0.1, 10.0), min_size=LINKS, max_size=LINKS),
+    noise=st.lists(st.floats(1e-3, 1.0), min_size=LINKS, max_size=LINKS),
+    radius=st.floats(0.5, 1.5),
+)
+@settings(max_examples=300, deadline=None)
+def test_group_powers_equal_the_loop_bit_for_bit(ids, gains, weights, noise, radius):
+    # groups of 0 to 12 links, repeats allowed, with rho(F) on either side of
+    # 1, so that the first pivot that is not positive comes at any step: the
+    # generated kernel and the loop return the same floats, or None together
+    g_ss = np.array(gains).reshape(LINKS, LINKS)
+    scale, u, flat = engine_inputs(g_ss, np.array(weights), radius, ids, np.array(noise))
+    powers = group_powers(ids, scale, u, flat)
+    assert bits(powers) == bits(loop_group_powers(ids, scale, u, flat))
+
+
+@pytest.mark.parametrize("radius", [0.9, 1.1])
+def test_group_powers_equal_the_loop_on_a_24_link_group(radius):
+    rng = np.random.default_rng(24)
+    g_ss = rng.uniform(0.0, 1.0, (30, 30))
+    ids = rng.permutation(30)[:24].tolist()
+    scale, u, flat = engine_inputs(g_ss, rng.uniform(0.1, 10.0, 30), radius, ids,
+                                   rng.uniform(1e-3, 1.0, 30))
+    powers = group_powers(ids, scale, u, flat)
+    assert (powers is None) == (radius > 1.0)
+    assert bits(powers) == bits(loop_group_powers(ids, scale, u, flat))
+
+
+@pytest.mark.parametrize("ids", [range(5), range(0), np.array([3, 1, 3, 0], dtype=np.int64),
+                                 np.arange(LINKS, dtype=np.int32)[::-2]])
+def test_group_powers_take_ranges_and_numpy_integer_ids(ids):
+    rng = np.random.default_rng(7)
+    g_ss = rng.uniform(0.0, 1.0, (LINKS, LINKS))
+    scale, u, flat = engine_inputs(g_ss, rng.uniform(0.1, 10.0, LINKS), 0.8, list(ids),
+                                   rng.uniform(1e-3, 1.0, LINKS))
+    powers = group_powers(ids, scale, u, flat)
+    assert powers is not None and len(powers) == len(ids)
+    assert bits(powers) == bits(loop_group_powers(ids, scale, u, flat))
+
+
 def test_cap_violation_is_infeasible_even_when_convergent():
     # minimal solution 0.2 W exceeds a 0.15 W cap; coupling still contractive
     topology = two_link_topology(g_ratio=0.5, sinr_target=1.0, noise=0.1, power_max=0.15)
@@ -449,3 +512,4 @@ def test_modulation_none_is_unsupported():
         ValueError, match=r"^modulation must be BPSK or QPSK to map a SINR to a BER$"
     ):
         ber_from_sinr(Modulation.NONE, 1.0)
+

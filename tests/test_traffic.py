@@ -205,8 +205,8 @@ def test_stream_repeats_itself_and_counts_its_arrivals():
     spec = TrafficSpec(arrival_rates=(0.8, 0.0, 0.3), mean_holding_time=3.0, horizon=500.0,
                        seed=77)
     stream = build_event_stream(spec)
-    events = list(stream)
-    assert list(stream) == events
+    events = list(iter(stream))
+    assert list(iter(stream)) == events
     assert len(stream) == len(events) > 0
     assert {provider_id for _, provider_id, _ in events} == {0, 2}
 
