@@ -22,11 +22,10 @@ from .engine import (
 )
 from .errors import ConfigError, DsasimError, StateError
 from .metrics import MetricsReport, erlang_b
-from .qos import ber_from_sinr, link_arrays, link_sinr, qos_met, sinr_target_from_ber
+from .qos import Modulation, link_arrays, link_sinr, qos_met, sinr_target_from_ber
 from .sbac import SbacConfig, select_best_channel, utility
 from .topology import (
     GainMatrices,
-    Modulation,
     NetworkTopology,
     PrimaryReceivingPoint,
     SecondaryLink,
@@ -56,7 +55,6 @@ __all__ = [
     "StateError",
     "Strategy",
     "TrafficSpec",
-    "ber_from_sinr",
     "build_event_stream",
     "erlang_b",
     "gains_from_positions",

@@ -28,11 +28,10 @@ import yaml
 
 from .engine import QosConfig, Strategy
 from .errors import ConfigError
-from .qos import sinr_target_from_ber
+from .qos import Modulation, sinr_target_from_ber
 from .sbac import SbacConfig
 from .topology import (
     GainMatrices,
-    Modulation,
     NetworkTopology,
     PrimaryReceivingPoint,
     SecondaryLink,
@@ -63,11 +62,15 @@ class SweepSpec:
             )
         if not self.values:
             raise ValueError("values must be a non-empty list of numbers")
+        first: dict[float, int] = {}  # equal values would be one run twice, under one label
         for i, value in enumerate(self.values):
             if self.parameter == "users" and not (value >= 1 and float(value).is_integer()):
                 raise ValueError(f"values[{i}] must be a user count >= 1, got {value}")
             if self.parameter == "arrival_rate" and not 0 <= value < math.inf:
                 raise ValueError(f"values[{i}] must be an arrival rate >= 0, got {value}")
+            if value in first:
+                raise ValueError(f"values[{i}] duplicates values[{first[value]}]")
+            first[value] = i
         if type(self.seeds_per_point) is not int or self.seeds_per_point < 1:
             raise ValueError("seeds_per_point must be a positive integer")
 
@@ -235,6 +238,26 @@ def _parse_provider(raw, index: int, path: str) -> ServiceProvider:
     return _built(path, ServiceProvider)(id=index, channels=channels, cost_rate=cost_rate)
 
 
+def _sinr_target(mapping: dict, path: str) -> float:
+    """``sinr_target``, or the SINR target that ``modulation`` plus
+    ``target_ber`` state, but not both."""
+    if "target_ber" not in mapping:
+        if "modulation" in mapping:
+            raise ConfigError(f"{path}.modulation needs a {path}.target_ber")
+        if "sinr_target" not in mapping:
+            raise ConfigError(f"{path} needs either sinr_target or modulation plus target_ber")
+        return _number(mapping, "sinr_target", path)
+    if "sinr_target" in mapping:
+        raise ConfigError(f"{path}.sinr_target and {path}.target_ber are mutually exclusive")
+    name = _get(mapping, "modulation", path)
+    try:
+        modulation = Modulation(str(name).upper())
+    except ValueError:
+        raise ConfigError(f"{path}.modulation must be BPSK or QPSK, got {name!r}") from None
+    # sinr_target_from_ber checks the range of target_ber
+    return _built(path, sinr_target_from_ber)(modulation, _number(mapping, "target_ber", path))
+
+
 def _parse_link(raw, index: int, path: str) -> SecondaryLink:
     raw = _mapping(raw, path)
     _check_keys(
@@ -256,23 +279,6 @@ def _parse_link(raw, index: int, path: str) -> SecondaryLink:
         },
         path,
     )
-    noise = _watts(raw, "noise", path)
-    modulation_name = _get(raw, "modulation", path, default="NONE")
-    try:
-        modulation = Modulation(str(modulation_name).upper())
-    except ValueError:
-        raise ConfigError(
-            f"{path}.modulation must be one of BPSK, QPSK, NONE; got {modulation_name!r}"
-        ) from None
-
-    target_ber = _number(raw, "target_ber", path) if "target_ber" in raw else None
-    if "sinr_target" in raw:
-        sinr_target = _number(raw, "sinr_target", path)
-    elif target_ber is None:
-        raise ConfigError(f"{path} needs either sinr_target or modulation plus target_ber")
-    else:  # the derivation checks the modulation and the range of target_ber
-        sinr_target = _built(path, sinr_target_from_ber)(modulation, target_ber)
-
     rate = _number(raw, "rate", path)
     power_max = _number(raw, "power_max", path)
     return _built(path, SecondaryLink)(
@@ -285,10 +291,8 @@ def _parse_link(raw, index: int, path: str) -> SecondaryLink:
         rate_max=_number(raw, "rate_max", path, default=rate),
         power=_number(raw, "power", path, default=power_max),
         power_max=power_max,
-        noise=noise,
-        sinr_target=sinr_target,
-        modulation=modulation,
-        target_ber=target_ber,
+        noise=_watts(raw, "noise", path),
+        sinr_target=_sinr_target(raw, path),
     )
 
 
@@ -522,13 +526,13 @@ _DOCUMENT_KEYS = {"tx_position": "tx", "rx_position": "rx", "arrival_rates": "ar
 
 
 def _document_value(value):
-    """``value`` as YAML data: a dataclass as its fields but ``id`` and None
-    ones, under their document keys; tuples and arrays as lists, enums as values."""
+    """``value`` as YAML data: a dataclass as its fields but ``id``, under
+    their document keys; tuples and arrays as lists, enums as values."""
     if dataclasses.is_dataclass(value):
         return {
             _DOCUMENT_KEYS.get(f.name, f.name): _document_value(getattr(value, f.name))
             for f in dataclasses.fields(value)
-            if f.name != "id" and getattr(value, f.name) is not None
+            if f.name != "id"
         }
     if isinstance(value, (tuple, list)):
         return [_document_value(item) for item in value]

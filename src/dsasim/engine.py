@@ -20,9 +20,9 @@ elimination per group size, compiled on the process's first group of that
 size and kept for its life), so no state but the records follows a group,
 a departure does no power work and neither path makes a numpy call.
 The report is streamed: each blocked arrival adds to a count per cause, and
-each admission appends its link's precomputed delay and adds its bits to a
-running total, so a run's memory follows its held sessions, not its
-arrivals.  Every arrival's record is kept only with ``keep_records``.
+each admission adds its link's precomputed delay and its bits to running
+totals, so a run's memory follows its held sessions, not its arrivals.
+Every arrival's record is kept only with ``keep_records``.
 Each provider's :class:`~dsasim.sbac.LivePool`, built once per run, follows
 the held sessions as channels are taken and given back, and under dynamic
 selection re-scores itself on each take and give, so an arrival's selection
@@ -139,9 +139,8 @@ class Simulation:
 
     The report's sums are streamed: ``arrivals`` counts the arrivals and
     numbers their sessions, ``blocks`` counts the blocked ones per cause,
-    ``delays`` holds the admitted sessions' propagation delays in admission
-    order, for one ``sum`` in the report (compensated on Python 3.12+, which
-    a running total is not), and ``bits`` their served bits within the horizon.
+    ``delay_total`` adds up the admitted sessions' propagation delays in
+    admission order, and ``bits`` their served bits within the horizon.
     ``records`` is every arrival's record, in arrival order, with
     ``keep_records``, and None without.
     """
@@ -181,7 +180,7 @@ class Simulation:
         self.records: list[SessionRecord] | None = [] if keep_records else None
         self.arrivals = 0
         self.blocks = {outcome: 0 for outcome in Outcome if outcome is not ADMITTED}
-        self.delays: list[float] = []
+        self.delay_total = 0.0
         self.bits = 0.0
         self.groups: defaultdict[int, list[SessionRecord]] = defaultdict(list)
         self.busy = 0
@@ -345,7 +344,7 @@ class Simulation:
         self._pools[provider_id].take(channel_id)
         self.groups[channel_id].append(record)
         self.busy += 1
-        self.delays.append(self._link_delays[link.id])
+        self.delay_total += self._link_delays[link.id]
         # an admitted session arrived before the horizon: active >= 0
         active = (end_time if end_time < self._horizon else self._horizon) - time
         self.bits += self.traffic_spec.requested_rate * active
@@ -475,7 +474,10 @@ class Simulation:
     def _report(self) -> MetricsReport:
         horizon = self.traffic_spec.horizon
         blocks = self.blocks
-        mean_delay = sum(self.delays) / len(self.delays) if self.delays else 0.0
+        arrivals = self.arrivals
+        blocked = sum(blocks.values())
+        admitted = arrivals - blocked
+        mean_delay = self.delay_total / admitted if admitted else 0.0
 
         if self.primary_integral:
             per_point = np.array(self.primary_integral) / horizon
@@ -483,9 +485,6 @@ class Simulation:
         else:
             per_point = np.zeros(0)
             mean_interference = 0.0
-
-        arrivals = self.arrivals
-        blocked = sum(blocks.values())
 
         return MetricsReport(
             mean_propagation_delay=mean_delay,
@@ -496,7 +495,7 @@ class Simulation:
             spectral_efficiency=(self.busy_integral / horizon) / self.topology.total_channels,
             blocking_probability=blocked / arrivals if arrivals else 0.0,
             arrivals=arrivals,
-            admitted=len(self.delays),
+            admitted=admitted,
             blocked_no_channel=blocks[Outcome.BLOCKED_NO_CHANNEL],
             blocked_qos=blocks[Outcome.BLOCKED_QOS],
             blocked_interference=blocks[Outcome.BLOCKED_INTERFERENCE],

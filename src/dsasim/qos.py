@@ -39,23 +39,24 @@ over rows that ``tests/oracles.py`` keeps as ``loop_group_powers``, so the
 powers are bit for bit that loop's.  Each size is compiled once per process
 and cached for its life; :func:`group_powers` gives the compile cost.
 
-A BPSK link's bit error rate at SINR ``gamma`` is ``Q(sqrt(2 * gamma))``, a
-QPSK link's ``Q(sqrt(gamma))``, with ``Q(x) = erfc(x / sqrt(2)) / 2``.  So a
-BER target ``b`` needs ``x = -Phi^-1(b)``, ``Phi`` the standard normal CDF:
-BPSK ``gamma = x**2 / 2`` and QPSK twice that, both raised by ``QOS_MARGIN``
-so that the BER at the returned SINR is at most ``b``, not above by rounding.
-Modulation NONE has no BER curve, so both mappings refuse it with ValueError.
+A BER target is another unit of the SINR target, converted once, when the
+config is parsed.  A BPSK link's bit error rate at SINR ``gamma`` is
+``Q(sqrt(2 * gamma))``, a QPSK link's ``Q(sqrt(gamma))``, with ``Q(x) =
+erfc(x / sqrt(2)) / 2``.  So a BER target ``b`` needs ``x = -Phi^-1(b)``,
+``Phi`` the standard normal CDF: BPSK ``gamma = x**2 / 2`` and QPSK twice
+that, both raised by ``QOS_MARGIN`` so that the BER at the returned SINR is
+at most ``b``, not above by rounding.
 """
 from __future__ import annotations
 
 import functools
-import math
 from collections.abc import Callable, Sequence
+from enum import Enum
 from statistics import NormalDist
 
 import numpy as np
 
-from .topology import Modulation, SecondaryLink
+from .topology import SecondaryLink
 
 # Relative margin on the SINR targets, so that solved powers pass qos_met.
 # Over 29,822 admissions (8 x 10 channels, 32 links, reuse, 32 seeds) the
@@ -63,6 +64,13 @@ from .topology import Modulation, SecondaryLink
 # BER-derived targets carry it too: at 0, 30,526 of 40,000 BERs in
 # [1e-300, 0.4] read above their target at the returned SINR; at 1e-14, none.
 QOS_MARGIN = 1e-12
+
+
+class Modulation(Enum):
+    """The modulations whose BER curve :func:`sinr_target_from_ber` inverts."""
+
+    BPSK = "BPSK"
+    QPSK = "QPSK"
 
 
 def link_arrays(
@@ -177,28 +185,11 @@ def _kernel(n: int) -> Callable[..., list[float] | None]:
     return namespace["kernel"]
 
 
-def ber_from_sinr(modulation: Modulation, sinr: float) -> float:
-    """Closed-form bit error rate at the given SINR: BPSK Q(sqrt(2 * sinr)),
-    QPSK Q(sqrt(sinr)); both strictly decrease in the SINR from BER(0) = 0.5.
-    """
-    if not sinr >= 0:  # written so that NaN fails
-        raise ValueError(f"sinr must be >= 0, got {sinr}")
-    if modulation is Modulation.BPSK:
-        arg = math.sqrt(2.0 * sinr)
-    elif modulation is Modulation.QPSK:
-        arg = math.sqrt(sinr)
-    else:
-        raise ValueError("modulation must be BPSK or QPSK to map a SINR to a BER")
-    return 0.5 * math.erfc(arg / math.sqrt(2.0))
-
-
 def sinr_target_from_ber(modulation: Modulation, target_ber: float) -> float:
     """Invert the BER curve: the SINR, raised by :data:`QOS_MARGIN`, at which
     the BER is at most the target.  BPSK needs ``Phi^-1(ber) ** 2 / 2`` and
     QPSK twice that; see the module docstring.
     """
-    if modulation is Modulation.NONE:
-        raise ValueError("target_ber needs a BPSK or QPSK modulation to derive the SINR target")
     if not (0.0 < target_ber < 0.5):
         raise ValueError(f"target_ber must be in (0, 0.5), got {target_ber}")
     gamma = NormalDist().inv_cdf(target_ber) ** 2 / 2.0 * (1.0 + QOS_MARGIN)

@@ -159,9 +159,10 @@ def _worker(args):
 
 def _outcomes(jobs, workers: int):
     """Each job's :func:`_worker` result, in job order, as it arrives; a
-    job whose worker process died fails with the pool's error."""
+    job whose worker process died fails with the pool's error.  The pool
+    starts no more processes than there are jobs."""
     if workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
             futures = [pool.submit(_worker, job) for job in jobs]
             futures.reverse()  # popped in job order, so a result is dropped once yielded
             for index in range(len(jobs)):

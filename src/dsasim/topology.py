@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -36,12 +35,6 @@ def _check_finite(entity, *names: str) -> None:
     for name in names:
         if getattr(entity, name) == math.inf:
             raise ValueError(f"{name} must be finite")
-
-
-class Modulation(Enum):
-    BPSK = "BPSK"
-    QPSK = "QPSK"
-    NONE = "NONE"
 
 
 @dataclass(frozen=True)
@@ -89,7 +82,8 @@ class SecondaryLink:
 
     ``noise`` is the receiver noise floor in linear watts; dB-valued config
     inputs are converted before this object is built.  ``sinr_target`` is the
-    minimum processing-gain-scaled SINR required by the link's BER target.
+    minimum processing-gain-scaled SINR; a BER target is converted to it
+    before this object is built, in the same way.
     """
 
     id: int
@@ -103,8 +97,6 @@ class SecondaryLink:
     power_max: float
     noise: float  # watts
     sinr_target: float
-    modulation: Modulation = Modulation.NONE
-    target_ber: float | None = None
 
     def __post_init__(self):
         if not (0 < self.rate_min <= self.rate <= self.rate_max):
@@ -120,8 +112,6 @@ class SecondaryLink:
         for name in ("noise", "sinr_target", "bandwidth"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0")
-        if self.target_ber is not None and not 0 < self.target_ber < 0.5:
-            raise ValueError(f"target_ber must be in (0, 0.5), got {self.target_ber}")
         _check_position("tx_position", self.tx_position)
         _check_position("rx_position", self.rx_position)
         _check_finite(self, "noise", "sinr_target", "bandwidth", "power")

@@ -1,16 +1,18 @@
 """Second implementations of decisions the package makes once, kept as the
 tests' references: pools scored from tuples of free channels, a dense numpy
 minimal-power solve, the admission solve as a loop over rows, an exact
-rational linear solve and an interference integral over a load trace.  The
-simulator never runs them."""
+rational linear solve, an interference integral over a load trace and the
+BER curves whose inverse gives a SINR target.  The simulator never runs
+them."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from dsasim import SbacConfig, SpectrumChannel, utility
+from dsasim import Modulation, SbacConfig, SpectrumChannel, utility
 from dsasim.errors import DsasimError
 from dsasim.qos import coupling_scale
 
@@ -191,3 +193,14 @@ def mean_primary_interference(trace, horizon: float) -> float:
     if total is None or total.size == 0:
         return 0.0
     return float(np.mean(total) / horizon)
+
+
+def ber_from_sinr(modulation: Modulation, sinr: float) -> float:
+    """Closed-form bit error rate at the given SINR: BPSK Q(sqrt(2 * sinr)),
+    QPSK Q(sqrt(sinr)); both strictly decrease in the SINR from BER(0) = 0.5.
+    The curves that ``sinr_target_from_ber`` inverts.
+    """
+    if not sinr >= 0:  # written so that NaN fails
+        raise ValueError(f"sinr must be >= 0, got {sinr}")
+    arg = math.sqrt(2.0 * sinr if modulation is Modulation.BPSK else sinr)
+    return 0.5 * math.erfc(arg / math.sqrt(2.0))

@@ -14,9 +14,19 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dsasim import ConfigError, Modulation, QosConfig, SbacConfig, Strategy, gains_from_positions
+from dsasim import (
+    ConfigError,
+    Modulation,
+    QosConfig,
+    SbacConfig,
+    Strategy,
+    gains_from_positions,
+    sinr_target_from_ber,
+)
 from dsasim.config import SweepSpec, apply_sweep_point, parse_config, serialize_config
 from dsasim.runner import run_scenario
+
+from oracles import ber_from_sinr
 
 BASE_DOCUMENT = {
     "topology": {
@@ -114,24 +124,32 @@ def test_sinr_target_derived_from_ber():
     link["modulation"] = "BPSK"
     link["target_ber"] = 1.0e-3
     config = parse(document)
+    # the BER target is a unit of the SINR target: the link keeps the SINR alone
     parsed = config.topology.links[0]
-    assert parsed.modulation is Modulation.BPSK
-    assert parsed.sinr_target > 0
-    from dsasim import ber_from_sinr
-
+    assert parsed == dataclasses.replace(
+        parse(doc()).topology.links[0],
+        sinr_target=sinr_target_from_ber(Modulation.BPSK, 1.0e-3),
+    )
     assert ber_from_sinr(Modulation.BPSK, parsed.sinr_target) == pytest.approx(1e-3, abs=1e-8)
 
 
 @pytest.mark.parametrize("target_ber", [0.0, 0.5, 0.7])
 @pytest.mark.parametrize("explicit_target", [False, True])
 def test_out_of_range_target_ber_names_its_key(target_ber, explicit_target):
+    # with an explicit sinr_target too, the two forms conflict before any range check
     document = doc()
     link = document["topology"]["links"][0]
     if not explicit_target:
         del link["sinr_target"]
     link["modulation"] = "BPSK"
     link["target_ber"] = target_ber
-    with pytest.raises(ConfigError, match=r"topology\.links\[0\]\.target_ber"):
+    message = (
+        r"^topology\.links\[0\]\.sinr_target and topology\.links\[0\]\.target_ber are "
+        r"mutually exclusive$"
+        if explicit_target
+        else rf"^topology\.links\[0\]\.target_ber must be in \(0, 0\.5\), got {target_ber}$"
+    )
+    with pytest.raises(ConfigError, match=message):
         parse(document)
 
 
@@ -261,8 +279,25 @@ BAD_DOCUMENTS = {
     ),
     "target_ber_without_modulation": (
         {"topology.links.0.sinr_target": ..., "topology.links.0.target_ber": 1e-3},
-        r"topology\.links\[0\]\.target_ber needs a BPSK or QPSK modulation to derive the "
-        r"SINR target",
+        r"missing required key topology\.links\[0\]\.modulation",
+    ),
+    "modulation_without_target_ber": (
+        {"topology.links.0.modulation": "BPSK"},
+        r"topology\.links\[0\]\.modulation needs a topology\.links\[0\]\.target_ber",
+    ),
+    "sinr_target_and_target_ber": (
+        {"topology.links.0.modulation": "QPSK", "topology.links.0.target_ber": 1e-4},
+        r"topology\.links\[0\]\.sinr_target and topology\.links\[0\]\.target_ber are "
+        r"mutually exclusive",
+    ),
+    "modulation_none": (
+        {"topology.links.0.sinr_target": ..., "topology.links.0.modulation": "NONE",
+         "topology.links.0.target_ber": 1e-3},
+        r"topology\.links\[0\]\.modulation must be BPSK or QPSK, got 'NONE'",
+    ),
+    "duplicate_sweep_value": (
+        {"sweep": {"parameter": "users", "values": [2, 4, 4.0]}},
+        r"sweep\.values\[2\] duplicates values\[1\]",
     ),
     "negative_listed_rate": (
         {"traffic.arrival_rate": [-0.5]}, r"traffic\.arrival_rate\[0\] must be >= 0"
@@ -572,7 +607,7 @@ def maximal_document(explicit_gains: bool) -> dict:
                 {
                     "tx": [0.0, 1000.0], "rx": [150.0, 1000.0], "bandwidth": 2.0e6,
                     "rate": 1.0e5, "power_max": 0.5, "noise": 1.0e-10,
-                    "modulation": "qpsk", "target_ber": 1.0e-4, "sinr_target": 6.0,
+                    "modulation": "qpsk", "target_ber": 1.0e-4,
                 },
             ],
             "primary_points": [{"position": [100.0, 500.0], "tolerance_db": -90.0}],
@@ -647,6 +682,9 @@ def test_a_qos_config_fails_at_construction_on_a_bad_flag(fields, message):
     (("arrival_rate", (math.inf,)), r"^values\[0\] must be an arrival rate >= 0"),
     (("arrival_rate", (0.5,), 0), r"^seeds_per_point must be a positive integer$"),
     (("arrival_rate", (0.5,), 1.0), r"^seeds_per_point must be a positive integer$"),
+    # equal values would be one run twice, under one label
+    (("arrival_rate", (0.1, 0.1)), r"^values\[1\] duplicates values\[0\]$"),
+    (("users", (4, 4.0)), r"^values\[1\] duplicates values\[0\]$"),
 ])
 def test_a_sweep_spec_fails_at_construction_on_a_bad_field(args, message):
     with pytest.raises(ValueError, match=message):

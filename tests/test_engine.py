@@ -1,9 +1,12 @@
 """Event loop, admission outcomes, held sessions and the clock, run invariants."""
 from __future__ import annotations
 
+import builtins
 import dataclasses
+import gc
 import heapq
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +28,7 @@ from dsasim import (
     link_arrays,
     run_simulation,
 )
-from dsasim import qos, sbac, traffic
+from dsasim import engine, qos, sbac, traffic
 from dsasim.engine import Simulation
 from dsasim.sbac import LivePool
 from dsasim.qos import QOS_MARGIN
@@ -896,8 +899,7 @@ def golden_case(name):
             QosConfig(physical_checks=True, channel_reuse=True))
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
-def test_golden_run_reports(name):
+def assert_golden_report(name):
     topology, spec, strategy, qos_config = golden_case(name)
     _, report = run_simulation(topology, spec, strategy, qos_config=qos_config, audit=True)
     fields = dataclasses.asdict(report)
@@ -911,6 +913,50 @@ def test_golden_run_reports(name):
     else:
         assert metadata["per_point_interference_w"] == [interference]
     assert fields == expected
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+def test_golden_run_reports(name):
+    assert_golden_report(name)
+
+
+def compensated_sum(values, start=0):
+    """``sum`` as Python 3.12+ takes it: ints exactly, floats compensated."""
+    values = list(values)
+    if all(isinstance(value, int) for value in values):
+        return builtins.sum(values, start)
+    return math.fsum([start, *values])
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+def test_golden_run_reports_do_not_depend_on_how_python_sums(name, monkeypatch):
+    # Python 3.12 compensates sum() of floats; the reports must not change
+    # on an interpreter that does
+    monkeypatch.setattr(engine, "sum", compensated_sum, raising=False)
+    assert_golden_report(name)
+
+
+def test_a_run_holds_no_more_memory_over_a_longer_horizon():
+    # the streamed report keeps nothing per arrival or per admission, so
+    # doubling the horizon (about 5,000 more arrivals) leaves the peak where
+    # it was; a list of 8-byte entries per admission would add about 40 KiB
+    topology = make_topology(num_providers=1, channels=10)
+
+    def peak(horizon):
+        spec = spec_for([0.5], holding=10.0, horizon=horizon, seed=5)
+        gc.collect()
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        run_simulation(topology, spec, Strategy.FIXED)
+        return tracemalloc.get_traced_memory()[1] - before
+
+    tracemalloc.start()
+    try:
+        peak(1e3)  # warm-up: first-use allocations
+        growth = peak(2e4) - peak(1e4)
+    finally:
+        tracemalloc.stop()
+    assert growth < 4096
 
 
 # Full reports of a 3-point topology, recorded before the primary loads and

@@ -31,11 +31,11 @@ def test_public_names_are_exactly_these():
     assert set(dsasim.__all__) == {
         "__version__",
         "ConfigError", "DsasimError", "StateError",
-        "GainMatrices", "Modulation", "NetworkTopology", "PrimaryReceivingPoint",
+        "GainMatrices", "NetworkTopology", "PrimaryReceivingPoint",
         "SecondaryLink", "ServiceProvider", "SpectrumChannel", "gains_from_positions",
         "Outcome", "QosConfig", "SessionRecord", "Simulation", "Strategy", "run_simulation",
         "MetricsReport", "erlang_b",
-        "ber_from_sinr", "link_arrays", "link_sinr", "qos_met", "sinr_target_from_ber",
+        "Modulation", "link_arrays", "link_sinr", "qos_met", "sinr_target_from_ber",
         "SbacConfig", "select_best_channel", "utility",
         "TrafficSpec", "build_event_stream",
     }

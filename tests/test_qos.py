@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from dsasim import (
     Modulation,
     PrimaryReceivingPoint,
-    ber_from_sinr,
     link_arrays,
     link_sinr,
     qos_met,
@@ -28,7 +27,7 @@ from conftest import (
     make_link,
     solve_as_one_group,
 )
-from oracles import exact_solve, loop_group_powers, solve_min_powers
+from oracles import ber_from_sinr, exact_solve, loop_group_powers, solve_min_powers
 
 
 def unit_pg_link(link_id, sinr_target, noise, power_max=1.0):
@@ -503,13 +502,12 @@ def test_one_in_a_trillion_ber_target_is_met(modulation):
 
 
 def test_modulation_none_is_unsupported():
-    with pytest.raises(
-        ValueError,
-        match=r"^target_ber needs a BPSK or QPSK modulation to derive the SINR target$",
-    ):
-        sinr_target_from_ber(Modulation.NONE, 1e-3)
-    with pytest.raises(
-        ValueError, match=r"^modulation must be BPSK or QPSK to map a SINR to a BER$"
-    ):
-        ber_from_sinr(Modulation.NONE, 1.0)
+    # a link without a BER curve states its SINR target directly
+    assert [m.value for m in Modulation] == ["BPSK", "QPSK"]
+
+
+@pytest.mark.parametrize("target_ber", [0.0, 0.5, 0.7, math.nan])
+def test_target_ber_outside_open_interval_is_rejected(target_ber):
+    with pytest.raises(ValueError, match=rf"^target_ber must be in \(0, 0\.5\), got {target_ber}$"):
+        sinr_target_from_ber(Modulation.BPSK, target_ber)
 

@@ -6,6 +6,7 @@ import csv
 import json
 import os
 import re
+from concurrent.futures import Future
 
 import pytest
 import yaml
@@ -276,6 +277,37 @@ def test_parallel_workers_match_serial_output(tmp_path, monkeypatch):
     assert (tmp_path / "serial" / "results.csv").read_bytes() == (
         tmp_path / "parallel" / "results.csv"
     ).read_bytes()
+
+
+class InlineExecutor:
+    """A process pool stand-in that runs each job at submit and records its
+    size: a pool forks all its workers on its first submit."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+@pytest.mark.parametrize("workers, sizes", [("8", [2]), ("2", [2])])
+def test_the_pool_starts_no_more_workers_than_runs(workers, sizes, tmp_path, monkeypatch):
+    monkeypatch.setattr(InlineExecutor, "sizes", [])
+    monkeypatch.setattr(runner, "ProcessPoolExecutor", InlineExecutor)
+    monkeypatch.setenv("DSASIM_WORKERS", workers)
+    config = parse(scenario(sweep={"parameter": "arrival_rate", "values": [0.2, 0.6]}))
+    assert run_scenario(config, tmp_path) == 0
+    assert InlineExecutor.sizes == sizes
 
 
 # -- CLI ------------------------------------------------------------------------

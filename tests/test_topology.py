@@ -115,13 +115,6 @@ def test_validate_names_link_with_bad_rate_range():
         dataclasses.replace(link, rate_min=2e5, rate_max=1e5)
 
 
-@pytest.mark.parametrize("target_ber", [0.0, 0.5, 0.7])
-def test_validate_flags_target_ber_outside_open_interval(target_ber):
-    link = make_topology().links[0]
-    with pytest.raises(ValueError, match=rf"^target_ber must be in \(0, 0\.5\), got {target_ber}$"):
-        dataclasses.replace(link, target_ber=target_ber)
-
-
 @pytest.mark.parametrize("name", ["noise", "sinr_target", "bandwidth"])
 def test_validate_flags_a_nan_link_field_by_its_key_path(name):
     # a library-built link skips config parsing, which rejects NaN first
@@ -181,7 +174,6 @@ FIELD_CHECKS = [
     (SecondaryLink, LINK, "power_max", 0.01, POWERS),
     (SecondaryLink, LINK, "noise", 0.0, "noise must be > 0"),
     (SecondaryLink, LINK, "sinr_target", -1.0, "sinr_target must be > 0"),
-    (SecondaryLink, LINK, "target_ber", 0.5, "target_ber must be in (0, 0.5)"),
     (SecondaryLink, LINK, "tx_position", (math.inf, 0.0), "tx_position must be a finite"),
     (SecondaryLink, LINK, "rx_position", (1.0,), "rx_position must be a finite"),
     (PrimaryReceivingPoint, POINT, "tolerance", -1e-3, "tolerance must be >= 0"),
