@@ -23,7 +23,7 @@ from .engine import (
 from .errors import ConfigError, DsasimError, StateError
 from .metrics import MetricsReport, erlang_b
 from .qos import Modulation, link_arrays, link_sinr, qos_met, sinr_target_from_ber
-from .sbac import SbacConfig, select_best_channel, utility
+from .sbac import SbacConfig, select_best_channel
 from .topology import (
     GainMatrices,
     NetworkTopology,
@@ -64,5 +64,4 @@ __all__ = [
     "run_simulation",
     "select_best_channel",
     "sinr_target_from_ber",
-    "utility",
 ]

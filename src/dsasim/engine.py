@@ -25,9 +25,12 @@ totals, so a run's memory follows its held sessions, not its arrivals.
 Every arrival's record is kept only with ``keep_records``.
 Each provider's :class:`~dsasim.sbac.LivePool`, built once per run, follows
 the held sessions as channels are taken and given back, and under dynamic
-selection re-scores itself on each take and give, so an arrival's selection
-is a max over P cached scores; under fixed allocation the home pool is the
-one candidate and is never scored.
+selection re-scores itself on each take and give from the utility's
+constants, folded in when it was built, so an arrival's selection is a max
+over P cached scores; under fixed allocation the home pool is the one
+candidate and is never scored.  What an admission reads of the run's inputs
+(the links, the horizon, the requested rate, whether the physical stage
+runs) is bound once when the :class:`Simulation` is built.
 A departure leaves the powers of the rest of its co-channel group as they
 are: they were solved for the larger group, so every target still holds,
 and they relax to the smaller group's minimal powers only at the next
@@ -190,8 +193,11 @@ class Simulation:
         self.primary_loads = [0.0] * num_points
         self.primary_integral = [0.0] * num_points
         self._ran = False
+        # what every admission reads, bound once per run
         self._links = topology.links
         self._horizon = traffic_spec.horizon
+        self._physical = self.qos.physical_checks
+        self._requested_rate = traffic_spec.requested_rate
 
         speed = topology.propagation_speed
         self._link_delays = [link.distance / speed for link in topology.links]
@@ -200,7 +206,7 @@ class Simulation:
         # each primary point's gains from the links, by link id
         self._g_ps_rows = [array("d", row) for row in self._g_ps.tolist()]
         self._tolerance = [p.tolerance for p in topology.primary_points]
-        if self.qos.physical_checks:
+        if self._physical:
             # per-link physics as arrays indexed by link id, for the audits
             self._noise, self._gain, self._sinr_target, power_max = qos.link_arrays(
                 topology.links, traffic_spec.requested_rate
@@ -308,21 +314,15 @@ class Simulation:
         session_id = self.arrivals
         self.arrivals = session_id + 1
         link = self._links[session_id % len(self._links)]
-        record = SessionRecord(
-            session_id=session_id,
-            arrival_time=time,
-            end_time=time,
-            home_provider_id=home_provider_id,
-            provider_id=None,
-            channel_id=None,
-            link_id=link.id,
-            outcome=Outcome.BLOCKED_NO_CHANNEL,
-        )
+        # session id, arrival and end time, home provider, provider, channel,
+        # link and outcome, in field order
+        record = SessionRecord(session_id, time, time, home_provider_id, None, None, link.id,
+                               Outcome.BLOCKED_NO_CHANNEL)
 
         choice = sbac.select_best_channel(self._candidates[home_provider_id])
         if choice is None:
             outcome = Outcome.BLOCKED_NO_CHANNEL
-        elif self.qos.physical_checks:
+        elif self._physical:
             outcome = self._physical_admission(choice[1], record)
         else:
             outcome = ADMITTED
@@ -347,7 +347,7 @@ class Simulation:
         self.delay_total += self._link_delays[link.id]
         # an admitted session arrived before the horizon: active >= 0
         active = (end_time if end_time < self._horizon else self._horizon) - time
-        self.bits += self.traffic_spec.requested_rate * active
+        self.bits += self._requested_rate * active
         return record
 
     def _physical_admission(self, channel_id: int, record: SessionRecord) -> Outcome:

@@ -1,11 +1,11 @@
 """Best-available-channel selection over candidate provider pools.
 
 Each provider with at least one free channel forms a candidate pool.  A pool
-is scored by :func:`utility`, a weighted sum of three terms: the fraction of
-its channels currently free, the log-reciprocal of the frequency spread of
-the free channels in MHz (``SPREAD_UNIT_HZ``), and the reciprocal of the
-expected session cost ``session_minutes * 60 * cost_rate`` (an
-:class:`SbacConfig` holds the weights and session length):
+is scored by a weighted sum of three terms: the fraction of its channels
+currently free, the log-reciprocal of the frequency spread of the free
+channels in MHz (``SPREAD_UNIT_HZ``), and the reciprocal of the expected
+session cost ``session_minutes * 60 * cost_rate`` (an :class:`SbacConfig`
+holds the weights and session length):
 
     utility = 10 * beta1 * free / total
             + beta2 * ln(1 / max(spread, SPREAD_FLOOR))
@@ -17,13 +17,15 @@ The floors ``SPREAD_FLOOR`` (one free channel has zero spread) and
 ``COST_FLOOR`` (a provider that charges nothing has zero cost) keep the
 formula total without reordering non-degenerate candidates.
 
-Scoring reads four summaries of a pool and nothing else: its free-channel
-count, its min and max free center frequency and its lowest free channel id.
-A :class:`LivePool` keeps them current as channels are taken and given back
-(the two frequencies as reads of a bitmask) and, built with an
-:class:`SbacConfig`, caches its ``score``, recomputed on each take and give,
-so selecting among P pools is a max over P cached floats.  A lone candidate
-(fixed allocation's home pool) wins without being scored.
+A :class:`LivePool` keeps what selection reads current as channels are
+taken and given back: its free-channel count, its lowest free channel id
+and, built with an :class:`SbacConfig`, its ``score``.  The run's weights,
+session length and the provider's cost rate never change, so the pool folds
+them into three scalars when it is built (``10 * beta1``, ``beta2`` and the
+whole cost term) and re-scores each take and give from those and the
+extreme bits of a frequency bitmask, so selecting among P pools is a max
+over P cached floats.  A lone candidate (fixed allocation's home pool) wins
+without being scored.
 """
 from __future__ import annotations
 
@@ -59,6 +61,11 @@ class SbacConfig:
             raise ValueError("beta1 + beta2 + beta3 must be > 0")
         if not self.session_minutes > 0:
             raise ValueError(f"session_minutes must be > 0, got {self.session_minutes}")
+        # each pool folds these into its score's constants, which an infinite
+        # one can make NaN: a score that selection neither prefers nor skips
+        for name in ("beta1", "beta2", "beta3", "session_minutes"):
+            if getattr(self, name) == math.inf:
+                raise ValueError(f"{name} must be finite, got inf")
 
 
 class LivePool:
@@ -69,15 +76,16 @@ class LivePool:
     order (equal frequencies in id order).  Taking or giving back a channel
     flips its bit in each, found by bisecting the sorted ids, and refreshes
     what selection reads, ``free_count``, ``lowest_free_id`` and ``score``:
-    ``utility(self, config)`` while a channel is free, None when none is or
-    the pool has no config.  Only scoring and the audit read the min and
-    max free frequency, properties on the lowest and highest frequency bit.
+    the utility while a channel is free, None when none is or the pool has
+    no config.  The score's spread is read off the lowest and highest
+    frequency bits; the audit reads them as the min and max free frequency.
     """
 
     __slots__ = (
         "provider", "provider_id", "total_channels", "cost_rate", "config",
         "_ids", "_frequency_rank", "_frequencies", "id_mask", "frequency_mask",
         "free_count", "lowest_free_id", "score",
+        "_free_weight", "_spread_weight", "_cost_term",
     )
 
     def __init__(self, provider: ServiceProvider, config: SbacConfig | None = None):
@@ -86,6 +94,13 @@ class LivePool:
         self.provider_id = provider.id
         self.total_channels = provider.num_channels
         self.cost_rate = provider.cost_rate
+        if config is not None:
+            # the utility's constants, as its float operations group them:
+            # 10 * beta1 * x is (10 * beta1) * x
+            self._free_weight = 10.0 * config.beta1
+            self._spread_weight = config.beta2
+            cost = config.session_minutes * 60.0 * provider.cost_rate
+            self._cost_term = config.beta3 / max(cost, COST_FLOOR)
         by_id = sorted(provider.channels, key=lambda ch: ch.id)
         # a stable sort, so equal frequencies stay in id order
         by_frequency = sorted(range(len(by_id)), key=lambda i: by_id[i].center_frequency)
@@ -120,13 +135,25 @@ class LivePool:
 
     def _summarise(self) -> None:
         by_id = self.id_mask
-        self.free_count = by_id.bit_count()
-        if by_id:
-            # x & -x keeps the lowest set bit
-            self.lowest_free_id = self._ids[(by_id & -by_id).bit_length() - 1]
-            self.score = None if self.config is None else utility(self, self.config)
-        else:
+        self.free_count = free = by_id.bit_count()
+        if not by_id:
             self.lowest_free_id = self.score = None
+            return
+        # x & -x keeps the lowest set bit
+        self.lowest_free_id = self._ids[(by_id & -by_id).bit_length() - 1]
+        if self.config is None:
+            self.score = None
+            return
+        # the max and min free frequency, read as the properties below do
+        mask, frequencies = self.frequency_mask, self._frequencies
+        spread = (frequencies[mask.bit_length() - 1]
+                  - frequencies[(mask & -mask).bit_length() - 1]) / SPREAD_UNIT_HZ
+        floored = spread if spread > SPREAD_FLOOR else SPREAD_FLOOR  # max() without a call
+        self.score = (
+            self._free_weight * (free / self.total_channels)
+            + self._spread_weight * math.log(1.0 / floored)
+            + self._cost_term
+        )
 
     @property
     def min_free_frequency(self) -> float | None:
@@ -149,8 +176,9 @@ class LivePool:
 
     def audit(self, held_channel_ids) -> None:
         """Recount the free channels from the held channel ids, over the
-        provider's channel tuple rather than the bitmasks; raises StateError
-        if either bitmask, a summary or the score differs from the recount."""
+        provider's channel tuple rather than the bitmasks, and re-score the
+        pool from the recount; raises StateError if either bitmask, a
+        summary or the cached score differs."""
         held = set(held_channel_ids)
         free = [ch for ch in self.provider.channels if ch.id not in held]
         id_mask = frequency_mask = 0
@@ -171,26 +199,14 @@ class LivePool:
         for name, value in zip(names, recount):
             if getattr(self, name) != value:
                 raise StateError(f"provider {self.provider_id} pool {name} is stale")
-        score = None if self.config is None or not free else utility(self, self.config)
+        # the masks equal the recount's, so summarising them re-scores it
+        score = self.score
+        self._summarise()
         if self.score != score:
             raise StateError(
-                f"provider {self.provider_id} pool score {self.score} differs from {score} "
+                f"provider {self.provider_id} pool score {score} differs from {self.score} "
                 "scored from the held channels"
             )
-
-
-def utility(pool: LivePool, config: SbacConfig) -> float:
-    """Score one candidate pool; raises ValueError on a pool with no free
-    channel, which is no candidate."""
-    if not pool.free_count:
-        raise ValueError(f"pool {pool.provider_id} has no free channel")
-    spread = (pool.max_free_frequency - pool.min_free_frequency) / SPREAD_UNIT_HZ
-    cost = config.session_minutes * 60.0 * pool.cost_rate
-    return (
-        10.0 * config.beta1 * (pool.free_count / pool.total_channels)
-        + config.beta2 * math.log(1.0 / max(spread, SPREAD_FLOOR))
-        + config.beta3 / max(cost, COST_FLOOR)
-    )
 
 
 def select_best_channel(

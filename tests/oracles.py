@@ -1,9 +1,9 @@
 """Second implementations of decisions the package makes once, kept as the
-tests' references: pools scored from tuples of free channels, a dense numpy
-minimal-power solve, the admission solve as a loop over rows, an exact
-rational linear solve, an interference integral over a load trace and the
-BER curves whose inverse gives a SINR target.  The simulator never runs
-them."""
+tests' references: the utility scored from a pool's four summaries, pools
+built from tuples of free channels, a dense numpy minimal-power solve, the
+admission solve as a loop over rows, an exact rational linear solve, an
+interference integral over a load trace and the BER curves whose inverse
+gives a SINR target.  The simulator never runs them."""
 from __future__ import annotations
 
 import math
@@ -12,9 +12,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from dsasim import Modulation, SbacConfig, SpectrumChannel, utility
+from dsasim import Modulation, SbacConfig, SpectrumChannel
 from dsasim.errors import DsasimError
 from dsasim.qos import coupling_scale
+from dsasim.sbac import COST_FLOOR, SPREAD_FLOOR, SPREAD_UNIT_HZ
 
 _TILE_TOLERANCE = 1e-9
 
@@ -50,6 +51,23 @@ class CandidatePool:
     @property
     def lowest_free_id(self) -> int | None:
         return min((ch.id for ch in self.available_channels), default=None)
+
+
+def utility(pool, config: SbacConfig) -> float:
+    """Score one candidate pool, a ``LivePool`` or a ``CandidatePool``, from
+    its summaries and the config, as the ``sbac`` module docstring writes
+    the utility: the reference a live pool's cached ``score`` must equal bit
+    for bit.  Raises ValueError on a pool with no free channel, which is no
+    candidate."""
+    if not pool.free_count:
+        raise ValueError(f"pool {pool.provider_id} has no free channel")
+    spread = (pool.max_free_frequency - pool.min_free_frequency) / SPREAD_UNIT_HZ
+    cost = config.session_minutes * 60.0 * pool.cost_rate
+    return (
+        10.0 * config.beta1 * (pool.free_count / pool.total_channels)
+        + config.beta2 * math.log(1.0 / max(spread, SPREAD_FLOOR))
+        + config.beta3 / max(cost, COST_FLOOR)
+    )
 
 
 def select_by_utility(pools, config: SbacConfig) -> tuple[int, int, float] | None:

@@ -757,17 +757,23 @@ def test_selection_never_lists_free_channels(strategy, monkeypatch):
 
 
 def test_fixed_allocation_never_scores_its_home_pool(monkeypatch):
-    # the home pool is the lone candidate: it wins unscored, and nothing in
-    # an unaudited run reads the frequencies that only scoring needs
+    # the home pool is the lone candidate: it is built without the config a
+    # pool scores itself with, so it wins unscored, and nothing in an
+    # unaudited run reads the frequencies that only the audit needs
     topology = shuffled_topology()
     spec = spec_for([2.0, 0.5, 1.5], holding=5.0, horizon=60.0, seed=14)
     expected = run_simulation(topology, spec, Strategy.FIXED)
     assert 0 < expected[1].blocked_no_channel < expected[1].admitted
 
-    def forbidden(*args):
-        raise AssertionError("the home pool was scored")
+    def unscored(provider, config=None):
+        if config is not None:
+            raise AssertionError("the home pool was built to be scored")
+        return LivePool(provider)
 
-    monkeypatch.setattr(sbac, "utility", forbidden)
+    def forbidden(*args):
+        raise AssertionError("a free frequency was read")
+
+    monkeypatch.setattr(engine, "LivePool", unscored)
     assert run_simulation(topology, spec, Strategy.FIXED, audit=True) == expected
     for name in ("min_free_frequency", "max_free_frequency"):
         monkeypatch.setattr(LivePool, name, property(forbidden))
@@ -803,9 +809,10 @@ def test_sbac_config_affects_selection():
 
 # Report fields of short runs: the first three recorded before the engine kept
 # its live sessions as records alone, "shuffled_reuse" before it kept live
-# channel pools. Any later edit to the event loop or its bookkeeping must
-# reproduce them exactly; the physical runs' interference comes from running
-# sums of floats and may move in its last digits.
+# channel pools, "weighted_reuse" before the pools folded the utility's
+# constants into per-pool scalars. Any later edit to the event loop or its
+# bookkeeping must reproduce them exactly; the physical runs' interference
+# comes from running sums of floats and may move in its last digits.
 GOLDEN_RUNS = {
     "fixed": dict(
         mean_propagation_delay=8.333333333333294e-07,
@@ -847,6 +854,16 @@ GOLDEN_RUNS = {
         arrivals=220, admitted=164, blocked_no_channel=16, blocked_qos=2,
         blocked_interference=38,
     ),
+    "weighted_reuse": dict(
+        mean_propagation_delay=8.333333333333342e-07,
+        mean_rtt=1.6666666666666684e-06,
+        throughput=1350107.272617738,
+        mean_primary_interference=6.287055062877895e-12,
+        spectral_efficiency=0.7500595958987426,
+        blocking_probability=0.2096069868995633,
+        arrivals=229, admitted=181, blocked_no_channel=38, blocked_qos=0,
+        blocked_interference=10,
+    ),
 }
 
 # (channel id, MHz offset) in list order: list order, id order and frequency
@@ -879,29 +896,42 @@ def shuffled_topology(num_links=12, tolerance=1e-11):
     return dataclasses.replace(base, providers=providers)
 
 
+# cost-heavy weights and a 3-minute session, so that a slip in any term of a
+# pool's score (10 * beta1, beta2, or the cost from beta3, session_minutes and
+# the cost rate) moves the "weighted_reuse" report
+WEIGHTED = SbacConfig(0.2, 0.2, 0.6, session_minutes=3.0)
+
+
 def golden_case(name):
+    """``(topology, spec, strategy, sbac_config, qos_config)`` of a golden run."""
     if name == "fixed":
         return (make_topology(num_providers=1, channels=5),
-                spec_for([3.0], holding=1.0, horizon=200.0, seed=11), Strategy.FIXED, None)
+                spec_for([3.0], holding=1.0, horizon=200.0, seed=11), Strategy.FIXED, None, None)
     if name == "sbac":
         return (make_topology(num_providers=3, channels=4),
                 spec_for([2.0, 0.5, 1.0], holding=2.0, horizon=100.0, seed=12),
-                Strategy.DYNAMIC_SBAC, None)
+                Strategy.DYNAMIC_SBAC, None, None)
     if name == "shuffled_reuse":
         # reuse makes equal channel ids co-channel, so which free channel is
         # picked in a shuffled band shows in the powers and the block causes
         return (shuffled_topology(), spec_for([2.0, 0.5, 1.5], holding=5.0, horizon=60.0, seed=14),
-                Strategy.DYNAMIC_SBAC, QosConfig(physical_checks=True, channel_reuse=True))
+                Strategy.DYNAMIC_SBAC, None, REUSE)
+    if name == "weighted_reuse":
+        # without physical checks the chosen provider changes no report
+        # field; with reuse it shows in the co-channel groups
+        return (shuffled_topology(), spec_for([2.0, 0.5, 1.5], holding=5.0, horizon=60.0, seed=15),
+                Strategy.DYNAMIC_SBAC, WEIGHTED, REUSE)
     # four bands reuse five channel indexes and the primary budget is tight,
     # so all three block causes occur
     return (make_topology(num_providers=4, channels=5, num_links=16, tolerance=1e-11),
             spec_for([0.8] * 4, holding=10.0, horizon=60.0, seed=13), Strategy.DYNAMIC_SBAC,
-            QosConfig(physical_checks=True, channel_reuse=True))
+            None, REUSE)
 
 
 def assert_golden_report(name):
-    topology, spec, strategy, qos_config = golden_case(name)
-    _, report = run_simulation(topology, spec, strategy, qos_config=qos_config, audit=True)
+    topology, spec, strategy, sbac_config, qos_config = golden_case(name)
+    _, report = run_simulation(topology, spec, strategy, sbac_config=sbac_config,
+                               qos_config=qos_config, audit=True)
     fields = dataclasses.asdict(report)
     metadata = fields.pop("metadata")
     expected = dict(GOLDEN_RUNS[name])
@@ -957,6 +987,31 @@ def test_a_run_holds_no_more_memory_over_a_longer_horizon():
     finally:
         tracemalloc.stop()
     assert growth < 4096
+
+
+def test_a_built_simulation_holds_scalars_per_pool_not_tables():
+    # what a DYNAMIC_SBAC run holds before its first event, 10 providers of
+    # 100 channels: at most 29,680 B over 5 builds on Python 3.11 before each
+    # pool kept its score's constants as scalars; a dict per pool keyed by
+    # channel id, or a tuple per pool indexed by free count, breaks the bound
+    topology = make_topology(num_providers=10, channels=100)
+    spec = spec_for([1.0] * 10)
+
+    def held():
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        simulation = Simulation(topology, spec, Strategy.DYNAMIC_SBAC)
+        size = tracemalloc.get_traced_memory()[0] - before
+        del simulation
+        return size
+
+    tracemalloc.start()
+    try:
+        held()  # warm-up: first-use allocations
+        size = held()
+    finally:
+        tracemalloc.stop()
+    assert size < 1.25 * 29_680
 
 
 # Full reports of a 3-point topology, recorded before the primary loads and

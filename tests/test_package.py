@@ -36,7 +36,7 @@ def test_public_names_are_exactly_these():
         "Outcome", "QosConfig", "SessionRecord", "Simulation", "Strategy", "run_simulation",
         "MetricsReport", "erlang_b",
         "Modulation", "link_arrays", "link_sinr", "qos_met", "sinr_target_from_ber",
-        "SbacConfig", "select_best_channel", "utility",
+        "SbacConfig", "select_best_channel",
         "TrafficSpec", "build_event_stream",
     }
 

@@ -13,12 +13,11 @@ from dsasim import (
     SpectrumChannel,
     StateError,
     select_best_channel,
-    utility,
 )
 from dsasim.sbac import SPREAD_FLOOR, LivePool
 
 from conftest import make_provider
-from oracles import CandidatePool, select_by_utility
+from oracles import CandidatePool, select_by_utility, utility
 
 
 def channels_at(*mhz: float) -> tuple[SpectrumChannel, ...]:
@@ -124,10 +123,18 @@ def test_zero_spread_and_zero_cost_are_clamped():
         ({"beta2": -0.1}, "beta2 must be >= 0"),
         ({"beta3": math.nan}, "beta3 must be >= 0"),
         ({"beta1": 0.0, "beta2": 0.0, "beta3": 0.0}, r"beta1 \+ beta2 \+ beta3 must be > 0"),
+        ({"beta1": math.inf}, "beta1 must be finite"),
+        ({"beta2": math.inf}, "beta2 must be finite"),
+        ({"beta3": math.inf}, "beta3 must be finite"),
+        ({"session_minutes": math.inf}, "session_minutes must be finite"),
+        ({"beta2": -math.inf}, "beta2 must be >= 0"),
     ],
 )
 def test_config_rejects_a_non_positive_session_length_and_bad_weights(fields, message):
-    # a zero session length would price every provider at the cost floor
+    # a zero session length would price every provider at the cost floor; an
+    # infinite weight or session length can score a pool NaN (beta2 times
+    # ln(1) at a 1 MHz spread, or a free provider's inf * 0 cost), and
+    # selection would hand the call to the first pool with a free channel
     with pytest.raises(ValueError, match=message):
         SbacConfig(**fields)
 
@@ -280,18 +287,22 @@ def explicit_provider(provider_id, channels, cost_rate=0.05):
     )
 
 
+BAND_MHZ = (400.0, 400.5, 403.0, 410.0, 431.25)
+
+
 @st.composite
 def explicit_bands(draw):
     """1-4 providers with explicit channel lists: ids drawn sparse and listed in
     a random order, frequencies from a small set so some repeat, so list, id
-    and frequency order generally all differ."""
+    and frequency order generally all differ; some bands put every channel
+    on one frequency, so that their spread is zero however many are free."""
     bands = []
     for _ in range(draw(st.integers(1, 4))):
         ids = draw(st.lists(st.integers(0, 60), min_size=1, max_size=10, unique=True))
-        mhz = draw(
-            st.lists(st.sampled_from([400.0, 400.5, 403.0, 410.0, 431.25]),
-                     min_size=len(ids), max_size=len(ids))
-        )
+        frequencies = st.sampled_from(BAND_MHZ)
+        if draw(st.booleans()):
+            frequencies = st.just(draw(frequencies))
+        mhz = draw(st.lists(frequencies, min_size=len(ids), max_size=len(ids)))
         bands.append(draw(st.permutations(list(zip(ids, mhz)))))
     return bands
 
@@ -397,22 +408,34 @@ def test_audit_flags_a_flipped_pool_bit(mask):
 
 
 @given(bands=explicit_bands(), ops=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 9))),
-       weights=random_weights())
+       weights=random_weights(), minutes=st.floats(0.01, 30.0),
+       cost_rates=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 5.0)), min_size=4,
+                           max_size=4))
 @example(
     bands=[[(7, 403.0), (2, 400.0), (11, 401.0), (5, 403.0), (0, 402.0), (9, 404.5)],
            [(3, 410.0), (1, 400.5), (8, 400.5)]],
     ops=[(0, 4), (0, 1), (1, 1), (0, 0), (1, 2), (0, 4), (0, 3), (1, 0)],
     weights=(0.5, 0.3, 0.2),
+    minutes=2.0,
+    cost_rates=[0.01, 0.02, 0.03, 0.04],
+)
+@example(  # a free provider and a one-frequency band: both floors
+    bands=[[(4, 410.0), (1, 410.0), (6, 410.0)], [(0, 400.0), (2, 403.0)]],
+    ops=[(0, 0), (1, 1), (0, 2), (1, 1)],
+    weights=(0.5, 0.3, 0.2),
+    minutes=1.0,
+    cost_rates=[0.0, 0.05, 0.0, 0.0],
 )
 @settings(max_examples=200, deadline=None)
-def test_live_pools_score_like_tuple_built_pools(bands, ops, weights):
+def test_live_pools_score_like_tuple_built_pools(bands, ops, weights, minutes, cost_rates):
     # each op toggles one channel (take it if free, give it back if held);
     # after every op the live pools must summarise, score and select exactly
     # like CandidatePools built from the free channels' tuples
     providers = [
-        explicit_provider(i, band, cost_rate=0.01 * (i + 1)) for i, band in enumerate(bands)
+        explicit_provider(i, band, cost_rate=cost_rate)
+        for i, (band, cost_rate) in enumerate(zip(bands, cost_rates))
     ]
-    sbac_config = SbacConfig(*weights, session_minutes=2.0)
+    sbac_config = SbacConfig(*weights, session_minutes=minutes)
     live = [LivePool(provider, sbac_config) for provider in providers]
     held = [set() for _ in providers]
 
