@@ -40,7 +40,8 @@ instant, the standard loss-system convention.  The run has one clock; the
 busy-channel and primary-interference integrals advance with it, clamped
 to the horizon so the metrics cover exactly ``[0, horizon]``.  The primary
 loads and integrals are float lists, one entry per primary point, updated
-elementwise with the IEEE operations numpy would take, minus its call cost.
+in place, entry by entry, with the IEEE operations numpy would take, so no
+event builds a new list.
 
 One run is strictly single-threaded; independent runs can execute
 concurrently because topologies and traffic specs are immutable.  Each
@@ -283,10 +284,9 @@ class Simulation:
         if end > self.clock:
             elapsed = end - self.clock
             self.busy_integral += self.busy * elapsed
-            self.primary_integral = [
-                total + load * elapsed
-                for total, load in zip(self.primary_integral, self.primary_loads)
-            ]
+            integral = self.primary_integral
+            for j, load in enumerate(self.primary_loads):
+                integral[j] += load * elapsed
         self.clock = time
 
     def _depart(self, record: SessionRecord) -> None:
@@ -301,11 +301,9 @@ class Simulation:
             raise StateError(f"session {record.session_id} holds no channel (double release?)")
         self.busy -= 1
         self._pools[record.provider_id].give(channel_id)
-        link_id = record.link_id
-        self.primary_loads = [
-            load - row[link_id] * record.power
-            for load, row in zip(self.primary_loads, self._g_ps_rows)
-        ]
+        link_id, power, loads = record.link_id, record.power, self.primary_loads
+        for j, row in enumerate(self._g_ps_rows):
+            loads[j] -= row[link_id] * power
 
     # -- admission ----------------------------------------------------------
 
@@ -326,11 +324,10 @@ class Simulation:
             outcome = self._physical_admission(choice[1], record)
         else:
             outcome = ADMITTED
-            record.power = link.power
-            self.primary_loads = [
-                load + row[link.id] * link.power
-                for load, row in zip(self.primary_loads, self._g_ps_rows)
-            ]
+            record.power = power = link.power
+            link_id, loads = link.id, self.primary_loads
+            for j, row in enumerate(self._g_ps_rows):
+                loads[j] += row[link_id] * power
         if outcome is not ADMITTED:  # only blocks hash their outcome
             record.outcome = outcome
             self.blocks[outcome] += 1
@@ -388,7 +385,9 @@ class Simulation:
         for member, p in zip(group, powers):
             member.power = p
         record.power = powers[-1]
-        self.primary_loads = [load + change for load, change in zip(self.primary_loads, changes)]
+        loads = self.primary_loads
+        for j, change in enumerate(changes):
+            loads[j] += change
         return Outcome.ADMITTED
 
     def _audit_pools(self) -> None:

@@ -30,6 +30,7 @@ without being scored.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 
@@ -39,6 +40,8 @@ from .topology import ServiceProvider, SpectrumChannel
 SPREAD_UNIT_HZ = 1e6  # the spread term is scored in MHz
 SPREAD_FLOOR = 1e-6  # MHz
 COST_FLOOR = 1e-6  # currency units
+# |ln(1 / spread)| at the widest spread in MHz between two finite frequencies
+WIDEST_SPREAD_LOG = -math.log(1.0 / (sys.float_info.max / SPREAD_UNIT_HZ))
 
 
 @dataclass(frozen=True)
@@ -61,11 +64,23 @@ class SbacConfig:
             raise ValueError("beta1 + beta2 + beta3 must be > 0")
         if not self.session_minutes > 0:
             raise ValueError(f"session_minutes must be > 0, got {self.session_minutes}")
-        # each pool folds these into its score's constants, which an infinite
-        # one can make NaN: a score that selection neither prefers nor skips
-        for name in ("beta1", "beta2", "beta3", "session_minutes"):
-            if getattr(self, name) == math.inf:
-                raise ValueError(f"{name} must be finite, got inf")
+        # each pool folds these into its score's constants; a term that
+        # overflows can make a score NaN (inf - inf), one that selection
+        # neither prefers nor skips.  So each term's largest value must be
+        # finite (10 * beta1 for a full pool, beta2 times |ln(1 / spread)| at
+        # the widest spread two finite frequencies have, beta3 at the cost
+        # floor), and so must their largest sum
+        if self.session_minutes == math.inf:
+            raise ValueError("session_minutes must be finite, got inf")
+        largest = (10.0 * self.beta1, self.beta2 * WIDEST_SPREAD_LOG, self.beta3 / COST_FLOOR)
+        for name, term in zip(("beta1", "beta2", "beta3"), largest):
+            if term == math.inf:
+                raise ValueError(
+                    f"{name} must be finite and keep every pool's score finite, "
+                    f"got {getattr(self, name)}"
+                )
+        if largest[0] + self.beta2 * math.log(1.0 / SPREAD_FLOOR) + largest[2] == math.inf:
+            raise ValueError("beta1 + beta2 + beta3 must keep every pool's score finite")
 
 
 class LivePool:
@@ -115,21 +130,22 @@ class LivePool:
 
     def take(self, channel_id: int) -> None:
         """Mark a free channel held."""
-        self._flip(channel_id, was_free=True)
+        self._flip(channel_id, 1)
 
     def give(self, channel_id: int) -> None:
         """Mark a held channel free again."""
-        self._flip(channel_id, was_free=False)
+        self._flip(channel_id, 0)
 
-    def _flip(self, channel_id: int, was_free: bool) -> None:
-        index = bisect_left(self._ids, channel_id)
-        bit = 1 << index
-        if index == len(self._ids) or self._ids[index] != channel_id:
+    def _flip(self, channel_id: int, free_bit: int) -> None:
+        """Flip the bit of ``channel_id``, which must read ``free_bit`` (1 free)."""
+        ids = self._ids
+        index = bisect_left(ids, channel_id)
+        if index == len(ids) or ids[index] != channel_id:
             raise StateError(f"provider {self.provider_id} has no channel {channel_id}")
-        if bool(self.id_mask & bit) is not was_free:
-            state = "held" if was_free else "free"
+        if self.id_mask >> index & 1 != free_bit:
+            state = "held" if free_bit else "free"
             raise StateError(f"channel {(self.provider_id, channel_id)} is already {state}")
-        self.id_mask ^= bit
+        self.id_mask ^= 1 << index
         self.frequency_mask ^= 1 << self._frequency_rank[index]
         self._summarise()
 

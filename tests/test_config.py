@@ -307,6 +307,7 @@ BAD_DOCUMENTS = {
     "users_0": ({"sweep": {"parameter": "users", "values": [0]}}, r"sweep\.values\[0\]"),
     "negative_seed": ({"traffic.seed": -1}, r"traffic\.seed must be an integer >= 0"),
     "negative_beta2": ({"sbac.beta2": -0.5}, r"sbac\.beta2 must be >= 0"),
+    "overflowing_beta1": ({"sbac.beta1": 1e308}, r"sbac\.beta1 must be finite and keep"),
     "zero_weights": (
         {"sbac.beta1": 0, "sbac.beta2": 0, "sbac.beta3": 0}, r"sbac\.beta1 \+ beta2 \+ beta3"
     ),

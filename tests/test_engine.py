@@ -1077,6 +1077,9 @@ def test_golden_three_point_run_reports(name):
     else:
         strategy, qos_config = Strategy.DYNAMIC_SBAC, QosConfig(physical_checks=True,
                                                                 channel_reuse=True)
-    _, report = run_simulation(three_point_topology(), spec, strategy, qos_config=qos_config,
-                               audit=True)
+    sim = Simulation(three_point_topology(), spec, strategy, qos_config=qos_config, audit=True)
+    loads, integral = sim.primary_loads, sim.primary_integral
+    _, report = sim.run()
     assert dataclasses.asdict(report) == GOLDEN_THREE_POINT_RUNS[name]
+    # every event updates the per-point sums in place: no list is rebuilt
+    assert sim.primary_loads is loads and sim.primary_integral is integral

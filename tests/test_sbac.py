@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -128,6 +129,13 @@ def test_zero_spread_and_zero_cost_are_clamped():
         ({"beta3": math.inf}, "beta3 must be finite"),
         ({"session_minutes": math.inf}, "session_minutes must be finite"),
         ({"beta2": -math.inf}, "beta2 must be >= 0"),
+        # finite weights whose term overflows: 10 * beta1 and beta2 * ln(1 / 29)
+        # at 30 channels 1 MHz apart are inf and -inf, a NaN score
+        ({"beta1": 1e308, "beta2": 1e308}, "beta1 must be finite and keep every pool's score"),
+        ({"beta2": 1e306}, "beta2 must be finite and keep"),  # x ln(1 / widest spread)
+        ({"beta3": 1e303}, "beta3 must be finite and keep"),  # / COST_FLOOR
+        ({"beta1": 1.7e307, "beta2": 0.0, "beta3": 1e302},
+         r"beta1 \+ beta2 \+ beta3 must keep every pool's score finite"),
     ],
 )
 def test_config_rejects_a_non_positive_session_length_and_bad_weights(fields, message):
@@ -137,6 +145,30 @@ def test_config_rejects_a_non_positive_session_length_and_bad_weights(fields, me
     # selection would hand the call to the first pool with a free channel
     with pytest.raises(ValueError, match=message):
         SbacConfig(**fields)
+
+
+def accepted(weights) -> SbacConfig | None:
+    try:
+        return SbacConfig(*weights)
+    except ValueError:
+        return None
+
+
+@given(sbac_config=st.tuples(*[st.floats(0.0, sys.float_info.max)] * 3).map(accepted)
+       .filter(lambda config: config is not None))
+@example(sbac_config=SbacConfig(1.7e307, 0.0, 1e300))
+@example(sbac_config=SbacConfig(0.0, sys.float_info.max / 696.0, 0.2))
+@settings(max_examples=200, deadline=None)
+def test_accepted_weights_score_the_extreme_pools_finite(sbac_config):
+    # the highest score is a one-channel pool of a free provider (a full pool,
+    # spread and cost floored); the lowest, a pool spanning the widest finite
+    # spread at a cost that prices the cost term to nothing
+    lone = LivePool(explicit_provider(0, [(0, 400.0)], cost_rate=0.0), sbac_config)
+    widest = LivePool(ServiceProvider(1, (
+        SpectrumChannel(0, 5e-324, 1e6), SpectrumChannel(1, sys.float_info.max, 1e6),
+    ), cost_rate=sys.float_info.max), sbac_config)
+    assert math.isfinite(lone.score) and math.isfinite(widest.score)
+    assert select_best_channel([lone, widest]) == select_best_channel([widest, lone])
 
 
 # -- selection --------------------------------------------------------------------
@@ -330,6 +362,23 @@ def test_live_pool_rejects_double_take_double_give_and_unknown_channels():
     with pytest.raises(StateError, match="no channel 5"):
         pool.take(5)
     assert summaries(pool) == (1, 400e6, 400e6, 4)
+
+
+@pytest.mark.parametrize("flip,channel_id,message", [
+    ("take", 9, "already held"),
+    ("give", 4, "already free"),
+    ("take", 5, "no channel 5"),  # between two ids
+    ("give", 12, "no channel 12"),  # above the largest id: bisect returns len(ids)
+    ("take", -1, "no channel -1"),
+])
+def test_a_rejected_flip_leaves_a_scored_pool_as_it_was(flip, channel_id, message):
+    pool = LivePool(explicit_provider(0, [(4, 400.0), (9, 401.0), (7, 403.0)]), SbacConfig())
+    pool.take(9)
+    before = (pool.id_mask, pool.frequency_mask, summaries(pool), pool.score)
+    with pytest.raises(StateError, match=message):
+        getattr(pool, flip)(channel_id)
+    assert (pool.id_mask, pool.frequency_mask, summaries(pool), pool.score) == before
+    pool.audit([9])
 
 
 def test_live_pool_scores_on_change_only_when_built_with_a_config():
