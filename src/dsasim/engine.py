@@ -15,10 +15,13 @@ The admitted :class:`SessionRecord` is the only per-session state: the
 :class:`Simulation` holds it in the list of its channel index, in admission
 order, and the departure event carries it.  Under channel reuse that list
 is the co-channel group.  An admission solves the group plus the call
-afresh (:func:`dsasim.qos.group_powers`: pure Python, one straight-line
-elimination per group size, compiled on the process's first group of that
-size and kept for its life), so no state but the records follows a group,
-a departure does no power work and neither path makes a numpy call.
+afresh, in pure Python, by one straight-line function per grown-group size
+(:func:`_admission`), compiled on the process's first group of that size
+and kept for its life.  It reads the members' links and powers, runs the
+elimination of :func:`dsasim.qos.group_powers`, checks the caps and the
+primary budgets, and only then writes the powers and loads back.  So no
+state but the records follows a group, a departure does no power work and
+neither path makes a numpy call.
 The report is streamed: each blocked arrival adds to a count per cause, and
 each admission adds its link's precomputed delay and its bits to running
 totals, so a run's memory follows its held sessions, not its arrivals.
@@ -50,13 +53,14 @@ checks only that the traffic and the topology agree on the providers.
 """
 from __future__ import annotations
 
+import functools
 import math
 from array import array
 from collections import defaultdict
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 from heapq import heappop, heappush
-from operator import mul
 
 import numpy as np
 
@@ -219,6 +223,7 @@ class Simulation:
             self._u = array("d", (scale * self._noise).tolist())
             self._cap = array("d", power_max.tolist())
             self._g_ss_flat = memoryview(np.ascontiguousarray(self._g_ss).reshape(-1))
+            self._reuse = self.qos.channel_reuse
 
     # -- event loop ---------------------------------------------------------
 
@@ -349,46 +354,14 @@ class Simulation:
 
     def _physical_admission(self, channel_id: int, record: SessionRecord) -> Outcome:
         """Minimal powers for the co-channel group plus the new session, by
-        one fresh :func:`qos.group_powers` solve of the grown group.
-
-        Existing group members must keep meeting their own QoS targets under
-        the added interference, and the whole system must stay within every
-        primary point's tolerance.  Without reuse the group is the session
-        alone.  A pivot that is not positive (``rho(F) >= 1``), a power that
-        is not positive and finite, or one over its cap is a QoS block; then
-        a budget exceeded is an interference block.  On admission the
-        group's records and ``record`` get the new minimal powers and
-        ``primary_loads`` follows them.
+        the generated admission for the grown group's size
+        (:func:`_admission`); without reuse the group is the session alone.
         """
-        group = self.groups[channel_id] if self.qos.channel_reuse else ()
-        ids = [member.link_id for member in group]
-        ids.append(record.link_id)
-        powers = qos.group_powers(ids, self._scale, self._u, self._g_ss_flat)
-        if powers is None:  # rho(F) >= 1 for the grown group: no finite powers
-            return Outcome.BLOCKED_QOS
-        cap = self._cap
-        for i, p in zip(ids, powers):
-            if not (0.0 < p < math.inf and p <= cap[i]):
-                return Outcome.BLOCKED_QOS
-
-        held = [member.power for member in group]
-        changes = []
-        points = zip(self._g_ps_rows, self._tolerance, self.primary_loads)
-        for gains_row, tolerance, load in points:
-            gains = [gains_row[i] for i in ids]
-            before = math.fsum(map(mul, gains, held))  # the n members' loads
-            after = math.fsum(map(mul, gains, powers))
-            if not after <= tolerance - (load - before):
-                return Outcome.BLOCKED_INTERFERENCE
-            changes.append(after - before)
-
-        for member, p in zip(group, powers):
-            member.power = p
-        record.power = powers[-1]
-        loads = self.primary_loads
-        for j, change in enumerate(changes):
-            loads[j] += change
-        return Outcome.ADMITTED
+        group = self.groups[channel_id] if self._reuse else ()
+        return _admission(len(group) + 1)(
+            group, record, self._scale, self._u, self._g_ss_flat, self._cap,
+            self._g_ps_rows, self._tolerance, self.primary_loads,
+        )
 
     def _audit_pools(self) -> None:
         """Check that every held record names its group's channel index and
@@ -505,6 +478,57 @@ class Simulation:
                 "per_point_interference_w": per_point.tolist(),
             },
         )
+
+
+@functools.cache
+def _admission(n: int) -> Callable[..., Outcome]:
+    """The physical admission of a grown group of ``n`` links as one
+    straight-line function, generated from ``n`` alone around
+    :func:`dsasim.qos.elimination_lines` and cached for the process's life.
+
+    It unpacks the ``n - 1`` held records of ``group`` (member ``r`` is
+    ``r{r}``, on link ``i{r}`` at power ``p{r}``; ``record``'s link is
+    ``i{n-1}``) and solves the grown group.  A pivot that is not positive
+    (``rho(F) >= 1``), or a power that is not positive and finite or over
+    its cap, is a QoS block.  Then at each primary point the grown group's
+    load ``after`` and the members' held load ``before``, each the ``fsum``
+    of its products, must keep ``after <= tolerance - (load - before)``, or
+    it is an interference block.  Only when every check passes are the
+    powers written and each ``after - before`` added to its point's load,
+    so a block changes nothing.  The float operations are those of
+    ``loop_admission`` in ``tests/oracles.py``, so the outcome, powers and
+    loads are bit for bit its own.
+    """
+    held, last = range(n - 1), n - 1
+    before = "fsum((" + "".join(f"row[i{r}] * p{r}, " for r in held) + "))"
+    after = "fsum((" + "".join(f"row[i{k}] * x{k}, " for k in range(n)) + "))"
+    lines = ["def admission(group, record, scale, u, g, cap, rows, tolerances, loads):"]
+    if held:
+        lines.append("    " + "".join(f"r{r}, " for r in held) + "= group")
+    lines += [f"    i{r} = r{r}.link_id; p{r} = r{r}.power" for r in held]
+    lines.append(f"    i{last} = record.link_id")
+    lines += qos.elimination_lines(n, "BLOCKED_QOS")
+    lines += [f"    if not (0.0 < x{k} < inf and x{k} <= cap[i{k}]): return BLOCKED_QOS"
+              for k in range(n)]
+    lines += [
+        "    changes = []",
+        "    for row, tolerance, load in zip(rows, tolerances, loads):",
+        f"        before = {before}",
+        f"        after = {after}",
+        "        if not after <= tolerance - (load - before): return BLOCKED_INTERFERENCE",
+        "        changes.append(after - before)",
+    ]
+    lines += [f"    r{r}.power = x{r}" for r in held]
+    lines += [
+        f"    record.power = x{last}",
+        "    for j, change in enumerate(changes): loads[j] += change",
+        "    return ADMITTED",
+    ]
+    namespace = {"inf": math.inf, "fsum": math.fsum, "ADMITTED": ADMITTED,
+                 "BLOCKED_QOS": Outcome.BLOCKED_QOS,
+                 "BLOCKED_INTERFERENCE": Outcome.BLOCKED_INTERFERENCE}
+    exec(compile("\n".join(lines), f"<engine._admission({n})>", "exec"), namespace)
+    return namespace["admission"]
 
 
 def run_simulation(

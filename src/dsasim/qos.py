@@ -24,20 +24,23 @@ rounding, so every target is first raised by the relative margin
 ``QOS_MARGIN`` (:func:`coupling_scale`).  The solved powers then pass the
 exact comparison of :func:`qos_met` and sit just above the minimal ones.
 
-:func:`group_powers` makes that solve for each admission's grown group, in
-pure Python, by Gaussian elimination without pivoting.  ``I - F`` is a
-Z-matrix (off-diagonal entries <= 0), and a Z-matrix is a nonsingular
-M-matrix, so ``rho(F) < 1``, exactly when every pivot of that elimination
+Each admission makes that solve for its grown group, in pure Python, by
+Gaussian elimination without pivoting; :func:`group_powers` makes it alone.
+``I - F`` is a Z-matrix (off-diagonal entries <= 0), and a Z-matrix is a
+nonsingular M-matrix, so ``rho(F) < 1``, exactly when every pivot of that elimination
 is positive (Berman and Plemmons, *Nonnegative Matrices in the Mathematical
 Sciences*).  The off-diagonal, right-hand-side and back-substitution
 updates all add terms of one sign, so only the pivots can lose accuracy.
-The elimination of an ``n``-link group is a straight-line function generated
-from ``n`` alone (:func:`_kernel`): every entry of ``[I - F | u]`` is a
-local name, with no list or loop, so a solve costs its arithmetic.  Its
-float operations, and their order, are fixed: they are those of the loop
-over rows that ``tests/oracles.py`` keeps as ``loop_group_powers``, so the
-powers are bit for bit that loop's.  Each size is compiled once per process
-and cached for its life; :func:`group_powers` gives the compile cost.
+The elimination of an ``n``-link group is straight-line code generated
+from ``n`` alone (:func:`elimination_lines`): every entry of ``[I - F |
+u]`` is a local name, with no list or loop, so a solve costs its
+arithmetic.  :func:`_kernel` wraps those lines into the function that
+:func:`group_powers` calls, and ``dsasim.engine`` into the whole admission
+of a grown group.  Their float operations, and their order, are fixed:
+they are those of the loop over rows that ``tests/oracles.py`` keeps as
+``loop_group_powers``, so the powers are bit for bit that loop's.  Each
+size is compiled once per process and cached for its life;
+:func:`group_powers` gives the compile cost.
 
 A BER target is another unit of the SINR target, converted once, when the
 config is parsed.  A BPSK link's bit error rate at SINR ``gamma`` is
@@ -128,19 +131,25 @@ def group_powers(
 
     The solve is the straight-line kernel for ``len(ids)`` links
     (:func:`_kernel`), compiled on a process's first group of that size and
-    cached for the process's life.  Its cost (2-vCPU host, Python 3.11; CPU
-    time, and ``tracemalloc`` peak and retained memory of the compile):
+    cached for the process's life; the engine compiles its admission of a
+    grown group (``dsasim.engine._admission``) around the same lines.  Their
+    cost (2-vCPU host, Python 3.11; CPU time, and ``tracemalloc`` peak and
+    retained memory of the compile):
 
-    ==============  =======  =======  =======  =======
-    links           8        16       32       64
-    compile, once   5 ms     28 ms    0.20 s   1.3 s
-    peak memory     0.9 MiB  5 MiB    35 MiB   260 MiB
-    kept            11 KiB   66 KiB   0.5 MiB  3.5 MiB
-    ==============  =======  =======  =======  =======
+    ===================  =======  =======  =======  ==========
+    links                8        16       32       64
+    kernel compile       5 ms     32 ms    0.17 s   0.9-1.2 s
+    admission compile    8 ms     38 ms    0.18 s   0.9-1.5 s
+    kernel peak          0.9 MiB  5.0 MiB  35 MiB   261 MiB
+    admission peak       1.1 MiB  6.1 MiB  35 MiB   262 MiB
+    kernel kept          19 KiB   92 KiB   0.6 MiB  4.8 MiB
+    admission kept       22 KiB   100 KiB  0.6 MiB  4.8 MiB
+    ===================  =======  =======  =======  ==========
 
-    An 8-link solve then takes 17 us, where the loop over rows took 94 us.
-    A group has at most one link per provider under channel reuse, and one
-    link without it, so a process compiles at most the sizes from 1 to its
+    An 8-link solve then takes about 10 us, where the loop over rows took
+    94 us; an 8-link admission, solve included, about 12 us.  A group has
+    at most one link per provider under channel reuse, and one link
+    without it, so a process compiles at most the sizes from 1 to its
     largest provider count.
     """
     return _kernel(len(ids))(ids, scale, u, g_ss)
@@ -149,40 +158,50 @@ def group_powers(
 @functools.cache
 def _kernel(n: int) -> Callable[..., list[float] | None]:
     """The elimination of :func:`group_powers` for ``n`` links as one
-    straight-line function, generated from ``n`` alone: entry ``(r, c)`` of
-    ``[I - F | u]`` is the local ``a{r}_{c}`` (column ``n`` is ``u``), row
-    ``k`` past its pivot, divided by it, is ``t{k}_{c}`` and power ``k`` is
-    ``x{k}``.
+    straight-line function, generated from ``n`` alone
+    (:func:`elimination_lines`), that unpacks ``ids`` first and returns the
+    powers as a list."""
+    lines = ["def kernel(ids, scale, u, g):"]
+    if n:
+        lines.append("    " + "".join(f"i{r}, " for r in range(n)) + "= ids")
+    lines += elimination_lines(n, "None")
+    lines.append("    return [" + ", ".join(f"x{k}" for k in range(n)) + "]")
+    namespace: dict = {}
+    exec(compile("\n".join(lines), f"<qos._kernel({n})>", "exec"), namespace)
+    return namespace["kernel"]
+
+
+def elimination_lines(n: int, blocked: str) -> list[str]:
+    """The body lines that solve ``[I - F | u]`` for ``n`` links whose ids
+    are the locals ``i0 .. i{n-1}``, reading ``scale``, ``u`` and the flat
+    gains ``g``: entry ``(r, c)`` is the local ``a{r}_{c}`` (column ``n`` is
+    ``u``), row ``k`` past its pivot, divided by it, is ``t{k}_{c}`` and
+    power ``k`` is ``x{k}``.  They return the expression ``blocked`` at the
+    first pivot that is not positive.
 
     The float operations are the loop's, in its order (module docstring).
     Row ``r`` is ``f * g[b + j]`` for ``f = -scale[i]`` and ``b = i *
     len(scale)``, ``1.0`` on the diagonal and ``u[i]`` last.  Step ``k``
-    returns None if ``not a{k}_{k} > 0.0``, divides the rest of the pivot
-    row by the pivot and updates every later entry to ``a - lead * t``.
-    Back substitution subtracts each ``t * x`` from the right-hand side,
-    left to right.
+    returns if ``not a{k}_{k} > 0.0``, divides the rest of the pivot row by
+    the pivot and updates every later entry to ``a - lead * t``.  Back
+    substitution subtracts each ``t * x`` from the right-hand side, left to
+    right.
     """
-    lines = ["def kernel(ids, scale, u, g):"]
-    if n:
-        lines.append("    " + "".join(f"i{r}, " for r in range(n)) + "= ids")
-    lines.append("    s = len(scale)")
+    lines = ["    s = len(scale)"]
     for r in range(n):
         lines.append(f"    f = -scale[i{r}]; b = i{r} * s")
         lines += [f"    a{r}_{c} = f * g[b + i{c}]" if c != r else f"    a{r}_{c} = 1.0"
                   for c in range(n)]
         lines.append(f"    a{r}_{n} = u[i{r}]")
     for k in range(n):
-        lines.append(f"    if not a{k}_{k} > 0.0: return None")
+        lines.append(f"    if not a{k}_{k} > 0.0: return {blocked}")
         lines += [f"    t{k}_{c} = a{k}_{c} / a{k}_{k}" for c in range(k + 1, n + 1)]
         lines += [f"    a{r}_{c} = a{r}_{c} - a{r}_{k} * t{k}_{c}"
                   for r in range(k + 1, n) for c in range(k + 1, n + 1)]
     for k in reversed(range(n)):
         terms = "".join(f" - t{k}_{c} * x{c}" for c in range(k + 1, n))
         lines.append(f"    x{k} = t{k}_{n}{terms}")
-    lines.append("    return [" + ", ".join(f"x{k}" for k in range(n)) + "]")
-    namespace: dict = {}
-    exec(compile("\n".join(lines), f"<qos._kernel({n})>", "exec"), namespace)
-    return namespace["kernel"]
+    return lines
 
 
 def sinr_target_from_ber(modulation: Modulation, target_ber: float) -> float:

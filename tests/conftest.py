@@ -7,13 +7,18 @@ import pytest
 from dsasim import (
     GainMatrices,
     NetworkTopology,
+    Outcome,
     PrimaryReceivingPoint,
+    QosConfig,
     SecondaryLink,
     ServiceProvider,
     SpectrumChannel,
+    Strategy,
+    TrafficSpec,
     gains_from_positions,
     link_arrays,
 )
+from dsasim.engine import SessionRecord, Simulation
 from dsasim.qos import coupling_scale, group_powers
 
 from oracles import PowerSolution
@@ -106,6 +111,29 @@ def solve_as_one_group(topology: NetworkTopology) -> PowerSolution:
     budgets = np.array([p.tolerance for p in topology.primary_points])
     return PowerSolution(powers, bool(np.all(powers <= power_max)),
                          bool(np.all(topology.gains.g_ps @ powers <= budgets)))
+
+
+def held_record(session_id: int, link_id: int, power: float) -> SessionRecord:
+    """An admitted record on channel index 0 of provider 0 at ``power``."""
+    return SessionRecord(session_id, 0.0, 1.0, 0, 0, 0, link_id, Outcome.ADMITTED, power)
+
+
+def admit_to_one_group(topology: NetworkTopology) -> tuple[Outcome, list[float]]:
+    """The engine's physical admission of the topology's last link to a
+    channel index that holds every other link at its nominal power, on the
+    tables a reuse Simulation binds: the outcome and every link's power
+    afterwards, in link order."""
+    spec = TrafficSpec(arrival_rates=(0.0,) * len(topology.providers), mean_holding_time=1.0,
+                       horizon=1.0, seed=0, requested_rate=REQUESTED_RATE)
+    simulation = Simulation(topology, spec, Strategy.FIXED,
+                            qos_config=QosConfig(physical_checks=True, channel_reuse=True))
+    *links, last = topology.links
+    held = [held_record(k, link.id, link.power) for k, link in enumerate(links)]
+    record = held_record(len(held), last.id, 0.0)
+    simulation.groups[0] = held
+    simulation.primary_loads = (topology.gains.g_ps[:, :-1] @ [m.power for m in held]).tolist()
+    outcome = simulation._physical_admission(0, record)
+    return outcome, [member.power for member in held] + [record.power]
 
 
 def fixed_point_system(topology: NetworkTopology) -> tuple[np.ndarray, np.ndarray]:

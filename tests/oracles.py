@@ -1,18 +1,20 @@
 """Second implementations of decisions the package makes once, kept as the
 tests' references: the utility scored from a pool's four summaries, pools
 built from tuples of free channels, a dense numpy minimal-power solve, the
-admission solve as a loop over rows, an exact rational linear solve, an
-interference integral over a load trace and the BER curves whose inverse
-gives a SINR target.  The simulator never runs them."""
+admission solve as a loop over rows and the physical admission around it,
+an exact rational linear solve, an interference integral over a load trace
+and the BER curves whose inverse gives a SINR target.  The simulator never
+runs them."""
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 
-from dsasim import Modulation, SbacConfig, SpectrumChannel
+from dsasim import Modulation, Outcome, SbacConfig, SpectrumChannel
 from dsasim.errors import DsasimError
 from dsasim.qos import coupling_scale
 from dsasim.sbac import COST_FLOOR, SPREAD_FLOOR, SPREAD_UNIT_HZ
@@ -175,6 +177,42 @@ def loop_group_powers(ids, scale, u, g_ss) -> list[float] | None:
             total -= x * p
         powers.insert(0, total)
     return powers
+
+
+def loop_admission(group, record, scale, u, g_ss, cap, g_ps_rows, tolerances, loads):
+    """The engine's physical admission of ``record`` to the held ``group``
+    as loops over lists, on :func:`loop_group_powers`: the reference that
+    each generated ``engine._admission`` must equal bit for bit in outcome,
+    powers and ``loads``.  A pivot that is not positive, or a power that is
+    not positive and finite or over its cap, is a QoS block; then a primary
+    point whose budget the grown group's load breaks is an interference
+    block.  On admission the members and ``record`` get the solved powers
+    and each point's load the change in the group's load."""
+    ids = [member.link_id for member in group]
+    ids.append(record.link_id)
+    powers = loop_group_powers(ids, scale, u, g_ss)
+    if powers is None:
+        return Outcome.BLOCKED_QOS
+    for i, p in zip(ids, powers):
+        if not (0.0 < p < math.inf and p <= cap[i]):
+            return Outcome.BLOCKED_QOS
+
+    held = [member.power for member in group]
+    changes = []
+    for gains_row, tolerance, load in zip(g_ps_rows, tolerances, loads):
+        gains = [gains_row[i] for i in ids]
+        before = math.fsum(map(mul, gains, held))  # the n - 1 members' loads
+        after = math.fsum(map(mul, gains, powers))
+        if not after <= tolerance - (load - before):
+            return Outcome.BLOCKED_INTERFERENCE
+        changes.append(after - before)
+
+    for member, p in zip(group, powers):
+        member.power = p
+    record.power = powers[-1]
+    for j, change in enumerate(changes):
+        loads[j] += change
+    return Outcome.ADMITTED
 
 
 class TraceError(DsasimError):

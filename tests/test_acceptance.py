@@ -14,6 +14,7 @@ import pytest
 
 from dsasim import (
     NetworkTopology,
+    Outcome,
     SbacConfig,
     Strategy,
     TrafficSpec,
@@ -28,6 +29,7 @@ from dsasim.sbac import LivePool
 
 from conftest import (
     REQUESTED_RATE,
+    admit_to_one_group,
     explicit_gain_topology,
     fixed_point_system,
     jacobi_powers,
@@ -102,14 +104,22 @@ def test_c1_erlang_b_agreement():
 
 
 def test_c2_power_solver_equivalence():
-    # qos.group_powers on each instance's two links as one co-channel group
+    # qos.group_powers on each instance's two links as one co-channel group,
+    # and the engine's admission of the second link to a channel index that
+    # holds the first, under the instance's caps (it has no primary point):
+    # the same verdict and, when admitted, the same powers to the bit
     rng = np.random.default_rng(777)
     feasible_count = 0
     for _ in range(100):
         topology, radius = random_two_link_instance(rng)
         solution = solve_as_one_group(topology)
         assert solution.feasible == (radius < 1.0), (radius, solution)
-        if solution.feasible:
+        outcome, powers = admit_to_one_group(topology)
+        if not solution.feasible:
+            assert outcome is (Outcome.BLOCKED_QOS if not solution.within_power_caps
+                               else Outcome.BLOCKED_INTERFERENCE)
+        else:
+            assert outcome is Outcome.ADMITTED and powers == solution.powers.tolist()
             feasible_count += 1
             coupling, offset = fixed_point_system(topology)
             closed_form = np.linalg.solve(np.eye(2) - coupling, offset)
@@ -141,8 +151,9 @@ def test_c2_power_solver_equivalence():
         checked += 1
     report_pass(
         "C2 (power-solver equivalence)",
-        f"100 verdicts match spectral radius ({feasible_count} feasible, closed form "
-        f"and Jacobi iteration within 1e-8); minimality vs 200x200 grid on {checked} instances",
+        f"100 verdicts match spectral radius and the engine's admission ({feasible_count} "
+        f"feasible, closed form and Jacobi iteration within 1e-8); minimality vs 200x200 "
+        f"grid on {checked} instances",
     )
 
 

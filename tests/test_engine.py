@@ -7,10 +7,11 @@ import gc
 import heapq
 import math
 import tracemalloc
+from array import array
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dsasim import (
@@ -33,8 +34,10 @@ from dsasim.engine import Simulation
 from dsasim.sbac import LivePool
 from dsasim.qos import QOS_MARGIN
 
-from conftest import explicit_gain_topology, make_link, make_provider, make_topology
-from oracles import mean_primary_interference, solve_min_powers
+from conftest import (
+    explicit_gain_topology, held_record, make_link, make_provider, make_topology,
+)
+from oracles import loop_admission, mean_primary_interference, solve_min_powers
 
 
 def spec_for(rates, holding=1.0, horizon=200.0, seed=0, rate=1e5):
@@ -529,19 +532,152 @@ def test_reuse_audit_passes_check_qos_at_recorded_powers():
 
 
 def test_admission_kernels_compile_once_per_size_per_process():
-    # a second audited reuse run finds every group size's kernel compiled,
-    # so compiling stays out of a run's time and memory
-    assert qos._kernel(5) is qos._kernel(5)
+    # a second audited reuse run finds every group size's admission
+    # compiled, so compiling stays out of a run's time and memory
+    assert engine._admission(5) is engine._admission(5)
     topology = make_topology(num_providers=8, channels=10, num_links=32, tolerance=4e-11)
     spec = spec_for([0.8] * 8, holding=10.0, horizon=30.0, seed=3)
     qos_config = QosConfig(physical_checks=True, channel_reuse=True)
     first = run_simulation(topology, spec, Strategy.DYNAMIC_SBAC, qos_config=qos_config,
                            audit=True)
-    compiled = qos._kernel.cache_info()
+    compiled = engine._admission.cache_info()
     assert run_simulation(topology, spec, Strategy.DYNAMIC_SBAC, qos_config=qos_config,
                           audit=True) == first
-    after = qos._kernel.cache_info()
+    after = engine._admission.cache_info()
     assert after.misses == compiled.misses and after.hits > compiled.hits
+
+
+def test_a_physical_run_without_reuse_compiles_only_the_lone_link_admission():
+    engine._admission.cache_clear()
+    topology = make_topology(num_providers=8, channels=10, num_links=32, tolerance=4e-11)
+    spec = spec_for([0.8] * 8, holding=10.0, horizon=30.0, seed=3)
+    _, report = run_simulation(topology, spec, Strategy.DYNAMIC_SBAC,
+                               qos_config=QosConfig(physical_checks=True))
+    assert report.admitted > 0
+    assert engine._admission.cache_info().currsize == 1
+    engine._admission(1)  # a hit: size 1 is the one size compiled
+    assert engine._admission.cache_info().misses == 1
+
+
+def test_compiling_an_admission_peaks_near_compiling_its_elimination():
+    # the admission wraps the elimination's lines in reads, checks and
+    # write-back that grow as n, not n ** 3 / 3: at n = 16 its compile
+    # peaked at 6.1 MiB against the elimination's 5.0 MiB on Python 3.11
+    def peak(generate):
+        gc.collect()
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        generate(16)
+        return tracemalloc.get_traced_memory()[1] - before
+
+    tracemalloc.start()
+    try:
+        admission = peak(engine._admission.__wrapped__)  # uncached: a fresh compile
+        elimination = peak(qos._kernel.__wrapped__)
+    finally:
+        tracemalloc.stop()
+    assert admission <= 1.5 * elimination
+
+
+ADMISSION_LINKS = 8  # links in the gain matrix of the admission property
+
+
+def admission_tables(ids, gains, weights, noise, radius, caps, points):
+    """The tables a Simulation binds for its admissions: ``scale``, ``u``,
+    the flat gains, the caps and each primary point's gains row and
+    tolerance.  The per-link ``weights`` are scaled so that the grown group
+    ``ids`` has ``rho(F) = radius``, unless it is all but uncoupled."""
+    g_ss = np.array(gains).reshape(ADMISSION_LINKS, ADMISSION_LINKS)
+    weights = np.array(weights)
+    coupling = weights[ids, None] * g_ss[np.ix_(ids, ids)]
+    np.fill_diagonal(coupling, 0.0)
+    rho = max(abs(np.linalg.eigvals(coupling)), default=0.0)
+    scale = weights * (radius / rho if rho > 1e-9 else 1.0)
+    return (array("d", scale.tolist()), array("d", (scale * np.array(noise)).tolist()),
+            memoryview(np.ascontiguousarray(g_ss).reshape(-1)), array("d", caps),
+            [array("d", row) for row, _, _ in points], [tolerance for _, tolerance, _ in points])
+
+
+def admission_case(held=(), new_link=0, gains=(0.5,) * ADMISSION_LINKS**2,
+                   weights=(1.0,) * ADMISSION_LINKS, noise=(0.01,) * ADMISSION_LINKS,
+                   radius=0.5, caps=(20.0,) * ADMISSION_LINKS, points=()):
+    """The property's arguments, defaults filled in, for its examples."""
+    return dict(held=list(held), new_link=new_link, gains=list(gains), weights=list(weights),
+                noise=list(noise), radius=radius, caps=list(caps), points=list(points))
+
+
+ADMISSION_CASES = {
+    # the 2-link group's rho(F) = 1.5: its second pivot is 1 - 1.5 ** 2
+    "pivot": (Outcome.BLOCKED_QOS, admission_case(held=[(0, 1.0)], new_link=1, radius=1.5)),
+    # a lone link's power is its u = 1.0, over its cap
+    "cap": (Outcome.BLOCKED_QOS, admission_case(new_link=3, noise=(1.0,) * ADMISSION_LINKS,
+                                                caps=(1e-3,) * ADMISSION_LINKS)),
+    # the new link adds nothing at the point (gain 0), but the held member's
+    # power rises from 1e-6 to 0.02 against a tolerance of 2e-6
+    "raised": (Outcome.BLOCKED_INTERFERENCE, admission_case(
+        held=[(0, 1e-6)], new_link=1, points=[([1.0] + [0.0] * 7, 2e-6, 1e-6)])),
+    "admitted": (Outcome.ADMITTED, admission_case(
+        held=[(0, 0.01), (2, 0.02)], new_link=5,
+        points=[([0.1] * ADMISSION_LINKS, 10.0, 0.003), ([0.2] * ADMISSION_LINKS, 1.0, 0.0)])),
+}
+
+
+def admit_both(held, new_link, gains, weights, noise, radius, caps, points):
+    """Each of the generated admission and ``loop_admission`` on fresh
+    records and loads: its outcome, the group's and the record's powers as
+    exact float images, and the loads'."""
+    ids = [link for link, _ in held] + [new_link]
+    tables = admission_tables(ids, gains, weights, noise, radius, caps, points)
+    results = []
+    for admit in (engine._admission(len(ids)), loop_admission):
+        records = [held_record(k, link, power) for k, (link, power) in enumerate(held)]
+        records.append(held_record(len(held), new_link, 0.0))
+        loads = [load for _, _, load in points]
+        outcome = admit(records[:-1], records[-1], *tables, loads)
+        results.append((outcome, [r.power.hex() for r in records], [x.hex() for x in loads]))
+    return results
+
+
+@given(
+    held=st.lists(st.tuples(st.integers(0, ADMISSION_LINKS - 1), st.floats(1e-6, 10.0)),
+                  max_size=7),
+    new_link=st.integers(0, ADMISSION_LINKS - 1),
+    gains=st.lists(st.floats(0.0, 1.0), min_size=ADMISSION_LINKS**2,
+                   max_size=ADMISSION_LINKS**2),
+    weights=st.lists(st.floats(0.1, 10.0), min_size=ADMISSION_LINKS, max_size=ADMISSION_LINKS),
+    noise=st.lists(st.floats(1e-3, 1.0), min_size=ADMISSION_LINKS, max_size=ADMISSION_LINKS),
+    radius=st.floats(0.5, 1.5),
+    caps=st.lists(st.floats(1e-3, 20.0), min_size=ADMISSION_LINKS, max_size=ADMISSION_LINKS),
+    points=st.lists(st.tuples(st.lists(st.floats(0.0, 1.0), min_size=ADMISSION_LINKS,
+                                       max_size=ADMISSION_LINKS),
+                              st.floats(0.0, 50.0), st.floats(0.0, 50.0)), max_size=3),
+)
+@settings(max_examples=300, deadline=None)
+@example(**ADMISSION_CASES["pivot"][1])
+@example(**ADMISSION_CASES["cap"][1])
+@example(**ADMISSION_CASES["raised"][1])
+@example(**ADMISSION_CASES["admitted"][1])
+def test_generated_admission_equals_the_reference_bit_for_bit(
+    held, new_link, gains, weights, noise, radius, caps, points
+):
+    # 0 to 7 held records, a link repeating as when two sessions on it share
+    # a channel index, and 0 to 3 primary points, with rho(F) on either
+    # side of 1: the same outcome, powers and loads to the bit, and a block
+    # leaves every power and load as it was
+    generated, reference = admit_both(held, new_link, gains, weights, noise, radius, caps,
+                                      points)
+    assert generated == reference
+    outcome, powers, loads = generated
+    if outcome is not Outcome.ADMITTED:
+        assert powers == [power.hex() for _, power in held] + [(0.0).hex()]
+        assert loads == [load.hex() for _, _, load in points]
+
+
+@pytest.mark.parametrize("name", sorted(ADMISSION_CASES))
+def test_each_admission_example_ends_as_named(name):
+    expected, case = ADMISSION_CASES[name]
+    (outcome, _, _), _ = admit_both(**case)
+    assert outcome is expected
 
 
 def test_audit_flags_drifted_primary_loads():
