@@ -2,7 +2,7 @@
 
 Arrivals are ``(time, provider_id, holding_time)`` tuples drawn lazily from
 :func:`~dsasim.traffic.build_event_stream`, which holds a block of at most
-16 log-uniforms and one pending arrival per provider, and the event queue
+32 log-uniforms and one pending arrival per provider, and the event queue
 is a heap of the held sessions' departures keyed ``(end_time, session_id)``.
 
 Every arrival is offered the candidate pools its strategy allows (home
@@ -22,16 +22,19 @@ elimination of :func:`dsasim.qos.group_powers`, checks the caps and the
 primary budgets, and only then writes the powers and loads back.  So no
 state but the records follows a group, a departure does no power work and
 neither path makes a numpy call.
-The report is streamed: each blocked arrival adds to a count per cause, and
-each admission adds its link's precomputed delay and its bits to running
-totals, so a run's memory follows its held sessions, not its arrivals.
+The report is streamed: each blocked arrival adds to a count per cause (an
+integer attribute per cause, chosen by identity, since an ``Enum`` member
+hashes in Python), and each admission adds its link's precomputed delay and
+its bits to running totals, so a run's memory follows its held sessions,
+not its arrivals.
 Every arrival's record is kept only with ``keep_records``.
 Each provider's :class:`~dsasim.sbac.LivePool`, built once per run, follows
 the held sessions as channels are taken and given back, and under dynamic
 selection re-scores itself on each take and give from the utility's
-constants, folded in when it was built, so an arrival's selection is a max
-over P cached scores; under fixed allocation the home pool is the one
-candidate and is never scored.  What an admission reads of the run's inputs
+constants, folded in when it was built, into its provider id's slot of the
+run's one score list, so an arrival's selection is one ``max`` over that
+list; under fixed allocation the home pool is the one candidate and is
+never scored.  What an admission reads of the run's inputs
 (the links, the horizon, the requested rate, whether the physical stage
 runs) is bound once when the :class:`Simulation` is built.
 A departure leaves the powers of the rest of its co-channel group as they
@@ -85,6 +88,8 @@ class Outcome(Enum):
 
 
 ADMITTED = Outcome.ADMITTED
+BLOCKED_NO_CHANNEL = Outcome.BLOCKED_NO_CHANNEL
+BLOCKED_QOS = Outcome.BLOCKED_QOS
 
 
 @dataclass(frozen=True)
@@ -146,12 +151,27 @@ class Simulation:
     held sessions' interference at each point.
 
     The report's sums are streamed: ``arrivals`` counts the arrivals and
-    numbers their sessions, ``blocks`` counts the blocked ones per cause,
+    numbers their sessions, ``blocked_no_channel``, ``blocked_qos`` and
+    ``blocked_interference`` count the blocked ones per cause,
     ``delay_total`` adds up the admitted sessions' propagation delays in
     admission order, and ``bits`` their served bits within the horizon.
     ``records`` is every arrival's record, in arrival order, with
     ``keep_records``, and None without.
+
+    The attributes are slots: a run holds no instance dict, whose size
+    would jump once its key count passed the interpreter's shared-key limit.
     """
+
+    __slots__ = (
+        "topology", "traffic_spec", "strategy", "sbac", "qos", "audit",
+        "_pools", "_scores", "_candidates", "records", "arrivals",
+        "blocked_no_channel", "blocked_qos", "blocked_interference", "delay_total", "bits",
+        "groups", "busy", "clock", "busy_integral", "primary_loads", "primary_integral",
+        "_ran", "_links", "_horizon", "_physical", "_requested_rate", "_link_delays",
+        "_g_ss", "_g_ps", "_g_ps_rows", "_tolerance",
+        # the physical stage's, bound only when it runs
+        "_noise", "_gain", "_sinr_target", "_scale", "_u", "_cap", "_g_ss_flat", "_reuse",
+    )
 
     def __init__(
         self,
@@ -180,14 +200,17 @@ class Simulation:
 
         if strategy is Strategy.FIXED:
             # the home pool is the only candidate: it is never scored
+            self._scores = None
             self._pools = [LivePool(p) for p in topology.providers]
             self._candidates = [(pool,) for pool in self._pools]
         else:
-            self._pools = [LivePool(p, self.sbac) for p in topology.providers]
+            # every pool keeps its score in its provider id's slot of one list
+            self._scores = []
+            self._pools = [LivePool(p, self.sbac, self._scores) for p in topology.providers]
             self._candidates = [self._pools] * len(self._pools)
         self.records: list[SessionRecord] | None = [] if keep_records else None
         self.arrivals = 0
-        self.blocks = {outcome: 0 for outcome in Outcome if outcome is not ADMITTED}
+        self.blocked_no_channel = self.blocked_qos = self.blocked_interference = 0
         self.delay_total = 0.0
         self.bits = 0.0
         self.groups: defaultdict[int, list[SessionRecord]] = defaultdict(list)
@@ -320,25 +343,28 @@ class Simulation:
         # session id, arrival and end time, home provider, provider, channel,
         # link and outcome, in field order
         record = SessionRecord(session_id, time, time, home_provider_id, None, None, link.id,
-                               Outcome.BLOCKED_NO_CHANNEL)
+                               BLOCKED_NO_CHANNEL)
 
-        choice = sbac.select_best_channel(self._candidates[home_provider_id])
+        choice = sbac.select_best_channel(self._candidates[home_provider_id], self._scores)
         if choice is None:
-            outcome = Outcome.BLOCKED_NO_CHANNEL
-        elif self._physical:
-            outcome = self._physical_admission(choice[1], record)
+            self.blocked_no_channel += 1
+            return record
+        provider_id, channel_id, _ = choice
+        if self._physical:
+            outcome = self._physical_admission(channel_id, record)
+            if outcome is not ADMITTED:  # counted by identity: Enum hashes in Python
+                record.outcome = outcome
+                if outcome is BLOCKED_QOS:
+                    self.blocked_qos += 1
+                else:
+                    self.blocked_interference += 1
+                return record
         else:
-            outcome = ADMITTED
             record.power = power = link.power
             link_id, loads = link.id, self.primary_loads
             for j, row in enumerate(self._g_ps_rows):
                 loads[j] += row[link_id] * power
-        if outcome is not ADMITTED:  # only blocks hash their outcome
-            record.outcome = outcome
-            self.blocks[outcome] += 1
-            return record
 
-        provider_id, channel_id, _ = choice
         record.outcome = ADMITTED
         record.provider_id = provider_id
         record.channel_id = channel_id
@@ -445,9 +471,8 @@ class Simulation:
 
     def _report(self) -> MetricsReport:
         horizon = self.traffic_spec.horizon
-        blocks = self.blocks
         arrivals = self.arrivals
-        blocked = sum(blocks.values())
+        blocked = self.blocked_no_channel + self.blocked_qos + self.blocked_interference
         admitted = arrivals - blocked
         mean_delay = self.delay_total / admitted if admitted else 0.0
 
@@ -468,9 +493,9 @@ class Simulation:
             blocking_probability=blocked / arrivals if arrivals else 0.0,
             arrivals=arrivals,
             admitted=admitted,
-            blocked_no_channel=blocks[Outcome.BLOCKED_NO_CHANNEL],
-            blocked_qos=blocks[Outcome.BLOCKED_QOS],
-            blocked_interference=blocks[Outcome.BLOCKED_INTERFERENCE],
+            blocked_no_channel=self.blocked_no_channel,
+            blocked_qos=self.blocked_qos,
+            blocked_interference=self.blocked_interference,
             metadata={
                 "strategy": self.strategy.value,
                 "seed": self.traffic_spec.seed,
@@ -525,7 +550,7 @@ def _admission(n: int) -> Callable[..., Outcome]:
         "    return ADMITTED",
     ]
     namespace = {"inf": math.inf, "fsum": math.fsum, "ADMITTED": ADMITTED,
-                 "BLOCKED_QOS": Outcome.BLOCKED_QOS,
+                 "BLOCKED_QOS": BLOCKED_QOS,
                  "BLOCKED_INTERFERENCE": Outcome.BLOCKED_INTERFERENCE}
     exec(compile("\n".join(lines), f"<engine._admission({n})>", "exec"), namespace)
     return namespace["admission"]

@@ -22,10 +22,13 @@ taken and given back: its free-channel count, its lowest free channel id
 and, built with an :class:`SbacConfig`, its ``score``.  The run's weights,
 session length and the provider's cost rate never change, so the pool folds
 them into three scalars when it is built (``10 * beta1``, ``beta2`` and the
-whole cost term) and re-scores each take and give from those and the
-extreme bits of a frequency bitmask, so selecting among P pools is a max
-over P cached floats.  A lone candidate (fixed allocation's home pool) wins
-without being scored.
+whole cost term).  It re-scores each take and give from those, the free
+count and a cached spread term, which only a take or give that moves the
+lowest or highest free frequency recomputes.  The scored pools of a run
+keep their scores in one shared list, ``NO_FREE`` while a pool has no free
+channel, so selecting among P pools is one C-level ``max`` of that list and
+a ``list.index`` of the maximum.  A lone candidate (fixed allocation's home
+pool) wins without being scored.
 """
 from __future__ import annotations
 
@@ -42,6 +45,8 @@ SPREAD_FLOOR = 1e-6  # MHz
 COST_FLOOR = 1e-6  # currency units
 # |ln(1 / spread)| at the widest spread in MHz between two finite frequencies
 WIDEST_SPREAD_LOG = -math.log(1.0 / (sys.float_info.max / SPREAD_UNIT_HZ))
+# a scored pool's score while it has no free channel; every score is finite
+NO_FREE = -math.inf
 
 
 @dataclass(frozen=True)
@@ -86,29 +91,36 @@ class SbacConfig:
 class LivePool:
     """One provider's pool, kept current as its channels are taken and given back.
 
-    The free channels are two Python-int bitmasks with one bit per channel:
-    ``id_mask`` in channel-id order and ``frequency_mask`` in center-frequency
-    order (equal frequencies in id order).  Taking or giving back a channel
-    flips its bit in each, found by bisecting the sorted ids, and refreshes
-    what selection reads, ``free_count``, ``lowest_free_id`` and ``score``:
-    the utility while a channel is free, None when none is or the pool has
-    no config.  The score's spread is read off the lowest and highest
-    frequency bits; the audit reads them as the min and max free frequency.
+    The free channels are two ``bytearray`` s, 1 for a free channel:
+    ``free_by_id`` in channel-id order and ``free_by_frequency`` in
+    center-frequency order (equal frequencies in id order).  Each ends in a
+    1 that is no channel, and ``free_by_frequency`` also starts with one, so
+    ``find`` and ``rfind`` always land: on an end byte when no channel is
+    free, which reads as no lowest free id and no free frequency.  A take
+    or a give sets one byte in each and moves ``free_count``,
+    ``lowest_free_id`` (taking it needs no bisect) and the positions of the
+    free-frequency extremes.  Built with an :class:`SbacConfig`, it also
+    re-scores the pool, recomputing the spread term ``beta2 * ln(1 /
+    max(spread, SPREAD_FLOOR))`` only when an extreme moved, and writes the
+    score into its slot of the ``scores`` list it was built with (its own
+    when none is given), ``NO_FREE`` while no channel is free.
     """
 
     __slots__ = (
         "provider", "provider_id", "total_channels", "cost_rate", "config",
-        "_ids", "_frequency_rank", "_frequencies", "id_mask", "frequency_mask",
-        "free_count", "lowest_free_id", "score",
-        "_free_weight", "_spread_weight", "_cost_term",
+        "_ids", "_frequency_rank", "_frequencies", "free_by_id", "free_by_frequency",
+        "free_count", "lowest_free_id", "_low", "_high", "_scores", "_slot",
+        "_free_weight", "_spread_weight", "_spread_term", "_cost_term",
     )
 
-    def __init__(self, provider: ServiceProvider, config: SbacConfig | None = None):
+    def __init__(self, provider: ServiceProvider, config: SbacConfig | None = None,
+                 scores: list[float] | None = None):
         self.provider = provider
         self.config = config
         self.provider_id = provider.id
-        self.total_channels = provider.num_channels
+        self.total_channels = count = provider.num_channels
         self.cost_rate = provider.cost_rate
+        self._scores = None
         if config is not None:
             # the utility's constants, as its float operations group them:
             # 10 * beta1 * x is (10 * beta1) * x
@@ -116,97 +128,172 @@ class LivePool:
             self._spread_weight = config.beta2
             cost = config.session_minutes * 60.0 * provider.cost_rate
             self._cost_term = config.beta3 / max(cost, COST_FLOOR)
+            self._scores = scores = [] if scores is None else scores
+            self._slot = len(scores)
+            scores.append(NO_FREE)
         by_id = sorted(provider.channels, key=lambda ch: ch.id)
         # a stable sort, so equal frequencies stay in id order
-        by_frequency = sorted(range(len(by_id)), key=lambda i: by_id[i].center_frequency)
-        rank = [0] * len(by_id)
-        for position, index in enumerate(by_frequency):
+        by_frequency = sorted(range(count), key=lambda i: by_id[i].center_frequency)
+        rank = [0] * count
+        for position, index in enumerate(by_frequency, start=1):
             rank[index] = position
-        self._ids = tuple(ch.id for ch in by_id)
-        self._frequency_rank = tuple(rank)  # id-order index -> frequency-order bit
-        self._frequencies = tuple(by_id[i].center_frequency for i in by_frequency)
-        self.id_mask = self.frequency_mask = (1 << len(by_id)) - 1
+        self._ids = (*(ch.id for ch in by_id), None)
+        self._frequency_rank = tuple(rank)  # id-order index -> frequency-order byte
+        self._frequencies = (None, *(by_id[i].center_frequency for i in by_frequency), None)
+        self.free_by_id = bytearray(b"\x01") * (count + 1)
+        self.free_by_frequency = bytearray(b"\x01") * (count + 2)
+        self.free_count = count
+        self.lowest_free_id = self._ids[0]
         self._summarise()
 
     def take(self, channel_id: int) -> None:
         """Mark a free channel held."""
-        self._flip(channel_id, 1)
+        by_id = self.free_by_id
+        if channel_id == self.lowest_free_id:
+            index = by_id.find(1)
+            by_id[index] = 0
+            self.lowest_free_id = self._ids[by_id.find(1, index)]
+        else:
+            index = self._index(channel_id)
+            if not by_id[index]:
+                raise StateError(f"channel {(self.provider_id, channel_id)} is already held")
+            by_id[index] = 0
+        rank = self._frequency_rank[index]
+        by_frequency = self.free_by_frequency
+        by_frequency[rank] = 0
+        self.free_count = free = self.free_count - 1
+        # an extreme moves inward; with none free, onto the bytes that are no channel
+        moved = False
+        if rank == self._low:
+            self._low = by_frequency.find(1, rank)
+            moved = True
+        if rank == self._high:
+            self._high = by_frequency.rfind(1, 0, rank)
+            moved = True
+        scores = self._scores
+        if scores is None:
+            return
+        if moved:
+            if not free:
+                scores[self._slot] = NO_FREE
+                return
+            frequencies = self._frequencies
+            spread = (frequencies[self._high] - frequencies[self._low]) / SPREAD_UNIT_HZ
+            floored = spread if spread > SPREAD_FLOOR else SPREAD_FLOOR
+            self._spread_term = self._spread_weight * math.log(1.0 / floored)
+        scores[self._slot] = (
+            self._free_weight * (free / self.total_channels)
+            + self._spread_term + self._cost_term
+        )
 
     def give(self, channel_id: int) -> None:
         """Mark a held channel free again."""
-        self._flip(channel_id, 0)
+        index = self._index(channel_id)
+        by_id = self.free_by_id
+        if by_id[index]:
+            raise StateError(f"channel {(self.provider_id, channel_id)} is already free")
+        by_id[index] = 1
+        lowest = self.lowest_free_id
+        if lowest is None or channel_id < lowest:
+            self.lowest_free_id = channel_id
+        rank = self._frequency_rank[index]
+        self.free_by_frequency[rank] = 1
+        self.free_count = free = self.free_count + 1
+        # an extreme moves outward; into a pool with none free, both do
+        moved = False
+        if rank < self._low:
+            self._low = rank
+            moved = True
+        if rank > self._high:
+            self._high = rank
+            moved = True
+        scores = self._scores
+        if scores is None:
+            return
+        if moved:
+            frequencies = self._frequencies
+            spread = (frequencies[self._high] - frequencies[self._low]) / SPREAD_UNIT_HZ
+            floored = spread if spread > SPREAD_FLOOR else SPREAD_FLOOR
+            self._spread_term = self._spread_weight * math.log(1.0 / floored)
+        scores[self._slot] = (
+            self._free_weight * (free / self.total_channels)
+            + self._spread_term + self._cost_term
+        )
 
-    def _flip(self, channel_id: int, free_bit: int) -> None:
-        """Flip the bit of ``channel_id``, which must read ``free_bit`` (1 free)."""
+    def _index(self, channel_id: int) -> int:
+        """``channel_id``'s position in id order; StateError when the
+        provider has no such channel."""
         ids = self._ids
-        index = bisect_left(ids, channel_id)
-        if index == len(ids) or ids[index] != channel_id:
+        index = bisect_left(ids, channel_id, 0, self.total_channels)
+        if ids[index] != channel_id:  # the trailing None when past the largest id
             raise StateError(f"provider {self.provider_id} has no channel {channel_id}")
-        if self.id_mask >> index & 1 != free_bit:
-            state = "held" if free_bit else "free"
-            raise StateError(f"channel {(self.provider_id, channel_id)} is already {state}")
-        self.id_mask ^= 1 << index
-        self.frequency_mask ^= 1 << self._frequency_rank[index]
-        self._summarise()
+        return index
 
     def _summarise(self) -> None:
-        by_id = self.id_mask
-        self.free_count = free = by_id.bit_count()
-        if not by_id:
-            self.lowest_free_id = self.score = None
+        """Re-read the free-frequency extremes from the bytes and, scored,
+        re-score the pool from them, as a take or a give that moves an
+        extreme does: when the pool is built and on an audit."""
+        by_frequency = self.free_by_frequency
+        self._low = low = by_frequency.find(1, 1)
+        self._high = high = by_frequency.rfind(1, 0, -1)
+        scores = self._scores
+        if scores is None:
             return
-        # x & -x keeps the lowest set bit
-        self.lowest_free_id = self._ids[(by_id & -by_id).bit_length() - 1]
-        if self.config is None:
-            self.score = None
+        free = self.free_count
+        if not free:
+            scores[self._slot] = NO_FREE
             return
-        # the max and min free frequency, read as the properties below do
-        mask, frequencies = self.frequency_mask, self._frequencies
-        spread = (frequencies[mask.bit_length() - 1]
-                  - frequencies[(mask & -mask).bit_length() - 1]) / SPREAD_UNIT_HZ
+        frequencies = self._frequencies
+        spread = (frequencies[high] - frequencies[low]) / SPREAD_UNIT_HZ
         floored = spread if spread > SPREAD_FLOOR else SPREAD_FLOOR  # max() without a call
-        self.score = (
+        self._spread_term = self._spread_weight * math.log(1.0 / floored)
+        scores[self._slot] = (
             self._free_weight * (free / self.total_channels)
-            + self._spread_weight * math.log(1.0 / floored)
-            + self._cost_term
+            + self._spread_term + self._cost_term
         )
 
     @property
+    def score(self) -> float | None:
+        """The utility while a channel is free; None when none is or the
+        pool has no config."""
+        if self._scores is None:
+            return None
+        score = self._scores[self._slot]
+        return None if score == NO_FREE else score
+
+    @property
     def min_free_frequency(self) -> float | None:
-        mask = self.frequency_mask
-        return self._frequencies[(mask & -mask).bit_length() - 1] if mask else None
+        return self._frequencies[self._low]
 
     @property
     def max_free_frequency(self) -> float | None:
-        mask = self.frequency_mask  # bit_length() - 1 is the highest set bit
-        return self._frequencies[mask.bit_length() - 1] if mask else None
+        return self._frequencies[self._high]
 
     @property
     def available_channels(self) -> tuple[SpectrumChannel, ...]:
         """The free channels in the provider's list order, built on each read
         in O(K); selection never reads it."""
-        return tuple(
-            ch for ch in self.provider.channels
-            if self.id_mask >> bisect_left(self._ids, ch.id) & 1
-        )
+        by_id = self.free_by_id
+        return tuple(ch for ch in self.provider.channels if by_id[self._index(ch.id)])
 
     def audit(self, held_channel_ids) -> None:
         """Recount the free channels from the held channel ids, over the
-        provider's channel tuple rather than the bitmasks, and re-score the
-        pool from the recount; raises StateError if either bitmask, a
+        provider's channel tuple rather than the bytes, and re-score the
+        pool from the recount; raises StateError if either byte mask, a
         summary or the cached score differs."""
         held = set(held_channel_ids)
         free = [ch for ch in self.provider.channels if ch.id not in held]
-        id_mask = frequency_mask = 0
+        by_id = bytearray(len(self.free_by_id))
+        by_frequency = bytearray(len(self.free_by_frequency))
+        by_id[-1] = by_frequency[0] = by_frequency[-1] = 1
         for ch in free:
-            index = bisect_left(self._ids, ch.id)
-            id_mask |= 1 << index
-            frequency_mask |= 1 << self._frequency_rank[index]
-        if (self.id_mask, self.frequency_mask) != (id_mask, frequency_mask):
+            index = self._index(ch.id)
+            by_id[index] = by_frequency[self._frequency_rank[index]] = 1
+        if (self.free_by_id, self.free_by_frequency) != (by_id, by_frequency):
             raise StateError(
-                f"provider {self.provider_id} pool masks {self.id_mask:b}, "
-                f"{self.frequency_mask:b} differ from {id_mask:b}, {frequency_mask:b} "
-                "rebuilt from the held channels"
+                f"provider {self.provider_id} pool masks {self.free_by_id.hex()}, "
+                f"{self.free_by_frequency.hex()} differ from {by_id.hex()}, "
+                f"{by_frequency.hex()} rebuilt from the held channels"
             )
         frequencies = [ch.center_frequency for ch in free]
         recount = (len(free), min(frequencies, default=None), max(frequencies, default=None),
@@ -215,9 +302,11 @@ class LivePool:
         for name, value in zip(names, recount):
             if getattr(self, name) != value:
                 raise StateError(f"provider {self.provider_id} pool {name} is stale")
-        # the masks equal the recount's, so summarising them re-scores it
-        score = self.score
+        # the bytes equal the recount's, so summarising them re-scores it
+        extremes, score = (self._low, self._high), self.score
         self._summarise()
+        if (self._low, self._high) != extremes:
+            raise StateError(f"provider {self.provider_id} pool free-frequency extremes are stale")
         if self.score != score:
             raise StateError(
                 f"provider {self.provider_id} pool score {score} differs from {self.score} "
@@ -227,23 +316,27 @@ class LivePool:
 
 def select_best_channel(
     pools: list[LivePool] | tuple[LivePool, ...],
+    scores: list[float] | None = None,
 ) -> tuple[int, int, float | None] | None:
-    """Pick the pool with the highest cached ``score`` and its lowest free channel.
+    """Pick the pool with the highest score and its lowest free channel.
 
-    Returns ``(provider_id, channel_id, score)``, or None when no pool has
-    a free channel, which the simulation records as a blocked call.  The
-    pools must share one :class:`SbacConfig`, or, as a lone candidate, have
-    none (the score is then None).  Pools without free channels are skipped.
+    ``scores`` is the list the scored ``pools`` were built with, in the
+    same order, so ``scores[i]`` is ``pools[i]``'s score or ``NO_FREE``.
+    The first of the equal highest wins, which is the lowest provider id
+    when the pools are in provider-id order (:class:`NetworkTopology` makes
+    each provider's id its position).  Without ``scores``, ``pools`` is
+    one unscored candidate (fixed allocation's home pool), which wins
+    whenever it has a free channel.
+
+    Returns ``(provider_id, channel_id, score)``, the score None for an
+    unscored pool, or None when no pool has a free channel, which the
+    simulation records as a blocked call.
     """
-    best = best_score = None
-    for pool in pools:
-        if not pool.free_count:
-            continue
-        score = pool.score
-        if best is None or score > best_score or (
-            score == best_score and pool.provider_id < best.provider_id
-        ):
-            best, best_score = pool, score
-    if best is None:
+    if scores is None:
+        (pool,) = pools
+        return (pool.provider_id, pool.lowest_free_id, None) if pool.free_count else None
+    best = max(scores) if scores else NO_FREE  # max(default=) parses keywords, slower
+    if best == NO_FREE:
         return None
-    return best.provider_id, best.lowest_free_id, best_score
+    pool = pools[scores.index(best)]
+    return pool.provider_id, pool.lowest_free_id, best

@@ -8,7 +8,7 @@ the draws of the others, and identical seeds give byte-identical streams.
 
 Arrivals, plain ``(time, provider_id, holding_time)`` tuples, are drawn as
 they are consumed: each provider's stream is a generator that holds one
-block of at most ``BLOCK`` (16) log-uniforms, 8 arrivals' worth, as an
+block of at most ``BLOCK`` (32) log-uniforms, 16 arrivals' worth, as an
 ``array('d')``, and :class:`ArrivalStream` merges them in ``(time, provider
 id)`` order while holding one pending arrival per provider, so a run never
 keeps more of its arrival stream than that in memory.
@@ -52,7 +52,7 @@ class TrafficSpec:
                 raise ValueError(f"{name} must be finite and > 0")
 
 
-BLOCK = 16  # uniforms drawn per generator call, 8 arrivals' worth
+BLOCK = 32  # uniforms drawn per generator call, 16 arrivals' worth
 
 
 def provider_rng(seed: int, provider_id: int) -> Generator:
@@ -69,10 +69,12 @@ def provider_arrivals(spec: TrafficSpec, provider_id: int) -> Iterator[tuple[flo
     ending with the first gap that reaches the horizon, so arrival ``k`` of
     a provider consumes the same underlying draws regardless of the other
     providers or of the arrival rate: scaling the rate only compresses the
-    arrival clock.  The uniforms come ``BLOCK`` at a time; exact zeros are
-    dropped (the scalar path's redraw of ``u == 0``, probability ~2**-53)
-    and one ``np.log`` of the block, bit for bit the scalar logs, is held
-    as an ``array('d')``.  An odd log left over after the pairs carries
+    arrival clock.  The uniforms come ``BLOCK`` at a time, a sequence that
+    does not depend on the block size; exact zeros are dropped (the scalar
+    path's redraw of ``u == 0``, probability ~2**-53), by a filtered copy
+    only when the block holds one.  One in-place ``np.log`` of the block,
+    bit for bit the scalar logs, is appended from the array's own buffer
+    to an ``array('d')``.  An odd log left over after the pairs carries
     into the next block.
     """
     rate = spec.arrival_rates[provider_id]
@@ -84,7 +86,9 @@ def provider_arrivals(spec: TrafficSpec, provider_id: int) -> Iterator[tuple[flo
     logs = array("d")
     while True:
         u = rng.random(BLOCK)
-        logs.frombytes(np.log(u[u != 0.0]).tobytes())
+        if not u.all():
+            u = u[u != 0.0]
+        logs.frombytes(memoryview(np.log(u, out=u)).cast("B"))
         del u  # the suspended generator holds the logs alone
         paired = len(logs) - len(logs) % 2
         for i in range(0, paired, 2):

@@ -250,11 +250,12 @@ def test_c5_spectral_efficiency_trend_over_arrival_sweep():
 
 def select_live(providers, frees, config):
     """Selection over live pools with only each one's first ``free`` channels free."""
-    pools = [LivePool(provider, config) for provider in providers]
+    scores = []
+    pools = [LivePool(provider, config, scores) for provider in providers]
     for pool, free in zip(pools, frees):
         for channel in pool.provider.channels[free:]:
             pool.take(channel.id)
-    return select_best_channel(pools)
+    return select_best_channel(pools, scores)
 
 
 def test_c6a_sbac_argmax_invariance_500_cases():

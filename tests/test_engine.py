@@ -327,7 +327,7 @@ def test_double_occupancy_is_a_state_error(monkeypatch):
     with pytest.raises(StateError, match="holds no channel"):
         run_with_engine(DepartingACopy)
     # nor may a second session be admitted onto a held channel
-    monkeypatch.setattr(sbac, "select_best_channel", lambda pools: (0, 0, 1.0))
+    monkeypatch.setattr(sbac, "select_best_channel", lambda pools, scores: (0, 0, 1.0))
     with pytest.raises(StateError, match=r"channel \(0, 0\) is already held"):
         run_with_engine(Simulation)
 
@@ -723,7 +723,8 @@ def test_audit_flags_a_flipped_pool_bit_in_a_run():
     class Flipping(Simulation):
         def _depart(self, record):
             super()._depart(record)
-            self._pools[record.provider_id].frequency_mask ^= 1
+            # the lowest frequency's byte, after the one that is no channel
+            self._pools[record.provider_id].free_by_frequency[1] ^= 1
 
     Simulation(topology, spec, Strategy.DYNAMIC_SBAC, audit=True).run()
     with pytest.raises(StateError, match="masks"):
@@ -1123,6 +1124,27 @@ def test_a_run_holds_no_more_memory_over_a_longer_horizon():
     finally:
         tracemalloc.stop()
     assert growth < 4096
+
+
+@pytest.mark.parametrize("qos_config", [QosConfig(), REUSE])
+def test_a_built_simulation_has_slots_and_no_instance_dict(qos_config):
+    # a dict past the interpreter's shared-key limit (30 keys on 3.11)
+    # grew from 296 to 1,584 B per run; a subclass may still add its own
+    topology = make_topology(num_providers=2, channels=3)
+    spec = spec_for([1.5, 0.5], holding=2.0, horizon=50.0, seed=1)
+    simulation = Simulation(topology, spec, Strategy.DYNAMIC_SBAC, qos_config=qos_config)
+    assert not hasattr(simulation, "__dict__")
+    with pytest.raises(AttributeError):
+        simulation.unknown = 1
+
+    class Marking(Simulation):
+        def _depart(self, record):
+            super()._depart(record)
+            self.departed = True
+
+    marking = Marking(topology, spec, Strategy.DYNAMIC_SBAC, qos_config=qos_config)
+    assert marking.run()[1] == simulation.run()[1]
+    assert marking.departed
 
 
 def test_a_built_simulation_holds_scalars_per_pool_not_tables():

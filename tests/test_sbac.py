@@ -15,9 +15,11 @@ from dsasim import (
     StateError,
     select_best_channel,
 )
-from dsasim.sbac import SPREAD_FLOOR, LivePool
+from dsasim.sbac import NO_FREE, SPREAD_FLOOR, LivePool
 
 from conftest import make_provider
+
+LOG = math.log
 from oracles import CandidatePool, select_by_utility, utility
 
 
@@ -162,13 +164,17 @@ def accepted(weights) -> SbacConfig | None:
 def test_accepted_weights_score_the_extreme_pools_finite(sbac_config):
     # the highest score is a one-channel pool of a free provider (a full pool,
     # spread and cost floored); the lowest, a pool spanning the widest finite
-    # spread at a cost that prices the cost term to nothing
-    lone = LivePool(explicit_provider(0, [(0, 400.0)], cost_rate=0.0), sbac_config)
+    # spread at a cost that prices the cost term to nothing.  Finite scores
+    # order totally, so selection makes the oracle's choice
+    scores = []
+    lone = LivePool(explicit_provider(0, [(0, 400.0)], cost_rate=0.0), sbac_config, scores)
     widest = LivePool(ServiceProvider(1, (
         SpectrumChannel(0, 5e-324, 1e6), SpectrumChannel(1, sys.float_info.max, 1e6),
-    ), cost_rate=sys.float_info.max), sbac_config)
+    ), cost_rate=sys.float_info.max), sbac_config, scores)
     assert math.isfinite(lone.score) and math.isfinite(widest.score)
-    assert select_best_channel([lone, widest]) == select_best_channel([widest, lone])
+    assert select_best_channel([lone, widest], scores) == select_by_utility(
+        [widest, lone], sbac_config
+    )
 
 
 # -- selection --------------------------------------------------------------------
@@ -198,7 +204,7 @@ def test_singleton_pool_returns_its_channel():
 def test_all_pools_occupied_returns_none():
     assert select_by_utility([pool([]), pool([], provider_id=1)], SbacConfig()) is None
     assert select_by_utility([], SbacConfig()) is None
-    assert select_best_channel([]) is None
+    assert select_best_channel([], []) is None
 
 
 def test_occupied_pools_are_skipped():
@@ -374,10 +380,14 @@ def test_live_pool_rejects_double_take_double_give_and_unknown_channels():
 def test_a_rejected_flip_leaves_a_scored_pool_as_it_was(flip, channel_id, message):
     pool = LivePool(explicit_provider(0, [(4, 400.0), (9, 401.0), (7, 403.0)]), SbacConfig())
     pool.take(9)
-    before = (pool.id_mask, pool.frequency_mask, summaries(pool), pool.score)
+
+    def state():
+        return bytes(pool.free_by_id), bytes(pool.free_by_frequency), summaries(pool), pool.score
+
+    before = state()
     with pytest.raises(StateError, match=message):
         getattr(pool, flip)(channel_id)
-    assert (pool.id_mask, pool.frequency_mask, summaries(pool), pool.score) == before
+    assert state() == before
     pool.audit([9])
 
 
@@ -400,18 +410,31 @@ def test_live_pool_scores_on_change_only_when_built_with_a_config():
 
 def test_selection_reads_live_scores_and_lets_a_lone_pool_win_unscored():
     provider = explicit_provider(3, [(4, 400.0), (9, 401.0)])
-    assert select_best_channel((LivePool(provider),)) == (3, 4, None)
-    scored = LivePool(provider, SbacConfig())
-    scored.score = 1e9  # selection reads the cached score, it does not re-score
-    cheap = LivePool(explicit_provider(0, [(0, 400.0)], cost_rate=1e-9), SbacConfig())
-    assert select_best_channel([cheap, scored]) == (3, 4, 1e9)
+    lone = LivePool(provider)
+    assert select_best_channel((lone,)) == (3, 4, None)
+    lone.take(4)
+    lone.take(9)
+    assert select_best_channel((lone,)) is None
+    scores = []
+    cheap = LivePool(explicit_provider(0, [(0, 400.0)], cost_rate=1e-9), SbacConfig(), scores)
+    scored = LivePool(provider, SbacConfig(), scores)
+    assert cheap.score > scored.score
+    scores[1] = 1e9  # selection reads the score list, it does not re-score
+    assert select_best_channel([cheap, scored], scores) == (3, 4, 1e9)
 
 
 def test_equal_live_scores_tie_break_to_the_lowest_provider_id():
-    sbac_config = SbacConfig()
-    pools = [LivePool(explicit_provider(i, [(0, 400.0), (1, 410.0)]), sbac_config)
-             for i in (2, 0, 1)]
-    assert select_best_channel(pools)[:2] == (0, 0)
+    # providers 1 to 3 tie above provider 0; the pools are in provider-id
+    # order, as a topology's are
+    sbac_config, scores = SbacConfig(), []
+    pools = [LivePool(explicit_provider(i, [(0, 400.0), (1, 410.0)], cost_rate=0.05 + (i == 0)),
+                      sbac_config, scores)
+             for i in range(4)]
+    assert pools[0].score < pools[1].score == pools[2].score == pools[3].score
+    assert select_best_channel(pools, scores)[:2] == (1, 0)
+    pools[1].take(0)
+    pools[1].take(1)
+    assert select_best_channel(pools, scores)[:2] == (2, 0)
 
 
 def test_a_lone_free_channel_outranks_fuller_pools():
@@ -419,41 +442,78 @@ def test_a_lone_free_channel_outranks_fuller_pools():
     # spread, floored at SPREAD_FLOOR, and 0.3 * ln(1 / SPREAD_FLOOR) outweighs
     # the availability of a full band.  10 channels 1 MHz apart, channels 0
     # to f - 1 free, the default weights
-    pools = {}
+    pools, score_list = {}, []
     for free in (1, 2, 8, 10):
         pool = LivePool(make_provider(provider_id=free, channels=10, cost_rate=0.05),
-                        SbacConfig())
+                        SbacConfig(), score_list)
         for channel_id in range(free, 10):
             pool.take(channel_id)
         pools[free] = pool
     scores = {free: pool.score for free, pool in pools.items()}
     assert scores == pytest.approx({1: 4.7113, 2: 1.0667, 8: 3.4829, 10: 4.4075}, abs=1e-4)
     assert scores[1] > scores[10] > scores[8] > scores[2]
-    assert select_best_channel(list(pools.values()))[:2] == (1, 0)
+    assert select_best_channel(list(pools.values()), score_list)[:2] == (1, 0)
 
 
 def test_audit_flags_a_stale_score():
-    sbac_config = SbacConfig()
-    pool = LivePool(explicit_provider(0, [(7, 403.0), (2, 400.0), (11, 401.0)]), sbac_config)
+    # the score list is what selection reads, so the audit checks it
+    scores = []
+    pool = LivePool(explicit_provider(0, [(7, 403.0), (2, 400.0), (11, 401.0)]), SbacConfig(),
+                    scores)
     pool.take(11)
     pool.audit([11])
-    pool.score += 1e-12
+    scores[0] += 1e-12
     with pytest.raises(StateError, match="score"):
         pool.audit([11])
-    unscored = LivePool(explicit_provider(0, [(7, 403.0)]))
-    unscored.score = 1.0
+    for channel_id in (2, 7):
+        pool.take(channel_id)
+    pool.audit([2, 7, 11])
+    scores[0] = 1.0  # a full pool's slot must read NO_FREE
     with pytest.raises(StateError, match="score"):
-        unscored.audit([])
+        pool.audit([2, 7, 11])
 
 
-@pytest.mark.parametrize("mask", ["id_mask", "frequency_mask"])
-def test_audit_flags_a_flipped_pool_bit(mask):
+@pytest.mark.parametrize("mask", ["free_by_id", "free_by_frequency"])
+def test_audit_flags_a_flipped_pool_byte(mask):
+    # position 2 is channel 11, held, in both orders (the frequency order
+    # starts with a byte that is no channel)
     pool = LivePool(explicit_provider(0, [(7, 403.0), (2, 400.0), (11, 401.0)]))
     pool.take(11)
     pool.audit([11])
-    setattr(pool, mask, getattr(pool, mask) ^ 0b100)
+    getattr(pool, mask)[2] ^= 1
     with pytest.raises(StateError, match="masks"):
         pool.audit([11])
+
+
+def test_audit_flags_a_free_extreme_kept_at_the_wrong_position():
+    # channels 4 and 6 share the lowest frequency: a low extreme kept at
+    # 6's position reads the right frequency, but taking 6 would then move
+    # it past 4, still free, so the audit must compare positions too
+    pool = LivePool(explicit_provider(0, [(4, 400.0), (6, 400.0), (9, 401.0)]), SbacConfig())
+    pool.audit([])
+    pool._low += 1
+    assert pool.min_free_frequency == 400e6
+    with pytest.raises(StateError, match="extremes are stale"):
+        pool.audit([])
+
+
+def test_a_take_or_give_inside_the_free_extremes_takes_no_log(monkeypatch):
+    # ids and frequencies in different orders: the lowest free id, 0, sits
+    # between the extremes, so taking it (no bisect) and giving it back
+    # keep the cached spread term, as does a bisected take and give of 3
+    provider = explicit_provider(0, [(0, 402.0), (1, 400.0), (2, 405.0), (3, 403.0)])
+    pool = LivePool(provider, SbacConfig(0.5, 0.3, 0.2, session_minutes=2.0))
+    logs = []
+    monkeypatch.setattr(math, "log", lambda x: logs.append(x) or LOG(x))
+    for flip, channel_id, held in [("take", 0, {0}), ("take", 3, {0, 3}), ("give", 0, {3}),
+                                   ("give", 3, set())]:
+        getattr(pool, flip)(channel_id)
+        assert logs == []
+        free = tuple(ch for ch in provider.channels if ch.id not in held)
+        assert pool.score == utility(CandidatePool(0, free, 4, 0.05), pool.config)
+        logs.clear()  # the oracle's own
+    pool.take(1)  # the lowest free frequency moves: one log
+    assert len(logs) == 1
 
 
 @given(bands=explicit_bands(), ops=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 9))),
@@ -475,17 +535,27 @@ def test_audit_flags_a_flipped_pool_bit(mask):
     minutes=1.0,
     cost_rates=[0.0, 0.05, 0.0, 0.0],
 )
+@example(  # three equal bands: ties, broken and re-formed, then every pool full
+    bands=[[(3, 400.0), (5, 400.5)]] * 3,
+    ops=[(0, 0), (2, 1), (0, 0), (2, 1), (1, 0), (1, 1), (0, 0), (0, 1), (2, 0), (2, 1),
+         (1, 0)],
+    weights=(0.5, 0.3, 0.2),
+    minutes=1.0,
+    cost_rates=[0.05, 0.05, 0.05, 0.05],
+)
 @settings(max_examples=200, deadline=None)
 def test_live_pools_score_like_tuple_built_pools(bands, ops, weights, minutes, cost_rates):
     # each op toggles one channel (take it if free, give it back if held);
     # after every op the live pools must summarise, score and select exactly
-    # like CandidatePools built from the free channels' tuples
+    # like CandidatePools built from the free channels' tuples, and the
+    # score list must hold each pool's score, or NO_FREE when it is full
     providers = [
         explicit_provider(i, band, cost_rate=cost_rate)
         for i, (band, cost_rate) in enumerate(zip(bands, cost_rates))
     ]
     sbac_config = SbacConfig(*weights, session_minutes=minutes)
-    live = [LivePool(provider, sbac_config) for provider in providers]
+    scores = []
+    live = [LivePool(provider, sbac_config, scores) for provider in providers]
     held = [set() for _ in providers]
 
     def check():
@@ -504,12 +574,13 @@ def test_live_pools_score_like_tuple_built_pools(bands, ops, weights, minutes, c
             assert summaries(pool) == summaries(reference)
             assert pool.available_channels == reference.available_channels
             if reference.free_count:
-                assert pool.score == utility(reference, sbac_config)
+                assert pool.score == scores[pool.provider_id] == utility(reference, sbac_config)
             else:
                 assert pool.score is None
+                assert scores[pool.provider_id] == NO_FREE
             pool.audit(held[pool.provider_id])
         # both None when no pool has a free channel
-        assert select_best_channel(live) == select_by_utility(built, sbac_config)
+        assert select_best_channel(live, scores) == select_by_utility(built, sbac_config)
 
     check()
     for provider_index, position in ops:

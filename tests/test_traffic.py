@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import heapq
 import itertools
 import math
@@ -262,3 +263,36 @@ def test_exact_zeros_are_dropped_like_the_scalar_redraw(zeros, monkeypatch):
     assert len(events) > 20
     assert events == scalar_stream(spec)
     assert all(holding > 0.0 and math.isfinite(holding) for _, _, holding in events)
+
+
+def stream_digest(spec):
+    """The SHA-256 of the repr of every arrival, one a line, and their count."""
+    digest, count = hashlib.sha256(), 0
+    for event in build_event_stream(spec):
+        digest.update(f"{event!r}\n".encode())
+        count += 1
+    return count, digest.hexdigest()
+
+
+def test_the_arrival_stream_keeps_its_pinned_digest():
+    # recorded with 16-value blocks; the uniform sequence and every log are
+    # the same at any block size, so the stream keeps its bytes
+    spec = TrafficSpec(arrival_rates=(1.6, 0.4, 0.0, 0.8, 2.5), mean_holding_time=10.0,
+                       horizon=300.0, seed=2012)
+    assert stream_digest(spec) == (
+        1622, "65b60433744583f4121ed96428f4aaa2a5a03460763d4fbc2b8be015a62c3777"
+    )
+
+
+def test_an_exact_zero_inside_a_block_is_dropped_and_the_stream_goes_on(monkeypatch):
+    # zeros at uniforms 7 and 40, inside the first and second blocks;
+    # recorded with 16-value blocks, where they sat inside the first and third
+    uniforms = np.random.default_rng(25).random(300)
+    uniforms[[7, 40]] = 0.0
+    monkeypatch.setattr(traffic, "provider_rng",
+                        lambda seed, provider_id: ScriptedRng(uniforms.tolist()))
+    spec = TrafficSpec(arrival_rates=(1.0,), mean_holding_time=2.0, horizon=60.0, seed=0)
+    assert stream_digest(spec) == (
+        51, "e5a5abc0ea4a083592cc3b216355f4ac5c782a2ecf81b659aefcb4d4c05b7689"
+    )
+    assert list(iter(build_event_stream(spec))) == scalar_stream(spec)
