@@ -42,12 +42,12 @@ are: they were solved for the larger group, so every target still holds,
 and they relax to the smaller group's minimal powers only at the next
 admission on that channel index.
 Departures at a given instant are processed before arrivals at the same
-instant, the standard loss-system convention.  The run has one clock; the
-busy-channel and primary-interference integrals advance with it, clamped
-to the horizon so the metrics cover exactly ``[0, horizon]``.  The primary
-loads and integrals are float lists, one entry per primary point, updated
-in place, entry by entry, with the IEEE operations numpy would take, so no
-event builds a new list.
+instant, the standard loss-system convention.  The event loop owns the one
+clock and moves it, and the busy-channel and primary-interference integrals
+with it, clamped to the horizon so the metrics cover exactly ``[0,
+horizon]``.  The primary loads and integrals are float lists, one entry per
+primary point, updated in place, entry by entry, with the IEEE operations
+numpy would take, so no event builds a new list.
 
 One run is strictly single-threaded; independent runs can execute
 concurrently because topologies and traffic specs are immutable.  Each
@@ -64,6 +64,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 from heapq import heappop, heappush
+from itertools import chain
 
 import numpy as np
 
@@ -168,7 +169,7 @@ class Simulation:
         "blocked_no_channel", "blocked_qos", "blocked_interference", "delay_total", "bits",
         "groups", "busy", "clock", "busy_integral", "primary_loads", "primary_integral",
         "_ran", "_links", "_horizon", "_physical", "_requested_rate", "_link_delays",
-        "_g_ss", "_g_ps", "_g_ps_rows", "_tolerance",
+        "_g_ss", "_g_ps", "_g_ps_rows", "_point_rows", "_tolerance",
         # the physical stage's, bound only when it runs
         "_noise", "_gain", "_sinr_target", "_scale", "_u", "_cap", "_g_ss_flat", "_reuse",
     )
@@ -233,6 +234,7 @@ class Simulation:
         self._g_ps = topology.gains.g_ps
         # each primary point's gains from the links, by link id
         self._g_ps_rows = [array("d", row) for row in self._g_ps.tolist()]
+        self._point_rows = tuple(enumerate(self._g_ps_rows))  # no enumerate per event
         self._tolerance = [p.tolerance for p in topology.primary_points]
         if self._physical:
             # per-link physics as arrays indexed by link id, for the audits
@@ -264,12 +266,39 @@ class Simulation:
         departures: list[tuple[float, int, SessionRecord]] = []
         # the per-event calls, bound once (subclasses still override them)
         push, admit, depart_next = heappush, self._admit, self._depart_next
-        advance_clocks, records, audit = self._advance_clocks, self.records, self.audit
-        for event in build_event_stream(self.traffic_spec):
+        records, audit, horizon = self.records, self.audit, self._horizon
+        loads, integral = self.primary_loads, self.primary_integral
+        points = range(len(loads))
+        # the clock moves before each event, the integrals by the busy
+        # channels and loads times the elapsed time clamped to the horizon;
+        # the last event follows every departure and closes the integrals
+        clock, busy_integral = self.clock, self.busy_integral
+        last = (math.inf,)
+        for event in chain(build_event_stream(self.traffic_spec), (last,)):
             time = event[0]
             while departures and departures[0][0] <= time:
+                end_time = departures[0][0]
+                if end_time < clock:
+                    raise StateError(f"clock moved backwards ({clock} -> {end_time})")
+                end = end_time if end_time < horizon else horizon
+                if end > clock:
+                    elapsed = end - clock
+                    busy_integral += self.busy * elapsed
+                    for j in points:
+                        integral[j] += loads[j] * elapsed
+                clock = end_time
                 depart_next(departures)
-            advance_clocks(time)
+            if time < clock:
+                raise StateError(f"clock moved backwards ({clock} -> {time})")
+            end = time if time < horizon else horizon
+            if end > clock:
+                elapsed = end - clock
+                busy_integral += self.busy * elapsed
+                for j in points:
+                    integral[j] += loads[j] * elapsed
+            if event is last:
+                break
+            clock = time
             record = admit(event)
             if records is not None:
                 records.append(record)
@@ -277,19 +306,14 @@ class Simulation:
                 push(departures, (record.end_time, record.session_id, record))
             if audit:
                 self._audit_state(departures)
-        while departures:
-            depart_next(departures)
-
-        # close the busy/interference integrals out to the horizon (departures
-        # beyond it may already have advanced the clock further)
-        self._advance_clocks(max(self.traffic_spec.horizon, self.clock))
+        # departures beyond the horizon may have moved the clock past it
+        self.clock = max(horizon, clock)
+        self.busy_integral = busy_integral
         return self.records, self._report()
 
     def _depart_next(self, departures: list[tuple[float, int, SessionRecord]]) -> None:
-        """Process the earliest departure in the queue."""
-        end_time, _, record = heappop(departures)
-        self._advance_clocks(end_time)
-        self._depart(record)
+        """Process the earliest departure; :meth:`run` has moved the clock to it."""
+        self._depart(heappop(departures)[2])
         if self.audit:
             self._audit_state(departures)
 
@@ -300,22 +324,6 @@ class Simulation:
         self._audit_primary_loads()
         if self.qos.physical_checks:
             self._audit_qos()
-
-    def _advance_clocks(self, time: float) -> None:
-        """Move the clock to ``time``, adding the busy channels and primary
-        loads times the elapsed interval clamped to the horizon."""
-        if time < self.clock:
-            raise StateError(f"clock moved backwards ({self.clock} -> {time})")
-        # clamped to the horizon: a clock already past it has nothing to add
-        horizon = self._horizon
-        end = time if time < horizon else horizon
-        if end > self.clock:
-            elapsed = end - self.clock
-            self.busy_integral += self.busy * elapsed
-            integral = self.primary_integral
-            for j, load in enumerate(self.primary_loads):
-                integral[j] += load * elapsed
-        self.clock = time
 
     def _depart(self, record: SessionRecord) -> None:
         # the rest of the co-channel group keeps its powers (module docstring)
@@ -330,7 +338,7 @@ class Simulation:
         self.busy -= 1
         self._pools[record.provider_id].give(channel_id)
         link_id, power, loads = record.link_id, record.power, self.primary_loads
-        for j, row in enumerate(self._g_ps_rows):
+        for j, row in self._point_rows:
             loads[j] -= row[link_id] * power
 
     # -- admission ----------------------------------------------------------
@@ -340,35 +348,34 @@ class Simulation:
         session_id = self.arrivals
         self.arrivals = session_id + 1
         link = self._links[session_id % len(self._links)]
-        # session id, arrival and end time, home provider, provider, channel,
-        # link and outcome, in field order
-        record = SessionRecord(session_id, time, time, home_provider_id, None, None, link.id,
-                               BLOCKED_NO_CHANNEL)
-
         choice = sbac.select_best_channel(self._candidates[home_provider_id], self._scores)
         if choice is None:
             self.blocked_no_channel += 1
-            return record
+            # session id, arrival and end time, home provider, provider,
+            # channel, link and outcome, in field order
+            return SessionRecord(session_id, time, time, home_provider_id, None, None, link.id,
+                                 BLOCKED_NO_CHANNEL)
         provider_id, channel_id, _ = choice
+        end_time = time + holding_time
+        record = SessionRecord(session_id, time, end_time, home_provider_id, provider_id,
+                               channel_id, link.id, ADMITTED, link.power)
         if self._physical:
+            # built admitted: the generated admission writes its power, and
+            # nothing on a block, so a block patches the blocked fields back
             outcome = self._physical_admission(channel_id, record)
             if outcome is not ADMITTED:  # counted by identity: Enum hashes in Python
-                record.outcome = outcome
+                record.outcome, record.power, record.end_time = outcome, 0.0, time
+                record.provider_id = record.channel_id = None
                 if outcome is BLOCKED_QOS:
                     self.blocked_qos += 1
                 else:
                     self.blocked_interference += 1
                 return record
         else:
-            record.power = power = link.power
-            link_id, loads = link.id, self.primary_loads
-            for j, row in enumerate(self._g_ps_rows):
+            link_id, power, loads = link.id, link.power, self.primary_loads
+            for j, row in self._point_rows:
                 loads[j] += row[link_id] * power
 
-        record.outcome = ADMITTED
-        record.provider_id = provider_id
-        record.channel_id = channel_id
-        record.end_time = end_time = time + holding_time
         self._pools[provider_id].take(channel_id)
         self.groups[channel_id].append(record)
         self.busy += 1

@@ -28,7 +28,7 @@ lowest or highest free frequency recomputes.  The scored pools of a run
 keep their scores in one shared list, ``NO_FREE`` while a pool has no free
 channel, so selecting among P pools is one C-level ``max`` of that list and
 a ``list.index`` of the maximum.  A lone candidate (fixed allocation's home
-pool) wins without being scored.
+pool) wins unscored, and keeps only its free ids, their count and the lowest.
 """
 from __future__ import annotations
 
@@ -91,19 +91,21 @@ class SbacConfig:
 class LivePool:
     """One provider's pool, kept current as its channels are taken and given back.
 
-    The free channels are two ``bytearray`` s, 1 for a free channel:
-    ``free_by_id`` in channel-id order and ``free_by_frequency`` in
-    center-frequency order (equal frequencies in id order).  Each ends in a
-    1 that is no channel, and ``free_by_frequency`` also starts with one, so
-    ``find`` and ``rfind`` always land: on an end byte when no channel is
-    free, which reads as no lowest free id and no free frequency.  A take
-    or a give sets one byte in each and moves ``free_count``,
-    ``lowest_free_id`` (taking it needs no bisect) and the positions of the
-    free-frequency extremes.  Built with an :class:`SbacConfig`, it also
-    re-scores the pool, recomputing the spread term ``beta2 * ln(1 /
-    max(spread, SPREAD_FLOOR))`` only when an extreme moved, and writes the
-    score into its slot of the ``scores`` list it was built with (its own
-    when none is given), ``NO_FREE`` while no channel is free.
+    The free channels are ``bytearray`` s, 1 for a free channel:
+    ``free_by_id`` in channel-id order and, in a pool built with an
+    :class:`SbacConfig`, ``free_by_frequency`` in center-frequency order
+    (equal frequencies in id order).  Each ends in a 1 that is no channel,
+    and ``free_by_frequency`` also starts with one, so ``find`` and
+    ``rfind`` always land: on an end byte when no channel is free, which
+    reads as no lowest free id and no free frequency.  A take or a give
+    sets one byte in each and moves ``free_count`` and ``lowest_free_id``
+    (taking it needs no bisect).  An unscored pool (fixed allocation's home
+    pool) stops there: its ``free_by_frequency`` is empty and it reads its
+    free-frequency extremes from ``free_by_id`` when asked.  A scored pool
+    moves their positions and re-scores itself, recomputing the spread term
+    ``beta2 * ln(1 / max(spread, SPREAD_FLOOR))`` only when an extreme
+    moved, and writes the score into its slot of the ``scores`` list it was
+    built with (its own when none is given), ``NO_FREE`` while none is free.
     """
 
     __slots__ = (
@@ -128,9 +130,6 @@ class LivePool:
             self._spread_weight = config.beta2
             cost = config.session_minutes * 60.0 * provider.cost_rate
             self._cost_term = config.beta3 / max(cost, COST_FLOOR)
-            self._scores = scores = [] if scores is None else scores
-            self._slot = len(scores)
-            scores.append(NO_FREE)
         by_id = sorted(provider.channels, key=lambda ch: ch.id)
         # a stable sort, so equal frequencies stay in id order
         by_frequency = sorted(range(count), key=lambda i: by_id[i].center_frequency)
@@ -141,10 +140,15 @@ class LivePool:
         self._frequency_rank = tuple(rank)  # id-order index -> frequency-order byte
         self._frequencies = (None, *(by_id[i].center_frequency for i in by_frequency), None)
         self.free_by_id = bytearray(b"\x01") * (count + 1)
-        self.free_by_frequency = bytearray(b"\x01") * (count + 2)
+        self.free_by_frequency = bytearray()  # an unscored pool keeps no frequency bytes
         self.free_count = count
         self.lowest_free_id = self._ids[0]
-        self._summarise()
+        if config is not None:
+            self._scores = scores = [] if scores is None else scores
+            self._slot = len(scores)
+            scores.append(NO_FREE)
+            self.free_by_frequency = bytearray(b"\x01") * (count + 2)
+            self._summarise()
 
     def take(self, channel_id: int) -> None:
         """Mark a free channel held."""
@@ -158,10 +162,13 @@ class LivePool:
             if not by_id[index]:
                 raise StateError(f"channel {(self.provider_id, channel_id)} is already held")
             by_id[index] = 0
+        self.free_count = free = self.free_count - 1
+        scores = self._scores
+        if scores is None:
+            return
         rank = self._frequency_rank[index]
         by_frequency = self.free_by_frequency
         by_frequency[rank] = 0
-        self.free_count = free = self.free_count - 1
         # an extreme moves inward; with none free, onto the bytes that are no channel
         moved = False
         if rank == self._low:
@@ -170,9 +177,6 @@ class LivePool:
         if rank == self._high:
             self._high = by_frequency.rfind(1, 0, rank)
             moved = True
-        scores = self._scores
-        if scores is None:
-            return
         if moved:
             if not free:
                 scores[self._slot] = NO_FREE
@@ -188,7 +192,10 @@ class LivePool:
 
     def give(self, channel_id: int) -> None:
         """Mark a held channel free again."""
-        index = self._index(channel_id)
+        ids = self._ids  # _index inline: one call fewer per departure
+        index = bisect_left(ids, channel_id, 0, self.total_channels)
+        if ids[index] != channel_id:
+            raise StateError(f"provider {self.provider_id} has no channel {channel_id}")
         by_id = self.free_by_id
         if by_id[index]:
             raise StateError(f"channel {(self.provider_id, channel_id)} is already free")
@@ -196,9 +203,12 @@ class LivePool:
         lowest = self.lowest_free_id
         if lowest is None or channel_id < lowest:
             self.lowest_free_id = channel_id
+        self.free_count = free = self.free_count + 1
+        scores = self._scores
+        if scores is None:
+            return
         rank = self._frequency_rank[index]
         self.free_by_frequency[rank] = 1
-        self.free_count = free = self.free_count + 1
         # an extreme moves outward; into a pool with none free, both do
         moved = False
         if rank < self._low:
@@ -207,9 +217,6 @@ class LivePool:
         if rank > self._high:
             self._high = rank
             moved = True
-        scores = self._scores
-        if scores is None:
-            return
         if moved:
             frequencies = self._frequencies
             spread = (frequencies[self._high] - frequencies[self._low]) / SPREAD_UNIT_HZ
@@ -230,15 +237,13 @@ class LivePool:
         return index
 
     def _summarise(self) -> None:
-        """Re-read the free-frequency extremes from the bytes and, scored,
+        """Re-read a scored pool's free-frequency extremes from the bytes and
         re-score the pool from them, as a take or a give that moves an
         extreme does: when the pool is built and on an audit."""
+        scores = self._scores
         by_frequency = self.free_by_frequency
         self._low = low = by_frequency.find(1, 1)
         self._high = high = by_frequency.rfind(1, 0, -1)
-        scores = self._scores
-        if scores is None:
-            return
         free = self.free_count
         if not free:
             scores[self._slot] = NO_FREE
@@ -252,6 +257,14 @@ class LivePool:
             + self._spread_term + self._cost_term
         )
 
+    def _extremes(self) -> tuple[int, int]:
+        """The free-frequency extremes' positions in ``_frequencies``, read
+        from ``free_by_id`` when unscored (0, no frequency, with none free)."""
+        if self._scores is None:
+            ranks = [rank for rank, free in zip(self._frequency_rank, self.free_by_id) if free]
+            return (min(ranks), max(ranks)) if ranks else (0, 0)
+        return self._low, self._high
+
     @property
     def score(self) -> float | None:
         """The utility while a channel is free; None when none is or the
@@ -263,11 +276,11 @@ class LivePool:
 
     @property
     def min_free_frequency(self) -> float | None:
-        return self._frequencies[self._low]
+        return self._frequencies[self._extremes()[0]]
 
     @property
     def max_free_frequency(self) -> float | None:
-        return self._frequencies[self._high]
+        return self._frequencies[self._extremes()[1]]
 
     @property
     def available_channels(self) -> tuple[SpectrumChannel, ...]:
@@ -278,17 +291,19 @@ class LivePool:
 
     def audit(self, held_channel_ids) -> None:
         """Recount the free channels from the held channel ids, over the
-        provider's channel tuple rather than the bytes, and re-score the
-        pool from the recount; raises StateError if either byte mask, a
-        summary or the cached score differs."""
+        provider's channel tuple rather than the bytes, and re-score a scored
+        pool from the recount; raises StateError if a byte mask, a summary,
+        the kept extremes or the cached score differs."""
         held = set(held_channel_ids)
         free = [ch for ch in self.provider.channels if ch.id not in held]
         by_id = bytearray(len(self.free_by_id))
-        by_frequency = bytearray(len(self.free_by_frequency))
+        by_frequency = bytearray(len(self._frequencies))
         by_id[-1] = by_frequency[0] = by_frequency[-1] = 1
         for ch in free:
             index = self._index(ch.id)
             by_id[index] = by_frequency[self._frequency_rank[index]] = 1
+        if self._scores is None:
+            by_frequency = bytearray()  # an unscored pool keeps no frequency bytes
         if (self.free_by_id, self.free_by_frequency) != (by_id, by_frequency):
             raise StateError(
                 f"provider {self.provider_id} pool masks {self.free_by_id.hex()}, "
@@ -302,6 +317,8 @@ class LivePool:
         for name, value in zip(names, recount):
             if getattr(self, name) != value:
                 raise StateError(f"provider {self.provider_id} pool {name} is stale")
+        if self._scores is None:
+            return
         # the bytes equal the recount's, so summarising them re-scores it
         extremes, score = (self._low, self._high), self.score
         self._summarise()

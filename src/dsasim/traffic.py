@@ -107,10 +107,10 @@ class ArrivalStream:
     arrival per provider and compares the tuples themselves: equal times
     (impossible with continuous draws unless forced) go to the lower
     provider id, and a provider's own keep their draw order, because no two
-    of them are pending at once.  So the stream can be iterated again and
-    repeats itself, and ``len()``, for callers that count arrivals (the
-    benchmark's tracer does), draws the whole stream once more in O(1)
-    memory.
+    of them are pending at once; a lone provider's generator is the stream
+    itself.  So the stream can be iterated again and repeats itself, and
+    ``len()``, for callers that count arrivals (the benchmark's tracer
+    does), draws the whole stream once more in O(1) memory.
     """
 
     __slots__ = ("spec",)
@@ -120,7 +120,7 @@ class ArrivalStream:
 
     def __iter__(self) -> Iterator[tuple[float, int, float]]:
         streams = [provider_arrivals(self.spec, i) for i in range(len(self.spec.arrival_rates))]
-        return heapq.merge(*streams)
+        return streams[0] if len(streams) == 1 else heapq.merge(*streams)
 
     def __len__(self) -> int:
         return sum(1 for _ in self)

@@ -6,6 +6,7 @@ import dataclasses
 import gc
 import heapq
 import math
+import sys
 import tracemalloc
 from array import array
 
@@ -255,6 +256,49 @@ def test_occupancy_integral_clamps_to_horizon():
     assert sim.clock == records[0].end_time  # its departure moved the clock last
     assert sim.busy_integral == pytest.approx(spec.horizon - records[0].arrival_time, rel=1e-12)
     assert report.spectral_efficiency <= 1.0
+
+
+def run_events(events, monkeypatch, engine_class=Simulation):
+    """A FIXED run on one provider with two channels over a 10 s horizon,
+    fed the given ``(time, provider_id, holding_time)`` arrivals."""
+    monkeypatch.setattr(engine, "build_event_stream", lambda spec: events)
+    sim = engine_class(make_topology(num_providers=1, channels=2), spec_for([1.0], horizon=10.0),
+                       Strategy.FIXED)
+    return sim, sim.run()[1]
+
+
+@pytest.mark.parametrize("holding,clock,busy_integral", [
+    (3.0, 10.0, 5.0),  # both sessions left by 7 s: the clock closes at the horizon
+    (30.0, 34.0, 8.0),  # the last one leaves past it, and the clock follows
+])
+def test_the_clock_ends_at_the_horizon_or_the_last_departure(holding, clock, busy_integral,
+                                                             monkeypatch):
+    # busy over [1, 3] and [4, min(4 + holding, 10)], every bound exact
+    sim, report = run_events([(1.0, 0, 2.0), (4.0, 0, holding)], monkeypatch)
+    assert report.arrivals == report.admitted == 2
+    assert (sim.clock, sim.busy_integral) == (clock, busy_integral)
+
+
+@pytest.mark.parametrize("events", [
+    [(1.0, 0, 1.0), (5.0, 0, 1.0)],  # rewound before the second arrival
+    [(1.0, 0, 1.0)],  # rewound while the held sessions drain after the last
+])
+def test_a_departure_due_before_the_clock_is_a_state_error(events, monkeypatch):
+    # the first departure, at 2 s, goes back in the heap due half a second earlier
+    class Rewinding(Simulation):
+        def _depart_next(self, departures):
+            end_time, session_id, record = departures[0]
+            super()._depart_next(departures)
+            if session_id == 0:
+                heapq.heappush(departures, (end_time - 0.5, session_id, record))
+
+    with pytest.raises(StateError, match=r"clock moved backwards \(2.0 -> 1.5\)"):
+        run_events(events, monkeypatch, Rewinding)
+
+
+def test_an_arrival_before_the_clock_is_a_state_error(monkeypatch):
+    with pytest.raises(StateError, match=r"clock moved backwards \(2.0 -> 1.0\)"):
+        run_events([(2.0, 0, 5.0), (1.0, 0, 5.0)], monkeypatch)
 
 
 class Stop(Exception):
@@ -729,6 +773,39 @@ def test_audit_flags_a_flipped_pool_bit_in_a_run():
     Simulation(topology, spec, Strategy.DYNAMIC_SBAC, audit=True).run()
     with pytest.raises(StateError, match="masks"):
         Flipping(topology, spec, Strategy.DYNAMIC_SBAC, audit=True).run()
+
+
+# -- per-event cost -----------------------------------------------------------------
+
+
+@pytest.mark.skipif(sys.implementation.name != "cpython" or sys.version_info[:2] != (3, 11),
+                    reason="the budget counts CPython 3.11 bytecode")
+def test_a_fixed_allocation_arrival_stays_within_its_bytecode_budget():
+    # the opcodes a FIXED arrival executes, everything from the arrival
+    # stream to the departure counted, at the Erlang-B case's shape (10
+    # channels at 5 Erlangs), about 2,000 arrivals.  Unlike a timing, the
+    # count does not depend on the host, so a per-event regression shows
+    # wherever the tests run
+    if sys.gettrace() is not None:
+        pytest.skip("another tracer (a debugger or coverage) is active")
+    topology = make_topology(num_providers=1, channels=10)
+    spec = spec_for([0.5], holding=10.0, horizon=4000.0, seed=7)
+    run_simulation(topology, spec, Strategy.FIXED)  # first-call work out of the count
+    opcodes = 0
+
+    def trace(frame, event, arg):
+        nonlocal opcodes
+        frame.f_trace_opcodes, frame.f_trace_lines = True, False
+        opcodes += event == "opcode"
+        return trace
+
+    sys.settrace(trace)
+    try:
+        _, report = run_simulation(topology, spec, Strategy.FIXED)
+    finally:
+        sys.settrace(None)
+    assert 1_900 < report.arrivals < 2_100
+    assert opcodes / report.arrivals <= 600
 
 
 # -- the admission solve ------------------------------------------------------------

@@ -476,13 +476,15 @@ def test_audit_flags_a_stale_score():
 @pytest.mark.parametrize("mask", ["free_by_id", "free_by_frequency"])
 def test_audit_flags_a_flipped_pool_byte(mask):
     # position 2 is channel 11, held, in both orders (the frequency order
-    # starts with a byte that is no channel)
-    pool = LivePool(explicit_provider(0, [(7, 403.0), (2, 400.0), (11, 401.0)]))
-    pool.take(11)
-    pool.audit([11])
-    getattr(pool, mask)[2] ^= 1
-    with pytest.raises(StateError, match="masks"):
+    # starts with a byte that is no channel); only a scored pool keeps the
+    # frequency-order bytes, so only its are flipped
+    for sbac_config in ([SbacConfig()] if mask == "free_by_frequency" else [None, SbacConfig()]):
+        pool = LivePool(explicit_provider(0, [(7, 403.0), (2, 400.0), (11, 401.0)]), sbac_config)
+        pool.take(11)
         pool.audit([11])
+        getattr(pool, mask)[2] ^= 1
+        with pytest.raises(StateError, match="masks"):
+            pool.audit([11])
 
 
 def test_audit_flags_a_free_extreme_kept_at_the_wrong_position():
@@ -581,6 +583,54 @@ def test_live_pools_score_like_tuple_built_pools(bands, ops, weights, minutes, c
             pool.audit(held[pool.provider_id])
         # both None when no pool has a free channel
         assert select_best_channel(live, scores) == select_by_utility(built, sbac_config)
+
+    check()
+    for provider_index, position in ops:
+        provider_index %= len(providers)
+        channel = providers[provider_index].channels[position % len(bands[provider_index])]
+        if channel.id in held[provider_index]:
+            live[provider_index].give(channel.id)
+            held[provider_index].remove(channel.id)
+        else:
+            live[provider_index].take(channel.id)
+            held[provider_index].add(channel.id)
+        check()
+
+
+@given(bands=explicit_bands(), ops=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 9))))
+@example(  # every channel of both bands taken, then given back in another order
+    bands=[[(7, 403.0), (2, 400.0), (11, 401.0)], [(3, 410.0), (1, 410.0)]],
+    ops=[(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (0, 1), (1, 0), (0, 0), (0, 2), (1, 1)],
+)
+@settings(max_examples=200, deadline=None)
+def test_unscored_pools_summarise_like_tuple_built_pools(bands, ops):
+    # fixed allocation's home pools are built without a config: they keep
+    # only the id-order bytes, and derive their free-frequency extremes from
+    # them when read.  After every op (toggling one channel) each must
+    # summarise like a CandidatePool built from its free channels' tuple,
+    # keep no frequency bytes and pass its audit
+    providers = [explicit_provider(i, band) for i, band in enumerate(bands)]
+    live = [LivePool(provider) for provider in providers]
+    held = [set() for _ in providers]
+
+    def check():
+        for provider, pool in zip(providers, live):
+            reference = CandidatePool(
+                provider_id=provider.id,
+                available_channels=tuple(
+                    ch for ch in provider.channels if ch.id not in held[provider.id]
+                ),
+                total_channels=provider.num_channels,
+                cost_rate=provider.cost_rate,
+            )
+            assert summaries(pool) == summaries(reference)
+            assert pool.available_channels == reference.available_channels
+            assert pool.score is None and pool.free_by_frequency == b""
+            pool.audit(held[provider.id])
+            # a lone unscored candidate wins whenever a channel is free
+            assert select_best_channel((pool,)) == (
+                (provider.id, reference.lowest_free_id, None) if reference.free_count else None
+            )
 
     check()
     for provider_index, position in ops:
