@@ -2,17 +2,19 @@
 
 Walks through the physical-layer core on one co-channel group given as
 per-link arrays: build the arrays from the links and the requested rate,
-evaluate per-link SINR at given powers, then solve (I - F) P = u once, as
-an admission does, for the component-wise minimal powers that meet every
-link's QoS target, and watch the feasibility boundary appear as the targets
-rise and the coupling spectral radius crosses one.
+evaluate per-link SINR at given powers, then solve (I - F) P = u once, by
+the engine's admission of one link to the other, for the component-wise
+minimal powers that meet every link's QoS target, and watch the feasibility
+boundary appear as the targets rise and the coupling spectral radius
+crosses one.
 
 Run: python demos/01_sinr_power_control.py
 """
 import numpy as np
 
 from dsasim import SecondaryLink, link_arrays, link_sinr, qos_met
-from dsasim.qos import QOS_MARGIN, coupling_scale, group_powers
+from dsasim.engine import group_powers
+from dsasim.qos import QOS_MARGIN, coupling_scale
 
 REQUESTED_RATE = 1e5  # bits/s every session asks for
 G_SS = np.array([[1.0, 0.35], [0.35, 1.0]])  # the pair's gains

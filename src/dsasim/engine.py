@@ -17,11 +17,12 @@ order, and the departure event carries it.  Under channel reuse that list
 is the co-channel group.  An admission solves the group plus the call
 afresh, in pure Python, by one straight-line function per grown-group size
 (:func:`_admission`), compiled on the process's first group of that size
-and kept for its life.  It reads the members' links and powers, runs the
-elimination of :func:`dsasim.qos.group_powers`, checks the caps and the
-primary budgets, and only then writes the powers and loads back.  So no
-state but the records follows a group, a departure does no power work and
-neither path makes a numpy call.
+and kept for its life.  It reads the members' links and powers, solves
+``(I - F) P = u`` (:mod:`dsasim.qos`), checks the caps and the primary
+budgets, and only then writes the powers and loads back.  So no state but
+the records follows a group, a departure does no power work and neither
+path makes a numpy call.  It is the one power solve: :func:`group_powers`
+admits a group's last link to the others.
 The report is streamed: each blocked arrival adds to a count per cause (an
 integer attribute per cause, chosen by identity, since an ``Enum`` member
 hashes in Python), and each admission adds its link's precomputed delay and
@@ -60,7 +61,7 @@ import functools
 import math
 from array import array
 from collections import defaultdict
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from heapq import heappop, heappush
@@ -512,11 +513,47 @@ class Simulation:
         )
 
 
+def elimination_lines(n: int) -> list[str]:
+    """The body lines that solve ``[I - F | u]`` for ``n`` links whose ids
+    are the locals ``i0 .. i{n-1}``, reading ``scale``, ``u`` and the flat
+    gains ``g``: entry ``(r, c)`` is the local ``a{r}_{c}`` (column ``n`` is
+    ``u``), row ``k`` past its pivot, divided by it, is ``t{k}_{c}`` and
+    power ``k`` is ``x{k}``.  They return ``BLOCKED_QOS`` at the first
+    pivot that is not positive: with no list or loop, a solve costs its
+    arithmetic.
+
+    This is Gaussian elimination without pivoting.  ``I - F`` is a Z-matrix
+    (off-diagonal entries <= 0), and a Z-matrix is a nonsingular M-matrix,
+    so ``rho(F) < 1``, exactly when every pivot is positive (Berman and
+    Plemmons, *Nonnegative Matrices in the Mathematical Sciences*).  Every
+    other update adds terms of one sign, so only the pivots can lose
+    accuracy.  The float operations, in their order (each later entry
+    becomes ``a - lead * t``; back substitution subtracts each ``t * x``
+    left to right), are those of ``loop_group_powers`` in
+    ``tests/oracles.py``, so the powers are bit for bit that loop's.
+    """
+    lines = ["    s = len(scale)"]
+    for r in range(n):
+        lines.append(f"    f = -scale[i{r}]; b = i{r} * s")
+        lines += [f"    a{r}_{c} = f * g[b + i{c}]" if c != r else f"    a{r}_{c} = 1.0"
+                  for c in range(n)]
+        lines.append(f"    a{r}_{n} = u[i{r}]")
+    for k in range(n):
+        lines.append(f"    if not a{k}_{k} > 0.0: return BLOCKED_QOS")
+        lines += [f"    t{k}_{c} = a{k}_{c} / a{k}_{k}" for c in range(k + 1, n + 1)]
+        lines += [f"    a{r}_{c} = a{r}_{c} - a{r}_{k} * t{k}_{c}"
+                  for r in range(k + 1, n) for c in range(k + 1, n + 1)]
+    for k in reversed(range(n)):
+        terms = "".join(f" - t{k}_{c} * x{c}" for c in range(k + 1, n))
+        lines.append(f"    x{k} = t{k}_{n}{terms}")
+    return lines
+
+
 @functools.cache
 def _admission(n: int) -> Callable[..., Outcome]:
     """The physical admission of a grown group of ``n`` links as one
     straight-line function, generated from ``n`` alone around
-    :func:`dsasim.qos.elimination_lines` and cached for the process's life.
+    :func:`elimination_lines` and cached for the process's life.
 
     It unpacks the ``n - 1`` held records of ``group`` (member ``r`` is
     ``r{r}``, on link ``i{r}`` at power ``p{r}``; ``record``'s link is
@@ -530,6 +567,21 @@ def _admission(n: int) -> Callable[..., Outcome]:
     so a block changes nothing.  The float operations are those of
     ``loop_admission`` in ``tests/oracles.py``, so the outcome, powers and
     loads are bit for bit its own.
+
+    The cost of a compile (2-vCPU host, Python 3.11; CPU time, and
+    ``tracemalloc`` peak and retained memory):
+
+    ===================  =======  =======  =======  ==========
+    links                8        16       32       64
+    compile              8 ms     38 ms    0.18 s   0.9-1.5 s
+    peak                 1.1 MiB  6.1 MiB  35 MiB   262 MiB
+    kept                 22 KiB   100 KiB  0.6 MiB  4.8 MiB
+    ===================  =======  =======  =======  ==========
+
+    An 8-link admission then takes about 12 us; the loop over rows took 94
+    us to solve alone.  A group has at most one link per provider under
+    reuse, and one link without it, so a process compiles at most the sizes
+    from 1 to its largest provider count.
     """
     held, last = range(n - 1), n - 1
     before = "fsum((" + "".join(f"row[i{r}] * p{r}, " for r in held) + "))"
@@ -539,7 +591,7 @@ def _admission(n: int) -> Callable[..., Outcome]:
         lines.append("    " + "".join(f"r{r}, " for r in held) + "= group")
     lines += [f"    i{r} = r{r}.link_id; p{r} = r{r}.power" for r in held]
     lines.append(f"    i{last} = record.link_id")
-    lines += qos.elimination_lines(n, "BLOCKED_QOS")
+    lines += elimination_lines(n)
     lines += [f"    if not (0.0 < x{k} < inf and x{k} <= cap[i{k}]): return BLOCKED_QOS"
               for k in range(n)]
     lines += [
@@ -561,6 +613,26 @@ def _admission(n: int) -> Callable[..., Outcome]:
                  "BLOCKED_INTERFERENCE": Outcome.BLOCKED_INTERFERENCE}
     exec(compile("\n".join(lines), f"<engine._admission({n})>", "exec"), namespace)
     return namespace["admission"]
+
+
+def group_powers(ids: Sequence[int], scale: Sequence[float], u: Sequence[float],
+                 g_ss: Sequence[float]) -> list[float] | None:
+    """Minimal powers of the co-channel group of links ``ids``, in that
+    order, ``[]`` for no ids: :func:`_admission` of the last id to stand-in
+    records of the others, at no cap and no primary point.  So None means a
+    pivot that is not positive (``rho(F) >= 1``) or a power that is not
+    positive and finite.  ``scale`` and ``u`` are every link's
+    :func:`dsasim.qos.coupling_scale` and ``scale * noise``, and ``g_ss``
+    the whole gain matrix, flat and row-major: ``F[i][j] = scale[i] *
+    g_ss[i * len(scale) + j]``.
+    """
+    if not len(ids):
+        return []
+    *group, record = (SessionRecord(0, 0.0, 0.0, 0, None, None, i, ADMITTED) for i in ids)
+    if _admission(len(ids))(group, record, scale, u, g_ss, [math.inf] * len(scale),
+                            (), (), []) is not ADMITTED:
+        return None
+    return [member.power for member in group] + [record.power]
 
 
 def run_simulation(

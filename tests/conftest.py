@@ -18,8 +18,8 @@ from dsasim import (
     gains_from_positions,
     link_arrays,
 )
-from dsasim.engine import SessionRecord, Simulation
-from dsasim.qos import coupling_scale, group_powers
+from dsasim.engine import SessionRecord, Simulation, group_powers
+from dsasim.qos import coupling_scale
 
 from oracles import PowerSolution
 
@@ -98,14 +98,14 @@ def explicit_gain_topology(g_ss, links, g_ps=None, points=(), providers=None,
 
 
 def solve_as_one_group(topology: NetworkTopology) -> PowerSolution:
-    """qos.group_powers with every link of the topology in one co-channel
+    """engine.group_powers with every link of the topology in one co-channel
     group, judged against the caps and budgets as an admission is."""
     noise, gain, sinr_target, power_max = link_arrays(topology.links, REQUESTED_RATE)
     g_ss = topology.gains.g_ss
     scale = coupling_scale(g_ss, gain, sinr_target)
     powers = group_powers(range(len(noise)), scale.tolist(), (scale * noise).tolist(),
                           g_ss.reshape(-1).tolist())
-    if powers is None:  # rho(F) >= 1: no finite powers, so over every cap
+    if powers is None:  # rho(F) >= 1 (or no positive finite powers): over every cap
         return PowerSolution(powers=np.full(len(noise), np.inf), within_power_caps=False)
     powers = np.array(powers)
     budgets = np.array([p.tolerance for p in topology.primary_points])

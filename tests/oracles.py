@@ -151,9 +151,10 @@ def exact_solve(matrix, rhs) -> list[float]:
 
 
 def loop_group_powers(ids, scale, u, g_ss) -> list[float] | None:
-    """``qos.group_powers`` as a loop over rows of ``[I - F | u]``: the
-    reference that each generated kernel must equal bit for bit, None at the
-    first pivot that is not positive."""
+    """``engine.group_powers`` as a loop over rows of ``[I - F | u]``, None
+    at the first pivot that is not positive: the reference that the
+    generated solve must equal bit for bit wherever these powers are all
+    positive and finite (elsewhere it gives None)."""
     stride = len(scale)
     rows = []  # the augmented rows [I - F | u] of the group
     for a, i in enumerate(ids):

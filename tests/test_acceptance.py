@@ -104,10 +104,11 @@ def test_c1_erlang_b_agreement():
 
 
 def test_c2_power_solver_equivalence():
-    # qos.group_powers on each instance's two links as one co-channel group,
-    # and the engine's admission of the second link to a channel index that
-    # holds the first, under the instance's caps (it has no primary point):
-    # the same verdict and, when admitted, the same powers to the bit
+    # engine.group_powers on each instance's two links as one co-channel
+    # group, and the engine's admission of the second link to a channel
+    # index that holds the first, under the instance's caps (it has no
+    # primary point): the same verdict and, when admitted, the same powers
+    # to the bit
     rng = np.random.default_rng(777)
     feasible_count = 0
     for _ in range(100):

@@ -1,7 +1,7 @@
 """The fast demos run to completion: 01 drives the array-level qos API
-(link_arrays, link_sinr, qos_met, coupling_scale, group_powers), 02 live
-pools and selection and 04 the event loop.  03 and 05 take about 20 s
-together and are left out."""
+(link_arrays, link_sinr, qos_met, coupling_scale) and the one generated
+power solve (engine.group_powers), 02 live pools and selection and 04 the
+event loop.  03 and 05 take about 20 s together and are left out."""
 from __future__ import annotations
 
 import os

@@ -589,6 +589,10 @@ def test_admission_kernels_compile_once_per_size_per_process():
                           audit=True) == first
     after = engine._admission.cache_info()
     assert after.misses == compiled.misses and after.hits > compiled.hits
+    # group_powers runs the admission the run compiled for a pair: a hit
+    assert engine.group_powers([0, 1], [0.1, 0.1], [0.01, 0.01], [1.0] * 4) is not None
+    solved = engine._admission.cache_info()
+    assert solved.misses == after.misses and solved.hits == after.hits + 1
 
 
 def test_a_physical_run_without_reuse_compiles_only_the_lone_link_admission():
@@ -601,6 +605,12 @@ def test_a_physical_run_without_reuse_compiles_only_the_lone_link_admission():
     assert engine._admission.cache_info().currsize == 1
     engine._admission(1)  # a hit: size 1 is the one size compiled
     assert engine._admission.cache_info().misses == 1
+
+
+def compile_elimination(n):
+    """The elimination's lines for ``n`` links alone, compiled as a function."""
+    lines = ["def elimination(scale, u, g):", *engine.elimination_lines(n)]
+    exec(compile("\n".join(lines), f"<elimination({n})>", "exec"), {})
 
 
 def test_compiling_an_admission_peaks_near_compiling_its_elimination():
@@ -617,7 +627,7 @@ def test_compiling_an_admission_peaks_near_compiling_its_elimination():
     tracemalloc.start()
     try:
         admission = peak(engine._admission.__wrapped__)  # uncached: a fresh compile
-        elimination = peak(qos._kernel.__wrapped__)
+        elimination = peak(compile_elimination)
     finally:
         tracemalloc.stop()
     assert admission <= 1.5 * elimination
@@ -701,6 +711,7 @@ def admit_both(held, new_link, gains, weights, noise, radius, caps, points):
 @example(**ADMISSION_CASES["cap"][1])
 @example(**ADMISSION_CASES["raised"][1])
 @example(**ADMISSION_CASES["admitted"][1])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_generated_admission_equals_the_reference_bit_for_bit(
     held, new_link, gains, weights, noise, radius, caps, points
 ):
@@ -1178,6 +1189,58 @@ def test_golden_run_reports_do_not_depend_on_how_python_sums(name, monkeypatch):
     # on an interpreter that does
     monkeypatch.setattr(engine, "sum", compensated_sum, raising=False)
     assert_golden_report(name)
+
+
+def exact(value):
+    """``value`` with every float, in dicts and lists too, as its exact
+    image, so that ``==`` compares bits."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, dict):
+        return {key: exact(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [exact(item) for item in value]
+    return value
+
+
+def unit_run(name, time=0, power=0):
+    """The golden run ``name``, audited, with every arrival rate times ``2 **
+    time`` and the holding time and horizon over it, and every link's noise,
+    nominal power and cap and every point's tolerance times ``2 ** power``:
+    its report fields and its metadata."""
+    topology, spec, strategy, sbac_config, qos_config = golden_case(name)
+    spec = dataclasses.replace(
+        spec, arrival_rates=tuple(math.ldexp(rate, time) for rate in spec.arrival_rates),
+        mean_holding_time=math.ldexp(spec.mean_holding_time, -time),
+        horizon=math.ldexp(spec.horizon, -time))
+    links = tuple(dataclasses.replace(link, noise=math.ldexp(link.noise, power),
+                                      power=math.ldexp(link.power, power),
+                                      power_max=math.ldexp(link.power_max, power))
+                  for link in topology.links)
+    points = tuple(dataclasses.replace(point, tolerance=math.ldexp(point.tolerance, power))
+                   for point in topology.primary_points)
+    topology = dataclasses.replace(topology, links=links, primary_points=points)
+    _, report = run_simulation(topology, spec, strategy, sbac_config=sbac_config,
+                               qos_config=qos_config, audit=True)
+    fields = dataclasses.asdict(report)
+    return fields, fields.pop("metadata")
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+def test_golden_runs_are_exactly_invariant_to_their_units(name):
+    # every comparison the engine makes is homogeneous and scaling by a
+    # power of two is exact, so a hidden absolute constant (a clock epsilon,
+    # a power floor) or a unit slip breaks one of these relations
+    fields, metadata = unit_run(name)
+    for k in (1, -2, 10):  # time: the same report; only the horizon moves
+        assert exact(unit_run(name, time=k)) == exact(
+            (fields, {**metadata, "horizon": math.ldexp(metadata["horizon"], -k)}))
+    for k in (2, -20):  # power: the interference scales, nothing else moves
+        interference = math.ldexp(fields["mean_primary_interference"], k)
+        per_point = [math.ldexp(x, k) for x in metadata["per_point_interference_w"]]
+        assert exact(unit_run(name, power=k)) == exact(
+            ({**fields, "mean_primary_interference": interference},
+             {**metadata, "per_point_interference_w": per_point}))
 
 
 def test_a_run_holds_no_more_memory_over_a_longer_horizon():

@@ -18,7 +18,8 @@ from dsasim import (
     qos_met,
     sinr_target_from_ber,
 )
-from dsasim.qos import coupling_scale, group_powers
+from dsasim.engine import group_powers
+from dsasim.qos import coupling_scale
 from conftest import (
     REQUESTED_RATE,
     explicit_gain_topology,
@@ -308,17 +309,21 @@ def test_group_powers_stop_at_the_first_pivot_that_is_not_positive():
     assert group_powers([1], scale, u, g_ss) == [0.3]
 
 
-LINKS = 12  # links in the gain matrix of the kernel-against-loop tests
+LINKS = 12  # links in the gain matrix of the generated-against-loop tests
 
 
 def engine_inputs(g_ss, weights, radius, ids, noise):
     """``scale``, ``u`` and the flat ``g_ss`` as the engine passes them, with
-    the per-link ``weights`` scaled so that the group ``ids`` has
-    ``rho(F) = radius``."""
+    the per-link ``weights`` (and ``noise`` <= 1) scaled so that the group
+    ``ids`` has ``rho(F) = radius``; None when that scaling overflows, as
+    it does where subnormal gains give a tiny positive ``rho``."""
     coupling = weights[ids, None] * g_ss[np.ix_(ids, ids)]
     np.fill_diagonal(coupling, 0.0)
-    rho = max(abs(np.linalg.eigvals(coupling)), default=0.0)
-    scale = weights * (radius / rho if rho > 0.0 else 1.0)
+    rho = float(max(abs(np.linalg.eigvals(coupling)), default=0.0))
+    factor = radius / rho if rho > 0.0 else 1.0  # a float overflows to inf silently
+    if not math.isfinite(factor * float(weights.max())):
+        return None
+    scale = weights * factor
     flat = memoryview(np.ascontiguousarray(g_ss).reshape(-1))
     return array("d", scale.tolist()), array("d", (scale * noise).tolist()), flat
 
@@ -326,6 +331,15 @@ def engine_inputs(g_ss, weights, radius, ids, noise):
 def bits(powers):
     """The powers as exact float images (sign of zero and NaN included)."""
     return None if powers is None else [float.hex(p) for p in powers]
+
+
+def admitted(powers):
+    """What ``group_powers`` gives where the loop gives ``powers``: they
+    themselves when every one is positive and finite, None otherwise, as
+    for the admission it runs."""
+    if powers is None or not all(0.0 < p < math.inf for p in powers):
+        return None
+    return powers
 
 
 @given(
@@ -336,14 +350,34 @@ def bits(powers):
     radius=st.floats(0.5, 1.5),
 )
 @settings(max_examples=300, deadline=None)
+# gains of 1e-310 couple the pair with rho ~ 1e-310, so radius / rho
+# overflows: the draw is refused, and no RuntimeWarning is raised
+@example(ids=[0, 1], gains=[1e-310 if k in (1, LINKS) else 0.0 for k in range(LINKS**2)],
+         weights=[1.0] * LINKS, noise=[1e-3] * LINKS, radius=1.0)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_group_powers_equal_the_loop_bit_for_bit(ids, gains, weights, noise, radius):
     # groups of 0 to 12 links, repeats allowed, with rho(F) on either side of
     # 1, so that the first pivot that is not positive comes at any step: the
-    # generated kernel and the loop return the same floats, or None together
+    # generated admission and the loop return the same floats, or None
+    # together, or None where the loop's powers are not positive and finite
     g_ss = np.array(gains).reshape(LINKS, LINKS)
-    scale, u, flat = engine_inputs(g_ss, np.array(weights), radius, ids, np.array(noise))
+    inputs = engine_inputs(g_ss, np.array(weights), radius, ids, np.array(noise))
+    assume(inputs is not None)
+    scale, u, flat = inputs
     powers = group_powers(ids, scale, u, flat)
-    assert bits(powers) == bits(loop_group_powers(ids, scale, u, flat))
+    assert bits(powers) == bits(admitted(loop_group_powers(ids, scale, u, flat)))
+
+
+@pytest.mark.parametrize("u", [math.inf, 0.0, math.nan])
+def test_group_powers_refuse_a_power_that_is_not_positive_and_finite(u):
+    # a lone link's power is its u: the loop returns it, the admission that
+    # group_powers runs refuses it
+    assert bits(loop_group_powers([0], [1.0], [u], [1.0])) == bits([u])
+    assert group_powers([0], [1.0], [u], [1.0]) is None
+
+
+def test_group_powers_of_no_links_are_empty():
+    assert group_powers([], [1.0], [0.5], [1.0]) == []
 
 
 @pytest.mark.parametrize("radius", [0.9, 1.1])
