@@ -2,8 +2,10 @@
 
 Arrivals are ``(time, provider_id, holding_time)`` tuples drawn lazily from
 :func:`~dsasim.traffic.build_event_stream`, which holds a block of at most
-32 log-uniforms and one pending arrival per provider, and the event queue
-is a heap of the held sessions' departures keyed ``(end_time, session_id)``.
+32 log-uniforms and one pending arrival per provider.  :meth:`Simulation.run`
+is the one event loop: it admits each arrival and departs each session
+inline, and its heap of departures, keyed ``(end_time, session_id)``, is
+the one collection of the held sessions.
 
 Every arrival is offered the candidate pools its strategy allows (home
 provider only under fixed allocation, all providers under dynamic
@@ -11,44 +13,41 @@ selection), the best-available-channel rule picks a free channel, and an
 optional physical-layer stage finds minimal powers for the co-channel group
 plus the call and re-checks primary-point interference before the call is
 admitted.
-The admitted :class:`SessionRecord` is the only per-session state: the
-:class:`Simulation` holds it in the list of its channel index, in admission
-order, and the departure event carries it.  Under channel reuse that list
-is the co-channel group.  An admission solves the group plus the call
-afresh, in pure Python, by one straight-line function per grown-group size
-(:func:`_admission`), compiled on the process's first group of that size
-and kept for its life.  It reads the members' links and powers, solves
-``(I - F) P = u`` (:mod:`dsasim.qos`), checks the caps and the primary
-budgets, and only then writes the powers and loads back.  So no state but
-the records follows a group, a departure does no power work and neither
-path makes a numpy call.  It is the one power solve: :func:`group_powers`
-admits a group's last link to the others.
+The admitted :class:`SessionRecord` is the only per-session state, and its
+departure entry carries it.  Only under channel reuse, where the physical
+stage reads them, does the :class:`Simulation` also list the records held
+on each channel index, in admission order: the co-channel groups.  An
+admission solves the group plus the call afresh, in pure Python, by one
+straight-line function per grown-group size (:func:`_admission`), compiled
+on the process's first group of that size and kept for its life.  It reads
+the members' links and powers, solves ``(I - F) P = u`` (:mod:`dsasim.qos`),
+checks the caps and the primary budgets, and only then writes the powers
+and loads back.  So a departure does no power work and neither path makes a
+numpy call.  It is the one power solve: :func:`group_powers` admits a
+group's last link to the others.
 The report is streamed: each blocked arrival adds to a count per cause (an
-integer attribute per cause, chosen by identity, since an ``Enum`` member
-hashes in Python), and each admission adds its link's precomputed delay and
-its bits to running totals, so a run's memory follows its held sessions,
-not its arrivals.
-Every arrival's record is kept only with ``keep_records``.
+``Enum`` member hashes in Python, so the cause is chosen by identity), and
+each admission adds its link's precomputed delay and its bits to running
+totals, so a run's memory follows its held sessions, not its arrivals.  A
+blocked arrival's record is built only with ``keep_records``.
 Each provider's :class:`~dsasim.sbac.LivePool`, built once per run, follows
 the held sessions as channels are taken and given back, and under dynamic
-selection re-scores itself on each take and give from the utility's
-constants, folded in when it was built, into its provider id's slot of the
-run's one score list, so an arrival's selection is one ``max`` over that
-list; under fixed allocation the home pool is the one candidate and is
-never scored.  What an admission reads of the run's inputs
-(the links, the horizon, the requested rate, whether the physical stage
-runs) is bound once when the :class:`Simulation` is built.
+selection re-scores itself on each take and give into its provider id's
+slot of the run's one score list, so an arrival's selection is one ``max``
+over that list; under fixed allocation the home pool is the one candidate
+and is never scored.
 A departure leaves the powers of the rest of its co-channel group as they
 are: they were solved for the larger group, so every target still holds,
 and they relax to the smaller group's minimal powers only at the next
 admission on that channel index.
 Departures at a given instant are processed before arrivals at the same
-instant, the standard loss-system convention.  The event loop owns the one
-clock and moves it, and the busy-channel and primary-interference integrals
-with it, clamped to the horizon so the metrics cover exactly ``[0,
-horizon]``.  The primary loads and integrals are float lists, one entry per
-primary point, updated in place, entry by entry, with the IEEE operations
-numpy would take, so no event builds a new list.
+instant, the standard loss-system convention.  The loop owns the one clock
+and moves it, and the busy-channel and primary-interference integrals with
+it, clamped to the horizon so the metrics cover exactly ``[0, horizon]``.
+The primary loads and integrals are float lists, one entry per primary
+point, updated in place with the IEEE operations numpy would take.
+Two per-event methods remain, for the physical stage and the audits:
+:meth:`Simulation._physical_admission` and :meth:`Simulation._audit_state`.
 
 One run is strictly single-threaded; independent runs can execute
 concurrently because topologies and traffic specs are immutable.  Each
@@ -145,12 +144,13 @@ class SessionRecord:
 class Simulation:
     """Single deterministic run; see :func:`run_simulation` for the one-call API.
 
-    ``groups`` maps each channel index to the records of the sessions held
-    on it, in admission order, and ``busy`` counts them all.  ``clock`` is
-    the run's one clock; ``busy_integral`` (channel * seconds) and
-    ``primary_integral`` (watt * seconds per primary point, a list) advance
-    with it.  ``primary_loads`` (watts per primary point, a list) is the
-    held sessions' interference at each point.
+    ``busy`` counts the held sessions, whose records the departure heap of
+    :meth:`run` holds.  Under channel reuse alone, ``groups`` maps each
+    channel index to the records held on it, in admission order; it stays
+    empty otherwise.  ``clock`` is the run's one clock; ``busy_integral``
+    (channel * seconds) and ``primary_integral`` (watt * seconds per
+    primary point, a list) advance with it.  ``primary_loads`` (watts per
+    primary point, a list) is the held sessions' interference at each point.
 
     The report's sums are streamed: ``arrivals`` counts the arrivals and
     numbers their sessions, ``blocked_no_channel``, ``blocked_qos`` and
@@ -159,6 +159,12 @@ class Simulation:
     admission order, and ``bits`` their served bits within the horizon.
     ``records`` is every arrival's record, in arrival order, with
     ``keep_records``, and None without.
+
+    :meth:`run` keeps ``busy``, the clock and the busy integral in locals.
+    It writes them back before each call of the two per-event methods, which
+    a subclass may override: :meth:`_physical_admission` for each arrival
+    that reaches the physical stage and, with ``audit``, :meth:`_audit_state`
+    after each event, whose changes it reads back.
 
     The attributes are slots: a run holds no instance dict, whose size
     would jump once its key count passed the interpreter's shared-key limit.
@@ -260,131 +266,138 @@ class Simulation:
         if self._ran:
             raise StateError("Simulation.run() was already called; build a new Simulation")
         self._ran = True
-        # departures: (end_time, session_id, record); session ids rise in
-        # admission order, so tuple comparison never reaches the record.  A
-        # departure due by the next arrival's time goes first, so departures
-        # at time t free capacity before arrivals at time t.
+        # departures: (end_time, session_id, record), one per held session;
+        # session ids rise in admission order, so tuple comparison never
+        # reaches the record.  A departure due by the next arrival's time
+        # goes first, so departures at time t free capacity before arrivals
+        # at time t.
         departures: list[tuple[float, int, SessionRecord]] = []
-        # the per-event calls, bound once (subclasses still override them)
-        push, admit, depart_next = heappush, self._admit, self._depart_next
-        records, audit, horizon = self.records, self.audit, self._horizon
+        push, pop = heappush, heappop
+        # looked up per run, not at import, so that a caller may replace either
+        select, stream = sbac.select_best_channel, build_event_stream(self.traffic_spec)
+        pools, candidates, scores = self._pools, self._candidates, self._scores
+        links, link_delays, point_rows = self._links, self._link_delays, self._point_rows
+        num_links, horizon, rate = len(links), self._horizon, self._requested_rate
+        records, audit, physical = self.records, self.audit, self._physical
+        reuse, groups = self.qos.channel_reuse, self.groups
         loads, integral = self.primary_loads, self.primary_integral
         points = range(len(loads))
-        # the clock moves before each event, the integrals by the busy
+        # busy, the clock and the busy integral live in locals, written back
+        # before either per-event method runs and read back after an audit.
+        # The clock moves before each event, the integrals by the busy
         # channels and loads times the elapsed time clamped to the horizon;
         # the last event follows every departure and closes the integrals
-        clock, busy_integral = self.clock, self.busy_integral
+        busy, clock, busy_integral = self.busy, self.clock, self.busy_integral
         last = (math.inf,)
-        for event in chain(build_event_stream(self.traffic_spec), (last,)):
+        for event in chain(stream, (last,)):
             time = event[0]
             while departures and departures[0][0] <= time:
-                end_time = departures[0][0]
+                end_time, _, record = pop(departures)
                 if end_time < clock:
                     raise StateError(f"clock moved backwards ({clock} -> {end_time})")
                 end = end_time if end_time < horizon else horizon
                 if end > clock:
                     elapsed = end - clock
-                    busy_integral += self.busy * elapsed
+                    busy_integral += busy * elapsed
                     for j in points:
                         integral[j] += loads[j] * elapsed
                 clock = end_time
-                depart_next(departures)
+                # the rest of the co-channel group keeps its powers (module docstring)
+                channel_id = record.channel_id
+                if reuse:
+                    group = groups[channel_id]
+                    for index, held in enumerate(group):
+                        if held is record:
+                            del group[index]
+                            break
+                    else:
+                        raise StateError(
+                            f"session {record.session_id} holds no channel (double release?)")
+                busy -= 1
+                pools[record.provider_id].give(channel_id)
+                link_id, power = record.link_id, record.power
+                for j, row in point_rows:
+                    loads[j] -= row[link_id] * power
+                if audit:
+                    self.busy, self.clock, self.busy_integral = busy, clock, busy_integral
+                    self._audit_state(departures)
+                    busy, clock, busy_integral = self.busy, self.clock, self.busy_integral
             if time < clock:
                 raise StateError(f"clock moved backwards ({clock} -> {time})")
             end = time if time < horizon else horizon
             if end > clock:
                 elapsed = end - clock
-                busy_integral += self.busy * elapsed
+                busy_integral += busy * elapsed
                 for j in points:
                     integral[j] += loads[j] * elapsed
             if event is last:
                 break
             clock = time
-            record = admit(event)
-            if records is not None:
-                records.append(record)
-            if record.outcome is ADMITTED:
-                push(departures, (record.end_time, record.session_id, record))
+            _, home_provider_id, holding_time = event
+            session_id = self.arrivals
+            self.arrivals = session_id + 1
+            link = links[session_id % num_links]
+            choice = select(candidates[home_provider_id], scores)
+            if choice is None:
+                self.blocked_no_channel += 1
+                if records is not None:
+                    # session id, arrival and end time, home provider,
+                    # provider, channel, link and outcome, in field order
+                    records.append(SessionRecord(session_id, time, time, home_provider_id, None,
+                                                 None, link.id, BLOCKED_NO_CHANNEL))
+            else:
+                provider_id, channel_id, _ = choice
+                end_time = time + holding_time
+                link_id = link.id
+                record = SessionRecord(session_id, time, end_time, home_provider_id, provider_id,
+                                       channel_id, link_id, ADMITTED, link.power)
+                if physical:
+                    self.busy, self.clock, self.busy_integral = busy, clock, busy_integral
+                    # built admitted: the generated admission writes its
+                    # power, and nothing on a block
+                    outcome = self._physical_admission(channel_id, record)
+                else:
+                    outcome = ADMITTED
+                    power = link.power
+                    for j, row in point_rows:
+                        loads[j] += row[link_id] * power
+                if outcome is ADMITTED:
+                    pools[provider_id].take(channel_id)
+                    if reuse:
+                        groups[channel_id].append(record)
+                    busy += 1
+                    self.delay_total += link_delays[link_id]
+                    # an admitted session arrived before the horizon: active >= 0
+                    active = (end_time if end_time < horizon else horizon) - time
+                    self.bits += rate * active
+                    push(departures, (end_time, session_id, record))
+                else:  # counted by identity: Enum hashes in Python
+                    record.outcome, record.power, record.end_time = outcome, 0.0, time
+                    record.provider_id = record.channel_id = None
+                    if outcome is BLOCKED_QOS:
+                        self.blocked_qos += 1
+                    else:
+                        self.blocked_interference += 1
+                if records is not None:
+                    records.append(record)
             if audit:
+                self.busy, self.clock, self.busy_integral = busy, clock, busy_integral
                 self._audit_state(departures)
+                busy, clock, busy_integral = self.busy, self.clock, self.busy_integral
+        self.busy, self.busy_integral = busy, busy_integral
         # departures beyond the horizon may have moved the clock past it
         self.clock = max(horizon, clock)
-        self.busy_integral = busy_integral
         return self.records, self._report()
-
-    def _depart_next(self, departures: list[tuple[float, int, SessionRecord]]) -> None:
-        """Process the earliest departure; :meth:`run` has moved the clock to it."""
-        self._depart(heappop(departures)[2])
-        if self.audit:
-            self._audit_state(departures)
 
     def _audit_state(self, departures: list[tuple[float, int, SessionRecord]]) -> None:
         """Run every audit that applies, after each event when ``audit`` is on."""
-        self._audit_pools()
         self._audit_departures(departures)
-        self._audit_primary_loads()
+        self._audit_pools(departures)
+        self._audit_primary_loads(departures)
         if self.qos.physical_checks:
-            self._audit_qos()
-
-    def _depart(self, record: SessionRecord) -> None:
-        # the rest of the co-channel group keeps its powers (module docstring)
-        channel_id = record.channel_id
-        group = self.groups[channel_id]
-        for index, held in enumerate(group):
-            if held is record:
-                del group[index]
-                break
-        else:
-            raise StateError(f"session {record.session_id} holds no channel (double release?)")
-        self.busy -= 1
-        self._pools[record.provider_id].give(channel_id)
-        link_id, power, loads = record.link_id, record.power, self.primary_loads
-        for j, row in self._point_rows:
-            loads[j] -= row[link_id] * power
+            self._audit_qos(departures)
 
     # -- admission ----------------------------------------------------------
-
-    def _admit(self, event: tuple[float, int, float]) -> SessionRecord:
-        time, home_provider_id, holding_time = event
-        session_id = self.arrivals
-        self.arrivals = session_id + 1
-        link = self._links[session_id % len(self._links)]
-        choice = sbac.select_best_channel(self._candidates[home_provider_id], self._scores)
-        if choice is None:
-            self.blocked_no_channel += 1
-            # session id, arrival and end time, home provider, provider,
-            # channel, link and outcome, in field order
-            return SessionRecord(session_id, time, time, home_provider_id, None, None, link.id,
-                                 BLOCKED_NO_CHANNEL)
-        provider_id, channel_id, _ = choice
-        end_time = time + holding_time
-        record = SessionRecord(session_id, time, end_time, home_provider_id, provider_id,
-                               channel_id, link.id, ADMITTED, link.power)
-        if self._physical:
-            # built admitted: the generated admission writes its power, and
-            # nothing on a block, so a block patches the blocked fields back
-            outcome = self._physical_admission(channel_id, record)
-            if outcome is not ADMITTED:  # counted by identity: Enum hashes in Python
-                record.outcome, record.power, record.end_time = outcome, 0.0, time
-                record.provider_id = record.channel_id = None
-                if outcome is BLOCKED_QOS:
-                    self.blocked_qos += 1
-                else:
-                    self.blocked_interference += 1
-                return record
-        else:
-            link_id, power, loads = link.id, link.power, self.primary_loads
-            for j, row in self._point_rows:
-                loads[j] += row[link_id] * power
-
-        self._pools[provider_id].take(channel_id)
-        self.groups[channel_id].append(record)
-        self.busy += 1
-        self.delay_total += self._link_delays[link.id]
-        # an admitted session arrived before the horizon: active >= 0
-        active = (end_time if end_time < self._horizon else self._horizon) - time
-        self.bits += self._requested_rate * active
-        return record
 
     def _physical_admission(self, channel_id: int, record: SessionRecord) -> Outcome:
         """Minimal powers for the co-channel group plus the new session, by
@@ -397,48 +410,50 @@ class Simulation:
             self._g_ps_rows, self._tolerance, self.primary_loads,
         )
 
-    def _audit_pools(self) -> None:
-        """Check that every held record names its group's channel index and
-        that ``busy`` counts the held records, then rebuild every live pool
-        from them; raises StateError on any mismatch (see
+    def _audit_departures(self, departures: list[tuple[float, int, SessionRecord]]) -> None:
+        """Check that the departure heap keys each held record by its end
+        time and session id and, under reuse, that the co-channel groups hold
+        exactly the heap's records, each under its own channel index; raises
+        StateError otherwise."""
+        if self.qos.channel_reuse:
+            held = []
+            for channel_id, group in self.groups.items():
+                for record in group:
+                    if record.channel_id != channel_id:
+                        raise StateError(
+                            f"session {record.session_id} is held on channel {channel_id} "
+                            f"but records channel {record.channel_id}"
+                        )
+                    held.append(record)
+        else:
+            held = [record for _, _, record in departures]
+        keys = sorted((record.end_time, record.session_id, id(record)) for record in held)
+        queued = sorted((end_time, session_id, id(record))
+                        for end_time, session_id, record in departures)
+        if queued != keys:
+            raise StateError(
+                f"the departure heap holds {len(departures)} entries for "
+                f"{len(keys)} held sessions, or keys that differ from theirs"
+            )
+
+    def _audit_pools(self, departures: list[tuple[float, int, SessionRecord]]) -> None:
+        """Check that ``busy`` counts the held records, then rebuild every
+        live pool from them; raises StateError on any mismatch (see
         :meth:`LivePool.audit`)."""
+        if len(departures) != self.busy:
+            raise StateError(
+                f"busy count {self.busy} differs from the {len(departures)} held sessions")
         held: list[list[int]] = [[] for _ in self._pools]
-        for channel_id, group in self.groups.items():
-            for record in group:
-                if record.channel_id != channel_id:
-                    raise StateError(
-                        f"session {record.session_id} is held on channel {channel_id} "
-                        f"but records channel {record.channel_id}"
-                    )
-                held[record.provider_id].append(channel_id)
-        count = sum(len(channel_ids) for channel_ids in held)
-        if count != self.busy:
-            raise StateError(f"busy count {self.busy} differs from the {count} held sessions")
+        for _, _, record in departures:
+            held[record.provider_id].append(record.channel_id)
         for pool, channel_ids in zip(self._pools, held):
             pool.audit(channel_ids)
 
-    def _audit_departures(self, departures: list[tuple[float, int, SessionRecord]]) -> None:
-        """Check that the departure heap holds exactly one entry per held
-        record, keyed by its end time and session id; raises StateError
-        otherwise."""
-        held = sorted(
-            (record.end_time, record.session_id, id(record))
-            for group in self.groups.values()
-            for record in group
-        )
-        queued = sorted((end_time, session_id, id(record))
-                        for end_time, session_id, record in departures)
-        if queued != held:
-            raise StateError(
-                f"the departure heap holds {len(departures)} entries for "
-                f"{len(held)} held sessions, or keys that differ from theirs"
-            )
-
-    def _audit_primary_loads(self) -> None:
+    def _audit_primary_loads(self, departures: list[tuple[float, int, SessionRecord]]) -> None:
         """Recompute the primary loads from the held records' powers; raises
         StateError when the running sums drifted by more than 1e-9 of a
         point's tolerance (or of its load, where that is larger)."""
-        held = [record for group in self.groups.values() for record in group]
+        held = [record for _, _, record in departures]
         expected = self._g_ps[:, [r.link_id for r in held]] @ np.array([r.power for r in held])
         if np.any(
             np.abs(np.array(self.primary_loads) - expected)
@@ -449,16 +464,15 @@ class Simulation:
                 f"sessions' {expected.tolist()}"
             )
 
-    def _audit_qos(self) -> None:
+    def _audit_qos(self, departures: list[tuple[float, int, SessionRecord]]) -> None:
         """Recompute every held session's SINR at the recorded powers with the
         independent :func:`qos.link_sinr`, on the held links' gains with the
         gains between different co-channel groups zeroed; raises StateError
         if any session misses its target."""
-        held = [(channel_id, record) for channel_id, group in self.groups.items()
-                for record in group]
-        ids = [record.link_id for _, record in held]
+        held = [record for _, _, record in departures]
+        ids = [record.link_id for record in held]
         if self.qos.channel_reuse:
-            channels = np.array([channel_id for channel_id, _ in held])
+            channels = np.array([record.channel_id for record in held])
             co_channel = channels[:, None] == channels[None, :]
         else:
             co_channel = np.eye(len(held), dtype=bool)
@@ -466,12 +480,12 @@ class Simulation:
             self._g_ss[np.ix_(ids, ids)] * co_channel,
             self._noise[ids],
             self._gain[ids],
-            np.array([record.power for _, record in held]),
+            np.array([record.power for record in held]),
         )
         missed = ~qos.qos_met(sinr, self._sinr_target[ids])
         if np.any(missed):
             raise StateError(
-                f"sessions {[held[i][1].session_id for i in np.flatnonzero(missed)]} miss "
+                f"sessions {[held[i].session_id for i in np.flatnonzero(missed)]} miss "
                 "their SINR targets at their co-channel group's powers"
             )
 

@@ -12,7 +12,7 @@ from array import array
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dsasim import (
@@ -31,7 +31,7 @@ from dsasim import (
     run_simulation,
 )
 from dsasim import engine, qos, sbac, traffic
-from dsasim.engine import Simulation
+from dsasim.engine import SessionRecord, Simulation
 from dsasim.sbac import LivePool
 from dsasim.qos import QOS_MARGIN
 
@@ -39,6 +39,9 @@ from conftest import (
     explicit_gain_topology, held_record, make_link, make_provider, make_topology,
 )
 from oracles import loop_admission, mean_primary_interference, solve_min_powers
+
+
+REUSE = QosConfig(physical_checks=True, channel_reuse=True)
 
 
 def spec_for(rates, holding=1.0, horizon=200.0, seed=0, rate=1e5):
@@ -232,7 +235,7 @@ def test_occupancy_release_restores_prior_state():
     _, report = sim.run()
     assert report.blocked_no_channel > 0  # the channels did fill up
     assert sim.busy == 0
-    assert sim.groups and all(group == [] for group in sim.groups.values())
+    assert not sim.groups  # only channel reuse keeps co-channel groups
     assert all(pool.free_count == pool.total_channels for pool in sim._pools)
 
 
@@ -258,12 +261,12 @@ def test_occupancy_integral_clamps_to_horizon():
     assert report.spectral_efficiency <= 1.0
 
 
-def run_events(events, monkeypatch, engine_class=Simulation):
+def run_events(events, monkeypatch, engine_class=Simulation, audit=False):
     """A FIXED run on one provider with two channels over a 10 s horizon,
     fed the given ``(time, provider_id, holding_time)`` arrivals."""
     monkeypatch.setattr(engine, "build_event_stream", lambda spec: events)
     sim = engine_class(make_topology(num_providers=1, channels=2), spec_for([1.0], horizon=10.0),
-                       Strategy.FIXED)
+                       Strategy.FIXED, audit=audit)
     return sim, sim.run()[1]
 
 
@@ -286,14 +289,17 @@ def test_the_clock_ends_at_the_horizon_or_the_last_departure(holding, clock, bus
 def test_a_departure_due_before_the_clock_is_a_state_error(events, monkeypatch):
     # the first departure, at 2 s, goes back in the heap due half a second earlier
     class Rewinding(Simulation):
-        def _depart_next(self, departures):
-            end_time, session_id, record = departures[0]
-            super()._depart_next(departures)
-            if session_id == 0:
+        first = None
+
+        def _audit_state(self, departures):
+            if self.first is None:
+                self.first = departures[0]  # session 0, just admitted
+            elif self.first not in departures:  # it departed
+                end_time, session_id, record = self.first
                 heapq.heappush(departures, (end_time - 0.5, session_id, record))
 
     with pytest.raises(StateError, match=r"clock moved backwards \(2.0 -> 1.5\)"):
-        run_events(events, monkeypatch, Rewinding)
+        run_events(events, monkeypatch, Rewinding, audit=True)
 
 
 def test_an_arrival_before_the_clock_is_a_state_error(monkeypatch):
@@ -322,17 +328,22 @@ def test_run_draws_each_arrival_only_when_it_reaches_it(stop_after, monkeypatch)
             drawn.append(size)
             return self.rng.random(size)
 
-    class Stopping(Simulation):
-        def _admit(self, event):
-            if self.arrivals == stop_after:
-                raise Stop
-            return super()._admit(event)
+    select_best_channel = sbac.select_best_channel
+    selected = []
+
+    def stopping(pools, scores):  # every arrival selects once, once drawn
+        if len(selected) == stop_after:
+            raise Stop
+        selected.append(None)
+        return select_best_channel(pools, scores)
 
     monkeypatch.setattr(traffic, "provider_rng", lambda *args: Counting(provider_rng(*args)))
     topology = make_topology(num_providers=3, channels=3)
     spec = spec_for([1.5, 0.5, 1.0], holding=2.0, horizon=700.0, seed=1)
-    with pytest.raises(Stop):
-        Stopping(topology, spec, Strategy.DYNAMIC_SBAC).run()
+    with monkeypatch.context() as patch:
+        patch.setattr(sbac, "select_best_channel", stopping)
+        with pytest.raises(Stop):
+            Simulation(topology, spec, Strategy.DYNAMIC_SBAC).run()
     assert 0 < sum(drawn) <= 2 * (stop_after + 3) + 3 * traffic.BLOCK
     # the whole run: a gap and a holding time per arrival, plus the gap past
     # the horizon that ends each provider's stream, each drawn in whole blocks
@@ -346,30 +357,44 @@ def test_run_draws_each_arrival_only_when_it_reaches_it(stop_after, monkeypatch)
     assert set(drawn) == {traffic.BLOCK}
 
 
-def run_with_engine(engine_class, audit=False):
+def run_with_engine(engine_class, audit=False, qos_config=None):
     topology = make_topology(num_providers=2, channels=3)
     spec = spec_for([1.5, 0.5], holding=2.0, horizon=50.0, seed=1)
-    return engine_class(topology, spec, Strategy.DYNAMIC_SBAC, audit=audit).run()
+    return engine_class(topology, spec, Strategy.DYNAMIC_SBAC, qos_config=qos_config,
+                        audit=audit).run()
 
 
 def test_double_release_is_a_state_error():
+    # the first session to depart goes back in the heap, due at once
     class DepartingTwice(Simulation):
-        def _depart(self, record):
-            super()._depart(record)
-            super()._depart(record)
+        held = ()
+        done = False
 
-    with pytest.raises(StateError, match="holds no channel"):
-        run_with_engine(DepartingTwice)
+        def _audit_state(self, departures):
+            departed = [entry for entry in self.held if entry not in departures]
+            if departed and not self.done:
+                self.done = True
+                heapq.heappush(departures, departed[0])
+            self.held = list(departures)
+
+    for qos_config, message in [
+        (None, r"channel \(\d, \d\) is already free"),  # the pool's guard
+        (REUSE, "holds no channel"),  # the co-channel group's, checked first
+    ]:
+        with pytest.raises(StateError, match=message):
+            run_with_engine(DepartingTwice, audit=True, qos_config=qos_config)
 
 
 def test_double_occupancy_is_a_state_error(monkeypatch):
-    # a record equal to a held one but not it is not held: identity decides
+    # a record equal to a held one but not it is not held: identity decides,
+    # in the co-channel groups that a reuse run keeps
     class DepartingACopy(Simulation):
-        def _depart(self, record):
-            super()._depart(dataclasses.replace(record))
+        def _audit_state(self, departures):
+            departures[:] = [(end_time, session_id, dataclasses.replace(record))
+                             for end_time, session_id, record in departures]
 
     with pytest.raises(StateError, match="holds no channel"):
-        run_with_engine(DepartingACopy)
+        run_with_engine(DepartingACopy, audit=True, qos_config=REUSE)
     # nor may a second session be admitted onto a held channel
     monkeypatch.setattr(sbac, "select_best_channel", lambda pools, scores: (0, 0, 1.0))
     with pytest.raises(StateError, match=r"channel \(0, 0\) is already held"):
@@ -377,22 +402,23 @@ def test_double_occupancy_is_a_state_error(monkeypatch):
 
 
 def test_audit_flags_a_record_held_under_another_slot():
+    # a reuse run: its co-channel groups hold each record under its index
     class Relabelling(Simulation):
-        def _admit(self, event):
-            record = super()._admit(event)
-            if record.admitted and record.session_id == 4:
+        def _physical_admission(self, channel_id, record):
+            outcome = super()._physical_admission(channel_id, record)
+            if outcome is Outcome.ADMITTED and record.session_id == 4:
                 record.channel_id += 100
-            return record
+            return outcome
 
     with pytest.raises(StateError, match="session 4 is held on channel"):
-        run_with_engine(Relabelling, audit=True)
+        run_with_engine(Relabelling, audit=True, qos_config=REUSE)
 
 
 def test_audit_flags_a_miscounted_busy_channel():
     class Miscounting(Simulation):
-        def _depart(self, record):
-            super()._depart(record)
-            self.busy += 1
+        def _audit_state(self, departures):
+            self.busy += 1  # the run reads the count back: it stays off
+            super()._audit_state(departures)
 
     run_with_engine(Simulation, audit=True)
     with pytest.raises(StateError, match="busy count"):
@@ -403,23 +429,61 @@ def test_audit_flags_a_miscounted_busy_channel():
 def test_audit_flags_a_departure_heap_out_of_step(fault):
     # the heap must hold one departure per held session: here the first
     # departure's entry goes back in, due never, after the session left,
-    # or the next entry is dropped while its session is still held
+    # or the next entry is dropped while its session is still held.  A
+    # reuse run: its co-channel groups hold the sessions apart from the heap
     class Leaking(Simulation):
+        held = ()
         done = False
 
-        def _depart_next(self, departures):
-            entry = departures[0]
-            super()._depart_next(departures)
-            if self.done or (fault == "dropped" and not departures):
-                return
-            self.done = True
-            if fault == "kept":
-                heapq.heappush(departures, (math.inf, *entry[1:]))
-            else:
-                heapq.heappop(departures)
+        def _audit_state(self, departures):
+            departed = [entry for entry in self.held if entry not in departures]
+            if departed and not self.done and (fault == "kept" or departures):
+                self.done = True
+                if fault == "kept":
+                    heapq.heappush(departures, (math.inf, *departed[0][1:]))
+                else:
+                    heapq.heappop(departures)
+            self.held = list(departures)
+            super()._audit_state(departures)
 
     with pytest.raises(StateError, match="departure heap holds"):
-        run_with_engine(Leaking, audit=True)
+        run_with_engine(Leaking, audit=True, qos_config=REUSE)
+
+
+@pytest.mark.parametrize("qos_config", [None, REUSE])
+def test_a_run_goes_through_the_seams_a_tracer_wraps(qos_config, monkeypatch):
+    # a tracer counts selections and streams by wrapping these two names
+    # before a run, which looks each up once: the wrapped selection runs
+    # once per arrival and the wrapped stream once per run.  Without
+    # keep_records no record is built for an arrival that finds no free
+    # channel, and only channel reuse keeps co-channel groups
+    calls = {"select": 0, "stream": 0}
+    built = []  # the outcome each record was built with
+    select_best_channel, build_event_stream = sbac.select_best_channel, engine.build_event_stream
+
+    def selecting(pools, scores):
+        calls["select"] += 1
+        return select_best_channel(pools, scores)
+
+    def streaming(spec):
+        calls["stream"] += 1
+        return build_event_stream(spec)
+
+    def building(*fields):
+        built.append(fields[7])
+        return SessionRecord(*fields)
+
+    monkeypatch.setattr(sbac, "select_best_channel", selecting)
+    monkeypatch.setattr(engine, "build_event_stream", streaming)
+    monkeypatch.setattr(engine, "SessionRecord", building)
+    topology = make_topology(num_providers=2, channels=3)
+    spec = spec_for([1.5, 0.5], holding=2.0, horizon=50.0, seed=1)
+    sim = Simulation(topology, spec, Strategy.DYNAMIC_SBAC, qos_config=qos_config)
+    _, report = sim.run()
+    assert calls == {"select": report.arrivals, "stream": 1}
+    assert report.blocked_no_channel > 0
+    assert built == [Outcome.ADMITTED] * (report.arrivals - report.blocked_no_channel)
+    assert bool(sim.groups) == (qos_config is REUSE)
 
 
 # -- run invariants --------------------------------------------------------------------
@@ -475,6 +539,7 @@ def test_audited_runs_conserve_arrivals_and_repeat(
         + report.blocked_interference
     )
     assert sim.busy == 0 and not any(sim.groups.values())
+    assert qos_config.channel_reuse or not sim.groups  # only reuse keeps groups
     assert 0.0 <= report.spectral_efficiency <= 1.0
     assert report.mean_rtt == 2 * report.mean_propagation_delay
     assert run_simulation(
@@ -742,9 +807,9 @@ def test_audit_flags_drifted_primary_loads():
     qos_config = QosConfig(physical_checks=True, channel_reuse=True)
 
     class Drifting(Simulation):
-        def _depart(self, record):
-            super()._depart(record)
-            self.primary_loads = [load + 1e-6 * tolerance for load in self.primary_loads]
+        def _audit_state(self, departures):
+            self.primary_loads[:] = [load + 1e-6 * tolerance for load in self.primary_loads]
+            super()._audit_state(departures)
 
     Simulation(topology, spec, Strategy.DYNAMIC_SBAC, qos_config=qos_config, audit=True).run()
     drifting = Drifting(topology, spec, Strategy.DYNAMIC_SBAC, qos_config=qos_config, audit=True)
@@ -776,10 +841,10 @@ def test_audit_flags_a_flipped_pool_bit_in_a_run():
     spec = spec_for([1.5, 0.5], holding=2.0, horizon=50.0, seed=1)
 
     class Flipping(Simulation):
-        def _depart(self, record):
-            super()._depart(record)
+        def _audit_state(self, departures):
             # the lowest frequency's byte, after the one that is no channel
-            self._pools[record.provider_id].free_by_frequency[1] ^= 1
+            self._pools[0].free_by_frequency[1] ^= 1
+            super()._audit_state(departures)
 
     Simulation(topology, spec, Strategy.DYNAMIC_SBAC, audit=True).run()
     with pytest.raises(StateError, match="masks"):
@@ -789,19 +854,15 @@ def test_audit_flags_a_flipped_pool_bit_in_a_run():
 # -- per-event cost -----------------------------------------------------------------
 
 
-@pytest.mark.skipif(sys.implementation.name != "cpython" or sys.version_info[:2] != (3, 11),
-                    reason="the budget counts CPython 3.11 bytecode")
-def test_a_fixed_allocation_arrival_stays_within_its_bytecode_budget():
-    # the opcodes a FIXED arrival executes, everything from the arrival
-    # stream to the departure counted, at the Erlang-B case's shape (10
-    # channels at 5 Erlangs), about 2,000 arrivals.  Unlike a timing, the
-    # count does not depend on the host, so a per-event regression shows
-    # wherever the tests run
+def opcodes_per_arrival(topology, spec, strategy):
+    """The opcodes a run executes per arrival, everything from the arrival
+    stream to the departures counted, after one uncounted run that takes
+    the first-call work out of the count.  Unlike a timing, the count does
+    not depend on the host, so a per-event regression shows wherever the
+    tests run."""
     if sys.gettrace() is not None:
         pytest.skip("another tracer (a debugger or coverage) is active")
-    topology = make_topology(num_providers=1, channels=10)
-    spec = spec_for([0.5], holding=10.0, horizon=4000.0, seed=7)
-    run_simulation(topology, spec, Strategy.FIXED)  # first-call work out of the count
+    run_simulation(topology, spec, strategy)
     opcodes = 0
 
     def trace(frame, event, arg):
@@ -812,16 +873,37 @@ def test_a_fixed_allocation_arrival_stays_within_its_bytecode_budget():
 
     sys.settrace(trace)
     try:
-        _, report = run_simulation(topology, spec, Strategy.FIXED)
+        _, report = run_simulation(topology, spec, strategy)
     finally:
         sys.settrace(None)
     assert 1_900 < report.arrivals < 2_100
-    assert opcodes / report.arrivals <= 600
+    return opcodes / report.arrivals
+
+
+CPYTHON_311 = pytest.mark.skipif(
+    sys.implementation.name != "cpython" or sys.version_info[:2] != (3, 11),
+    reason="the budget counts CPython 3.11 bytecode")
+
+
+@CPYTHON_311
+def test_a_fixed_allocation_arrival_stays_within_its_bytecode_budget():
+    # the Erlang-B case's shape (10 channels at 5 Erlangs): 586 opcodes per
+    # arrival through three per-event methods, 500 with one event loop
+    topology = make_topology(num_providers=1, channels=10)
+    spec = spec_for([0.5], holding=10.0, horizon=4000.0, seed=7)
+    assert opcodes_per_arrival(topology, spec, Strategy.FIXED) <= 520
+
+
+@CPYTHON_311
+def test_a_dynamic_sbac_arrival_stays_within_its_bytecode_budget():
+    # two scored pools of 10 channels at 5 Erlangs each: 788 opcodes per
+    # arrival through three per-event methods, 699 with one event loop
+    topology = make_topology(num_providers=2, channels=10)
+    spec = spec_for([0.5, 0.5], holding=10.0, horizon=2000.0, seed=7)
+    assert opcodes_per_arrival(topology, spec, Strategy.DYNAMIC_SBAC) <= 720
 
 
 # -- the admission solve ------------------------------------------------------------
-
-REUSE = QosConfig(physical_checks=True, channel_reuse=True)
 
 
 def schur_topology():
@@ -842,65 +924,74 @@ def schur_topology():
     )
 
 
-def assert_group_at_minimal_powers(sim, channel_id=0):
-    """The group's powers against solve_min_powers on the same links."""
-    ids = [record.link_id for record in sim.groups[channel_id]]
-    noise, gain, sinr_target, power_max = link_arrays(sim.topology.links, 1e5)
+def assert_group_at_minimal_powers(topology, group):
+    """A group's ``(link_id, power)`` pairs against solve_min_powers on the
+    same links."""
+    ids = [link_id for link_id, _ in group]
+    noise, gain, sinr_target, power_max = link_arrays(topology.links, 1e5)
     solution = solve_min_powers(
-        sim.topology.gains.g_ss[np.ix_(ids, ids)], noise[ids], gain[ids], sinr_target[ids],
-        power_max[ids], sim.topology.gains.g_ps[:, ids], np.array([np.inf]),
+        topology.gains.g_ss[np.ix_(ids, ids)], noise[ids], gain[ids], sinr_target[ids],
+        power_max[ids], topology.gains.g_ps[:, ids], np.array([np.inf]),
     )
-    powers = [record.power for record in sim.groups[channel_id]]
-    np.testing.assert_allclose(powers, solution.powers, rtol=1e-12)
+    np.testing.assert_allclose([power for _, power in group], solution.powers, rtol=1e-12)
 
 
-def held_state(sim):
-    """Every held session's power, and the primary loads."""
-    powers = {c: [record.power for record in group] for c, group in sim.groups.items()}
-    return powers, list(sim.primary_loads)
+class Snapshotting(Simulation):
+    """An audited run that keeps, after each event, every co-channel group's
+    links and powers and the primary loads."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, audit=True, keep_records=True, **kwargs)
+        self.states = []
+
+    def _audit_state(self, departures):
+        super()._audit_state(departures)
+        self.states.append(({c: [(r.link_id, r.power) for r in group]
+                             for c, group in self.groups.items() if group},
+                            list(self.primary_loads)))
 
 
-def test_schur_steps_track_the_group_solve():
+def test_schur_steps_track_the_group_solve(monkeypatch):
     # each admission solves the grown group afresh: its powers are the
-    # minimal ones of solve_min_powers on that group
-    sim = Simulation(schur_topology(), spec_for([1.0] * 4), Strategy.DYNAMIC_SBAC,
-                     qos_config=REUSE)
-    admitted = []
-    for link_id in range(3):  # session i transmits on link i
-        admitted.append(sim._admit((0.0, 0, 1.0)))
-        assert admitted[-1].outcome is Outcome.ADMITTED
-        assert [r.link_id for r in sim.groups[0]] == list(range(link_id + 1))
-        assert_group_at_minimal_powers(sim)
+    # minimal ones of solve_min_powers on that group.  Session i transmits
+    # on link i; session 1 leaves at 1 s, and sessions 4 and 5 are refused
+    monkeypatch.setattr(engine, "build_event_stream", lambda spec: [
+        (0.0, 0, 10.0), (0.0, 0, 1.0), (0.0, 0, 10.0), (2.0, 0, 10.0), (3.0, 0, 10.0),
+        (4.0, 0, 10.0),
+    ])
+    topology = schur_topology()
+    sim = Snapshotting(topology, spec_for([1.0] * 4), Strategy.DYNAMIC_SBAC, qos_config=REUSE)
+    records, _ = sim.run()
+    groups = [state[0].get(0, []) for state in sim.states]
+    for event, link_ids in enumerate([[0], [0, 1], [0, 1, 2]]):
+        assert records[event].outcome is Outcome.ADMITTED
+        assert [link_id for link_id, _ in groups[event]] == link_ids
+        assert_group_at_minimal_powers(topology, groups[event])
     # a departure does no power work: the rest of the group keeps its powers
-    before = [r.power for r in sim.groups[0]]
-    sim._depart(admitted[1])
-    assert [r.link_id for r in sim.groups[0]] == [0, 2]
-    assert [r.power for r in sim.groups[0]] == [before[0], before[2]]
-    admitted.append(sim._admit((0.0, 0, 1.0)))
-    assert admitted[-1].outcome is Outcome.ADMITTED
-    assert [r.link_id for r in sim.groups[0]] == [0, 2, 3]
-    assert_group_at_minimal_powers(sim)
+    assert groups[3] == [groups[2][0], groups[2][2]]
+    assert records[3].outcome is Outcome.ADMITTED
+    assert [link_id for link_id, _ in groups[4]] == [0, 2, 3]
+    assert_group_at_minimal_powers(topology, groups[4])
 
     # a rejection leaves the held powers and the primary loads as they were
-    before = held_state(sim)
-    assert sim._admit((0.0, 0, 1.0)).outcome is Outcome.BLOCKED_QOS  # link 4: over its cap
-    assert held_state(sim) == before
-    assert sim._admit((0.0, 0, 1.0)).outcome is Outcome.BLOCKED_INTERFERENCE  # link 5
-    assert held_state(sim) == before
-    sim._audit_qos()
+    assert records[4].outcome is Outcome.BLOCKED_QOS  # link 4: over its cap
+    assert sim.states[5] == sim.states[4]
+    assert records[5].outcome is Outcome.BLOCKED_INTERFERENCE  # link 5
+    assert sim.states[6] == sim.states[4]
 
 
-def test_infeasible_pair_leaves_the_cache_untouched():
+def test_infeasible_pair_leaves_the_cache_untouched(monkeypatch):
     # gamma = 3 and cross gain 0.5: the pair's second pivot 1 - (3 * 0.5) ** 2 < 0
+    monkeypatch.setattr(engine, "build_event_stream", lambda spec: [(0.0, 0, 1.0),
+                                                                    (0.0, 1, 1.0)])
     links = (physical_link(0, sinr_target=3.0, y=0.0), physical_link(1, sinr_target=3.0, y=20.0))
     providers = (make_provider(0, channels=1), make_provider(1, channels=1, base_mhz=450.0))
     topology = explicit_gain_topology([[1.0, 0.5], [0.5, 1.0]], links, providers=providers)
-    sim = Simulation(topology, spec_for([1.0, 1.0]), Strategy.DYNAMIC_SBAC, qos_config=REUSE)
-    first = sim._admit((0.0, 0, 1.0))
-    before = held_state(sim)
-    assert before[0] == {0: [first.power]}
-    assert sim._admit((0.0, 1, 1.0)).outcome is Outcome.BLOCKED_QOS
-    assert held_state(sim) == before
+    sim = Snapshotting(topology, spec_for([1.0, 1.0]), Strategy.DYNAMIC_SBAC, qos_config=REUSE)
+    (first, second), _ = sim.run()
+    assert sim.states[0][0] == {0: [(0, first.power)]}
+    assert second.outcome is Outcome.BLOCKED_QOS
+    assert sim.states[1] == sim.states[0]
 
 
 def test_qos_holds_through_a_group_that_never_empties():
@@ -912,10 +1003,13 @@ def test_qos_holds_through_a_group_that_never_empties():
     emptied = []
 
     class Counting(Simulation):
-        def _depart(self, record):
-            super()._depart(record)
-            if not self.groups[record.channel_id]:
-                emptied.append(record.channel_id)
+        held = set()
+
+        def _audit_state(self, departures):
+            held = {channel_id for channel_id, group in self.groups.items() if group}
+            emptied.extend(self.held - held)
+            self.held = held
+            super()._audit_state(departures)
 
     _, report = Counting(topology, spec, Strategy.DYNAMIC_SBAC, qos_config=REUSE,
                          audit=True).run()
@@ -1203,12 +1297,12 @@ def exact(value):
     return value
 
 
-def unit_run(name, time=0, power=0):
-    """The golden run ``name``, audited, with every arrival rate times ``2 **
-    time`` and the holding time and horizon over it, and every link's noise,
-    nominal power and cap and every point's tolerance times ``2 ** power``:
-    its report fields and its metadata."""
-    topology, spec, strategy, sbac_config, qos_config = golden_case(name)
+def unit_run(case, time=0, power=0, audit=True):
+    """The run ``case`` (a :func:`golden_case` tuple) with every arrival rate
+    times ``2 ** time`` and the holding time and horizon over it, and every
+    link's noise, nominal power and cap and every point's tolerance times
+    ``2 ** power``: its report fields and its metadata."""
+    topology, spec, strategy, sbac_config, qos_config = case
     spec = dataclasses.replace(
         spec, arrival_rates=tuple(math.ldexp(rate, time) for rate in spec.arrival_rates),
         mean_holding_time=math.ldexp(spec.mean_holding_time, -time),
@@ -1221,9 +1315,21 @@ def unit_run(name, time=0, power=0):
                    for point in topology.primary_points)
     topology = dataclasses.replace(topology, links=links, primary_points=points)
     _, report = run_simulation(topology, spec, strategy, sbac_config=sbac_config,
-                               qos_config=qos_config, audit=True)
+                               qos_config=qos_config, audit=audit)
     fields = dataclasses.asdict(report)
     return fields, fields.pop("metadata")
+
+
+def unit_prediction(base, time=0, power=0):
+    """What :func:`unit_run` must return, from the untransformed run's
+    ``(fields, metadata)``: under the time relation only the horizon moves,
+    under the power relation only the interference, each exactly."""
+    fields, metadata = base
+    interference = math.ldexp(fields["mean_primary_interference"], power)
+    per_point = [math.ldexp(x, power) for x in metadata["per_point_interference_w"]]
+    return ({**fields, "mean_primary_interference": interference},
+            {**metadata, "horizon": math.ldexp(metadata["horizon"], -time),
+             "per_point_interference_w": per_point})
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
@@ -1231,16 +1337,57 @@ def test_golden_runs_are_exactly_invariant_to_their_units(name):
     # every comparison the engine makes is homogeneous and scaling by a
     # power of two is exact, so a hidden absolute constant (a clock epsilon,
     # a power floor) or a unit slip breaks one of these relations
-    fields, metadata = unit_run(name)
+    base = unit_run(golden_case(name))
     for k in (1, -2, 10):  # time: the same report; only the horizon moves
-        assert exact(unit_run(name, time=k)) == exact(
-            (fields, {**metadata, "horizon": math.ldexp(metadata["horizon"], -k)}))
+        assert exact(unit_run(golden_case(name), time=k)) == exact(unit_prediction(base, time=k))
     for k in (2, -20):  # power: the interference scales, nothing else moves
-        interference = math.ldexp(fields["mean_primary_interference"], k)
-        per_point = [math.ldexp(x, k) for x in metadata["per_point_interference_w"]]
-        assert exact(unit_run(name, power=k)) == exact(
-            ({**fields, "mean_primary_interference": interference},
-             {**metadata, "per_point_interference_w": per_point}))
+        assert exact(unit_run(golden_case(name), power=k)) == exact(
+            unit_prediction(base, power=k))
+
+
+def normal_floats(value):
+    """Whether every float in ``value`` (and its dicts and lists) is zero or
+    normal: finite, and not subnormal."""
+    if isinstance(value, float):
+        return value == 0.0 or sys.float_info.min <= abs(value) < math.inf
+    if isinstance(value, dict):
+        value = list(value.values())
+    return not isinstance(value, (list, tuple)) or all(map(normal_floats, value))
+
+
+@pytest.mark.parametrize("relation", ["time", "power"])
+@given(
+    providers=st.integers(1, 3),
+    channels=st.integers(1, 4),
+    links=st.integers(1, 6),
+    strategy=st.sampled_from(Strategy),
+    physical=st.booleans(),
+    reuse=st.booleans(),
+    tolerance=st.sampled_from([1e-3, 4e-11, 1e-11]),
+    load=st.floats(0.2, 2.0),
+    seed=st.integers(0, 2**16),
+    k=st.one_of(st.integers(-60, -1), st.integers(1, 60)),
+)
+@settings(max_examples=200, deadline=None)
+def test_small_runs_are_exactly_invariant_to_their_units(
+    relation, providers, channels, links, strategy, physical, reuse, tolerance, load, seed, k
+):
+    # the golden cases' relations over drawn scenarios: k spans 2**-60 to
+    # 2**60, where an absolute term such as 1e-20 W added to every noise
+    # power, invisible at k = 0, moves a power solve's last bits.  A draw
+    # whose report, at either scale, leaves the normal floats is refused
+    topology = make_topology(
+        num_providers=providers, channels=channels, num_links=links, tolerance=tolerance
+    )
+    spec = spec_for([load * (1 + p) for p in range(providers)], holding=3.0, horizon=20.0,
+                    seed=seed)
+    qos_config = QosConfig(physical_checks=physical, channel_reuse=physical and reuse)
+    case = (topology, spec, strategy, None, qos_config)
+    scale = {relation: k}
+    prediction = unit_prediction(unit_run(case, audit=False), **scale)
+    transformed = unit_run(case, audit=False, **scale)
+    assume(normal_floats(prediction) and normal_floats(transformed))
+    assert exact(transformed) == exact(prediction)
 
 
 def test_a_run_holds_no_more_memory_over_a_longer_horizon():
@@ -1278,13 +1425,13 @@ def test_a_built_simulation_has_slots_and_no_instance_dict(qos_config):
         simulation.unknown = 1
 
     class Marking(Simulation):
-        def _depart(self, record):
-            super()._depart(record)
-            self.departed = True
+        def _audit_state(self, departures):
+            super()._audit_state(departures)
+            self.audited = True
 
-    marking = Marking(topology, spec, Strategy.DYNAMIC_SBAC, qos_config=qos_config)
+    marking = Marking(topology, spec, Strategy.DYNAMIC_SBAC, qos_config=qos_config, audit=True)
     assert marking.run()[1] == simulation.run()[1]
-    assert marking.departed
+    assert marking.audited
 
 
 def test_a_built_simulation_holds_scalars_per_pool_not_tables():
