@@ -43,7 +43,7 @@ def build_pair(sinr_target: float) -> tuple[SecondaryLink, ...]:
 def min_powers(noise, gain, sinr_target, power_max) -> np.ndarray | None:
     """The pair's minimal powers, or None when none within the caps exist."""
     scale = coupling_scale(G_SS, gain, sinr_target)
-    powers = group_powers([0, 1], scale.tolist(), (scale * noise).tolist(), G_SS.ravel().tolist())
+    powers = group_powers([0, 1], scale.tolist(), (scale * noise).tolist(), G_SS.tolist())
     if powers is None or any(p > cap for p, cap in zip(powers, power_max)):
         return None
     return np.array(powers)

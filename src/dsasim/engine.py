@@ -20,11 +20,12 @@ on each channel index, in admission order: the co-channel groups.  An
 admission solves the group plus the call afresh, in pure Python, by one
 straight-line function per grown-group size (:func:`_admission`), compiled
 on the process's first group of that size and kept for its life.  It reads
-the members' links and powers, solves ``(I - F) P = u`` (:mod:`dsasim.qos`),
-checks the caps and the primary budgets, and only then writes the powers
-and loads back.  So a departure does no power work and neither path makes a
-numpy call.  It is the one power solve: :func:`group_powers` admits a
-group's last link to the others.
+the members' links and powers, solves ``(I - F) P = u`` (:mod:`dsasim.qos`)
+on the topology's gain rows, kept as Python floats once per topology
+(:class:`~dsasim.topology.GainMatrices`), checks the caps and the primary
+budgets, and only then writes the powers and loads back.  So a departure
+does no power work and neither path makes a numpy call.  It is the one
+power solve: :func:`group_powers` admits a group's last link to the others.
 The report is streamed: each blocked arrival adds to a count per cause (an
 ``Enum`` member hashes in Python, so the cause is chosen by identity), and
 each admission adds its link's precomputed delay and its bits to running
@@ -45,7 +46,8 @@ instant, the standard loss-system convention.  The loop owns the one clock
 and moves it, and the busy-channel and primary-interference integrals with
 it, clamped to the horizon so the metrics cover exactly ``[0, horizon]``.
 The primary loads and integrals are float lists, one entry per primary
-point, updated in place with the IEEE operations numpy would take.
+point, updated in place with the IEEE operations numpy would take, from the
+topology's rows of primary-point gains.
 Two per-event methods remain, for the physical stage and the audits:
 :meth:`Simulation._physical_admission` and :meth:`Simulation._audit_state`.
 
@@ -58,7 +60,6 @@ from __future__ import annotations
 
 import functools
 import math
-from array import array
 from collections import defaultdict
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
@@ -178,7 +179,7 @@ class Simulation:
         "_ran", "_links", "_horizon", "_physical", "_requested_rate", "_link_delays",
         "_g_ss", "_g_ps", "_g_ps_rows", "_point_rows", "_tolerance",
         # the physical stage's, bound only when it runs
-        "_noise", "_gain", "_sinr_target", "_scale", "_u", "_cap", "_g_ss_flat", "_reuse",
+        "_noise", "_gain", "_sinr_target", "_scale", "_u", "_cap", "_g_ss_rows", "_reuse",
     )
 
     def __init__(
@@ -237,10 +238,12 @@ class Simulation:
 
         speed = topology.propagation_speed
         self._link_delays = [link.distance / speed for link in topology.links]
-        self._g_ss = topology.gains.g_ss
-        self._g_ps = topology.gains.g_ps
-        # each primary point's gains from the links, by link id
-        self._g_ps_rows = [array("d", row) for row in self._g_ps.tolist()]
+        gains = topology.gains
+        self._g_ss = gains.g_ss
+        self._g_ps = gains.g_ps
+        # each primary point's gains from the links, by link id: the
+        # topology's rows of Python floats
+        self._g_ps_rows = gains.g_ps_rows
         self._point_rows = tuple(enumerate(self._g_ps_rows))  # no enumerate per event
         self._tolerance = [p.tolerance for p in topology.primary_points]
         if self._physical:
@@ -248,13 +251,14 @@ class Simulation:
             self._noise, self._gain, self._sinr_target, power_max = qos.link_arrays(
                 topology.links, traffic_spec.requested_rate
             )
-            # and the admission solve's: F[i][j] = scale[i] * g_ss[i][j]
-            # (j != i) is read from a flat view of g_ss, never stored
+            # and the admission solve's, as Python floats: F[i][j] =
+            # scale[i] * g_ss[i][j] (j != i) is read from the topology's
+            # rows, never stored
             scale = qos.coupling_scale(self._g_ss, self._gain, self._sinr_target)
-            self._scale = array("d", scale.tolist())
-            self._u = array("d", (scale * self._noise).tolist())
-            self._cap = array("d", power_max.tolist())
-            self._g_ss_flat = memoryview(np.ascontiguousarray(self._g_ss).reshape(-1))
+            self._scale = scale.tolist()
+            self._u = (scale * self._noise).tolist()
+            self._cap = power_max.tolist()
+            self._g_ss_rows = gains.g_ss_rows
             self._reuse = self.qos.channel_reuse
 
     # -- event loop ---------------------------------------------------------
@@ -406,7 +410,7 @@ class Simulation:
         """
         group = self.groups[channel_id] if self._reuse else ()
         return _admission(len(group) + 1)(
-            group, record, self._scale, self._u, self._g_ss_flat, self._cap,
+            group, record, self._scale, self._u, self._g_ss_rows, self._cap,
             self._g_ps_rows, self._tolerance, self.primary_loads,
         )
 
@@ -529,12 +533,20 @@ class Simulation:
 
 def elimination_lines(n: int) -> list[str]:
     """The body lines that solve ``[I - F | u]`` for ``n`` links whose ids
-    are the locals ``i0 .. i{n-1}``, reading ``scale``, ``u`` and the flat
-    gains ``g``: entry ``(r, c)`` is the local ``a{r}_{c}`` (column ``n`` is
-    ``u``), row ``k`` past its pivot, divided by it, is ``t{k}_{c}`` and
-    power ``k`` is ``x{k}``.  They return ``BLOCKED_QOS`` at the first
-    pivot that is not positive: with no list or loop, a solve costs its
-    arithmetic.
+    are the locals ``i0 .. i{n-1}``, reading ``scale``, ``u`` and the gain
+    rows ``g`` (``g[i][j]``, link ``j``'s gain at link ``i``'s receiver, a
+    Python float): entry ``(r, c)`` is the local ``a{r}_{c}`` (column ``n``
+    is ``u``), row ``k`` past its pivot, divided by it, is ``t{k}_{c}`` and
+    power ``k`` is ``x{k}``.  Row ``r`` loads ``f = -scale[i{r}]`` and
+    ``gains = g[i{r}]`` once, so that each entry is ``f * gains[i{c}]``.
+    They return ``BLOCKED_QOS`` at the first pivot that is not positive:
+    with no list or loop, a solve costs its arithmetic.
+
+    Row 0's pivot is 1.0 and ``y / 1.0`` is ``y`` exactly (-0.0, inf and
+    NaN included), so row 0 is loaded straight into its divided tail
+    ``t0_{c}``, step 0 has no check and no division, and its update is
+    folded into each later row's load: ``a{r}_{c} = f * gains[i{c}] -
+    a{r}_0 * t0_{c}``.
 
     This is Gaussian elimination without pivoting.  ``I - F`` is a Z-matrix
     (off-diagonal entries <= 0), and a Z-matrix is a nonsingular M-matrix,
@@ -546,13 +558,17 @@ def elimination_lines(n: int) -> list[str]:
     left to right), are those of ``loop_group_powers`` in
     ``tests/oracles.py``, so the powers are bit for bit that loop's.
     """
-    lines = ["    s = len(scale)"]
-    for r in range(n):
-        lines.append(f"    f = -scale[i{r}]; b = i{r} * s")
-        lines += [f"    a{r}_{c} = f * g[b + i{c}]" if c != r else f"    a{r}_{c} = 1.0"
-                  for c in range(n)]
-        lines.append(f"    a{r}_{n} = u[i{r}]")
-    for k in range(n):
+    lines = []
+    if n > 1:
+        lines.append("    f = -scale[i0]; gains = g[i0]")
+    lines += [f"    t0_{c} = f * gains[i{c}]" for c in range(1, n)]
+    lines.append(f"    t0_{n} = u[i0]")
+    for r in range(1, n):
+        lines.append(f"    f = -scale[i{r}]; gains = g[i{r}]; a{r}_0 = f * gains[i0]")
+        lines += [f"    a{r}_{c} = {'1.0' if c == r else f'f * gains[i{c}]'} - a{r}_0 * t0_{c}"
+                  for c in range(1, n)]
+        lines.append(f"    a{r}_{n} = u[i{r}] - a{r}_0 * t0_{n}")
+    for k in range(1, n):
         lines.append(f"    if not a{k}_{k} > 0.0: return BLOCKED_QOS")
         lines += [f"    t{k}_{c} = a{k}_{c} / a{k}_{k}" for c in range(k + 1, n + 1)]
         lines += [f"    a{r}_{c} = a{r}_{c} - a{r}_{k} * t{k}_{c}"
@@ -585,17 +601,19 @@ def _admission(n: int) -> Callable[..., Outcome]:
     The cost of a compile (2-vCPU host, Python 3.11; CPU time, and
     ``tracemalloc`` peak and retained memory):
 
-    ===================  =======  =======  =======  ==========
-    links                8        16       32       64
-    compile              8 ms     38 ms    0.18 s   0.9-1.5 s
-    peak                 1.1 MiB  6.1 MiB  35 MiB   262 MiB
-    kept                 22 KiB   100 KiB  0.6 MiB  4.8 MiB
-    ===================  =======  =======  =======  ==========
+    ===================  ========  ========  =========  =======
+    links                8         16        32         64
+    compile              6-8 ms    18-27 ms  82-130 ms  0.8 s
+    peak                 0.95 MiB  4.8 MiB   34 MiB     256 MiB
+    kept                 20 KiB    93 KiB    0.56 MiB   4.7 MiB
+    ===================  ========  ========  =========  =======
 
-    An 8-link admission then takes about 12 us; the loop over rows took 94
-    us to solve alone.  A group has at most one link per provider under
-    reuse, and one link without it, so a process compiles at most the sizes
-    from 1 to its largest provider count.
+    An 8-link admission then takes about 7.6 us (best of 30 replays of the
+    738 in two ``phys_reuse`` runs), against 10.6 us when it read the gains
+    through a flat numpy view and divided row 0 by its pivot; the loop over
+    rows took 94 us to solve alone.  A group has at most one link per
+    provider under reuse, and one link without it, so a process compiles at
+    most the sizes from 1 to its largest provider count.
     """
     held, last = range(n - 1), n - 1
     before = "fsum((" + "".join(f"row[i{r}] * p{r}, " for r in held) + "))"
@@ -630,20 +648,21 @@ def _admission(n: int) -> Callable[..., Outcome]:
 
 
 def group_powers(ids: Sequence[int], scale: Sequence[float], u: Sequence[float],
-                 g_ss: Sequence[float]) -> list[float] | None:
+                 g_ss_rows: Sequence[Sequence[float]]) -> list[float] | None:
     """Minimal powers of the co-channel group of links ``ids``, in that
     order, ``[]`` for no ids: :func:`_admission` of the last id to stand-in
     records of the others, at no cap and no primary point.  So None means a
     pivot that is not positive (``rho(F) >= 1``) or a power that is not
     positive and finite.  ``scale`` and ``u`` are every link's
-    :func:`dsasim.qos.coupling_scale` and ``scale * noise``, and ``g_ss``
-    the whole gain matrix, flat and row-major: ``F[i][j] = scale[i] *
-    g_ss[i * len(scale) + j]``.
+    :func:`dsasim.qos.coupling_scale` and ``scale * noise``, and
+    ``g_ss_rows`` the whole gain matrix as rows, such as
+    :attr:`GainMatrices.g_ss_rows <dsasim.topology.GainMatrices.g_ss_rows>`
+    or ``g_ss.tolist()``: ``F[i][j] = scale[i] * g_ss_rows[i][j]``.
     """
     if not len(ids):
         return []
     *group, record = (SessionRecord(0, 0.0, 0.0, 0, None, None, i, ADMITTED) for i in ids)
-    if _admission(len(ids))(group, record, scale, u, g_ss, [math.inf] * len(scale),
+    if _admission(len(ids))(group, record, scale, u, g_ss_rows, [math.inf] * len(scale),
                             (), (), []) is not ADMITTED:
         return None
     return [member.power for member in group] + [record.power]

@@ -104,7 +104,7 @@ def solve_as_one_group(topology: NetworkTopology) -> PowerSolution:
     g_ss = topology.gains.g_ss
     scale = coupling_scale(g_ss, gain, sinr_target)
     powers = group_powers(range(len(noise)), scale.tolist(), (scale * noise).tolist(),
-                          g_ss.reshape(-1).tolist())
+                          topology.gains.g_ss_rows)
     if powers is None:  # rho(F) >= 1 (or no positive finite powers): over every cap
         return PowerSolution(powers=np.full(len(noise), np.inf), within_power_caps=False)
     powers = np.array(powers)

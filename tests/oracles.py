@@ -150,16 +150,17 @@ def exact_solve(matrix, rhs) -> list[float]:
     return [float(rows[k][n] / rows[k][k]) for k in range(n)]
 
 
-def loop_group_powers(ids, scale, u, g_ss) -> list[float] | None:
+def loop_group_powers(ids, scale, u, g_ss_rows) -> list[float] | None:
     """``engine.group_powers`` as a loop over rows of ``[I - F | u]``, None
     at the first pivot that is not positive: the reference that the
     generated solve must equal bit for bit wherever these powers are all
-    positive and finite (elsewhere it gives None)."""
-    stride = len(scale)
+    positive and finite (elsewhere it gives None).  It reads the gains as
+    rows, ``g_ss_rows[i][j]``, as the generated solve does, and divides
+    every step's row by its pivot, step 0's by 1.0 too."""
     rows = []  # the augmented rows [I - F | u] of the group
     for a, i in enumerate(ids):
-        factor, base = -scale[i], i * stride
-        row = [factor * g_ss[base + j] for j in ids]
+        factor, gains = -scale[i], g_ss_rows[i]
+        row = [factor * gains[j] for j in ids]
         row[a] = 1.0
         row.append(u[i])
         rows.append(row)
@@ -180,7 +181,7 @@ def loop_group_powers(ids, scale, u, g_ss) -> list[float] | None:
     return powers
 
 
-def loop_admission(group, record, scale, u, g_ss, cap, g_ps_rows, tolerances, loads):
+def loop_admission(group, record, scale, u, g_ss_rows, cap, g_ps_rows, tolerances, loads):
     """The engine's physical admission of ``record`` to the held ``group``
     as loops over lists, on :func:`loop_group_powers`: the reference that
     each generated ``engine._admission`` must equal bit for bit in outcome,
@@ -191,7 +192,7 @@ def loop_admission(group, record, scale, u, g_ss, cap, g_ps_rows, tolerances, lo
     and each point's load the change in the group's load."""
     ids = [member.link_id for member in group]
     ids.append(record.link_id)
-    powers = loop_group_powers(ids, scale, u, g_ss)
+    powers = loop_group_powers(ids, scale, u, g_ss_rows)
     if powers is None:
         return Outcome.BLOCKED_QOS
     for i, p in zip(ids, powers):

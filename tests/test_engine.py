@@ -8,7 +8,6 @@ import heapq
 import math
 import sys
 import tracemalloc
-from array import array
 
 import numpy as np
 import pytest
@@ -655,7 +654,7 @@ def test_admission_kernels_compile_once_per_size_per_process():
     after = engine._admission.cache_info()
     assert after.misses == compiled.misses and after.hits > compiled.hits
     # group_powers runs the admission the run compiled for a pair: a hit
-    assert engine.group_powers([0, 1], [0.1, 0.1], [0.01, 0.01], [1.0] * 4) is not None
+    assert engine.group_powers([0, 1], [0.1, 0.1], [0.01, 0.01], [[1.0] * 2] * 2) is not None
     solved = engine._admission.cache_info()
     assert solved.misses == after.misses and solved.hits == after.hits + 1
 
@@ -681,7 +680,7 @@ def compile_elimination(n):
 def test_compiling_an_admission_peaks_near_compiling_its_elimination():
     # the admission wraps the elimination's lines in reads, checks and
     # write-back that grow as n, not n ** 3 / 3: at n = 16 its compile
-    # peaked at 6.1 MiB against the elimination's 5.0 MiB on Python 3.11
+    # peaked at 4.8 MiB against the elimination's 4.5 MiB on Python 3.11
     def peak(generate):
         gc.collect()
         tracemalloc.reset_peak()
@@ -703,7 +702,7 @@ ADMISSION_LINKS = 8  # links in the gain matrix of the admission property
 
 def admission_tables(ids, gains, weights, noise, radius, caps, points):
     """The tables a Simulation binds for its admissions: ``scale``, ``u``,
-    the flat gains, the caps and each primary point's gains row and
+    the gain rows, the caps and each primary point's gains row and
     tolerance.  The per-link ``weights`` are scaled so that the grown group
     ``ids`` has ``rho(F) = radius``, unless it is all but uncoupled."""
     g_ss = np.array(gains).reshape(ADMISSION_LINKS, ADMISSION_LINKS)
@@ -712,9 +711,9 @@ def admission_tables(ids, gains, weights, noise, radius, caps, points):
     np.fill_diagonal(coupling, 0.0)
     rho = max(abs(np.linalg.eigvals(coupling)), default=0.0)
     scale = weights * (radius / rho if rho > 1e-9 else 1.0)
-    return (array("d", scale.tolist()), array("d", (scale * np.array(noise)).tolist()),
-            memoryview(np.ascontiguousarray(g_ss).reshape(-1)), array("d", caps),
-            [array("d", row) for row, _, _ in points], [tolerance for _, tolerance, _ in points])
+    return (scale.tolist(), (scale * np.array(noise)).tolist(), tuple(map(tuple, g_ss.tolist())),
+            list(caps), tuple(tuple(row) for row, _, _ in points),
+            [tolerance for _, tolerance, _ in points])
 
 
 def admission_case(held=(), new_link=0, gains=(0.5,) * ADMISSION_LINKS**2,
@@ -738,6 +737,20 @@ ADMISSION_CASES = {
     "admitted": (Outcome.ADMITTED, admission_case(
         held=[(0, 0.01), (2, 0.02)], new_link=5,
         points=[([0.1] * ADMISSION_LINKS, 10.0, 0.003), ([0.2] * ADMISSION_LINKS, 1.0, 0.0)])),
+    # the edges of step 0, whose row the generated admission loads as its
+    # own divided tail where the loop divides by the pivot 1.0: link 1's
+    # all-zero gain row makes that tail -0.0 ...
+    "zero row": (Outcome.ADMITTED, admission_case(
+        held=[(1, 0.01), (4, 0.02)], new_link=6,
+        gains=[0.0 if k // ADMISSION_LINKS == 1 else 0.5 for k in range(ADMISSION_LINKS**2)],
+        points=[([0.1] * ADMISSION_LINKS, 10.0, 0.003)])),
+    # ... and link 2's infinite u (its noise is inf) meets link 3's all-zero
+    # row to put NaN in the second row and inf in the third
+    "infinite u": (Outcome.BLOCKED_QOS, admission_case(
+        held=[(2, 0.01), (3, 0.02)], new_link=5,
+        gains=[0.0 if k // ADMISSION_LINKS == 3 else 0.5 for k in range(ADMISSION_LINKS**2)],
+        noise=[math.inf if k == 2 else 0.01 for k in range(ADMISSION_LINKS)],
+        points=[([0.1] * ADMISSION_LINKS, 10.0, 0.003)])),
 }
 
 
@@ -776,6 +789,8 @@ def admit_both(held, new_link, gains, weights, noise, radius, caps, points):
 @example(**ADMISSION_CASES["cap"][1])
 @example(**ADMISSION_CASES["raised"][1])
 @example(**ADMISSION_CASES["admitted"][1])
+@example(**ADMISSION_CASES["zero row"][1])
+@example(**ADMISSION_CASES["infinite u"][1])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_generated_admission_equals_the_reference_bit_for_bit(
     held, new_link, gains, weights, noise, radius, caps, points
@@ -854,7 +869,7 @@ def test_audit_flags_a_flipped_pool_bit_in_a_run():
 # -- per-event cost -----------------------------------------------------------------
 
 
-def opcodes_per_arrival(topology, spec, strategy):
+def opcodes_per_arrival(topology, spec, strategy, qos_config=None):
     """The opcodes a run executes per arrival, everything from the arrival
     stream to the departures counted, after one uncounted run that takes
     the first-call work out of the count.  Unlike a timing, the count does
@@ -862,7 +877,7 @@ def opcodes_per_arrival(topology, spec, strategy):
     tests run."""
     if sys.gettrace() is not None:
         pytest.skip("another tracer (a debugger or coverage) is active")
-    run_simulation(topology, spec, strategy)
+    run_simulation(topology, spec, strategy, qos_config=qos_config)
     opcodes = 0
 
     def trace(frame, event, arg):
@@ -873,7 +888,7 @@ def opcodes_per_arrival(topology, spec, strategy):
 
     sys.settrace(trace)
     try:
-        _, report = run_simulation(topology, spec, strategy)
+        _, report = run_simulation(topology, spec, strategy, qos_config=qos_config)
     finally:
         sys.settrace(None)
     assert 1_900 < report.arrivals < 2_100
@@ -901,6 +916,17 @@ def test_a_dynamic_sbac_arrival_stays_within_its_bytecode_budget():
     topology = make_topology(num_providers=2, channels=10)
     spec = spec_for([0.5, 0.5], holding=10.0, horizon=2000.0, seed=7)
     assert opcodes_per_arrival(topology, spec, Strategy.DYNAMIC_SBAC) <= 720
+
+
+@CPYTHON_311
+def test_a_physical_reuse_arrival_stays_within_its_bytecode_budget():
+    # 4 providers x 5 channels at 5 Erlangs each on 8 links, co-channel
+    # groups of 1 to 4 and all three block causes: 1,086 opcodes per arrival
+    # with the gains read through a flat memoryview, 1,031 with the
+    # topology's rows and elimination step 0 folded into the loads
+    topology = make_topology(num_providers=4, channels=5, num_links=8, tolerance=4e-11)
+    spec = spec_for([0.5] * 4, holding=10.0, horizon=1000.0, seed=7)
+    assert opcodes_per_arrival(topology, spec, Strategy.DYNAMIC_SBAC, REUSE) <= 1040
 
 
 # -- the admission solve ------------------------------------------------------------

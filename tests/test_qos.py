@@ -3,7 +3,6 @@ the power solver."""
 from __future__ import annotations
 
 import math
-from array import array
 
 import numpy as np
 import pytest
@@ -290,7 +289,7 @@ def test_group_powers_match_the_dense_solve(
     assume(abs(max(abs(np.linalg.eigvals(coupling))) - 1.0) > 1e-4)
 
     u = scale * noise
-    powers = group_powers(ids, scale.tolist(), u.tolist(), g_ss.reshape(-1).tolist())
+    powers = group_powers(ids, scale.tolist(), u.tolist(), g_ss.tolist())
     solution = solve_min_powers(g_ss[group], noise[ids], gain[ids], sinr_target[ids],
                                 np.full(size, np.inf), np.zeros((0, size)), np.zeros(0))
     if np.all(np.isinf(solution.powers)):
@@ -304,7 +303,7 @@ def test_group_powers_match_the_dense_solve(
 def test_group_powers_stop_at_the_first_pivot_that_is_not_positive():
     # F = [[0, 1.5], [1.5, 0]]: the second pivot is 1 - 1.5 ** 2 < 0; and a
     # lone link's power is its u
-    scale, u, g_ss = [3.0, 3.0], [0.3, 0.3], [1.0, 0.5, 0.5, 1.0]
+    scale, u, g_ss = [3.0, 3.0], [0.3, 0.3], [[1.0, 0.5], [0.5, 1.0]]
     assert group_powers([0, 1], scale, u, g_ss) is None
     assert group_powers([1], scale, u, g_ss) == [0.3]
 
@@ -313,7 +312,7 @@ LINKS = 12  # links in the gain matrix of the generated-against-loop tests
 
 
 def engine_inputs(g_ss, weights, radius, ids, noise):
-    """``scale``, ``u`` and the flat ``g_ss`` as the engine passes them, with
+    """``scale``, ``u`` and the rows of ``g_ss`` as the engine passes them, with
     the per-link ``weights`` (and ``noise`` <= 1) scaled so that the group
     ``ids`` has ``rho(F) = radius``; None when that scaling overflows, as
     it does where subnormal gains give a tiny positive ``rho``."""
@@ -324,8 +323,8 @@ def engine_inputs(g_ss, weights, radius, ids, noise):
     if not math.isfinite(factor * float(weights.max())):
         return None
     scale = weights * factor
-    flat = memoryview(np.ascontiguousarray(g_ss).reshape(-1))
-    return array("d", scale.tolist()), array("d", (scale * noise).tolist()), flat
+    rows = tuple(map(tuple, g_ss.tolist()))
+    return scale.tolist(), (scale * noise).tolist(), rows
 
 
 def bits(powers):
@@ -354,6 +353,15 @@ def admitted(powers):
 # overflows: the draw is refused, and no RuntimeWarning is raised
 @example(ids=[0, 1], gains=[1e-310 if k in (1, LINKS) else 0.0 for k in range(LINKS**2)],
          weights=[1.0] * LINKS, noise=[1e-3] * LINKS, radius=1.0)
+# the edges of the generated solve's step 0, whose row it loads as its own
+# divided tail where the loop divides by the pivot 1.0: link 3's all-zero
+# gain row makes that tail -0.0, and link 2's infinite u (its noise is inf)
+# meets link 4's all-zero row to put inf in one later row and NaN in another
+@example(ids=[3, 5, 7], gains=[0.0 if k // LINKS == 3 else 0.25 for k in range(LINKS**2)],
+         weights=[1.0] * LINKS, noise=[1e-3] * LINKS, radius=0.5)
+@example(ids=[2, 4, 6], gains=[0.0 if k // LINKS == 4 else 0.25 for k in range(LINKS**2)],
+         weights=[1.0] * LINKS, noise=[math.inf if k == 2 else 1e-3 for k in range(LINKS)],
+         radius=0.5)
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_group_powers_equal_the_loop_bit_for_bit(ids, gains, weights, noise, radius):
     # groups of 0 to 12 links, repeats allowed, with rho(F) on either side of
@@ -363,21 +371,21 @@ def test_group_powers_equal_the_loop_bit_for_bit(ids, gains, weights, noise, rad
     g_ss = np.array(gains).reshape(LINKS, LINKS)
     inputs = engine_inputs(g_ss, np.array(weights), radius, ids, np.array(noise))
     assume(inputs is not None)
-    scale, u, flat = inputs
-    powers = group_powers(ids, scale, u, flat)
-    assert bits(powers) == bits(admitted(loop_group_powers(ids, scale, u, flat)))
+    scale, u, rows = inputs
+    powers = group_powers(ids, scale, u, rows)
+    assert bits(powers) == bits(admitted(loop_group_powers(ids, scale, u, rows)))
 
 
 @pytest.mark.parametrize("u", [math.inf, 0.0, math.nan])
 def test_group_powers_refuse_a_power_that_is_not_positive_and_finite(u):
     # a lone link's power is its u: the loop returns it, the admission that
     # group_powers runs refuses it
-    assert bits(loop_group_powers([0], [1.0], [u], [1.0])) == bits([u])
-    assert group_powers([0], [1.0], [u], [1.0]) is None
+    assert bits(loop_group_powers([0], [1.0], [u], [[1.0]])) == bits([u])
+    assert group_powers([0], [1.0], [u], [[1.0]]) is None
 
 
 def test_group_powers_of_no_links_are_empty():
-    assert group_powers([], [1.0], [0.5], [1.0]) == []
+    assert group_powers([], [1.0], [0.5], [[1.0]]) == []
 
 
 @pytest.mark.parametrize("radius", [0.9, 1.1])
@@ -385,11 +393,11 @@ def test_group_powers_equal_the_loop_on_a_24_link_group(radius):
     rng = np.random.default_rng(24)
     g_ss = rng.uniform(0.0, 1.0, (30, 30))
     ids = rng.permutation(30)[:24].tolist()
-    scale, u, flat = engine_inputs(g_ss, rng.uniform(0.1, 10.0, 30), radius, ids,
+    scale, u, rows = engine_inputs(g_ss, rng.uniform(0.1, 10.0, 30), radius, ids,
                                    rng.uniform(1e-3, 1.0, 30))
-    powers = group_powers(ids, scale, u, flat)
+    powers = group_powers(ids, scale, u, rows)
     assert (powers is None) == (radius > 1.0)
-    assert bits(powers) == bits(loop_group_powers(ids, scale, u, flat))
+    assert bits(powers) == bits(loop_group_powers(ids, scale, u, rows))
 
 
 @pytest.mark.parametrize("ids", [range(5), range(0), np.array([3, 1, 3, 0], dtype=np.int64),
@@ -397,11 +405,11 @@ def test_group_powers_equal_the_loop_on_a_24_link_group(radius):
 def test_group_powers_take_ranges_and_numpy_integer_ids(ids):
     rng = np.random.default_rng(7)
     g_ss = rng.uniform(0.0, 1.0, (LINKS, LINKS))
-    scale, u, flat = engine_inputs(g_ss, rng.uniform(0.1, 10.0, LINKS), 0.8, list(ids),
+    scale, u, rows = engine_inputs(g_ss, rng.uniform(0.1, 10.0, LINKS), 0.8, list(ids),
                                    rng.uniform(1e-3, 1.0, LINKS))
-    powers = group_powers(ids, scale, u, flat)
+    powers = group_powers(ids, scale, u, rows)
     assert powers is not None and len(powers) == len(ids)
-    assert bits(powers) == bits(loop_group_powers(ids, scale, u, flat))
+    assert bits(powers) == bits(loop_group_powers(ids, scale, u, rows))
 
 
 def test_cap_violation_is_infeasible_even_when_convergent():

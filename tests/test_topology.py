@@ -287,3 +287,24 @@ def test_a_built_topology_cannot_be_changed_through_its_gains():
     assert copy == topology
     with pytest.raises(ValueError, match="read-only"):
         copy.gains.g_ps[0, 0] = -1.0
+
+
+def test_gain_rows_are_the_matrices_as_python_floats_built_once_and_never_pickled():
+    # -0.0 and a subnormal, so that equal-but-different bits would show
+    gains = GainMatrices(g_ss=[[1.0, -0.0], [5e-324, 0.1]], g_ps=[[0.125, 1e-300], [0.0, 2.0]])
+    pickled = pickle.dumps(gains)
+
+    def bits(rows):
+        return [[value.hex() for value in row] for row in rows]
+
+    for rows, matrix in ((gains.g_ss_rows, gains.g_ss), (gains.g_ps_rows, gains.g_ps)):
+        assert type(rows) is tuple and all(type(row) is tuple for row in rows)
+        assert all(type(value) is float for row in rows for value in row)
+        assert bits(rows) == bits(matrix.tolist())
+    # built on the first read, then the same object on every later one
+    assert gains.g_ss_rows is gains.g_ss_rows and gains.g_ps_rows is gains.g_ps_rows
+    # the pickle, as a sweep worker gets it, carries the matrices alone
+    assert pickle.dumps(gains) == pickled
+    copy = pickle.loads(pickled)
+    assert bits(copy.g_ss_rows) == bits(gains.g_ss_rows)
+    assert bits(copy.g_ps_rows) == bits(gains.g_ps_rows)
