@@ -13,8 +13,11 @@ selection), the best-available-channel rule picks a free channel, and an
 optional physical-layer stage finds minimal powers for the co-channel group
 plus the call and re-checks primary-point interference before the call is
 admitted.
-The admitted :class:`SessionRecord` is the only per-session state, and its
-departure entry carries it.  Only under channel reuse, where the physical
+A held session's only state is its departure entry, ``(end_time,
+session_id, provider_id, channel_id, link_id, record)``.  Its
+:class:`SessionRecord` is built only under the physical stage, whose later
+admissions rewrite a held member's power, or with ``keep_records``, and
+``record`` is None elsewhere.  Only under channel reuse, where the physical
 stage reads them, does the :class:`Simulation` also list the records held
 on each channel index, in admission order: the co-channel groups.  An
 admission solves the group plus the call afresh, in pure Python, by one
@@ -145,7 +148,7 @@ class SessionRecord:
 class Simulation:
     """Single deterministic run; see :func:`run_simulation` for the one-call API.
 
-    ``busy`` counts the held sessions, whose records the departure heap of
+    ``busy`` counts the held sessions, whose entries the departure heap of
     :meth:`run` holds.  Under channel reuse alone, ``groups`` maps each
     channel index to the records held on it, in admission order; it stays
     empty otherwise.  ``clock`` is the run's one clock; ``busy_integral``
@@ -161,11 +164,12 @@ class Simulation:
     ``records`` is every arrival's record, in arrival order, with
     ``keep_records``, and None without.
 
-    :meth:`run` keeps ``busy``, the clock and the busy integral in locals.
-    It writes them back before each call of the two per-event methods, which
-    a subclass may override: :meth:`_physical_admission` for each arrival
-    that reaches the physical stage and, with ``audit``, :meth:`_audit_state`
-    after each event, whose changes it reads back.
+    :meth:`run` keeps ``busy``, the clock, the busy integral, ``arrivals``,
+    ``blocked_no_channel``, ``delay_total`` and ``bits`` in locals.  It
+    writes them back when it ends and before each call of the two per-event
+    methods, which a subclass may override: :meth:`_physical_admission` for
+    each arrival that reaches the physical stage and, with ``audit``,
+    :meth:`_audit_state` after each event, whose changes it reads back.
 
     The attributes are slots: a run holds no instance dict, whose size
     would jump once its key count passed the interpreter's shared-key limit.
@@ -270,12 +274,11 @@ class Simulation:
         if self._ran:
             raise StateError("Simulation.run() was already called; build a new Simulation")
         self._ran = True
-        # departures: (end_time, session_id, record), one per held session;
-        # session ids rise in admission order, so tuple comparison never
-        # reaches the record.  A departure due by the next arrival's time
-        # goes first, so departures at time t free capacity before arrivals
-        # at time t.
-        departures: list[tuple[float, int, SessionRecord]] = []
+        # departures: one entry per held session (module docstring); session
+        # ids rise in admission order, so tuple comparison never passes the
+        # id.  A departure due by the next arrival's time goes first, so
+        # departures at time t free capacity before arrivals at time t.
+        departures: list[tuple] = []
         push, pop = heappush, heappop
         # looked up per run, not at import, so that a caller may replace either
         select, stream = sbac.select_best_channel, build_event_stream(self.traffic_spec)
@@ -286,17 +289,22 @@ class Simulation:
         reuse, groups = self.qos.channel_reuse, self.groups
         loads, integral = self.primary_loads, self.primary_integral
         points = range(len(loads))
-        # busy, the clock and the busy integral live in locals, written back
-        # before either per-event method runs and read back after an audit.
-        # The clock moves before each event, the integrals by the busy
-        # channels and loads times the elapsed time clamped to the horizon;
-        # the last event follows every departure and closes the integrals
+        # without the physical stage a session's power is its link's: each
+        # link's share of each point's load, added and taken back as it is
+        shares = None if physical else [
+            [(j, row[link.id] * link.power) for j, row in point_rows] for link in links]
+        # the counters, the clock and the busy integral live in locals (class
+        # docstring).  The clock moves before each event, the integrals by
+        # the busy channels and loads times the elapsed time clamped to the
+        # horizon; the last event follows every departure and closes them
         busy, clock, busy_integral = self.busy, self.clock, self.busy_integral
+        arrivals, blocked_no_channel = self.arrivals, self.blocked_no_channel
+        delay_total, bits = self.delay_total, self.bits
         last = (math.inf,)
         for event in chain(stream, (last,)):
             time = event[0]
             while departures and departures[0][0] <= time:
-                end_time, _, record = pop(departures)
+                end_time, session_id, provider_id, channel_id, link_id, record = pop(departures)
                 if end_time < clock:
                     raise StateError(f"clock moved backwards ({clock} -> {end_time})")
                 end = end_time if end_time < horizon else horizon
@@ -307,7 +315,6 @@ class Simulation:
                         integral[j] += loads[j] * elapsed
                 clock = end_time
                 # the rest of the co-channel group keeps its powers (module docstring)
-                channel_id = record.channel_id
                 if reuse:
                     group = groups[channel_id]
                     for index, held in enumerate(group):
@@ -316,16 +323,24 @@ class Simulation:
                             break
                     else:
                         raise StateError(
-                            f"session {record.session_id} holds no channel (double release?)")
+                            f"session {session_id} holds no channel (double release?)")
                 busy -= 1
-                pools[record.provider_id].give(channel_id)
-                link_id, power = record.link_id, record.power
-                for j, row in point_rows:
-                    loads[j] -= row[link_id] * power
+                pools[provider_id].give(channel_id)
+                if physical:
+                    power = record.power
+                    for j, row in point_rows:
+                        loads[j] -= row[link_id] * power
+                else:
+                    for j, share in shares[link_id]:
+                        loads[j] -= share
                 if audit:
                     self.busy, self.clock, self.busy_integral = busy, clock, busy_integral
+                    self.arrivals, self.blocked_no_channel = arrivals, blocked_no_channel
+                    self.delay_total, self.bits = delay_total, bits
                     self._audit_state(departures)
                     busy, clock, busy_integral = self.busy, self.clock, self.busy_integral
+                    arrivals, blocked_no_channel = self.arrivals, self.blocked_no_channel
+                    delay_total, bits = self.delay_total, self.bits
             if time < clock:
                 raise StateError(f"clock moved backwards ({clock} -> {time})")
             end = time if time < horizon else horizon
@@ -338,43 +353,48 @@ class Simulation:
                 break
             clock = time
             _, home_provider_id, holding_time = event
-            session_id = self.arrivals
-            self.arrivals = session_id + 1
-            link = links[session_id % num_links]
+            session_id = arrivals
+            arrivals += 1
+            link_id = session_id % num_links  # a link's id is its position
             choice = select(candidates[home_provider_id], scores)
             if choice is None:
-                self.blocked_no_channel += 1
+                blocked_no_channel += 1
                 if records is not None:
                     # session id, arrival and end time, home provider,
                     # provider, channel, link and outcome, in field order
                     records.append(SessionRecord(session_id, time, time, home_provider_id, None,
-                                                 None, link.id, BLOCKED_NO_CHANNEL))
+                                                 None, link_id, BLOCKED_NO_CHANNEL))
             else:
                 provider_id, channel_id, _ = choice
                 end_time = time + holding_time
-                link_id = link.id
-                record = SessionRecord(session_id, time, end_time, home_provider_id, provider_id,
-                                       channel_id, link_id, ADMITTED, link.power)
                 if physical:
                     self.busy, self.clock, self.busy_integral = busy, clock, busy_integral
+                    self.arrivals, self.blocked_no_channel = arrivals, blocked_no_channel
+                    self.delay_total, self.bits = delay_total, bits
                     # built admitted: the generated admission writes its
                     # power, and nothing on a block
+                    record = SessionRecord(session_id, time, end_time, home_provider_id,
+                                           provider_id, channel_id, link_id, ADMITTED,
+                                           links[link_id].power)
                     outcome = self._physical_admission(channel_id, record)
                 else:
                     outcome = ADMITTED
-                    power = link.power
-                    for j, row in point_rows:
-                        loads[j] += row[link_id] * power
+                    for j, share in shares[link_id]:
+                        loads[j] += share
+                    record = None if records is None else SessionRecord(
+                        session_id, time, end_time, home_provider_id, provider_id, channel_id,
+                        link_id, ADMITTED, links[link_id].power)
                 if outcome is ADMITTED:
                     pools[provider_id].take(channel_id)
                     if reuse:
                         groups[channel_id].append(record)
                     busy += 1
-                    self.delay_total += link_delays[link_id]
+                    delay_total += link_delays[link_id]
                     # an admitted session arrived before the horizon: active >= 0
                     active = (end_time if end_time < horizon else horizon) - time
-                    self.bits += rate * active
-                    push(departures, (end_time, session_id, record))
+                    bits += rate * active
+                    push(departures, (end_time, session_id, provider_id, channel_id, link_id,
+                                      record))
                 else:  # counted by identity: Enum hashes in Python
                     record.outcome, record.power, record.end_time = outcome, 0.0, time
                     record.provider_id = record.channel_id = None
@@ -386,14 +406,20 @@ class Simulation:
                     records.append(record)
             if audit:
                 self.busy, self.clock, self.busy_integral = busy, clock, busy_integral
+                self.arrivals, self.blocked_no_channel = arrivals, blocked_no_channel
+                self.delay_total, self.bits = delay_total, bits
                 self._audit_state(departures)
                 busy, clock, busy_integral = self.busy, self.clock, self.busy_integral
+                arrivals, blocked_no_channel = self.arrivals, self.blocked_no_channel
+                delay_total, bits = self.delay_total, self.bits
         self.busy, self.busy_integral = busy, busy_integral
+        self.arrivals, self.blocked_no_channel = arrivals, blocked_no_channel
+        self.delay_total, self.bits = delay_total, bits
         # departures beyond the horizon may have moved the clock past it
         self.clock = max(horizon, clock)
         return self.records, self._report()
 
-    def _audit_state(self, departures: list[tuple[float, int, SessionRecord]]) -> None:
+    def _audit_state(self, departures: list[tuple]) -> None:
         """Run every audit that applies, after each event when ``audit`` is on."""
         self._audit_departures(departures)
         self._audit_pools(departures)
@@ -414,11 +440,11 @@ class Simulation:
             self._g_ps_rows, self._tolerance, self.primary_loads,
         )
 
-    def _audit_departures(self, departures: list[tuple[float, int, SessionRecord]]) -> None:
-        """Check that the departure heap keys each held record by its end
-        time and session id and, under reuse, that the co-channel groups hold
-        exactly the heap's records, each under its own channel index; raises
-        StateError otherwise."""
+    def _audit_departures(self, departures: list[tuple]) -> None:
+        """Check that, under reuse, the co-channel groups hold exactly the
+        heap's records, each under its own channel index, and that every
+        heap entry that holds a record agrees with it on the session id,
+        end time, provider, channel and link; raises StateError otherwise."""
         if self.qos.channel_reuse:
             held = []
             for channel_id, group in self.groups.items():
@@ -428,37 +454,40 @@ class Simulation:
                             f"session {record.session_id} is held on channel {channel_id} "
                             f"but records channel {record.channel_id}"
                         )
-                    held.append(record)
-        else:
-            held = [record for _, _, record in departures]
-        keys = sorted((record.end_time, record.session_id, id(record)) for record in held)
-        queued = sorted((end_time, session_id, id(record))
-                        for end_time, session_id, record in departures)
-        if queued != keys:
-            raise StateError(
-                f"the departure heap holds {len(departures)} entries for "
-                f"{len(keys)} held sessions, or keys that differ from theirs"
-            )
+                    held.append(id(record))
+            if sorted(held) != sorted(id(entry[-1]) for entry in departures):
+                raise StateError(
+                    f"the departure heap holds {len(departures)} entries for "
+                    f"{len(held)} held sessions, or records other than theirs"
+                )
+        for end_time, session_id, provider_id, channel_id, link_id, record in departures:
+            if record is not None and (end_time, session_id, provider_id, channel_id, link_id) != (
+                    record.end_time, record.session_id, record.provider_id, record.channel_id,
+                    record.link_id):
+                raise StateError(f"session {session_id}'s departure entry differs from its record")
 
-    def _audit_pools(self, departures: list[tuple[float, int, SessionRecord]]) -> None:
-        """Check that ``busy`` counts the held records, then rebuild every
-        live pool from them; raises StateError on any mismatch (see
-        :meth:`LivePool.audit`)."""
+    def _audit_pools(self, departures: list[tuple]) -> None:
+        """Check that ``busy`` counts the heap's entries, then rebuild every
+        live pool from their providers and channels; raises StateError on any
+        mismatch (see :meth:`LivePool.audit`)."""
         if len(departures) != self.busy:
             raise StateError(
                 f"busy count {self.busy} differs from the {len(departures)} held sessions")
         held: list[list[int]] = [[] for _ in self._pools]
-        for _, _, record in departures:
-            held[record.provider_id].append(record.channel_id)
+        for _, _, provider_id, channel_id, _, _ in departures:
+            held[provider_id].append(channel_id)
         for pool, channel_ids in zip(self._pools, held):
             pool.audit(channel_ids)
 
-    def _audit_primary_loads(self, departures: list[tuple[float, int, SessionRecord]]) -> None:
-        """Recompute the primary loads from the held records' powers; raises
-        StateError when the running sums drifted by more than 1e-9 of a
-        point's tolerance (or of its load, where that is larger)."""
-        held = [record for _, _, record in departures]
-        expected = self._g_ps[:, [r.link_id for r in held]] @ np.array([r.power for r in held])
+    def _audit_primary_loads(self, departures: list[tuple]) -> None:
+        """Recompute the primary loads from the heap's links and powers, a
+        record's power or, with none built, its link's; raises StateError
+        when the running sums drifted by more than 1e-9 of a point's
+        tolerance (or of its load, where that is larger)."""
+        links = self._links
+        expected = self._g_ps[:, [entry[4] for entry in departures]] @ np.array(
+            [links[link_id].power if record is None else record.power
+             for *_, link_id, record in departures])
         if np.any(
             np.abs(np.array(self.primary_loads) - expected)
             > 1e-9 * np.maximum(self._tolerance, expected)
@@ -468,28 +497,27 @@ class Simulation:
                 f"sessions' {expected.tolist()}"
             )
 
-    def _audit_qos(self, departures: list[tuple[float, int, SessionRecord]]) -> None:
+    def _audit_qos(self, departures: list[tuple]) -> None:
         """Recompute every held session's SINR at the recorded powers with the
         independent :func:`qos.link_sinr`, on the held links' gains with the
         gains between different co-channel groups zeroed; raises StateError
         if any session misses its target."""
-        held = [record for _, _, record in departures]
-        ids = [record.link_id for record in held]
+        ids = [entry[4] for entry in departures]
         if self.qos.channel_reuse:
-            channels = np.array([record.channel_id for record in held])
+            channels = np.array([entry[3] for entry in departures])
             co_channel = channels[:, None] == channels[None, :]
         else:
-            co_channel = np.eye(len(held), dtype=bool)
+            co_channel = np.eye(len(ids), dtype=bool)
         sinr = qos.link_sinr(
             self._g_ss[np.ix_(ids, ids)] * co_channel,
             self._noise[ids],
             self._gain[ids],
-            np.array([record.power for record in held]),
+            np.array([entry[5].power for entry in departures]),
         )
         missed = ~qos.qos_met(sinr, self._sinr_target[ids])
         if np.any(missed):
             raise StateError(
-                f"sessions {[held[i].session_id for i in np.flatnonzero(missed)]} miss "
+                f"sessions {[departures[i][1] for i in np.flatnonzero(missed)]} miss "
                 "their SINR targets at their co-channel group's powers"
             )
 

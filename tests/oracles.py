@@ -2,11 +2,12 @@
 tests' references: the utility scored from a pool's four summaries, pools
 built from tuples of free channels, a dense numpy minimal-power solve, the
 admission solve as a loop over rows and the physical admission around it,
-an exact rational linear solve, an interference integral over a load trace
-and the BER curves whose inverse gives a SINR target.  The simulator never
-runs them."""
+an exact rational linear solve, a counter-only loss system, an interference
+integral over a load trace and the BER curves whose inverse gives a SINR
+target.  The simulator never runs them."""
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -14,10 +15,11 @@ from operator import mul
 
 import numpy as np
 
-from dsasim import Modulation, Outcome, SbacConfig, SpectrumChannel
+from dsasim import Modulation, Outcome, SbacConfig, SpectrumChannel, Strategy
 from dsasim.errors import DsasimError
 from dsasim.qos import coupling_scale
 from dsasim.sbac import COST_FLOOR, SPREAD_FLOOR, SPREAD_UNIT_HZ
+from dsasim.traffic import build_event_stream
 
 _TILE_TOLERANCE = 1e-9
 
@@ -215,6 +217,33 @@ def loop_admission(group, record, scale, u, g_ss_rows, cap, g_ps_rows, tolerance
     for j, change in enumerate(changes):
         loads[j] += change
     return Outcome.ADMITTED
+
+
+def loss_counts(topology, spec, strategy: Strategy) -> tuple[int, int, list[int]]:
+    """``(arrivals, blocked, blocked per home provider)`` of the pure loss
+    system on ``build_event_stream(spec)``, counters only.  Without the
+    physical stage an arrival is blocked exactly when its candidate channels
+    are all held: its home provider's under FIXED, every provider's under
+    DYNAMIC_SBAC.  Sessions due to leave by an arrival's time leave first,
+    the engine's tie rule."""
+    channels = [len(provider.channels) for provider in topology.providers]
+    held = [0] * len(channels)  # sessions counted against each home's channels
+    ends: list[tuple[float, int]] = []  # (end time, the provider whose count it holds)
+    arrivals, blocked = 0, [0] * len(channels)
+    for time, home, holding_time in build_event_stream(spec):
+        while ends and ends[0][0] <= time:
+            held[heapq.heappop(ends)[1]] -= 1
+        arrivals += 1
+        if strategy is Strategy.FIXED:
+            free, slot = held[home] < channels[home], home
+        else:  # one shared count: which provider serves the call does not matter
+            free, slot = sum(held) < sum(channels), 0
+        if free:
+            held[slot] += 1
+            heapq.heappush(ends, (time + holding_time, slot))
+        else:
+            blocked[home] += 1
+    return arrivals, sum(blocked), blocked
 
 
 class TraceError(DsasimError):

@@ -37,7 +37,7 @@ from dsasim.qos import QOS_MARGIN
 from conftest import (
     explicit_gain_topology, held_record, make_link, make_provider, make_topology,
 )
-from oracles import loop_admission, mean_primary_interference, solve_min_powers
+from oracles import loop_admission, loss_counts, mean_primary_interference, solve_min_powers
 
 
 REUSE = QosConfig(physical_checks=True, channel_reuse=True)
@@ -294,8 +294,8 @@ def test_a_departure_due_before_the_clock_is_a_state_error(events, monkeypatch):
             if self.first is None:
                 self.first = departures[0]  # session 0, just admitted
             elif self.first not in departures:  # it departed
-                end_time, session_id, record = self.first
-                heapq.heappush(departures, (end_time - 0.5, session_id, record))
+                end_time, *fields = self.first
+                heapq.heappush(departures, (end_time - 0.5, *fields))
 
     with pytest.raises(StateError, match=r"clock moved backwards \(2.0 -> 1.5\)"):
         run_events(events, monkeypatch, Rewinding, audit=True)
@@ -386,11 +386,12 @@ def test_double_release_is_a_state_error():
 
 def test_double_occupancy_is_a_state_error(monkeypatch):
     # a record equal to a held one but not it is not held: identity decides,
-    # in the co-channel groups that a reuse run keeps
+    # in the co-channel groups that a reuse run keeps.  The heap's entries
+    # keep their fields and carry a copy of their record
     class DepartingACopy(Simulation):
         def _audit_state(self, departures):
-            departures[:] = [(end_time, session_id, dataclasses.replace(record))
-                             for end_time, session_id, record in departures]
+            departures[:] = [(*fields, dataclasses.replace(record))
+                             for *fields, record in departures]
 
     with pytest.raises(StateError, match="holds no channel"):
         run_with_engine(DepartingACopy, audit=True, qos_config=REUSE)
@@ -454,8 +455,9 @@ def test_a_run_goes_through_the_seams_a_tracer_wraps(qos_config, monkeypatch):
     # a tracer counts selections and streams by wrapping these two names
     # before a run, which looks each up once: the wrapped selection runs
     # once per arrival and the wrapped stream once per run.  Without
-    # keep_records no record is built for an arrival that finds no free
-    # channel, and only channel reuse keeps co-channel groups
+    # keep_records a record is built only for the physical stage, which
+    # writes its power, so for each arrival that reaches that stage and
+    # for none without it; only channel reuse keeps co-channel groups
     calls = {"select": 0, "stream": 0}
     built = []  # the outcome each record was built with
     select_best_channel, build_event_stream = sbac.select_best_channel, engine.build_event_stream
@@ -481,8 +483,34 @@ def test_a_run_goes_through_the_seams_a_tracer_wraps(qos_config, monkeypatch):
     _, report = sim.run()
     assert calls == {"select": report.arrivals, "stream": 1}
     assert report.blocked_no_channel > 0
-    assert built == [Outcome.ADMITTED] * (report.arrivals - report.blocked_no_channel)
+    if qos_config is None:
+        assert built == []
+    else:
+        assert built == [Outcome.ADMITTED] * (report.arrivals - report.blocked_no_channel)
     assert bool(sim.groups) == (qos_config is REUSE)
+
+
+@pytest.mark.parametrize("qos_config", [None, REUSE])
+@pytest.mark.parametrize("field", range(5))
+def test_audit_flags_a_departure_entry_that_differs_from_its_record(field, qos_config):
+    # a held entry's end time, session id, provider, channel or link is
+    # relabelled: its record, kept with keep_records and by the physical
+    # stage, no longer agrees with it
+    class Relabelling(Simulation):
+        def _audit_state(self, departures):
+            if departures:
+                entry = list(departures[-1])
+                entry[field] += 1
+                departures[-1] = tuple(entry)
+            super()._audit_state(departures)
+
+    topology = make_topology(num_providers=2, channels=3)
+    spec = spec_for([1.5, 0.5], holding=2.0, horizon=50.0, seed=1)
+    Simulation(topology, spec, Strategy.DYNAMIC_SBAC, qos_config=qos_config, audit=True,
+               keep_records=True).run()
+    with pytest.raises(StateError, match="departure entry differs from its record"):
+        Relabelling(topology, spec, Strategy.DYNAMIC_SBAC, qos_config=qos_config, audit=True,
+                    keep_records=True).run()
 
 
 # -- run invariants --------------------------------------------------------------------
@@ -548,6 +576,53 @@ def test_audited_runs_conserve_arrivals_and_repeat(
     assert run_simulation(topology, spec, strategy, qos_config=qos_config, audit=True) == (
         None, report
     )
+
+
+@given(
+    providers=st.integers(1, 4),
+    channels=st.integers(1, 6),
+    links=st.integers(1, 6),
+    rates=st.lists(st.floats(0.05, 1.0), min_size=4, max_size=4),
+    holding=st.floats(1.0, 20.0),
+    physical=st.booleans(),
+    reuse=st.booleans(),
+    tolerance=st.sampled_from([1e-3, 4e-11]),
+    weights=st.sampled_from([(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0),
+                             (0.3, 0.5, 0.2)]),
+    session_minutes=st.floats(0.1, 10.0),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=150, deadline=None)
+def test_loss_system_relations_hold_exactly(providers, channels, links, rates, holding,
+                                            physical, reuse, tolerance, weights,
+                                            session_minutes, seed):
+    # three relations that hold to the bit, with no tolerance:
+    # - without the physical stage, the counter-only loss system on the same
+    #   stream gives each strategy's arrivals and channel blocks;
+    # - with one provider, FIXED and DYNAMIC_SBAC give one report, with or
+    #   without the physical stage and reuse: both take the lone pool's
+    #   lowest free id;
+    # - without the physical stage, DYNAMIC_SBAC's report does not depend on
+    #   the SBAC weights or session_minutes, since admission reads only the
+    #   busy count and a session's link and power come from its id
+    topology = make_topology(num_providers=providers, channels=channels, num_links=links,
+                             tolerance=tolerance)
+    spec = spec_for(rates[:providers], holding=holding, horizon=200.0, seed=seed)
+    qos_config = QosConfig(physical_checks=physical, channel_reuse=physical and reuse)
+    reports = {strategy: run_simulation(topology, spec, strategy, qos_config=qos_config)[1]
+               for strategy in Strategy}
+    fixed, dynamic = reports[Strategy.FIXED], reports[Strategy.DYNAMIC_SBAC]
+    if providers == 1:
+        assert dynamic == dataclasses.replace(
+            fixed, metadata={**fixed.metadata, "strategy": "DYNAMIC_SBAC"})
+    if not physical:
+        for strategy, report in reports.items():
+            arrivals, blocked, _ = loss_counts(topology, spec, strategy)
+            assert (report.arrivals, report.blocked_no_channel) == (arrivals, blocked)
+            assert report.blocked_qos == report.blocked_interference == 0
+        sbac_config = SbacConfig(*weights, session_minutes=session_minutes)
+        assert run_simulation(topology, spec, Strategy.DYNAMIC_SBAC,
+                              sbac_config=sbac_config)[1] == dynamic
 
 
 def test_identical_inputs_give_identical_outputs(simple_topology):
@@ -903,19 +978,21 @@ CPYTHON_311 = pytest.mark.skipif(
 @CPYTHON_311
 def test_a_fixed_allocation_arrival_stays_within_its_bytecode_budget():
     # the Erlang-B case's shape (10 channels at 5 Erlangs): 586 opcodes per
-    # arrival through three per-event methods, 500 with one event loop
+    # arrival through three per-event methods, 500 with one event loop, 441
+    # with departure entries that carry no record and the counters in locals
     topology = make_topology(num_providers=1, channels=10)
     spec = spec_for([0.5], holding=10.0, horizon=4000.0, seed=7)
-    assert opcodes_per_arrival(topology, spec, Strategy.FIXED) <= 520
+    assert opcodes_per_arrival(topology, spec, Strategy.FIXED) <= 450
 
 
 @CPYTHON_311
 def test_a_dynamic_sbac_arrival_stays_within_its_bytecode_budget():
     # two scored pools of 10 channels at 5 Erlangs each: 788 opcodes per
-    # arrival through three per-event methods, 699 with one event loop
+    # arrival through three per-event methods, 699 with one event loop, 639
+    # with departure entries that carry no record and the counters in locals
     topology = make_topology(num_providers=2, channels=10)
     spec = spec_for([0.5, 0.5], holding=10.0, horizon=2000.0, seed=7)
-    assert opcodes_per_arrival(topology, spec, Strategy.DYNAMIC_SBAC) <= 720
+    assert opcodes_per_arrival(topology, spec, Strategy.DYNAMIC_SBAC) <= 650
 
 
 @CPYTHON_311
@@ -923,7 +1000,9 @@ def test_a_physical_reuse_arrival_stays_within_its_bytecode_budget():
     # 4 providers x 5 channels at 5 Erlangs each on 8 links, co-channel
     # groups of 1 to 4 and all three block causes: 1,086 opcodes per arrival
     # with the gains read through a flat memoryview, 1,031 with the
-    # topology's rows and elimination step 0 folded into the loads
+    # topology's rows and elimination step 0 folded into the loads, 1,034
+    # with wider departure entries and the counters written back before
+    # each physical admission
     topology = make_topology(num_providers=4, channels=5, num_links=8, tolerance=4e-11)
     spec = spec_for([0.5] * 4, holding=10.0, horizon=1000.0, seed=7)
     assert opcodes_per_arrival(topology, spec, Strategy.DYNAMIC_SBAC, REUSE) <= 1040
