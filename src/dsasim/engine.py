@@ -51,8 +51,12 @@ it, clamped to the horizon so the metrics cover exactly ``[0, horizon]``.
 The primary loads and integrals are float lists, one entry per primary
 point, updated in place with the IEEE operations numpy would take, from the
 topology's rows of primary-point gains.
-Two per-event methods remain, for the physical stage and the audits:
-:meth:`Simulation._physical_admission` and :meth:`Simulation._audit_state`.
+The report's counters, the clock and the busy integral are the loop's
+locals until it ends, and so are the tables only it reads (link delays,
+load shares).  Two per-event methods remain, for the physical stage and the
+audits: :meth:`Simulation._physical_admission` and
+:meth:`Simulation._audit_state`.  Both see the live groups, primary loads
+and pools, and the audit gets the busy count as its argument.
 
 One run is strictly single-threaded; independent runs can execute
 concurrently because topologies and traffic specs are immutable.  Each
@@ -164,12 +168,13 @@ class Simulation:
     ``records`` is every arrival's record, in arrival order, with
     ``keep_records``, and None without.
 
-    :meth:`run` keeps ``busy``, the clock, the busy integral, ``arrivals``,
-    ``blocked_no_channel``, ``delay_total`` and ``bits`` in locals.  It
-    writes them back when it ends and before each call of the two per-event
-    methods, which a subclass may override: :meth:`_physical_admission` for
-    each arrival that reaches the physical stage and, with ``audit``,
-    :meth:`_audit_state` after each event, whose changes it reads back.
+    ``busy``, the clock, the busy integral and the report's sums are
+    :meth:`run`'s locals until it ends, when it sets them here once; a
+    built Simulation has none of them before.  Two per-event methods, which
+    a subclass may override, see the live ``groups``, ``primary_loads`` and
+    pools: :meth:`_physical_admission` for each arrival that reaches the
+    physical stage and, with ``audit``, :meth:`_audit_state` after each
+    event, which gets ``busy`` as its argument.
 
     The attributes are slots: a run holds no instance dict, whose size
     would jump once its key count passed the interpreter's shared-key limit.
@@ -180,10 +185,9 @@ class Simulation:
         "_pools", "_scores", "_candidates", "records", "arrivals",
         "blocked_no_channel", "blocked_qos", "blocked_interference", "delay_total", "bits",
         "groups", "busy", "clock", "busy_integral", "primary_loads", "primary_integral",
-        "_ran", "_links", "_horizon", "_physical", "_requested_rate", "_link_delays",
-        "_g_ss", "_g_ps", "_g_ps_rows", "_point_rows", "_tolerance",
+        "_ran", "_g_ps_rows", "_tolerance",
         # the physical stage's, bound only when it runs
-        "_noise", "_gain", "_sinr_target", "_scale", "_u", "_cap", "_g_ss_rows", "_reuse",
+        "_noise", "_gain", "_sinr_target", "_scale", "_u", "_cap", "_g_ss_rows",
     )
 
     def __init__(
@@ -203,6 +207,10 @@ class Simulation:
             )
         if not isinstance(strategy, Strategy):
             raise ValueError(f"strategy must be a Strategy, got {strategy!r}")
+        if not isinstance(sbac_config, (SbacConfig, type(None))):
+            raise ValueError(f"sbac_config must be an SbacConfig or None, got {sbac_config!r}")
+        if not isinstance(qos_config, (QosConfig, type(None))):
+            raise ValueError(f"qos_config must be a QosConfig or None, got {qos_config!r}")
 
         self.topology = topology
         self.traffic_spec = traffic_spec
@@ -222,35 +230,17 @@ class Simulation:
             self._pools = [LivePool(p, self.sbac, self._scores) for p in topology.providers]
             self._candidates = [self._pools] * len(self._pools)
         self.records: list[SessionRecord] | None = [] if keep_records else None
-        self.arrivals = 0
-        self.blocked_no_channel = self.blocked_qos = self.blocked_interference = 0
-        self.delay_total = 0.0
-        self.bits = 0.0
         self.groups: defaultdict[int, list[SessionRecord]] = defaultdict(list)
-        self.busy = 0
-        self.clock = 0.0
-        self.busy_integral = 0.0
         num_points = len(topology.primary_points)
         self.primary_loads = [0.0] * num_points
         self.primary_integral = [0.0] * num_points
         self._ran = False
-        # what every admission reads, bound once per run
-        self._links = topology.links
-        self._horizon = traffic_spec.horizon
-        self._physical = self.qos.physical_checks
-        self._requested_rate = traffic_spec.requested_rate
-
-        speed = topology.propagation_speed
-        self._link_delays = [link.distance / speed for link in topology.links]
         gains = topology.gains
-        self._g_ss = gains.g_ss
-        self._g_ps = gains.g_ps
         # each primary point's gains from the links, by link id: the
         # topology's rows of Python floats
         self._g_ps_rows = gains.g_ps_rows
-        self._point_rows = tuple(enumerate(self._g_ps_rows))  # no enumerate per event
         self._tolerance = [p.tolerance for p in topology.primary_points]
-        if self._physical:
+        if self.qos.physical_checks:
             # per-link physics as arrays indexed by link id, for the audits
             self._noise, self._gain, self._sinr_target, power_max = qos.link_arrays(
                 topology.links, traffic_spec.requested_rate
@@ -258,12 +248,11 @@ class Simulation:
             # and the admission solve's, as Python floats: F[i][j] =
             # scale[i] * g_ss[i][j] (j != i) is read from the topology's
             # rows, never stored
-            scale = qos.coupling_scale(self._g_ss, self._gain, self._sinr_target)
+            scale = qos.coupling_scale(gains.g_ss, self._gain, self._sinr_target)
             self._scale = scale.tolist()
             self._u = (scale * self._noise).tolist()
             self._cap = power_max.tolist()
             self._g_ss_rows = gains.g_ss_rows
-            self._reuse = self.qos.channel_reuse
 
     # -- event loop ---------------------------------------------------------
 
@@ -283,23 +272,25 @@ class Simulation:
         # looked up per run, not at import, so that a caller may replace either
         select, stream = sbac.select_best_channel, build_event_stream(self.traffic_spec)
         pools, candidates, scores = self._pools, self._candidates, self._scores
-        links, link_delays, point_rows = self._links, self._link_delays, self._point_rows
-        num_links, horizon, rate = len(links), self._horizon, self._requested_rate
-        records, audit, physical = self.records, self.audit, self._physical
-        reuse, groups = self.qos.channel_reuse, self.groups
+        links, speed = self.topology.links, self.topology.propagation_speed
+        link_delays = [link.distance / speed for link in links]
+        point_rows = tuple(enumerate(self._g_ps_rows))  # no enumerate per event
+        num_links, horizon = len(links), self.traffic_spec.horizon
+        records, audit, rate = self.records, self.audit, self.traffic_spec.requested_rate
+        physical, reuse, groups = self.qos.physical_checks, self.qos.channel_reuse, self.groups
         loads, integral = self.primary_loads, self.primary_integral
         points = range(len(loads))
         # without the physical stage a session's power is its link's: each
         # link's share of each point's load, added and taken back as it is
         shares = None if physical else [
             [(j, row[link.id] * link.power) for j, row in point_rows] for link in links]
-        # the counters, the clock and the busy integral live in locals (class
-        # docstring).  The clock moves before each event, the integrals by
-        # the busy channels and loads times the elapsed time clamped to the
-        # horizon; the last event follows every departure and closes them
-        busy, clock, busy_integral = self.busy, self.clock, self.busy_integral
-        arrivals, blocked_no_channel = self.arrivals, self.blocked_no_channel
-        delay_total, bits = self.delay_total, self.bits
+        # the counters, the clock and the busy integral are the run's until
+        # it ends (class docstring).  The clock moves before each event, the
+        # integrals by the busy channels and loads times the elapsed time
+        # clamped to the horizon; the last event follows every departure
+        # and closes them
+        busy = arrivals = blocked_no_channel = blocked_qos = blocked_interference = 0
+        clock = busy_integral = delay_total = bits = 0.0
         last = (math.inf,)
         for event in chain(stream, (last,)):
             time = event[0]
@@ -334,13 +325,7 @@ class Simulation:
                     for j, share in shares[link_id]:
                         loads[j] -= share
                 if audit:
-                    self.busy, self.clock, self.busy_integral = busy, clock, busy_integral
-                    self.arrivals, self.blocked_no_channel = arrivals, blocked_no_channel
-                    self.delay_total, self.bits = delay_total, bits
-                    self._audit_state(departures)
-                    busy, clock, busy_integral = self.busy, self.clock, self.busy_integral
-                    arrivals, blocked_no_channel = self.arrivals, self.blocked_no_channel
-                    delay_total, bits = self.delay_total, self.bits
+                    self._audit_state(departures, busy)
             if time < clock:
                 raise StateError(f"clock moved backwards ({clock} -> {time})")
             end = time if time < horizon else horizon
@@ -368,9 +353,6 @@ class Simulation:
                 provider_id, channel_id, _ = choice
                 end_time = time + holding_time
                 if physical:
-                    self.busy, self.clock, self.busy_integral = busy, clock, busy_integral
-                    self.arrivals, self.blocked_no_channel = arrivals, blocked_no_channel
-                    self.delay_total, self.bits = delay_total, bits
                     # built admitted: the generated admission writes its
                     # power, and nothing on a block
                     record = SessionRecord(session_id, time, end_time, home_provider_id,
@@ -399,30 +381,26 @@ class Simulation:
                     record.outcome, record.power, record.end_time = outcome, 0.0, time
                     record.provider_id = record.channel_id = None
                     if outcome is BLOCKED_QOS:
-                        self.blocked_qos += 1
+                        blocked_qos += 1
                     else:
-                        self.blocked_interference += 1
+                        blocked_interference += 1
                 if records is not None:
                     records.append(record)
             if audit:
-                self.busy, self.clock, self.busy_integral = busy, clock, busy_integral
-                self.arrivals, self.blocked_no_channel = arrivals, blocked_no_channel
-                self.delay_total, self.bits = delay_total, bits
-                self._audit_state(departures)
-                busy, clock, busy_integral = self.busy, self.clock, self.busy_integral
-                arrivals, blocked_no_channel = self.arrivals, self.blocked_no_channel
-                delay_total, bits = self.delay_total, self.bits
-        self.busy, self.busy_integral = busy, busy_integral
-        self.arrivals, self.blocked_no_channel = arrivals, blocked_no_channel
-        self.delay_total, self.bits = delay_total, bits
+                self._audit_state(departures, busy)
+        self.busy, self.busy_integral, self.arrivals = busy, busy_integral, arrivals
+        self.blocked_no_channel, self.blocked_qos = blocked_no_channel, blocked_qos
+        self.blocked_interference, self.delay_total, self.bits = (
+            blocked_interference, delay_total, bits)
         # departures beyond the horizon may have moved the clock past it
         self.clock = max(horizon, clock)
         return self.records, self._report()
 
-    def _audit_state(self, departures: list[tuple]) -> None:
-        """Run every audit that applies, after each event when ``audit`` is on."""
+    def _audit_state(self, departures: list[tuple], busy: int) -> None:
+        """Run every audit that applies, after each event when ``audit`` is
+        on; ``busy`` is the run's count of held sessions."""
         self._audit_departures(departures)
-        self._audit_pools(departures)
+        self._audit_pools(departures, busy)
         self._audit_primary_loads(departures)
         if self.qos.physical_checks:
             self._audit_qos(departures)
@@ -434,7 +412,7 @@ class Simulation:
         the generated admission for the grown group's size
         (:func:`_admission`); without reuse the group is the session alone.
         """
-        group = self.groups[channel_id] if self._reuse else ()
+        group = self.groups[channel_id] if self.qos.channel_reuse else ()
         return _admission(len(group) + 1)(
             group, record, self._scale, self._u, self._g_ss_rows, self._cap,
             self._g_ps_rows, self._tolerance, self.primary_loads,
@@ -466,13 +444,12 @@ class Simulation:
                     record.link_id):
                 raise StateError(f"session {session_id}'s departure entry differs from its record")
 
-    def _audit_pools(self, departures: list[tuple]) -> None:
+    def _audit_pools(self, departures: list[tuple], busy: int) -> None:
         """Check that ``busy`` counts the heap's entries, then rebuild every
         live pool from their providers and channels; raises StateError on any
         mismatch (see :meth:`LivePool.audit`)."""
-        if len(departures) != self.busy:
-            raise StateError(
-                f"busy count {self.busy} differs from the {len(departures)} held sessions")
+        if len(departures) != busy:
+            raise StateError(f"busy count {busy} differs from the {len(departures)} held sessions")
         held: list[list[int]] = [[] for _ in self._pools]
         for _, _, provider_id, channel_id, _, _ in departures:
             held[provider_id].append(channel_id)
@@ -484,8 +461,8 @@ class Simulation:
         record's power or, with none built, its link's; raises StateError
         when the running sums drifted by more than 1e-9 of a point's
         tolerance (or of its load, where that is larger)."""
-        links = self._links
-        expected = self._g_ps[:, [entry[4] for entry in departures]] @ np.array(
+        links = self.topology.links
+        expected = self.topology.gains.g_ps[:, [entry[4] for entry in departures]] @ np.array(
             [links[link_id].power if record is None else record.power
              for *_, link_id, record in departures])
         if np.any(
@@ -509,7 +486,7 @@ class Simulation:
         else:
             co_channel = np.eye(len(ids), dtype=bool)
         sinr = qos.link_sinr(
-            self._g_ss[np.ix_(ids, ids)] * co_channel,
+            self.topology.gains.g_ss[np.ix_(ids, ids)] * co_channel,
             self._noise[ids],
             self._gain[ids],
             np.array([entry[5].power for entry in departures]),
@@ -713,7 +690,8 @@ def run_simulation(
     Identical arguments (including the traffic seed) produce an identical
     report, and record sequence when kept.  Raises ValueError before any
     event is processed if the traffic spec and the topology count different
-    providers or ``strategy`` is not a :class:`Strategy`.
+    providers, ``strategy`` is not a :class:`Strategy`, or a config is not
+    its class (or None).
     """
     sim = Simulation(
         topology,

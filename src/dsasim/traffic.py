@@ -44,12 +44,19 @@ class TrafficSpec:
     def __post_init__(self):
         if not isinstance(self.seed, int) or isinstance(self.seed, bool) or self.seed < 0:
             raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
-        # written so that NaN fails every check; an infinite horizon never ends
-        if not all(0 <= rate < math.inf for rate in self.arrival_rates):
-            raise ValueError("arrival_rates must be finite and >= 0")
-        for name in ("mean_holding_time", "horizon", "requested_rate"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and > 0")
+        # written so that NaN fails every check, and a value that is not a
+        # number (or, for the rates, not a sequence) too; an infinite
+        # horizon never ends
+        for name, bound in (("arrival_rates", ">= 0"), ("mean_holding_time", "> 0"),
+                            ("horizon", "> 0"), ("requested_rate", "> 0")):
+            value = getattr(self, name)
+            try:
+                valid = (all(0 <= rate < math.inf for rate in value) if name == "arrival_rates"
+                         else 0 < value < math.inf)
+            except TypeError:
+                valid = False
+            if not valid:
+                raise ValueError(f"{name} must be finite and {bound}")
 
 
 BLOCK = 32  # uniforms drawn per generator call, 16 arrivals' worth

@@ -6,6 +6,7 @@ import dataclasses
 import gc
 import heapq
 import math
+import re
 import sys
 import tracemalloc
 
@@ -93,6 +94,21 @@ def test_a_strategy_that_is_not_a_strategy_fails_before_any_event(simple_topolog
     # fail in the report
     with pytest.raises(ValueError, match=rf"^strategy must be a Strategy, got {strategy!r}$"):
         run_simulation(simple_topology, spec_for([1.0]), strategy)
+
+
+@pytest.mark.parametrize("strategy", [Strategy.FIXED, Strategy.DYNAMIC_SBAC])
+@pytest.mark.parametrize("name, value, kind", [
+    ("sbac_config", {"beta1": 1}, "an SbacConfig or None"),
+    ("sbac_config", QosConfig(), "an SbacConfig or None"),
+    ("qos_config", True, "a QosConfig or None"),
+    ("qos_config", SbacConfig(), "a QosConfig or None"),
+])
+def test_a_config_of_another_type_fails_before_any_event(simple_topology, strategy, name, value,
+                                                          kind):
+    # a dict used to run FIXED silently and fail DYNAMIC_SBAC on an
+    # attribute, and a bool failed on an attribute too
+    with pytest.raises(ValueError, match=f"^{name} must be {kind}, got {re.escape(repr(value))}$"):
+        run_simulation(simple_topology, spec_for([1.0]), strategy, **{name: value})
 
 
 # -- admission outcomes ------------------------------------------------------------
@@ -290,7 +306,7 @@ def test_a_departure_due_before_the_clock_is_a_state_error(events, monkeypatch):
     class Rewinding(Simulation):
         first = None
 
-        def _audit_state(self, departures):
+        def _audit_state(self, departures, busy):
             if self.first is None:
                 self.first = departures[0]  # session 0, just admitted
             elif self.first not in departures:  # it departed
@@ -369,7 +385,7 @@ def test_double_release_is_a_state_error():
         held = ()
         done = False
 
-        def _audit_state(self, departures):
+        def _audit_state(self, departures, busy):
             departed = [entry for entry in self.held if entry not in departures]
             if departed and not self.done:
                 self.done = True
@@ -389,7 +405,7 @@ def test_double_occupancy_is_a_state_error(monkeypatch):
     # in the co-channel groups that a reuse run keeps.  The heap's entries
     # keep their fields and carry a copy of their record
     class DepartingACopy(Simulation):
-        def _audit_state(self, departures):
+        def _audit_state(self, departures, busy):
             departures[:] = [(*fields, dataclasses.replace(record))
                              for *fields, record in departures]
 
@@ -416,9 +432,8 @@ def test_audit_flags_a_record_held_under_another_slot():
 
 def test_audit_flags_a_miscounted_busy_channel():
     class Miscounting(Simulation):
-        def _audit_state(self, departures):
-            self.busy += 1  # the run reads the count back: it stays off
-            super()._audit_state(departures)
+        def _audit_state(self, departures, busy):
+            super()._audit_state(departures, busy + 1)
 
     run_with_engine(Simulation, audit=True)
     with pytest.raises(StateError, match="busy count"):
@@ -435,7 +450,7 @@ def test_audit_flags_a_departure_heap_out_of_step(fault):
         held = ()
         done = False
 
-        def _audit_state(self, departures):
+        def _audit_state(self, departures, busy):
             departed = [entry for entry in self.held if entry not in departures]
             if departed and not self.done and (fault == "kept" or departures):
                 self.done = True
@@ -444,7 +459,7 @@ def test_audit_flags_a_departure_heap_out_of_step(fault):
                 else:
                     heapq.heappop(departures)
             self.held = list(departures)
-            super()._audit_state(departures)
+            super()._audit_state(departures, busy)
 
     with pytest.raises(StateError, match="departure heap holds"):
         run_with_engine(Leaking, audit=True, qos_config=REUSE)
@@ -497,12 +512,12 @@ def test_audit_flags_a_departure_entry_that_differs_from_its_record(field, qos_c
     # relabelled: its record, kept with keep_records and by the physical
     # stage, no longer agrees with it
     class Relabelling(Simulation):
-        def _audit_state(self, departures):
+        def _audit_state(self, departures, busy):
             if departures:
                 entry = list(departures[-1])
                 entry[field] += 1
                 departures[-1] = tuple(entry)
-            super()._audit_state(departures)
+            super()._audit_state(departures, busy)
 
     topology = make_topology(num_providers=2, channels=3)
     spec = spec_for([1.5, 0.5], holding=2.0, horizon=50.0, seed=1)
@@ -897,9 +912,9 @@ def test_audit_flags_drifted_primary_loads():
     qos_config = QosConfig(physical_checks=True, channel_reuse=True)
 
     class Drifting(Simulation):
-        def _audit_state(self, departures):
+        def _audit_state(self, departures, busy):
             self.primary_loads[:] = [load + 1e-6 * tolerance for load in self.primary_loads]
-            super()._audit_state(departures)
+            super()._audit_state(departures, busy)
 
     Simulation(topology, spec, Strategy.DYNAMIC_SBAC, qos_config=qos_config, audit=True).run()
     drifting = Drifting(topology, spec, Strategy.DYNAMIC_SBAC, qos_config=qos_config, audit=True)
@@ -931,10 +946,10 @@ def test_audit_flags_a_flipped_pool_bit_in_a_run():
     spec = spec_for([1.5, 0.5], holding=2.0, horizon=50.0, seed=1)
 
     class Flipping(Simulation):
-        def _audit_state(self, departures):
+        def _audit_state(self, departures, busy):
             # the lowest frequency's byte, after the one that is no channel
             self._pools[0].free_by_frequency[1] ^= 1
-            super()._audit_state(departures)
+            super()._audit_state(departures, busy)
 
     Simulation(topology, spec, Strategy.DYNAMIC_SBAC, audit=True).run()
     with pytest.raises(StateError, match="masks"):
@@ -1002,10 +1017,11 @@ def test_a_physical_reuse_arrival_stays_within_its_bytecode_budget():
     # with the gains read through a flat memoryview, 1,031 with the
     # topology's rows and elimination step 0 folded into the loads, 1,034
     # with wider departure entries and the counters written back before
-    # each physical admission
+    # each physical admission, 1,014 with the counters the run's locals
+    # until it ends
     topology = make_topology(num_providers=4, channels=5, num_links=8, tolerance=4e-11)
     spec = spec_for([0.5] * 4, holding=10.0, horizon=1000.0, seed=7)
-    assert opcodes_per_arrival(topology, spec, Strategy.DYNAMIC_SBAC, REUSE) <= 1040
+    assert opcodes_per_arrival(topology, spec, Strategy.DYNAMIC_SBAC, REUSE) <= 1020
 
 
 # -- the admission solve ------------------------------------------------------------
@@ -1049,8 +1065,8 @@ class Snapshotting(Simulation):
         super().__init__(*args, audit=True, keep_records=True, **kwargs)
         self.states = []
 
-    def _audit_state(self, departures):
-        super()._audit_state(departures)
+    def _audit_state(self, departures, busy):
+        super()._audit_state(departures, busy)
         self.states.append(({c: [(r.link_id, r.power) for r in group]
                              for c, group in self.groups.items() if group},
                             list(self.primary_loads)))
@@ -1110,11 +1126,11 @@ def test_qos_holds_through_a_group_that_never_empties():
     class Counting(Simulation):
         held = set()
 
-        def _audit_state(self, departures):
+        def _audit_state(self, departures, busy):
             held = {channel_id for channel_id, group in self.groups.items() if group}
             emptied.extend(self.held - held)
             self.held = held
-            super()._audit_state(departures)
+            super()._audit_state(departures, busy)
 
     _, report = Counting(topology, spec, Strategy.DYNAMIC_SBAC, qos_config=REUSE,
                          audit=True).run()
@@ -1530,8 +1546,8 @@ def test_a_built_simulation_has_slots_and_no_instance_dict(qos_config):
         simulation.unknown = 1
 
     class Marking(Simulation):
-        def _audit_state(self, departures):
-            super()._audit_state(departures)
+        def _audit_state(self, departures, busy):
+            super()._audit_state(departures, busy)
             self.audited = True
 
     marking = Marking(topology, spec, Strategy.DYNAMIC_SBAC, qos_config=qos_config, audit=True)

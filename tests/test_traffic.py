@@ -160,6 +160,12 @@ def test_spec_rejects_invalid_parameters():
         ("requested_rate", math.inf),
         ("requested_rate", 0.0),
         ("requested_rate", -1e5),
+        # of another type: a bare rate, and strings
+        ("arrival_rates", 0.5),
+        ("arrival_rates", ("1",)),
+        ("mean_holding_time", "1"),
+        ("horizon", "1"),
+        ("requested_rate", "1"),
     ],
 )
 def test_spec_rejects_non_finite_or_non_positive_parameters(field, value):
