@@ -38,8 +38,9 @@ Each provider's :class:`~dsasim.sbac.LivePool`, built once per run, follows
 the held sessions as channels are taken and given back, and under dynamic
 selection re-scores itself on each take and give into its provider id's
 slot of the run's one score list, so an arrival's selection is one ``max``
-over that list; under fixed allocation the home pool is the one candidate
-and is never scored.
+over that list; under fixed allocation the home pool is the one candidate,
+is never scored, and keeps its free ids in a heap and its held ids in a
+set, so its take and give scan nothing.
 A departure leaves the powers of the rest of its co-channel group as they
 are: they were solved for the larger group, so every target still holds,
 and they relax to the smaller group's minimal powers only at the next
@@ -50,7 +51,8 @@ and moves it, and the busy-channel and primary-interference integrals with
 it, clamped to the horizon so the metrics cover exactly ``[0, horizon]``.
 The primary loads and integrals are float lists, one entry per primary
 point, updated in place with the IEEE operations numpy would take, from the
-topology's rows of primary-point gains.
+topology's rows of primary-point gains; a departure advances each point's
+integral in the loop that unloads it.
 The report's counters, the clock and the busy integral are the loop's
 locals until it ends, and so are the tables only it reads (link delays,
 load shares).  Two per-event methods remain, for the physical stage and the
@@ -299,11 +301,13 @@ class Simulation:
                 if end_time < clock:
                     raise StateError(f"clock moved backwards ({clock} -> {end_time})")
                 end = end_time if end_time < horizon else horizon
-                if end > clock:
-                    elapsed = end - clock
-                    busy_integral += busy * elapsed
-                    for j in points:
-                        integral[j] += loads[j] * elapsed
+                # the integrals advance even by 0.0 elapsed, each point's in
+                # the loop below that unloads it, and no bit moves: every
+                # load is finite, so a load times 0.0 is +-0.0, and adding
+                # +-0.0 leaves an integral as it is, since it starts at +0.0
+                # and so is never -0.0; busy * 0.0 is +0.0
+                elapsed = end - clock if end > clock else 0.0
+                busy_integral += busy * elapsed
                 clock = end_time
                 # the rest of the co-channel group keeps its powers (module docstring)
                 if reuse:
@@ -320,9 +324,11 @@ class Simulation:
                 if physical:
                     power = record.power
                     for j, row in point_rows:
+                        integral[j] += loads[j] * elapsed
                         loads[j] -= row[link_id] * power
                 else:
                     for j, share in shares[link_id]:
+                        integral[j] += loads[j] * elapsed
                         loads[j] -= share
                 if audit:
                     self._audit_state(departures, busy)

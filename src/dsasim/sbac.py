@@ -28,7 +28,8 @@ lowest or highest free frequency recomputes.  The scored pools of a run
 keep their scores in one shared list, ``NO_FREE`` while a pool has no free
 channel, so selecting among P pools is one C-level ``max`` of that list and
 a ``list.index`` of the maximum.  A lone candidate (fixed allocation's home
-pool) wins unscored, and keeps only its free ids, their count and the lowest.
+pool) wins unscored: it keeps its free ids in a heap and its held ids in a
+set, so that neither a take of its lowest free id nor a give scans.
 """
 from __future__ import annotations
 
@@ -36,6 +37,7 @@ import math
 import sys
 from bisect import bisect_left
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 
 from .errors import StateError
 from .topology import ServiceProvider, SpectrumChannel
@@ -91,27 +93,37 @@ class SbacConfig:
 class LivePool:
     """One provider's pool, kept current as its channels are taken and given back.
 
-    The free channels are ``bytearray`` s, 1 for a free channel:
-    ``free_by_id`` in channel-id order and, in a pool built with an
-    :class:`SbacConfig`, ``free_by_frequency`` in center-frequency order
-    (equal frequencies in id order).  Each ends in a 1 that is no channel,
-    and ``free_by_frequency`` also starts with one, so ``find`` and
-    ``rfind`` always land: on an end byte when no channel is free, which
-    reads as no lowest free id and no free frequency.  A take or a give
-    sets one byte in each and moves ``free_count`` and ``lowest_free_id``
-    (taking it needs no bisect).  An unscored pool (fixed allocation's home
-    pool) stops there: its ``free_by_frequency`` is empty and it reads its
-    free-frequency extremes from ``free_by_id`` when asked.  A scored pool
-    moves their positions and re-scores itself, recomputing the spread term
-    ``beta2 * ln(1 / max(spread, SPREAD_FLOOR))`` only when an extreme
-    moved, and writes the score into its slot of the ``scores`` list it was
-    built with (its own when none is given), ``NO_FREE`` while none is free.
+    Built without an :class:`SbacConfig` (fixed allocation's home pool),
+    the pool is unscored: it keeps its free channel ids as a ``heapq``
+    heap, lowest first, and its held ids as a set, so that taking the
+    lowest free id is one ``heappop`` and a give one ``set.remove`` and one
+    ``heappush``.  A take of any other id (only tests, demos and patched
+    selectors make one) costs O(K).  It keeps no byte mask
+    (``free_by_frequency`` is empty) and reads its free channels and
+    free-frequency extremes from the provider's channels and the held set.
+
+    Built with a config, the pool is scored and keeps its free channels as
+    ``bytearray`` s, 1 for a free channel: ``free_by_id`` in channel-id
+    order and ``free_by_frequency`` in center-frequency order (equal
+    frequencies in id order).  Each ends in a 1 that is no channel, and
+    ``free_by_frequency`` also starts with one, so ``find`` and ``rfind``
+    always land: on an end byte when no channel is free, which reads as no
+    lowest free id and no free frequency.  A take or a give sets one byte
+    in each, moves ``free_count``, ``lowest_free_id`` (taking it needs no
+    bisect) and the free-frequency extremes' positions, and re-scores the
+    pool, recomputing the spread term ``beta2 * ln(1 / max(spread,
+    SPREAD_FLOOR))`` only when an extreme moved.  It writes the score into
+    its slot of the ``scores`` list it was built with (its own when none is
+    given), ``NO_FREE`` while none is free.
     """
 
     __slots__ = (
         "provider", "provider_id", "total_channels", "cost_rate", "config",
-        "_ids", "_frequency_rank", "_frequencies", "free_by_id", "free_by_frequency",
-        "free_count", "lowest_free_id", "_low", "_high", "_scores", "_slot",
+        "free_count", "lowest_free_id", "free_by_frequency", "_scores",
+        # an unscored pool's
+        "_free", "_held",
+        # a scored pool's
+        "_ids", "_frequency_rank", "_frequencies", "free_by_id", "_low", "_high", "_slot",
         "_free_weight", "_spread_weight", "_spread_term", "_cost_term",
     )
 
@@ -122,14 +134,20 @@ class LivePool:
         self.provider_id = provider.id
         self.total_channels = count = provider.num_channels
         self.cost_rate = provider.cost_rate
+        self.free_count = count
         self._scores = None
-        if config is not None:
-            # the utility's constants, as its float operations group them:
-            # 10 * beta1 * x is (10 * beta1) * x
-            self._free_weight = 10.0 * config.beta1
-            self._spread_weight = config.beta2
-            cost = config.session_minutes * 60.0 * provider.cost_rate
-            self._cost_term = config.beta3 / max(cost, COST_FLOOR)
+        if config is None:
+            self._free = free = sorted(ch.id for ch in provider.channels)  # sorted: a heap
+            self._held = set()
+            self.lowest_free_id = free[0]
+            self.free_by_frequency = b""
+            return
+        # the utility's constants, as its float operations group them:
+        # 10 * beta1 * x is (10 * beta1) * x
+        self._free_weight = 10.0 * config.beta1
+        self._spread_weight = config.beta2
+        cost = config.session_minutes * 60.0 * provider.cost_rate
+        self._cost_term = config.beta3 / max(cost, COST_FLOOR)
         by_id = sorted(provider.channels, key=lambda ch: ch.id)
         # a stable sort, so equal frequencies stay in id order
         by_frequency = sorted(range(count), key=lambda i: by_id[i].center_frequency)
@@ -140,20 +158,34 @@ class LivePool:
         self._frequency_rank = tuple(rank)  # id-order index -> frequency-order byte
         self._frequencies = (None, *(by_id[i].center_frequency for i in by_frequency), None)
         self.free_by_id = bytearray(b"\x01") * (count + 1)
-        self.free_by_frequency = bytearray()  # an unscored pool keeps no frequency bytes
-        self.free_count = count
+        self.free_by_frequency = bytearray(b"\x01") * (count + 2)
         self.lowest_free_id = self._ids[0]
-        if config is not None:
-            self._scores = scores = [] if scores is None else scores
-            self._slot = len(scores)
-            scores.append(NO_FREE)
-            self.free_by_frequency = bytearray(b"\x01") * (count + 2)
-            self._summarise()
+        self._scores = scores = [] if scores is None else scores
+        self._slot = len(scores)
+        scores.append(NO_FREE)
+        self._summarise()
 
     def take(self, channel_id: int) -> None:
         """Mark a free channel held."""
+        scores = self._scores
+        if scores is None:
+            free = self._free
+            # with none free, the lowest free id is None, which no take may pass
+            if channel_id == self.lowest_free_id and free:
+                heappop(free)
+            elif channel_id in free:  # another free id, in O(K): tests and demos take one
+                free.remove(channel_id)
+                heapify(free)
+            elif channel_id in self._held:
+                raise StateError(f"channel {(self.provider_id, channel_id)} is already held")
+            else:
+                raise StateError(f"provider {self.provider_id} has no channel {channel_id}")
+            self._held.add(channel_id)
+            self.lowest_free_id = free[0] if free else None
+            self.free_count = len(free)
+            return
         by_id = self.free_by_id
-        if channel_id == self.lowest_free_id:
+        if channel_id == self.lowest_free_id and self.free_count:
             index = by_id.find(1)
             by_id[index] = 0
             self.lowest_free_id = self._ids[by_id.find(1, index)]
@@ -163,9 +195,6 @@ class LivePool:
                 raise StateError(f"channel {(self.provider_id, channel_id)} is already held")
             by_id[index] = 0
         self.free_count = free = self.free_count - 1
-        scores = self._scores
-        if scores is None:
-            return
         rank = self._frequency_rank[index]
         by_frequency = self.free_by_frequency
         by_frequency[rank] = 0
@@ -192,6 +221,21 @@ class LivePool:
 
     def give(self, channel_id: int) -> None:
         """Mark a held channel free again."""
+        scores = self._scores
+        if scores is None:
+            try:
+                self._held.remove(channel_id)
+            except KeyError:
+                if channel_id in self._free:
+                    raise StateError(
+                        f"channel {(self.provider_id, channel_id)} is already free") from None
+                raise StateError(
+                    f"provider {self.provider_id} has no channel {channel_id}") from None
+            free = self._free
+            heappush(free, channel_id)
+            self.lowest_free_id = free[0]
+            self.free_count = len(free)
+            return
         ids = self._ids  # _index inline: one call fewer per departure
         index = bisect_left(ids, channel_id, 0, self.total_channels)
         if ids[index] != channel_id:
@@ -204,9 +248,6 @@ class LivePool:
         if lowest is None or channel_id < lowest:
             self.lowest_free_id = channel_id
         self.free_count = free = self.free_count + 1
-        scores = self._scores
-        if scores is None:
-            return
         rank = self._frequency_rank[index]
         self.free_by_frequency[rank] = 1
         # an extreme moves outward; into a pool with none free, both do
@@ -228,13 +269,14 @@ class LivePool:
         )
 
     def _index(self, channel_id: int) -> int:
-        """``channel_id``'s position in id order; StateError when the
-        provider has no such channel."""
-        ids = self._ids
-        index = bisect_left(ids, channel_id, 0, self.total_channels)
-        if ids[index] != channel_id:  # the trailing None when past the largest id
-            raise StateError(f"provider {self.provider_id} has no channel {channel_id}")
-        return index
+        """``channel_id``'s position in a scored pool's id order; StateError
+        when the provider has no such channel."""
+        if channel_id is not None:  # None would match the trailing None
+            ids = self._ids
+            index = bisect_left(ids, channel_id, 0, self.total_channels)
+            if ids[index] == channel_id:  # the trailing None when past the largest id
+                return index
+        raise StateError(f"provider {self.provider_id} has no channel {channel_id}")
 
     def _summarise(self) -> None:
         """Re-read a scored pool's free-frequency extremes from the bytes and
@@ -257,13 +299,15 @@ class LivePool:
             + self._spread_term + self._cost_term
         )
 
-    def _extremes(self) -> tuple[int, int]:
-        """The free-frequency extremes' positions in ``_frequencies``, read
-        from ``free_by_id`` when unscored (0, no frequency, with none free)."""
+    def _free_frequencies(self) -> tuple[float | None, float | None]:
+        """The lowest and highest free frequency, (None, None) with none free;
+        an unscored pool reads them from its provider's channels."""
         if self._scores is None:
-            ranks = [rank for rank, free in zip(self._frequency_rank, self.free_by_id) if free]
-            return (min(ranks), max(ranks)) if ranks else (0, 0)
-        return self._low, self._high
+            held = self._held
+            frequencies = [ch.center_frequency for ch in self.provider.channels
+                           if ch.id not in held]
+            return min(frequencies, default=None), max(frequencies, default=None)
+        return self._frequencies[self._low], self._frequencies[self._high]
 
     @property
     def score(self) -> float | None:
@@ -276,40 +320,56 @@ class LivePool:
 
     @property
     def min_free_frequency(self) -> float | None:
-        return self._frequencies[self._extremes()[0]]
+        return self._free_frequencies()[0]
 
     @property
     def max_free_frequency(self) -> float | None:
-        return self._frequencies[self._extremes()[1]]
+        return self._free_frequencies()[1]
 
     @property
     def available_channels(self) -> tuple[SpectrumChannel, ...]:
         """The free channels in the provider's list order, built on each read
         in O(K); selection never reads it."""
+        if self._scores is None:
+            held = self._held
+            return tuple(ch for ch in self.provider.channels if ch.id not in held)
         by_id = self.free_by_id
         return tuple(ch for ch in self.provider.channels if by_id[self._index(ch.id)])
 
     def audit(self, held_channel_ids) -> None:
         """Recount the free channels from the held channel ids, over the
-        provider's channel tuple rather than the bytes, and re-score a scored
-        pool from the recount; raises StateError if a byte mask, a summary,
-        the kept extremes or the cached score differs."""
+        provider's channel tuple rather than the pool's own state, and
+        re-score a scored pool from the recount; raises StateError if the
+        heap, the held set, a byte mask, a summary, the kept extremes or
+        the cached score differs."""
         held = set(held_channel_ids)
         free = [ch for ch in self.provider.channels if ch.id not in held]
-        by_id = bytearray(len(self.free_by_id))
-        by_frequency = bytearray(len(self._frequencies))
-        by_id[-1] = by_frequency[0] = by_frequency[-1] = 1
-        for ch in free:
-            index = self._index(ch.id)
-            by_id[index] = by_frequency[self._frequency_rank[index]] = 1
         if self._scores is None:
-            by_frequency = bytearray()  # an unscored pool keeps no frequency bytes
-        if (self.free_by_id, self.free_by_frequency) != (by_id, by_frequency):
-            raise StateError(
-                f"provider {self.provider_id} pool masks {self.free_by_id.hex()}, "
-                f"{self.free_by_frequency.hex()} differ from {by_id.hex()}, "
-                f"{by_frequency.hex()} rebuilt from the held channels"
-            )
+            heap = self._free
+            if (sorted(heap) != sorted(ch.id for ch in free)
+                    or any(heap[(i - 1) // 2] > heap[i] for i in range(1, len(heap)))):
+                raise StateError(
+                    f"provider {self.provider_id} pool heap {heap} is out of heap order or "
+                    "differs from the free ids rebuilt from the held channels"
+                )
+            if self._held != held:
+                raise StateError(
+                    f"provider {self.provider_id} pool held set {sorted(self._held)} differs "
+                    f"from the held channels {sorted(held)}"
+                )
+        else:
+            by_id = bytearray(len(self.free_by_id))
+            by_frequency = bytearray(len(self._frequencies))
+            by_id[-1] = by_frequency[0] = by_frequency[-1] = 1
+            for ch in free:
+                index = self._index(ch.id)
+                by_id[index] = by_frequency[self._frequency_rank[index]] = 1
+            if (self.free_by_id, self.free_by_frequency) != (by_id, by_frequency):
+                raise StateError(
+                    f"provider {self.provider_id} pool masks {self.free_by_id.hex()}, "
+                    f"{self.free_by_frequency.hex()} differ from {by_id.hex()}, "
+                    f"{by_frequency.hex()} rebuilt from the held channels"
+                )
         frequencies = [ch.center_frequency for ch in free]
         recount = (len(free), min(frequencies, default=None), max(frequencies, default=None),
                    min((ch.id for ch in free), default=None))

@@ -93,7 +93,7 @@ def provider_arrivals(spec: TrafficSpec, provider_id: int) -> Iterator[tuple[flo
     logs = array("d")
     while True:
         u = rng.random(BLOCK)
-        if not u.all():
+        if np.count_nonzero(u) != len(u):  # ndarray.all runs a Python-level wrapper
             u = u[u != 0.0]
         logs.frombytes(memoryview(np.log(u, out=u)).cast("B"))
         del u  # the suspended generator holds the logs alone

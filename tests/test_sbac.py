@@ -376,19 +376,42 @@ def test_live_pool_rejects_double_take_double_give_and_unknown_channels():
     ("take", 5, "no channel 5"),  # between two ids
     ("give", 12, "no channel 12"),  # above the largest id: bisect returns len(ids)
     ("take", -1, "no channel -1"),
+    ("take", None, "provider 0 has no channel None"),  # what a full pool reads as its lowest
 ])
 def test_a_rejected_flip_leaves_a_scored_pool_as_it_was(flip, channel_id, message):
-    pool = LivePool(explicit_provider(0, [(4, 400.0), (9, 401.0), (7, 403.0)]), SbacConfig())
-    pool.take(9)
+    # unscored pools too, each kind's own state compared; looped rather
+    # than parametrized, so that the test ids stay as they were
+    for sbac_config in (None, SbacConfig()):
+        pool = LivePool(explicit_provider(0, [(4, 400.0), (9, 401.0), (7, 403.0)]), sbac_config)
+        pool.take(9)
 
-    def state():
-        return bytes(pool.free_by_id), bytes(pool.free_by_frequency), summaries(pool), pool.score
+        def state():
+            if sbac_config is None:
+                kept = list(pool._free), set(pool._held)
+            else:
+                kept = bytes(pool.free_by_id), bytes(pool.free_by_frequency)
+            return kept, summaries(pool), pool.score
 
-    before = state()
-    with pytest.raises(StateError, match=message):
-        getattr(pool, flip)(channel_id)
-    assert state() == before
-    pool.audit([9])
+        before = state()
+        with pytest.raises(StateError, match=message):
+            getattr(pool, flip)(channel_id)
+        assert state() == before
+        pool.audit([9])
+
+
+@pytest.mark.parametrize("sbac_config", [None, SbacConfig()], ids=["unscored", "scored"])
+def test_a_take_on_a_full_pool_raises_and_changes_nothing(sbac_config):
+    # a full pool's lowest free id is None: taking it must not pass
+    pool = LivePool(explicit_provider(3, [(4, 400.0), (9, 401.0)]), sbac_config)
+    for channel_id in (9, 4):
+        pool.take(channel_id)
+    before = summaries(pool), pool.score, pool.available_channels
+    with pytest.raises(StateError, match="provider 3 has no channel None"):
+        pool.take(pool.lowest_free_id)
+    assert (summaries(pool), pool.score, pool.available_channels) == before
+    pool.audit([4, 9])
+    pool.give(4)
+    assert summaries(pool) == (1, 400e6, 400e6, 4)
 
 
 def test_live_pool_scores_on_change_only_when_built_with_a_config():
@@ -476,15 +499,31 @@ def test_audit_flags_a_stale_score():
 @pytest.mark.parametrize("mask", ["free_by_id", "free_by_frequency"])
 def test_audit_flags_a_flipped_pool_byte(mask):
     # position 2 is channel 11, held, in both orders (the frequency order
-    # starts with a byte that is no channel); only a scored pool keeps the
-    # frequency-order bytes, so only its are flipped
-    for sbac_config in ([SbacConfig()] if mask == "free_by_frequency" else [None, SbacConfig()]):
-        pool = LivePool(explicit_provider(0, [(7, 403.0), (2, 400.0), (11, 401.0)]), sbac_config)
-        pool.take(11)
+    # starts with a byte that is no channel); only a scored pool keeps byte
+    # masks, and an unscored pool's heap and held set are corrupted instead
+    # (test_audit_flags_a_corrupted_unscored_pool)
+    pool = LivePool(explicit_provider(0, [(7, 403.0), (2, 400.0), (11, 401.0)]), SbacConfig())
+    pool.take(11)
+    pool.audit([11])
+    getattr(pool, mask)[2] ^= 1
+    with pytest.raises(StateError, match="masks"):
         pool.audit([11])
-        getattr(pool, mask)[2] ^= 1
-        with pytest.raises(StateError, match="masks"):
-            pool.audit([11])
+
+
+@pytest.mark.parametrize("corrupt,message", [
+    (lambda pool: pool._free.append(11), "heap"),  # a held id pushed onto the heap
+    (lambda pool: pool._free.pop(), "heap"),  # a free id dropped
+    (lambda pool: pool._free.reverse(), "heap order"),  # the free ids out of heap order
+    (lambda pool: pool._held.add(7), "held set"),  # a free id held too
+    (lambda pool: pool._held.clear(), "held set"),  # a held id dropped
+], ids=["held-on-heap", "free-dropped", "heap-order", "free-in-held", "held-dropped"])
+def test_audit_flags_a_corrupted_unscored_pool(corrupt, message):
+    pool = LivePool(explicit_provider(0, [(7, 403.0), (2, 400.0), (11, 401.0)]))
+    pool.take(11)
+    pool.audit([11])
+    corrupt(pool)
+    with pytest.raises(StateError, match=message):
+        pool.audit([11])
 
 
 def test_audit_flags_a_free_extreme_kept_at_the_wrong_position():
@@ -605,10 +644,11 @@ def test_live_pools_score_like_tuple_built_pools(bands, ops, weights, minutes, c
 @settings(max_examples=200, deadline=None)
 def test_unscored_pools_summarise_like_tuple_built_pools(bands, ops):
     # fixed allocation's home pools are built without a config: they keep
-    # only the id-order bytes, and derive their free-frequency extremes from
-    # them when read.  After every op (toggling one channel) each must
-    # summarise like a CandidatePool built from its free channels' tuple,
-    # keep no frequency bytes and pass its audit
+    # their free ids in a heap and their held ids in a set, and derive their
+    # free-frequency extremes from those when read.  After every op
+    # (toggling one channel, a take of an id other than the lowest
+    # included) each must summarise like a CandidatePool built from its
+    # free channels' tuple, keep no frequency bytes and pass its audit
     providers = [explicit_provider(i, band) for i, band in enumerate(bands)]
     live = [LivePool(provider) for provider in providers]
     held = [set() for _ in providers]
