@@ -48,7 +48,8 @@ admission on that channel index.
 Departures at a given instant are processed before arrivals at the same
 instant, the standard loss-system convention.  The loop owns the one clock
 and moves it, and the busy-channel and primary-interference integrals with
-it, clamped to the horizon so the metrics cover exactly ``[0, horizon]``.
+it, up to the last event, at the horizon: the run stops there, the sessions
+that end later stay held, and only their served time is clamped.
 The primary loads and integrals are float lists, one entry per primary
 point, updated in place with the IEEE operations numpy would take, from the
 topology's rows of primary-point gains; a departure advances each point's
@@ -157,10 +158,11 @@ class Simulation:
     ``busy`` counts the held sessions, whose entries the departure heap of
     :meth:`run` holds.  Under channel reuse alone, ``groups`` maps each
     channel index to the records held on it, in admission order; it stays
-    empty otherwise.  ``clock`` is the run's one clock; ``busy_integral``
-    (channel * seconds) and ``primary_integral`` (watt * seconds per
-    primary point, a list) advance with it.  ``primary_loads`` (watts per
-    primary point, a list) is the held sessions' interference at each point.
+    empty otherwise.  ``clock`` is the run's one clock, the horizon once it
+    ends; ``busy_integral`` (channel * seconds) and ``primary_integral``
+    (watt * seconds per primary point, a list) advance with it.
+    ``primary_loads`` (watts per primary point, a list) is the held
+    sessions' interference at each point.
 
     The report's sums are streamed: ``arrivals`` counts the arrivals and
     numbers their sessions, ``blocked_no_channel``, ``blocked_qos`` and
@@ -259,9 +261,9 @@ class Simulation:
     # -- event loop ---------------------------------------------------------
 
     def run(self) -> tuple[list[SessionRecord] | None, MetricsReport]:
-        """Process every event once and return ``(records, report)``, the
-        records None without ``keep_records``; a Simulation runs at most
-        one time."""
+        """Process every event up to the horizon, where the run stops with the
+        sessions that end later held, and return ``(records, report)``, the
+        records None without ``keep_records``; a Simulation runs only once."""
         if self._ran:
             raise StateError("Simulation.run() was already called; build a new Simulation")
         self._ran = True
@@ -288,25 +290,22 @@ class Simulation:
             [(j, row[link.id] * link.power) for j, row in point_rows] for link in links]
         # the counters, the clock and the busy integral are the run's until
         # it ends (class docstring).  The clock moves before each event, the
-        # integrals by the busy channels and loads times the elapsed time
-        # clamped to the horizon; the last event follows every departure
-        # and closes them
+        # integrals by the busy channels and loads times the elapsed time;
+        # the last event, at the horizon, closes them and ends the run
         busy = arrivals = blocked_no_channel = blocked_qos = blocked_interference = 0
         clock = busy_integral = delay_total = bits = 0.0
-        last = (math.inf,)
+        last = (horizon,)
         for event in chain(stream, (last,)):
             time = event[0]
             while departures and departures[0][0] <= time:
                 end_time, session_id, provider_id, channel_id, link_id, record = pop(departures)
                 if end_time < clock:
                     raise StateError(f"clock moved backwards ({clock} -> {end_time})")
-                end = end_time if end_time < horizon else horizon
                 # the integrals advance even by 0.0 elapsed, each point's in
-                # the loop below that unloads it, and no bit moves: every
-                # load is finite, so a load times 0.0 is +-0.0, and adding
-                # +-0.0 leaves an integral as it is, since it starts at +0.0
-                # and so is never -0.0; busy * 0.0 is +0.0
-                elapsed = end - clock if end > clock else 0.0
+                # the loop below that unloads it, and no bit moves: a finite
+                # load times 0.0 is +-0.0, which leaves an integral as it is
+                # (it starts at +0.0, so is never -0.0); busy * 0.0 is +0.0
+                elapsed = end_time - clock
                 busy_integral += busy * elapsed
                 clock = end_time
                 # the rest of the co-channel group keeps its powers (module docstring)
@@ -332,14 +331,13 @@ class Simulation:
                         loads[j] -= share
                 if audit:
                     self._audit_state(departures, busy)
-            if time < clock:
-                raise StateError(f"clock moved backwards ({clock} -> {time})")
-            end = time if time < horizon else horizon
-            if end > clock:
-                elapsed = end - clock
-                busy_integral += busy * elapsed
-                for j in points:
-                    integral[j] += loads[j] * elapsed
+            if time < clock:  # at the last event, the clock is the last arrival's time
+                raise StateError(f"clock moved backwards ({clock} -> {time})" if event is not last
+                                 else f"an arrival at {clock} is past the horizon {horizon}")
+            elapsed = time - clock
+            busy_integral += busy * elapsed
+            for j in points:
+                integral[j] += loads[j] * elapsed
             if event is last:
                 break
             clock = time
@@ -396,10 +394,8 @@ class Simulation:
                 self._audit_state(departures, busy)
         self.busy, self.busy_integral, self.arrivals = busy, busy_integral, arrivals
         self.blocked_no_channel, self.blocked_qos = blocked_no_channel, blocked_qos
-        self.blocked_interference, self.delay_total, self.bits = (
-            blocked_interference, delay_total, bits)
-        # departures beyond the horizon may have moved the clock past it
-        self.clock = max(horizon, clock)
+        self.blocked_interference, self.delay_total, self.bits, self.clock = (
+            blocked_interference, delay_total, bits, horizon)
         return self.records, self._report()
 
     def _audit_state(self, departures: list[tuple], busy: int) -> None:

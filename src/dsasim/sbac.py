@@ -237,7 +237,10 @@ class LivePool:
             self.free_count = len(free)
             return
         ids = self._ids  # _index inline: one call fewer per departure
-        index = bisect_left(ids, channel_id, 0, self.total_channels)
+        try:  # None, or any id that does not compare with an int, fails the bisect
+            index = bisect_left(ids, channel_id, 0, self.total_channels)
+        except TypeError:
+            raise StateError(f"provider {self.provider_id} has no channel {channel_id}") from None
         if ids[index] != channel_id:
             raise StateError(f"provider {self.provider_id} has no channel {channel_id}")
         by_id = self.free_by_id

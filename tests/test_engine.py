@@ -9,6 +9,7 @@ import math
 import re
 import sys
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -241,17 +242,41 @@ def test_dynamic_strategy_offloads_to_other_providers():
 # -- held sessions and the run clock -------------------------------------------------
 
 
+class Keeping(Simulation):
+    """Keeps the departure heap that the audits see, the run's own list, as
+    ``heap``: once the run ends it holds the sessions held at the horizon."""
+
+    heap = None
+
+    def _audit_state(self, departures, busy):
+        self.heap = departures
+        super()._audit_state(departures, busy)
+
+
+def alive_at(records, horizon):
+    """The admitted records that end past the horizon, in arrival order."""
+    return [r for r in records if r.admitted and r.end_time > horizon]
+
+
 def test_occupancy_release_restores_prior_state():
-    # the heap drains every departure, also those past the horizon, so a run
-    # ends with nothing held and every pool whole again
+    # the run departs every session that ends by the horizon and stops
+    # there: the sessions held at the end are exactly the admitted ones that
+    # end past it, in the heap and in their pools, and the audit passes
     topology = make_topology(num_providers=2, channels=3)
     spec = spec_for([1.5, 0.5], holding=2.0, horizon=50.0, seed=1)
-    sim = Simulation(topology, spec, Strategy.DYNAMIC_SBAC, audit=True)
-    _, report = sim.run()
+    sim = Keeping(topology, spec, Strategy.DYNAMIC_SBAC, audit=True, keep_records=True)
+    records, report = sim.run()
     assert report.blocked_no_channel > 0  # the channels did fill up
-    assert sim.busy == 0
+    alive = alive_at(records, spec.horizon)
+    assert alive and sim.busy == len(alive) == len(sim.heap)
+    assert sorted(entry[:5] for entry in sim.heap) == sorted(
+        (r.end_time, r.session_id, r.provider_id, r.channel_id, r.link_id) for r in alive)
+    for pool in sim._pools:
+        held = [r.channel_id for r in alive if r.provider_id == pool.provider_id]
+        assert pool.free_count == pool.total_channels - len(held)
+        pool.audit(held)
     assert not sim.groups  # only channel reuse keeps co-channel groups
-    assert all(pool.free_count == pool.total_channels for pool in sim._pools)
+    sim._audit_state(sim.heap, sim.busy)
 
 
 def test_occupancy_integral_counts_exact_busy_time():
@@ -271,7 +296,8 @@ def test_occupancy_integral_clamps_to_horizon():
     sim = Simulation(topology, spec, Strategy.FIXED, audit=True, keep_records=True)
     records, report = sim.run()
     assert records[0].admitted and records[0].end_time > 1e5
-    assert sim.clock == records[0].end_time  # its departure moved the clock last
+    # the run stops at the horizon with the session still held
+    assert sim.clock == spec.horizon and sim.busy == 1
     assert sim.busy_integral == pytest.approx(spec.horizon - records[0].arrival_time, rel=1e-12)
     assert report.spectral_efficiency <= 1.0
 
@@ -287,19 +313,53 @@ def run_events(events, monkeypatch, engine_class=Simulation, audit=False):
 
 @pytest.mark.parametrize("holding,clock,busy_integral", [
     (3.0, 10.0, 5.0),  # both sessions left by 7 s: the clock closes at the horizon
-    (30.0, 34.0, 8.0),  # the last one leaves past it, and the clock follows
+    (30.0, 10.0, 8.0),  # the last one is still held at the horizon, where the run stops
 ])
-def test_the_clock_ends_at_the_horizon_or_the_last_departure(holding, clock, busy_integral,
-                                                             monkeypatch):
+def test_the_clock_ends_at_the_horizon(holding, clock, busy_integral, monkeypatch):
     # busy over [1, 3] and [4, min(4 + holding, 10)], every bound exact
     sim, report = run_events([(1.0, 0, 2.0), (4.0, 0, holding)], monkeypatch)
     assert report.arrivals == report.admitted == 2
     assert (sim.clock, sim.busy_integral) == (clock, busy_integral)
+    assert sim.busy == (4.0 + holding > 10.0)
+
+
+def test_a_departure_at_the_horizon_is_processed(monkeypatch):
+    # session 1 ends at exactly 10 s, the horizon: the closing event departs it
+    sim, report = run_events([(1.0, 0, 2.0), (4.0, 0, 6.0)], monkeypatch, Keeping, audit=True)
+    assert report.admitted == 2 and report.throughput == 8e5 / 10.0
+    assert (sim.clock, sim.busy, sim.heap, sim.busy_integral) == (10.0, 0, [], 8.0)
+    assert sim._pools[0].free_count == 2
+
+
+@pytest.mark.parametrize("strategy", [Strategy.FIXED, Strategy.DYNAMIC_SBAC])
+def test_a_pool_gives_back_only_the_sessions_that_end_by_the_horizon(strategy, monkeypatch):
+    given_back = []
+    give = LivePool.give
+
+    def counting(pool, channel_id):
+        given_back.append((pool.provider_id, channel_id))
+        give(pool, channel_id)
+
+    monkeypatch.setattr(LivePool, "give", counting)
+    topology = make_topology(num_providers=2, channels=3)
+    spec = spec_for([1.5, 0.5], holding=2.0, horizon=50.0, seed=1)
+    records, _ = run_simulation(topology, spec, strategy, keep_records=True)
+    ended = [r for r in records if r.admitted and r.end_time <= spec.horizon]
+    assert len(ended) < sum(r.admitted for r in records)  # some end past the horizon
+    assert sorted(given_back) == sorted((r.provider_id, r.channel_id) for r in ended)
+
+
+def test_an_arrival_past_the_horizon_is_a_state_error(monkeypatch):
+    # a replaced stream may run past the horizon, where no arrival can be
+    # served: it fails when the run reaches the horizon, not with a
+    # negative served time
+    with pytest.raises(StateError, match=r"^an arrival at 12\.0 is past the horizon 10\.0$"):
+        run_events([(1.0, 0, 2.0), (12.0, 0, 1.0)], monkeypatch)
 
 
 @pytest.mark.parametrize("events", [
     [(1.0, 0, 1.0), (5.0, 0, 1.0)],  # rewound before the second arrival
-    [(1.0, 0, 1.0)],  # rewound while the held sessions drain after the last
+    [(1.0, 0, 1.0)],  # rewound as the closing event at the horizon departs it
 ])
 def test_a_departure_due_before_the_clock_is_a_state_error(events, monkeypatch):
     # the first departure, at 2 s, goes back in the heap due half a second earlier
@@ -580,7 +640,12 @@ def test_audited_runs_conserve_arrivals_and_repeat(
         report.admitted + report.blocked_no_channel + report.blocked_qos
         + report.blocked_interference
     )
-    assert sim.busy == 0 and not any(sim.groups.values())
+    # the run stops at the horizon: what is still held is what ends past it
+    alive = alive_at(records, spec.horizon)
+    assert sim.busy == len(alive) and sim.clock == spec.horizon
+    channels = {r.channel_id for r in alive} if qos_config.channel_reuse else ()
+    assert {channel_id: list(map(id, group)) for channel_id, group in sim.groups.items()
+            if group} == {c: [id(r) for r in alive if r.channel_id == c] for c in channels}
     assert qos_config.channel_reuse or not sim.groups  # only reuse keeps groups
     assert 0.0 <= report.spectral_efficiency <= 1.0
     assert report.mean_rtt == 2 * report.mean_propagation_delay
@@ -959,21 +1024,22 @@ def test_audit_flags_a_flipped_pool_bit_in_a_run():
 # -- per-event cost -----------------------------------------------------------------
 
 
-def opcodes_per_arrival(topology, spec, strategy, qos_config=None):
+def opcodes_per_arrival(topology, spec, strategy, qos_config=None, *, budget):
     """The opcodes a run executes per arrival, everything from the arrival
     stream to the departures counted, after one uncounted run that takes
-    the first-call work out of the count.  Unlike a timing, the count does
-    not depend on the host, so a per-event regression shows wherever the
-    tests run."""
+    the first-call work out of the count; fails when they pass ``budget``,
+    naming the five code objects that execute the most per arrival.  Unlike
+    a timing, the count does not depend on the host, so a per-event
+    regression shows wherever the tests run."""
     if sys.gettrace() is not None:
         pytest.skip("another tracer (a debugger or coverage) is active")
     run_simulation(topology, spec, strategy, qos_config=qos_config)
-    opcodes = 0
+    by_code = Counter()
 
     def trace(frame, event, arg):
-        nonlocal opcodes
         frame.f_trace_opcodes, frame.f_trace_lines = True, False
-        opcodes += event == "opcode"
+        if event == "opcode":
+            by_code[frame.f_code] += 1
         return trace
 
     sys.settrace(trace)
@@ -981,8 +1047,14 @@ def opcodes_per_arrival(topology, spec, strategy, qos_config=None):
         _, report = run_simulation(topology, spec, strategy, qos_config=qos_config)
     finally:
         sys.settrace(None)
-    assert 1_900 < report.arrivals < 2_100
-    return opcodes / report.arrivals
+    arrivals = report.arrivals
+    assert 1_900 < arrivals < 2_100
+    opcodes = by_code.total() / arrivals
+    assert opcodes <= budget, f"{opcodes:.1f} opcodes per arrival, over {budget}; most in " + (
+        ", ".join(f"{code.co_qualname} ({code.co_filename.rpartition('/')[2]}:"
+                  f"{code.co_firstlineno}) {count / arrivals:.1f}"
+                  for code, count in by_code.most_common(5)))
+    return opcodes
 
 
 CPYTHON_311 = pytest.mark.skipif(
@@ -996,20 +1068,21 @@ def test_a_fixed_allocation_arrival_stays_within_its_bytecode_budget():
     # arrival through three per-event methods, 500 with one event loop, 441
     # with departure entries that carry no record and the counters in locals,
     # 416 with a heap-and-set home pool and one pass over the points per
-    # departure
+    # departure, 393 with the run stopped at the horizon
     topology = make_topology(num_providers=1, channels=10)
     spec = spec_for([0.5], holding=10.0, horizon=4000.0, seed=7)
-    assert opcodes_per_arrival(topology, spec, Strategy.FIXED) <= 420
+    opcodes_per_arrival(topology, spec, Strategy.FIXED, budget=400)
 
 
 @CPYTHON_311
 def test_a_dynamic_sbac_arrival_stays_within_its_bytecode_budget():
     # two scored pools of 10 channels at 5 Erlangs each: 788 opcodes per
     # arrival through three per-event methods, 699 with one event loop, 639
-    # with departure entries that carry no record and the counters in locals
+    # with departure entries that carry no record and the counters in locals,
+    # 616 with the run stopped at the horizon
     topology = make_topology(num_providers=2, channels=10)
     spec = spec_for([0.5, 0.5], holding=10.0, horizon=2000.0, seed=7)
-    assert opcodes_per_arrival(topology, spec, Strategy.DYNAMIC_SBAC) <= 650
+    opcodes_per_arrival(topology, spec, Strategy.DYNAMIC_SBAC, budget=620)
 
 
 @CPYTHON_311
@@ -1020,10 +1093,10 @@ def test_a_physical_reuse_arrival_stays_within_its_bytecode_budget():
     # topology's rows and elimination step 0 folded into the loads, 1,034
     # with wider departure entries and the counters written back before
     # each physical admission, 1,014 with the counters the run's locals
-    # until it ends
+    # until it ends, 991 with the run stopped at the horizon
     topology = make_topology(num_providers=4, channels=5, num_links=8, tolerance=4e-11)
     spec = spec_for([0.5] * 4, holding=10.0, horizon=1000.0, seed=7)
-    assert opcodes_per_arrival(topology, spec, Strategy.DYNAMIC_SBAC, REUSE) <= 1020
+    opcodes_per_arrival(topology, spec, Strategy.DYNAMIC_SBAC, REUSE, budget=995)
 
 
 # -- the admission solve ------------------------------------------------------------
@@ -1118,9 +1191,9 @@ def test_infeasible_pair_leaves_the_cache_untouched(monkeypatch):
 
 
 def test_qos_holds_through_a_group_that_never_empties():
-    # 2 Erlang per channel on the benchmark's 8 x 10 reuse topology: the low
-    # channel indexes stay busy until the final drain, and the audit checks
-    # every held session's SINR after every event
+    # 2 Erlang per channel on the benchmark's 8 x 10 reuse topology: every
+    # channel index stays busy from its first admission to the horizon, and
+    # the audit checks every held session's SINR after every event
     topology = make_topology(num_providers=8, channels=10, num_links=32, tolerance=4e-11)
     spec = spec_for([2.0] * 8, holding=10.0, horizon=60.0, seed=5)
     emptied = []
@@ -1134,11 +1207,12 @@ def test_qos_holds_through_a_group_that_never_empties():
             self.held = held
             super()._audit_state(departures, busy)
 
-    _, report = Counting(topology, spec, Strategy.DYNAMIC_SBAC, qos_config=REUSE,
-                         audit=True).run()
-    # each channel index emptied once, as the run drained its departures
+    sim = Counting(topology, spec, Strategy.DYNAMIC_SBAC, qos_config=REUSE, audit=True)
+    _, report = sim.run()
+    # no channel index emptied, and all 10 are held when the run stops
     assert report.admitted > 500
-    assert sorted(emptied) == list(range(10))
+    held = {channel_id for channel_id, group in sim.groups.items() if group}
+    assert emptied == [] and sim.held == held == set(range(10))
 
 
 @pytest.mark.parametrize("seed", [3, 5])

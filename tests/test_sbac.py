@@ -1,6 +1,7 @@
 """Candidate-pool utility and best-channel selection."""
 from __future__ import annotations
 
+import copy
 import math
 import sys
 
@@ -377,6 +378,8 @@ def test_live_pool_rejects_double_take_double_give_and_unknown_channels():
     ("give", 12, "no channel 12"),  # above the largest id: bisect returns len(ids)
     ("take", -1, "no channel -1"),
     ("take", None, "provider 0 has no channel None"),  # what a full pool reads as its lowest
+    ("give", None, "provider 0 has no channel None"),  # no int compares with it: no bisect
+    ("give", "a", "provider 0 has no channel a"),
 ])
 def test_a_rejected_flip_leaves_a_scored_pool_as_it_was(flip, channel_id, message):
     # unscored pools too, each kind's own state compared; looped rather
@@ -412,6 +415,34 @@ def test_a_take_on_a_full_pool_raises_and_changes_nothing(sbac_config):
     pool.audit([4, 9])
     pool.give(4)
     assert summaries(pool) == (1, 400e6, 400e6, 4)
+
+
+@pytest.mark.parametrize("sbac_config", [None, SbacConfig()], ids=["unscored", "scored"])
+def test_a_give_undoes_its_take_exactly(sbac_config):
+    # list, id and frequency orders differ, 7 and 5 share a frequency, and
+    # 2 and 7 hold the extremes: from every state reached by taking a prefix
+    # of the channels, taking any free channel and giving it back restores
+    # every field bit for bit, the byte masks, extremes and score included;
+    # an unscored pool's heap of free ids compared sorted, since its order
+    # follows the takes and gives that built it
+    provider = explicit_provider(0, [(7, 403.0), (2, 400.0), (11, 401.0), (5, 403.0), (0, 402.0)])
+    pool = LivePool(provider, sbac_config)
+
+    def state():
+        kept = {name: copy.copy(getattr(pool, name)) for name in LivePool.__slots__
+                if hasattr(pool, name)}
+        if sbac_config is None:
+            kept["_free"] = sorted(kept["_free"])
+        return kept
+
+    for held in range(len(provider.channels)):
+        before = state()
+        for channel in provider.channels[held:]:
+            pool.take(channel.id)
+            assert state() != before
+            pool.give(channel.id)
+            assert state() == before
+        pool.take(provider.channels[held].id)
 
 
 def test_live_pool_scores_on_change_only_when_built_with_a_config():
