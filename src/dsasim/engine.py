@@ -34,13 +34,17 @@ The report is streamed: each blocked arrival adds to a count per cause (an
 each admission adds its link's precomputed delay and its bits to running
 totals, so a run's memory follows its held sessions, not its arrivals.  A
 blocked arrival's record is built only with ``keep_records``.
-Each provider's :class:`~dsasim.sbac.LivePool`, built once per run, follows
-the held sessions as channels are taken and given back, and under dynamic
-selection re-scores itself on each take and give into its provider id's
-slot of the run's one score list, so an arrival's selection is one ``max``
-over that list; under fixed allocation the home pool is the one candidate,
-is never scored, and keeps its free ids in a heap and its held ids in a
-set, so its take and give scan nothing.
+Under dynamic selection each provider's :class:`~dsasim.sbac.LivePool`,
+built once per run, follows the held sessions as channels are taken and
+given back, and re-scores itself on each take and give into its provider
+id's slot of the run's one score list, so an arrival's selection is one
+``max`` over that list.  Under fixed allocation the home provider is the
+one candidate and nothing is scored: the run keeps each provider's free
+channel ids as a ``heapq`` heap, so an arrival takes the lowest with one
+``heappop`` and a departure gives it back with one ``heappush``.
+``heappush(heap, channel_id)`` has the signature of ``LivePool.give(pool,
+channel_id)``, so a departure makes one call under either strategy, with
+no branch.
 A departure leaves the powers of the rest of its co-channel group as they
 are: they were solved for the larger group, so every target still holds,
 and they relax to the smaller group's minimal powers only at the next
@@ -172,13 +176,19 @@ class Simulation:
     ``records`` is every arrival's record, in arrival order, with
     ``keep_records``, and None without.
 
+    Under dynamic selection ``_pools`` lists each provider's
+    :class:`~dsasim.sbac.LivePool` and ``_scores`` their shared score list;
+    under fixed allocation ``_free_ids`` lists each provider's free channel
+    ids as a heap, which the run pops and pushes.  The other strategy's are
+    None.
+
     ``busy``, the clock, the busy integral and the report's sums are
     :meth:`run`'s locals until it ends, when it sets them here once; a
     built Simulation has none of them before.  Two per-event methods, which
-    a subclass may override, see the live ``groups``, ``primary_loads`` and
-    pools: :meth:`_physical_admission` for each arrival that reaches the
-    physical stage and, with ``audit``, :meth:`_audit_state` after each
-    event, which gets ``busy`` as its argument.
+    a subclass may override, see the live ``groups``, ``primary_loads``,
+    pools and heaps: :meth:`_physical_admission` for each arrival that
+    reaches the physical stage and, with ``audit``, :meth:`_audit_state`
+    after each event, which gets ``busy`` as its argument.
 
     The attributes are slots: a run holds no instance dict, whose size
     would jump once its key count passed the interpreter's shared-key limit.
@@ -186,7 +196,7 @@ class Simulation:
 
     __slots__ = (
         "topology", "traffic_spec", "strategy", "sbac", "qos", "audit",
-        "_pools", "_scores", "_candidates", "records", "arrivals",
+        "_pools", "_scores", "_free_ids", "records", "arrivals",
         "blocked_no_channel", "blocked_qos", "blocked_interference", "delay_total", "bits",
         "groups", "busy", "clock", "busy_integral", "primary_loads", "primary_integral",
         "_ran", "_g_ps_rows", "_tolerance",
@@ -223,16 +233,15 @@ class Simulation:
         self.qos = qos_config or QosConfig()
         self.audit = audit
 
+        self._pools = self._scores = self._free_ids = None
         if strategy is Strategy.FIXED:
-            # the home pool is the only candidate: it is never scored
-            self._scores = None
-            self._pools = [LivePool(p) for p in topology.providers]
-            self._candidates = [(pool,) for pool in self._pools]
+            # the home provider is the only candidate: its lowest free id
+            # wins, and a sorted list is a heap
+            self._free_ids = [sorted(ch.id for ch in p.channels) for p in topology.providers]
         else:
             # every pool keeps its score in its provider id's slot of one list
             self._scores = []
             self._pools = [LivePool(p, self.sbac, self._scores) for p in topology.providers]
-            self._candidates = [self._pools] * len(self._pools)
         self.records: list[SessionRecord] | None = [] if keep_records else None
         self.groups: defaultdict[int, list[SessionRecord]] = defaultdict(list)
         num_points = len(topology.primary_points)
@@ -275,7 +284,11 @@ class Simulation:
         push, pop = heappush, heappop
         # looked up per run, not at import, so that a caller may replace either
         select, stream = sbac.select_best_channel, build_event_stream(self.traffic_spec)
-        pools, candidates, scores = self._pools, self._candidates, self._scores
+        pools, scores, free_ids = self._pools, self._scores, self._free_ids
+        fixed = free_ids is not None
+        # a departure gives its channel back to its provider's heap of free
+        # ids or pool by one call of one signature, give(owner, channel_id)
+        give, owners = (push, free_ids) if fixed else (LivePool.give, pools)
         links, speed = self.topology.links, self.topology.propagation_speed
         link_delays = [link.distance / speed for link in links]
         point_rows = tuple(enumerate(self._g_ps_rows))  # no enumerate per event
@@ -319,7 +332,7 @@ class Simulation:
                         raise StateError(
                             f"session {session_id} holds no channel (double release?)")
                 busy -= 1
-                pools[provider_id].give(channel_id)
+                give(owners[provider_id], channel_id)
                 if physical:
                     power = record.power
                     for j, row in point_rows:
@@ -345,8 +358,11 @@ class Simulation:
             session_id = arrivals
             arrivals += 1
             link_id = session_id % num_links  # a link's id is its position
-            choice = select(candidates[home_provider_id], scores)
-            if choice is None:
+            if fixed:  # the home heap, empty when no channel is free
+                choice = free = free_ids[home_provider_id]
+            else:
+                choice = select(pools, scores)
+            if not choice:
                 blocked_no_channel += 1
                 if records is not None:
                     # session id, arrival and end time, home provider,
@@ -354,7 +370,10 @@ class Simulation:
                     records.append(SessionRecord(session_id, time, time, home_provider_id, None,
                                                  None, link_id, BLOCKED_NO_CHANNEL))
             else:
-                provider_id, channel_id, _ = choice
+                if fixed:
+                    provider_id, channel_id = home_provider_id, free[0]
+                else:
+                    provider_id, channel_id, _ = choice
                 end_time = time + holding_time
                 if physical:
                     # built admitted: the generated admission writes its
@@ -371,7 +390,10 @@ class Simulation:
                         session_id, time, end_time, home_provider_id, provider_id, channel_id,
                         link_id, ADMITTED, links[link_id].power)
                 if outcome is ADMITTED:
-                    pools[provider_id].take(channel_id)
+                    if fixed:
+                        pop(free)
+                    else:
+                        pools[provider_id].take(channel_id)
                     if reuse:
                         groups[channel_id].append(record)
                     busy += 1
@@ -447,16 +469,30 @@ class Simulation:
                 raise StateError(f"session {session_id}'s departure entry differs from its record")
 
     def _audit_pools(self, departures: list[tuple], busy: int) -> None:
-        """Check that ``busy`` counts the heap's entries, then rebuild every
-        live pool from their providers and channels; raises StateError on any
-        mismatch (see :meth:`LivePool.audit`)."""
-        if len(departures) != busy:
-            raise StateError(f"busy count {busy} differs from the {len(departures)} held sessions")
-        held: list[list[int]] = [[] for _ in self._pools]
+        """Rebuild every live pool (see :meth:`LivePool.audit`), or under
+        fixed allocation every heap of free ids, from the departure
+        entries' providers and channels, then check that ``busy`` counts
+        the entries; raises StateError on any mismatch.  A heap holds each
+        free id once, so a double release shows here, as an id pushed twice."""
+        providers = self.topology.providers
+        held: list[list[int]] = [[] for _ in providers]
         for _, _, provider_id, channel_id, _, _ in departures:
             held[provider_id].append(channel_id)
-        for pool, channel_ids in zip(self._pools, held):
-            pool.audit(channel_ids)
+        if self._free_ids is None:
+            for pool, channel_ids in zip(self._pools, held):
+                pool.audit(channel_ids)
+        else:  # each heap in heap order, holding its provider's ids less the held ones
+            for provider, heap, channel_ids in zip(providers, self._free_ids, held):
+                if any(heap[(i - 1) // 2] > heap[i] for i in range(1, len(heap))):
+                    raise StateError(
+                        f"provider {provider.id} free-id heap {heap} is out of heap order")
+                if sorted(heap + channel_ids) != sorted(ch.id for ch in provider.channels):
+                    raise StateError(
+                        f"provider {provider.id} free-id heap {heap} differs from its channel "
+                        f"ids less the held ones {sorted(channel_ids)}"
+                    )
+        if len(departures) != busy:
+            raise StateError(f"busy count {busy} differs from the {len(departures)} held sessions")
 
     def _audit_primary_loads(self, departures: list[tuple]) -> None:
         """Recompute the primary loads from the heap's links and powers, a

@@ -19,17 +19,16 @@ formula total without reordering non-degenerate candidates.
 
 A :class:`LivePool` keeps what selection reads current as channels are
 taken and given back: its free-channel count, its lowest free channel id
-and, built with an :class:`SbacConfig`, its ``score``.  The run's weights,
-session length and the provider's cost rate never change, so the pool folds
-them into three scalars when it is built (``10 * beta1``, ``beta2`` and the
-whole cost term).  It re-scores each take and give from those, the free
-count and a cached spread term, which only a take or give that moves the
-lowest or highest free frequency recomputes.  The scored pools of a run
-keep their scores in one shared list, ``NO_FREE`` while a pool has no free
-channel, so selecting among P pools is one C-level ``max`` of that list and
-a ``list.index`` of the maximum.  A lone candidate (fixed allocation's home
-pool) wins unscored: it keeps its free ids in a heap and its held ids in a
-set, so that neither a take of its lowest free id nor a give scans.
+and its ``score``.  The run's weights, session length and the provider's
+cost rate never change, so the pool folds them into three scalars when it
+is built (``10 * beta1``, ``beta2`` and the whole cost term).  It re-scores
+each take and give from those, the free count and a cached spread term,
+which only a take or give that moves the lowest or highest free frequency
+recomputes.  The pools of a run keep their scores in one shared list,
+``NO_FREE`` while a pool has no free channel, so selecting among P pools is
+one C-level ``max`` of that list and a ``list.index`` of the maximum.
+Fixed allocation builds no pool: its lone candidate is the home provider,
+whose free ids the run keeps as a heap (:mod:`dsasim.engine`).
 """
 from __future__ import annotations
 
@@ -37,7 +36,6 @@ import math
 import sys
 from bisect import bisect_left
 from dataclasses import dataclass
-from heapq import heapify, heappop, heappush
 
 from .errors import StateError
 from .topology import ServiceProvider, SpectrumChannel
@@ -93,41 +91,28 @@ class SbacConfig:
 class LivePool:
     """One provider's pool, kept current as its channels are taken and given back.
 
-    Built without an :class:`SbacConfig` (fixed allocation's home pool),
-    the pool is unscored: it keeps its free channel ids as a ``heapq``
-    heap, lowest first, and its held ids as a set, so that taking the
-    lowest free id is one ``heappop`` and a give one ``set.remove`` and one
-    ``heappush``.  A take of any other id (only tests, demos and patched
-    selectors make one) costs O(K).  It keeps no byte mask
-    (``free_by_frequency`` is empty) and reads its free channels and
-    free-frequency extremes from the provider's channels and the held set.
-
-    Built with a config, the pool is scored and keeps its free channels as
-    ``bytearray`` s, 1 for a free channel: ``free_by_id`` in channel-id
-    order and ``free_by_frequency`` in center-frequency order (equal
-    frequencies in id order).  Each ends in a 1 that is no channel, and
-    ``free_by_frequency`` also starts with one, so ``find`` and ``rfind``
-    always land: on an end byte when no channel is free, which reads as no
-    lowest free id and no free frequency.  A take or a give sets one byte
-    in each, moves ``free_count``, ``lowest_free_id`` (taking it needs no
-    bisect) and the free-frequency extremes' positions, and re-scores the
-    pool, recomputing the spread term ``beta2 * ln(1 / max(spread,
-    SPREAD_FLOOR))`` only when an extreme moved.  It writes the score into
-    its slot of the ``scores`` list it was built with (its own when none is
-    given), ``NO_FREE`` while none is free.
+    The pool keeps its free channels as ``bytearray`` s, 1 for a free
+    channel: ``free_by_id`` in channel-id order and ``free_by_frequency`` in
+    center-frequency order (equal frequencies in id order).  Each ends in a
+    1 that is no channel, and ``free_by_frequency`` also starts with one, so
+    ``find`` and ``rfind`` always land: on an end byte when no channel is
+    free, which reads as no lowest free id and no free frequency.  A take
+    or a give sets one byte in each, moves ``free_count``,
+    ``lowest_free_id`` (taking it needs no bisect) and the free-frequency
+    extremes' positions, and re-scores the pool, recomputing the spread
+    term ``beta2 * ln(1 / max(spread, SPREAD_FLOOR))`` only when an extreme
+    moved.  It writes the score into its slot of the ``scores`` list it was
+    built with (its own when none is given), ``NO_FREE`` while none is free.
     """
 
     __slots__ = (
         "provider", "provider_id", "total_channels", "cost_rate", "config",
-        "free_count", "lowest_free_id", "free_by_frequency", "_scores",
-        # an unscored pool's
-        "_free", "_held",
-        # a scored pool's
-        "_ids", "_frequency_rank", "_frequencies", "free_by_id", "_low", "_high", "_slot",
+        "free_count", "lowest_free_id", "free_by_id", "free_by_frequency", "_scores", "_slot",
+        "_ids", "_frequency_rank", "_frequencies", "_low", "_high",
         "_free_weight", "_spread_weight", "_spread_term", "_cost_term",
     )
 
-    def __init__(self, provider: ServiceProvider, config: SbacConfig | None = None,
+    def __init__(self, provider: ServiceProvider, config: SbacConfig,
                  scores: list[float] | None = None):
         self.provider = provider
         self.config = config
@@ -135,13 +120,6 @@ class LivePool:
         self.total_channels = count = provider.num_channels
         self.cost_rate = provider.cost_rate
         self.free_count = count
-        self._scores = None
-        if config is None:
-            self._free = free = sorted(ch.id for ch in provider.channels)  # sorted: a heap
-            self._held = set()
-            self.lowest_free_id = free[0]
-            self.free_by_frequency = b""
-            return
         # the utility's constants, as its float operations group them:
         # 10 * beta1 * x is (10 * beta1) * x
         self._free_weight = 10.0 * config.beta1
@@ -167,23 +145,6 @@ class LivePool:
 
     def take(self, channel_id: int) -> None:
         """Mark a free channel held."""
-        scores = self._scores
-        if scores is None:
-            free = self._free
-            # with none free, the lowest free id is None, which no take may pass
-            if channel_id == self.lowest_free_id and free:
-                heappop(free)
-            elif channel_id in free:  # another free id, in O(K): tests and demos take one
-                free.remove(channel_id)
-                heapify(free)
-            elif channel_id in self._held:
-                raise StateError(f"channel {(self.provider_id, channel_id)} is already held")
-            else:
-                raise StateError(f"provider {self.provider_id} has no channel {channel_id}")
-            self._held.add(channel_id)
-            self.lowest_free_id = free[0] if free else None
-            self.free_count = len(free)
-            return
         by_id = self.free_by_id
         if channel_id == self.lowest_free_id and self.free_count:
             index = by_id.find(1)
@@ -208,34 +169,19 @@ class LivePool:
             moved = True
         if moved:
             if not free:
-                scores[self._slot] = NO_FREE
+                self._scores[self._slot] = NO_FREE
                 return
             frequencies = self._frequencies
             spread = (frequencies[self._high] - frequencies[self._low]) / SPREAD_UNIT_HZ
             floored = spread if spread > SPREAD_FLOOR else SPREAD_FLOOR
             self._spread_term = self._spread_weight * math.log(1.0 / floored)
-        scores[self._slot] = (
+        self._scores[self._slot] = (
             self._free_weight * (free / self.total_channels)
             + self._spread_term + self._cost_term
         )
 
     def give(self, channel_id: int) -> None:
         """Mark a held channel free again."""
-        scores = self._scores
-        if scores is None:
-            try:
-                self._held.remove(channel_id)
-            except KeyError:
-                if channel_id in self._free:
-                    raise StateError(
-                        f"channel {(self.provider_id, channel_id)} is already free") from None
-                raise StateError(
-                    f"provider {self.provider_id} has no channel {channel_id}") from None
-            free = self._free
-            heappush(free, channel_id)
-            self.lowest_free_id = free[0]
-            self.free_count = len(free)
-            return
         ids = self._ids  # _index inline: one call fewer per departure
         try:  # None, or any id that does not compare with an int, fails the bisect
             index = bisect_left(ids, channel_id, 0, self.total_channels)
@@ -266,25 +212,27 @@ class LivePool:
             spread = (frequencies[self._high] - frequencies[self._low]) / SPREAD_UNIT_HZ
             floored = spread if spread > SPREAD_FLOOR else SPREAD_FLOOR
             self._spread_term = self._spread_weight * math.log(1.0 / floored)
-        scores[self._slot] = (
+        self._scores[self._slot] = (
             self._free_weight * (free / self.total_channels)
             + self._spread_term + self._cost_term
         )
 
     def _index(self, channel_id: int) -> int:
-        """``channel_id``'s position in a scored pool's id order; StateError
-        when the provider has no such channel."""
-        if channel_id is not None:  # None would match the trailing None
-            ids = self._ids
+        """``channel_id``'s position in the pool's id order; StateError when
+        the provider has no such channel."""
+        ids = self._ids
+        try:  # None, or any id that does not compare with an int, fails the bisect
             index = bisect_left(ids, channel_id, 0, self.total_channels)
-            if ids[index] == channel_id:  # the trailing None when past the largest id
-                return index
-        raise StateError(f"provider {self.provider_id} has no channel {channel_id}")
+        except TypeError:
+            raise StateError(f"provider {self.provider_id} has no channel {channel_id}") from None
+        if ids[index] != channel_id:  # the trailing None when past the largest id
+            raise StateError(f"provider {self.provider_id} has no channel {channel_id}")
+        return index
 
     def _summarise(self) -> None:
-        """Re-read a scored pool's free-frequency extremes from the bytes and
-        re-score the pool from them, as a take or a give that moves an
-        extreme does: when the pool is built and on an audit."""
+        """Re-read the free-frequency extremes from the bytes and re-score the
+        pool from them, as a take or a give that moves an extreme does: when
+        the pool is built and on an audit."""
         scores = self._scores
         by_frequency = self.free_by_frequency
         self._low = low = by_frequency.find(1, 1)
@@ -302,77 +250,46 @@ class LivePool:
             + self._spread_term + self._cost_term
         )
 
-    def _free_frequencies(self) -> tuple[float | None, float | None]:
-        """The lowest and highest free frequency, (None, None) with none free;
-        an unscored pool reads them from its provider's channels."""
-        if self._scores is None:
-            held = self._held
-            frequencies = [ch.center_frequency for ch in self.provider.channels
-                           if ch.id not in held]
-            return min(frequencies, default=None), max(frequencies, default=None)
-        return self._frequencies[self._low], self._frequencies[self._high]
-
     @property
     def score(self) -> float | None:
-        """The utility while a channel is free; None when none is or the
-        pool has no config."""
-        if self._scores is None:
-            return None
+        """The utility while a channel is free, None when none is."""
         score = self._scores[self._slot]
         return None if score == NO_FREE else score
 
     @property
     def min_free_frequency(self) -> float | None:
-        return self._free_frequencies()[0]
+        return self._frequencies[self._low]
 
     @property
     def max_free_frequency(self) -> float | None:
-        return self._free_frequencies()[1]
+        return self._frequencies[self._high]
 
     @property
     def available_channels(self) -> tuple[SpectrumChannel, ...]:
         """The free channels in the provider's list order, built on each read
         in O(K); selection never reads it."""
-        if self._scores is None:
-            held = self._held
-            return tuple(ch for ch in self.provider.channels if ch.id not in held)
         by_id = self.free_by_id
         return tuple(ch for ch in self.provider.channels if by_id[self._index(ch.id)])
 
     def audit(self, held_channel_ids) -> None:
         """Recount the free channels from the held channel ids, over the
         provider's channel tuple rather than the pool's own state, and
-        re-score a scored pool from the recount; raises StateError if the
-        heap, the held set, a byte mask, a summary, the kept extremes or
-        the cached score differs."""
+        re-score the pool from the recount; raises StateError if a byte
+        mask, a summary, the kept extremes or the cached score differs."""
         held = set(held_channel_ids)
         free = [ch for ch in self.provider.channels if ch.id not in held]
-        if self._scores is None:
-            heap = self._free
-            if (sorted(heap) != sorted(ch.id for ch in free)
-                    or any(heap[(i - 1) // 2] > heap[i] for i in range(1, len(heap)))):
-                raise StateError(
-                    f"provider {self.provider_id} pool heap {heap} is out of heap order or "
-                    "differs from the free ids rebuilt from the held channels"
-                )
-            if self._held != held:
-                raise StateError(
-                    f"provider {self.provider_id} pool held set {sorted(self._held)} differs "
-                    f"from the held channels {sorted(held)}"
-                )
-        else:
-            by_id = bytearray(len(self.free_by_id))
-            by_frequency = bytearray(len(self._frequencies))
-            by_id[-1] = by_frequency[0] = by_frequency[-1] = 1
-            for ch in free:
-                index = self._index(ch.id)
-                by_id[index] = by_frequency[self._frequency_rank[index]] = 1
-            if (self.free_by_id, self.free_by_frequency) != (by_id, by_frequency):
-                raise StateError(
-                    f"provider {self.provider_id} pool masks {self.free_by_id.hex()}, "
-                    f"{self.free_by_frequency.hex()} differ from {by_id.hex()}, "
-                    f"{by_frequency.hex()} rebuilt from the held channels"
-                )
+        by_id = bytearray(len(self.free_by_id))
+        by_frequency = bytearray(len(self._frequencies))
+        by_id[-1] = by_frequency[0] = by_frequency[-1] = 1
+        for ch in free:
+            index = self._index(ch.id)
+            by_id[index] = by_frequency[self._frequency_rank[index]] = 1
+        if (self.free_by_id, self.free_by_frequency) != (by_id, by_frequency):
+            raise StateError(
+                f"provider {self.provider_id} pool masks {self.free_by_id.hex()}, "
+                f"{self.free_by_frequency.hex()} differ from {by_id.hex()}, "
+                f"{by_frequency.hex()} rebuilt from the held channels"
+            )
         frequencies = [ch.center_frequency for ch in free]
         recount = (len(free), min(frequencies, default=None), max(frequencies, default=None),
                    min((ch.id for ch in free), default=None))
@@ -380,8 +297,6 @@ class LivePool:
         for name, value in zip(names, recount):
             if getattr(self, name) != value:
                 raise StateError(f"provider {self.provider_id} pool {name} is stale")
-        if self._scores is None:
-            return
         # the bytes equal the recount's, so summarising them re-scores it
         extremes, score = (self._low, self._high), self.score
         self._summarise()
@@ -395,26 +310,19 @@ class LivePool:
 
 
 def select_best_channel(
-    pools: list[LivePool] | tuple[LivePool, ...],
-    scores: list[float] | None = None,
-) -> tuple[int, int, float | None] | None:
+    pools: list[LivePool] | tuple[LivePool, ...], scores: list[float],
+) -> tuple[int, int, float] | None:
     """Pick the pool with the highest score and its lowest free channel.
 
-    ``scores`` is the list the scored ``pools`` were built with, in the
-    same order, so ``scores[i]`` is ``pools[i]``'s score or ``NO_FREE``.
-    The first of the equal highest wins, which is the lowest provider id
-    when the pools are in provider-id order (:class:`NetworkTopology` makes
-    each provider's id its position).  Without ``scores``, ``pools`` is
-    one unscored candidate (fixed allocation's home pool), which wins
-    whenever it has a free channel.
+    ``scores`` is the list the ``pools`` were built with, in the same
+    order, so ``scores[i]`` is ``pools[i]``'s score or ``NO_FREE``.  The
+    first of the equal highest wins, which is the lowest provider id when
+    the pools are in provider-id order (:class:`NetworkTopology` makes each
+    provider's id its position).
 
-    Returns ``(provider_id, channel_id, score)``, the score None for an
-    unscored pool, or None when no pool has a free channel, which the
-    simulation records as a blocked call.
+    Returns ``(provider_id, channel_id, score)``, or None when no pool has
+    a free channel, which the simulation records as a blocked call.
     """
-    if scores is None:
-        (pool,) = pools
-        return (pool.provider_id, pool.lowest_free_id, None) if pool.free_count else None
     best = max(scores) if scores else NO_FREE  # max(default=) parses keywords, slower
     if best == NO_FREE:
         return None

@@ -328,11 +328,13 @@ def test_a_departure_at_the_horizon_is_processed(monkeypatch):
     sim, report = run_events([(1.0, 0, 2.0), (4.0, 0, 6.0)], monkeypatch, Keeping, audit=True)
     assert report.admitted == 2 and report.throughput == 8e5 / 10.0
     assert (sim.clock, sim.busy, sim.heap, sim.busy_integral) == (10.0, 0, [], 8.0)
-    assert sim._pools[0].free_count == 2
+    assert sim._free_ids == [[0, 1]]
 
 
 @pytest.mark.parametrize("strategy", [Strategy.FIXED, Strategy.DYNAMIC_SBAC])
 def test_a_pool_gives_back_only_the_sessions_that_end_by_the_horizon(strategy, monkeypatch):
+    # a DYNAMIC_SBAC run's pools count their gives; a FIXED run's heaps of
+    # free ids end without the channels of the sessions alive at the horizon
     given_back = []
     give = LivePool.give
 
@@ -343,10 +345,18 @@ def test_a_pool_gives_back_only_the_sessions_that_end_by_the_horizon(strategy, m
     monkeypatch.setattr(LivePool, "give", counting)
     topology = make_topology(num_providers=2, channels=3)
     spec = spec_for([1.5, 0.5], holding=2.0, horizon=50.0, seed=1)
-    records, _ = run_simulation(topology, spec, strategy, keep_records=True)
+    sim = Simulation(topology, spec, strategy, keep_records=True)
+    records, _ = sim.run()
     ended = [r for r in records if r.admitted and r.end_time <= spec.horizon]
-    assert len(ended) < sum(r.admitted for r in records)  # some end past the horizon
-    assert sorted(given_back) == sorted((r.provider_id, r.channel_id) for r in ended)
+    alive = alive_at(records, spec.horizon)
+    assert ended and alive  # some end past the horizon
+    if strategy is Strategy.DYNAMIC_SBAC:
+        assert sorted(given_back) == sorted((r.provider_id, r.channel_id) for r in ended)
+        return
+    assert given_back == []
+    for provider, heap in zip(topology.providers, sim._free_ids):
+        held = {r.channel_id for r in alive if r.provider_id == provider.id}
+        assert sorted(heap) == [ch.id for ch in provider.channels if ch.id not in held]
 
 
 def test_an_arrival_past_the_horizon_is_a_state_error(monkeypatch):
@@ -432,32 +442,35 @@ def test_run_draws_each_arrival_only_when_it_reaches_it(stop_after, monkeypatch)
     assert set(drawn) == {traffic.BLOCK}
 
 
-def run_with_engine(engine_class, audit=False, qos_config=None):
+def run_with_engine(engine_class, audit=False, qos_config=None, strategy=Strategy.DYNAMIC_SBAC):
     topology = make_topology(num_providers=2, channels=3)
     spec = spec_for([1.5, 0.5], holding=2.0, horizon=50.0, seed=1)
-    return engine_class(topology, spec, Strategy.DYNAMIC_SBAC, qos_config=qos_config,
-                        audit=audit).run()
+    return engine_class(topology, spec, strategy, qos_config=qos_config, audit=audit).run()
 
 
 def test_double_release_is_a_state_error():
-    # the first session to depart goes back in the heap, due at once
+    # the first session to depart goes back in the heap, due at once, after
+    # the audit of the state it left
     class DepartingTwice(Simulation):
         held = ()
         done = False
 
         def _audit_state(self, departures, busy):
+            super()._audit_state(departures, busy)
             departed = [entry for entry in self.held if entry not in departures]
             if departed and not self.done:
                 self.done = True
                 heapq.heappush(departures, departed[0])
             self.held = list(departures)
 
-    for qos_config, message in [
-        (None, r"channel \(\d, \d\) is already free"),  # the pool's guard
-        (REUSE, "holds no channel"),  # the co-channel group's, checked first
+    for strategy, qos_config, message in [
+        (Strategy.DYNAMIC_SBAC, None, r"channel \(\d, \d\) is already free"),  # the pool's guard
+        (Strategy.DYNAMIC_SBAC, REUSE, "holds no channel"),  # the co-channel group's, first
+        # a push onto a heap has no guard: the next audit finds the id twice
+        (Strategy.FIXED, None, r"provider \d free-id heap \[.*\] differs"),
     ]:
         with pytest.raises(StateError, match=message):
-            run_with_engine(DepartingTwice, audit=True, qos_config=qos_config)
+            run_with_engine(DepartingTwice, audit=True, qos_config=qos_config, strategy=strategy)
 
 
 def test_double_occupancy_is_a_state_error(monkeypatch):
@@ -1021,6 +1034,32 @@ def test_audit_flags_a_flipped_pool_bit_in_a_run():
         Flipping(topology, spec, Strategy.DYNAMIC_SBAC, audit=True).run()
 
 
+@pytest.mark.parametrize("corrupt,message", [
+    (heapq.heappush, "differs"),  # a held id pushed onto the heap
+    (lambda heap, held: heap.pop(), "differs"),  # a free id dropped
+    (lambda heap, held: heap.reverse(), "heap order"),  # the free ids out of heap order
+], ids=["held-on-heap", "free-dropped", "heap-order"])
+def test_audit_flags_a_corrupted_free_id_heap(corrupt, message):
+    # a FIXED run's heaps are corrupted once a provider holds one channel
+    # and has at least two free; the audit names the provider
+    class Corrupting(Simulation):
+        done = False
+
+        def _audit_state(self, departures, busy):
+            for (_, _, provider_id, channel_id, _, _) in departures:
+                heap = self._free_ids[provider_id]
+                if not self.done and len(heap) >= 2:
+                    self.done = True
+                    corrupt(heap, channel_id)
+            super()._audit_state(departures, busy)
+
+    topology = make_topology(num_providers=2, channels=3)
+    spec = spec_for([1.5, 0.5], holding=2.0, horizon=50.0, seed=1)
+    Simulation(topology, spec, Strategy.FIXED, audit=True).run()
+    with pytest.raises(StateError, match=rf"^provider \d free-id heap \[.*\] .*{message}"):
+        Corrupting(topology, spec, Strategy.FIXED, audit=True).run()
+
+
 # -- per-event cost -----------------------------------------------------------------
 
 
@@ -1068,10 +1107,12 @@ def test_a_fixed_allocation_arrival_stays_within_its_bytecode_budget():
     # arrival through three per-event methods, 500 with one event loop, 441
     # with departure entries that carry no record and the counters in locals,
     # 416 with a heap-and-set home pool and one pass over the points per
-    # departure, 393 with the run stopped at the horizon
+    # departure, 393 with the run stopped at the horizon, 305 with the run
+    # popping and pushing each provider's heap of free ids instead of
+    # selecting and calling a pool's take and give
     topology = make_topology(num_providers=1, channels=10)
     spec = spec_for([0.5], holding=10.0, horizon=4000.0, seed=7)
-    opcodes_per_arrival(topology, spec, Strategy.FIXED, budget=400)
+    opcodes_per_arrival(topology, spec, Strategy.FIXED, budget=312)
 
 
 @CPYTHON_311
@@ -1079,7 +1120,8 @@ def test_a_dynamic_sbac_arrival_stays_within_its_bytecode_budget():
     # two scored pools of 10 channels at 5 Erlangs each: 788 opcodes per
     # arrival through three per-event methods, 699 with one event loop, 639
     # with departure entries that carry no record and the counters in locals,
-    # 616 with the run stopped at the horizon
+    # 616 with the run stopped at the horizon, 610 with pools that are
+    # always scored
     topology = make_topology(num_providers=2, channels=10)
     spec = spec_for([0.5, 0.5], holding=10.0, horizon=2000.0, seed=7)
     opcodes_per_arrival(topology, spec, Strategy.DYNAMIC_SBAC, budget=620)
@@ -1093,7 +1135,8 @@ def test_a_physical_reuse_arrival_stays_within_its_bytecode_budget():
     # topology's rows and elimination step 0 folded into the loads, 1,034
     # with wider departure entries and the counters written back before
     # each physical admission, 1,014 with the counters the run's locals
-    # until it ends, 991 with the run stopped at the horizon
+    # until it ends, 991 with the run stopped at the horizon, 986 with pools
+    # that are always scored
     topology = make_topology(num_providers=4, channels=5, num_links=8, tolerance=4e-11)
     spec = spec_for([0.5] * 4, holding=10.0, horizon=1000.0, seed=7)
     opcodes_per_arrival(topology, spec, Strategy.DYNAMIC_SBAC, REUSE, budget=995)
@@ -1273,27 +1316,29 @@ def test_selection_never_lists_free_channels(strategy, monkeypatch):
 
 
 def test_fixed_allocation_never_scores_its_home_pool(monkeypatch):
-    # the home pool is the lone candidate: it is built without the config a
-    # pool scores itself with, so it wins unscored, and nothing in an
-    # unaudited run reads the frequencies that only the audit needs
-    topology = shuffled_topology()
-    spec = spec_for([2.0, 0.5, 1.5], holding=5.0, horizon=60.0, seed=14)
-    expected = run_simulation(topology, spec, Strategy.FIXED)
-    assert 0 < expected[1].blocked_no_channel < expected[1].admitted
-
-    def unscored(provider, config=None):
-        if config is not None:
-            raise AssertionError("the home pool was built to be scored")
-        return LivePool(provider)
-
+    # the home provider is the lone candidate: a FIXED run takes its lowest
+    # free id from the run's heap, so it builds no pool and selects nothing,
+    # audited or not, and its report is the one recorded when it did both
     def forbidden(*args):
-        raise AssertionError("a free frequency was read")
+        raise AssertionError("a FIXED run built a pool or selected among pools")
 
-    monkeypatch.setattr(engine, "LivePool", unscored)
-    assert run_simulation(topology, spec, Strategy.FIXED, audit=True) == expected
-    for name in ("min_free_frequency", "max_free_frequency"):
-        monkeypatch.setattr(LivePool, name, property(forbidden))
-    assert run_simulation(topology, spec, Strategy.FIXED) == expected
+    monkeypatch.setattr(engine, "LivePool", forbidden)
+    monkeypatch.setattr(sbac, "select_best_channel", forbidden)
+    spec = spec_for([2.0, 0.5, 1.5], holding=5.0, horizon=60.0, seed=14)
+    for audit in (False, True):
+        _, report = run_simulation(shuffled_topology(), spec, Strategy.FIXED, audit=audit)
+        assert dataclasses.asdict(report) == dict(
+            mean_propagation_delay=8.333333333333317e-07,
+            mean_rtt=1.6666666666666635e-06,
+            throughput=1269815.5585680602,
+            mean_primary_interference=5.832283194949123e-10,
+            spectral_efficiency=0.7054530880933665,
+            blocking_probability=0.35,
+            arrivals=220, admitted=143, blocked_no_channel=77, blocked_qos=0,
+            blocked_interference=0,
+            metadata={"strategy": "FIXED", "seed": 14, "horizon": 60.0,
+                      "per_point_interference_w": [5.832283194949123e-10]},
+        )
 
 
 def test_throughput_never_exceeds_capacity_bound():

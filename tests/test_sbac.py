@@ -349,7 +349,7 @@ def explicit_bands(draw):
 def test_live_pool_starts_full_and_summarises_every_order():
     # list, id and frequency orders differ; 7 and 5 share a frequency
     provider = explicit_provider(0, [(7, 403.0), (2, 400.0), (11, 401.0), (5, 403.0), (0, 402.0)])
-    pool = LivePool(provider)
+    pool = LivePool(provider, SbacConfig())
     assert summaries(pool) == (5, 400e6, 403e6, 0)
     for channel_id in (0, 2, 7):
         pool.take(channel_id)
@@ -360,7 +360,7 @@ def test_live_pool_starts_full_and_summarises_every_order():
 
 
 def test_live_pool_rejects_double_take_double_give_and_unknown_channels():
-    pool = LivePool(explicit_provider(0, [(4, 400.0), (9, 401.0)]))
+    pool = LivePool(explicit_provider(0, [(4, 400.0), (9, 401.0)]), SbacConfig())
     pool.take(9)
     with pytest.raises(StateError, match="already held"):
         pool.take(9)
@@ -378,34 +378,27 @@ def test_live_pool_rejects_double_take_double_give_and_unknown_channels():
     ("give", 12, "no channel 12"),  # above the largest id: bisect returns len(ids)
     ("take", -1, "no channel -1"),
     ("take", None, "provider 0 has no channel None"),  # what a full pool reads as its lowest
-    ("give", None, "provider 0 has no channel None"),  # no int compares with it: no bisect
+    ("give", None, "provider 0 has no channel None"),  # no int compares with it: the bisect fails
     ("give", "a", "provider 0 has no channel a"),
+    ("take", "a", "provider 0 has no channel a"),  # a take's bisect fails alike
 ])
 def test_a_rejected_flip_leaves_a_scored_pool_as_it_was(flip, channel_id, message):
-    # unscored pools too, each kind's own state compared; looped rather
-    # than parametrized, so that the test ids stay as they were
-    for sbac_config in (None, SbacConfig()):
-        pool = LivePool(explicit_provider(0, [(4, 400.0), (9, 401.0), (7, 403.0)]), sbac_config)
-        pool.take(9)
+    pool = LivePool(explicit_provider(0, [(4, 400.0), (9, 401.0), (7, 403.0)]), SbacConfig())
+    pool.take(9)
 
-        def state():
-            if sbac_config is None:
-                kept = list(pool._free), set(pool._held)
-            else:
-                kept = bytes(pool.free_by_id), bytes(pool.free_by_frequency)
-            return kept, summaries(pool), pool.score
+    def state():
+        return bytes(pool.free_by_id), bytes(pool.free_by_frequency), summaries(pool), pool.score
 
-        before = state()
-        with pytest.raises(StateError, match=message):
-            getattr(pool, flip)(channel_id)
-        assert state() == before
-        pool.audit([9])
+    before = state()
+    with pytest.raises(StateError, match=message):
+        getattr(pool, flip)(channel_id)
+    assert state() == before
+    pool.audit([9])
 
 
-@pytest.mark.parametrize("sbac_config", [None, SbacConfig()], ids=["unscored", "scored"])
-def test_a_take_on_a_full_pool_raises_and_changes_nothing(sbac_config):
+def test_a_take_on_a_full_pool_raises_and_changes_nothing():
     # a full pool's lowest free id is None: taking it must not pass
-    pool = LivePool(explicit_provider(3, [(4, 400.0), (9, 401.0)]), sbac_config)
+    pool = LivePool(explicit_provider(3, [(4, 400.0), (9, 401.0)]), SbacConfig())
     for channel_id in (9, 4):
         pool.take(channel_id)
     before = summaries(pool), pool.score, pool.available_channels
@@ -417,23 +410,16 @@ def test_a_take_on_a_full_pool_raises_and_changes_nothing(sbac_config):
     assert summaries(pool) == (1, 400e6, 400e6, 4)
 
 
-@pytest.mark.parametrize("sbac_config", [None, SbacConfig()], ids=["unscored", "scored"])
-def test_a_give_undoes_its_take_exactly(sbac_config):
+def test_a_give_undoes_its_take_exactly():
     # list, id and frequency orders differ, 7 and 5 share a frequency, and
     # 2 and 7 hold the extremes: from every state reached by taking a prefix
     # of the channels, taking any free channel and giving it back restores
-    # every field bit for bit, the byte masks, extremes and score included;
-    # an unscored pool's heap of free ids compared sorted, since its order
-    # follows the takes and gives that built it
+    # every field bit for bit, the byte masks, extremes and score included
     provider = explicit_provider(0, [(7, 403.0), (2, 400.0), (11, 401.0), (5, 403.0), (0, 402.0)])
-    pool = LivePool(provider, sbac_config)
+    pool = LivePool(provider, SbacConfig())
 
     def state():
-        kept = {name: copy.copy(getattr(pool, name)) for name in LivePool.__slots__
-                if hasattr(pool, name)}
-        if sbac_config is None:
-            kept["_free"] = sorted(kept["_free"])
-        return kept
+        return {name: copy.copy(getattr(pool, name)) for name in LivePool.__slots__}
 
     for held in range(len(provider.channels)):
         before = state()
@@ -446,29 +432,28 @@ def test_a_give_undoes_its_take_exactly(sbac_config):
 
 
 def test_live_pool_scores_on_change_only_when_built_with_a_config():
+    # the score list holds the score written by the last take or give: a
+    # read of ``score`` does not re-score
     provider = explicit_provider(0, [(7, 403.0), (2, 400.0), (11, 401.0)])
-    sbac_config = config(0.5, 0.3, 0.2, minutes=2.0)
-    scored, unscored = LivePool(provider, sbac_config), LivePool(provider)
+    sbac_config, scores = config(0.5, 0.3, 0.2, minutes=2.0), []
+    pool = LivePool(provider, sbac_config, scores)
+    assert scores == [utility(CandidatePool(0, provider.channels, 3, 0.05), sbac_config)]
     for channel_id in (2, 7, 11):
-        for pool in (scored, unscored):
-            pool.take(channel_id)
+        pool.take(channel_id)
         free = [ch for ch in provider.channels if ch.id > channel_id]
         if free:
-            assert scored.score == utility(CandidatePool(0, tuple(free), 3, 0.05), sbac_config)
+            assert pool.score == scores[0] == utility(
+                CandidatePool(0, tuple(free), 3, 0.05), sbac_config)
         else:
-            assert scored.score is None  # no free channel, nothing to score
-        assert unscored.score is None
-    scored.give(11)
-    assert scored.score == utility(CandidatePool(0, provider.channels[2:], 3, 0.05), sbac_config)
+            assert pool.score is None and scores == [NO_FREE]  # no free channel, no score
+    pool.give(11)
+    assert pool.score == utility(CandidatePool(0, provider.channels[2:], 3, 0.05), sbac_config)
+    scores[0] = 1.0
+    assert pool.score == 1.0
 
 
-def test_selection_reads_live_scores_and_lets_a_lone_pool_win_unscored():
+def test_selection_reads_live_scores():
     provider = explicit_provider(3, [(4, 400.0), (9, 401.0)])
-    lone = LivePool(provider)
-    assert select_best_channel((lone,)) == (3, 4, None)
-    lone.take(4)
-    lone.take(9)
-    assert select_best_channel((lone,)) is None
     scores = []
     cheap = LivePool(explicit_provider(0, [(0, 400.0)], cost_rate=1e-9), SbacConfig(), scores)
     scored = LivePool(provider, SbacConfig(), scores)
@@ -530,30 +515,13 @@ def test_audit_flags_a_stale_score():
 @pytest.mark.parametrize("mask", ["free_by_id", "free_by_frequency"])
 def test_audit_flags_a_flipped_pool_byte(mask):
     # position 2 is channel 11, held, in both orders (the frequency order
-    # starts with a byte that is no channel); only a scored pool keeps byte
-    # masks, and an unscored pool's heap and held set are corrupted instead
-    # (test_audit_flags_a_corrupted_unscored_pool)
+    # starts with a byte that is no channel); a fixed-allocation run's heaps
+    # of free ids are corrupted in test_audit_flags_a_corrupted_free_id_heap
     pool = LivePool(explicit_provider(0, [(7, 403.0), (2, 400.0), (11, 401.0)]), SbacConfig())
     pool.take(11)
     pool.audit([11])
     getattr(pool, mask)[2] ^= 1
     with pytest.raises(StateError, match="masks"):
-        pool.audit([11])
-
-
-@pytest.mark.parametrize("corrupt,message", [
-    (lambda pool: pool._free.append(11), "heap"),  # a held id pushed onto the heap
-    (lambda pool: pool._free.pop(), "heap"),  # a free id dropped
-    (lambda pool: pool._free.reverse(), "heap order"),  # the free ids out of heap order
-    (lambda pool: pool._held.add(7), "held set"),  # a free id held too
-    (lambda pool: pool._held.clear(), "held set"),  # a held id dropped
-], ids=["held-on-heap", "free-dropped", "heap-order", "free-in-held", "held-dropped"])
-def test_audit_flags_a_corrupted_unscored_pool(corrupt, message):
-    pool = LivePool(explicit_provider(0, [(7, 403.0), (2, 400.0), (11, 401.0)]))
-    pool.take(11)
-    pool.audit([11])
-    corrupt(pool)
-    with pytest.raises(StateError, match=message):
         pool.audit([11])
 
 
@@ -653,55 +621,6 @@ def test_live_pools_score_like_tuple_built_pools(bands, ops, weights, minutes, c
             pool.audit(held[pool.provider_id])
         # both None when no pool has a free channel
         assert select_best_channel(live, scores) == select_by_utility(built, sbac_config)
-
-    check()
-    for provider_index, position in ops:
-        provider_index %= len(providers)
-        channel = providers[provider_index].channels[position % len(bands[provider_index])]
-        if channel.id in held[provider_index]:
-            live[provider_index].give(channel.id)
-            held[provider_index].remove(channel.id)
-        else:
-            live[provider_index].take(channel.id)
-            held[provider_index].add(channel.id)
-        check()
-
-
-@given(bands=explicit_bands(), ops=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 9))))
-@example(  # every channel of both bands taken, then given back in another order
-    bands=[[(7, 403.0), (2, 400.0), (11, 401.0)], [(3, 410.0), (1, 410.0)]],
-    ops=[(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (0, 1), (1, 0), (0, 0), (0, 2), (1, 1)],
-)
-@settings(max_examples=200, deadline=None)
-def test_unscored_pools_summarise_like_tuple_built_pools(bands, ops):
-    # fixed allocation's home pools are built without a config: they keep
-    # their free ids in a heap and their held ids in a set, and derive their
-    # free-frequency extremes from those when read.  After every op
-    # (toggling one channel, a take of an id other than the lowest
-    # included) each must summarise like a CandidatePool built from its
-    # free channels' tuple, keep no frequency bytes and pass its audit
-    providers = [explicit_provider(i, band) for i, band in enumerate(bands)]
-    live = [LivePool(provider) for provider in providers]
-    held = [set() for _ in providers]
-
-    def check():
-        for provider, pool in zip(providers, live):
-            reference = CandidatePool(
-                provider_id=provider.id,
-                available_channels=tuple(
-                    ch for ch in provider.channels if ch.id not in held[provider.id]
-                ),
-                total_channels=provider.num_channels,
-                cost_rate=provider.cost_rate,
-            )
-            assert summaries(pool) == summaries(reference)
-            assert pool.available_channels == reference.available_channels
-            assert pool.score is None and pool.free_by_frequency == b""
-            pool.audit(held[provider.id])
-            # a lone unscored candidate wins whenever a channel is free
-            assert select_best_channel((pool,)) == (
-                (provider.id, reference.lowest_free_id, None) if reference.free_count else None
-            )
 
     check()
     for provider_index, position in ops:
